@@ -45,8 +45,12 @@ fn go_files(dir: &Path) -> Vec<PathBuf> {
 /// Runs every example under `strategy`, returning the aggregate solver
 /// stats and the concatenated JSON reports (for byte-comparison).
 fn run_mode(strategy: SolverStrategy, sources: &[(String, String)]) -> (ModeStats, String) {
+    // One worker: with several, which of two structurally identical
+    // channels solves first (and which one reads the shared verdict) depends
+    // on thread interleaving, so the query counts compared below would too.
     let config = DetectorConfig {
         solver_strategy: strategy,
+        jobs: 1,
         ..DetectorConfig::default()
     };
     let extended = Selection {

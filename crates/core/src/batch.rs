@@ -39,6 +39,7 @@ use crate::progress::ProgressSnapshot;
 use crate::resilience::{catch_isolated, CancelToken, Incident, IncidentKind};
 use crate::telemetry::{Counter, Metric, Telemetry};
 use crate::trace::{ArgValue, Tracer};
+use golite_ir::fnv;
 use prng::Prng;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Seek as _, SeekFrom, Write as _};
@@ -193,9 +194,9 @@ impl BackoffPolicy {
             .base
             .saturating_mul(1u32 << shift.min(20))
             .min(self.cap);
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-        h = faults::fnv(h, job.as_bytes());
-        h = faults::fnv(h, &failed_attempt.to_le_bytes());
+        let mut h = fnv::OFFSET ^ self.seed;
+        h = fnv::fnv(h, job.as_bytes());
+        h = fnv::fnv(h, &failed_attempt.to_le_bytes());
         let jitter = 0.5 + 0.5 * Prng::seed_from_u64(h).next_f64();
         exp.mul_f64(jitter)
     }
@@ -282,10 +283,10 @@ const JOURNAL_VERSION: u64 = 1;
 /// FNV fingerprint of the submitted job-id set, written into the header
 /// so `--resume` refuses a journal from a different job set.
 pub(crate) fn fingerprint(ids: &[String]) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = fnv::OFFSET;
     for id in ids {
-        h = faults::fnv(h, id.as_bytes());
-        h = faults::fnv(h, b"\x1f");
+        h = fnv::fnv(h, id.as_bytes());
+        h = fnv::fnv(h, b"\x1f");
     }
     format!("{h:016x}")
 }
@@ -1589,13 +1590,19 @@ mod tests {
         assert_eq!(partial.len(), 2, "torn trailing line dropped");
 
         // Self-healing: the torn tail is chopped before appending, so a
-        // record written now is visible to the *next* resume too.
+        // record written now is visible to the *next* resume too. The two
+        // workers finish in either order, so the torn record may be any
+        // job's: re-record whichever one was lost.
+        let lost = ids
+            .iter()
+            .find(|id| !partial.contains_key(*id))
+            .expect("the torn record's job is missing");
         torn.record(
             &JobRecord {
-                id: "mod-2".to_string(),
+                id: lost.clone(),
                 status: JobStatus::Done,
                 attempts: 1,
-                payload: Some("{\"module\":\"mod-2\"}".to_string()),
+                payload: Some(format!("{{\"module\":\"{lost}\"}}")),
                 incident: None,
                 wall: Duration::ZERO,
             },

@@ -39,6 +39,7 @@ use crate::detector::{Combo, GroupMember};
 use crate::faults;
 use crate::paths::{Event, PathOp};
 use crate::primitives::{OpKind, PrimId, Primitives};
+use crate::report::WitnessStep;
 use crate::resilience::Budget;
 use crate::telemetry::Telemetry;
 use minismt::{Atom, BoolVar, IntVar, SolveResult, Solver, SolverMode, Term};
@@ -60,9 +61,8 @@ struct Occurrence {
 /// The verdict for one (combination, group) query.
 #[derive(Debug)]
 pub enum Verdict {
-    /// A witness interleaving exists: descriptions of events in execution
-    /// order.
-    Blocking(Vec<String>),
+    /// A witness interleaving exists: its events in execution order.
+    Blocking(Vec<WitnessStep>),
     /// The group cannot block under this combination.
     Safe,
     /// The solver gave up (budget).
@@ -1142,21 +1142,24 @@ fn assumptions_for(enc: &Encoding, combo: &Combo, query: &Query<'_>) -> Option<A
 }
 
 /// Produces the witness order for a satisfying model: kept events sorted
-/// by their order-variable values (ties by description).
+/// by their order-variable values (ties by rendered description). Events of
+/// one goroutine are strictly ordered, so ties only join goroutines, whose
+/// `g{i}:` prefixes decide before any position does.
 fn witness_timeline(
     prims: &Primitives,
     combo: &Combo,
     enc: &Encoding,
     assume: &Assumptions,
     model: &minismt::Model,
-) -> Vec<String> {
-    let mut timeline: Vec<(i64, String)> = Vec::new();
+) -> Vec<WitnessStep> {
+    let mut timeline: Vec<(i64, String, WitnessStep)> = Vec::new();
     for &(gi, ei) in &assume.kept_events {
         let t = model.int_value(enc.order[&(gi, ei)]).unwrap_or(0);
-        timeline.push((t, describe_event(prims, combo, gi, ei)));
+        let step = describe_event(prims, combo, gi, ei);
+        timeline.push((t, step.to_string(), step));
     }
-    timeline.sort();
-    timeline.into_iter().map(|(_, d)| d).collect()
+    timeline.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    timeline.into_iter().map(|(_, _, step)| step).collect()
 }
 
 /// Builds and solves `ΦR ∧ ΦB` for `combo` with the given suspicious group.
@@ -1214,7 +1217,7 @@ pub fn check_group_budgeted(
     (check.verdict, check.stats)
 }
 
-fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> String {
+fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> WitnessStep {
     match &combo.gos[gi].path.events[ei] {
         Event::Op(op) => {
             let name = &prims.all[op.prim.0].name;
@@ -1225,14 +1228,22 @@ fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> St
                 (OpKind::Send, true) => "lock",
                 (OpKind::Recv, true) => "unlock",
             };
-            format!("g{gi}:{verb}({name})@{}", op.span)
+            WitnessStep {
+                label: format!("g{gi}:{verb}({name})"),
+                at: Some((op.loc, op.span)),
+            }
         }
-        Event::Select { chosen, span, .. } => match chosen {
-            Some(ci) => format!("g{gi}:select.case{ci}@{span}"),
-            None => format!("g{gi}:select.default@{span}"),
+        Event::Select {
+            chosen, loc, span, ..
+        } => WitnessStep {
+            label: match chosen {
+                Some(ci) => format!("g{gi}:select.case{ci}"),
+                None => format!("g{gi}:select.default"),
+            },
+            at: Some((*loc, *span)),
         },
-        Event::Spawn { target, .. } => format!("g{gi}:go(f{})", target.0),
-        Event::Fact { value, .. } => format!("g{gi}:branch({value})"),
+        Event::Spawn { target, .. } => format!("g{gi}:go(f{})", target.0).into(),
+        Event::Fact { value, .. } => format!("g{gi}:branch({value})").into(),
     }
 }
 

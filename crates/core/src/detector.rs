@@ -20,7 +20,7 @@ use crate::disentangle::{influences, pset};
 use crate::faults;
 use crate::paths::{Enumerator, Event, Limits, Path};
 use crate::primitives::{OpKind, PrimId};
-use crate::report::{BugKind, BugReport, OpRef, Provenance};
+use crate::report::{BugKind, BugReport, OpRef, Provenance, WitnessStep};
 use crate::resilience::{
     catch_isolated, ladder_limits, Budget, Incident, IncidentKind, LADDER_RUNGS,
 };
@@ -327,12 +327,14 @@ impl<'m> AnalysisSession<'m> {
     ///
     /// Replay requires *all* of: disentangling on, an inactive budget (the
     /// ladder changes outcomes), a prior record at the same creation site
-    /// with identical metadata (kind/buffer/name/span), identical scope
-    /// root and Pset member sites, identical Pset operation lists, and no
-    /// changed function that can influence the channel — inside its scope,
-    /// reaching into it (the memoized reverse-reachability), or holding a
-    /// Pset operation. Anything less re-analyzes from scratch, which is
-    /// always sound.
+    /// with identical metadata (kind/buffer/name/function-relative span),
+    /// identical scope root and Pset member sites, identical Pset operation
+    /// lists, no changed function that can influence the channel — inside
+    /// its scope, reaching into it (the memoized reverse-reachability), or
+    /// holding a Pset operation — and every recorded span lying in a
+    /// function that merely moved, so the findings can be rebased onto the
+    /// new text. Anything less re-analyzes from scratch, which is always
+    /// sound.
     fn detect_channel_warm(
         &self,
         warm: &crate::warm::WarmCheck,
@@ -352,8 +354,8 @@ impl<'m> AnalysisSession<'m> {
         let scope = &scopes[chan.0];
         let prim_set = pset(chan, self.dependency_graph(), scopes, &self.prims);
         let pset_sites: Vec<Loc> = prim_set.iter().map(|&p| self.prims.all[p.0].site).collect();
-        let meta = crate::warm::channel_meta(prim);
-        let ops_hash = crate::warm::ops_hash(&self.prims, &prim_set);
+        let meta = crate::warm::channel_meta(self.module, prim);
+        let ops_hash = crate::warm::ops_hash(self.module, &self.prims, &prim_set);
         let replay = warm.prior_record(prim.site).and_then(|old| {
             let same_shape = old.meta == meta
                 && old.ops_hash == ops_hash
@@ -364,7 +366,10 @@ impl<'m> AnalysisSession<'m> {
                     .changed()
                     .iter()
                     .any(|&f| influences(scope, &self.analysis, &self.prims, &prim_set, f));
-            clean.then(|| (old.findings.clone(), old.incident.clone()))
+            if !clean {
+                return None;
+            }
+            Some((warm.rebase(&old.findings)?, old.incident.clone()))
         });
         let (outcome, replayed) = match replay {
             Some(outcome) => (outcome, true),
@@ -823,7 +828,7 @@ impl<'m> AnalysisSession<'m> {
         chan: PrimId,
         combo: &Combo,
         group: &[GroupMember],
-        witness: Vec<String>,
+        witness: Vec<WitnessStep>,
         root: FuncId,
     ) -> BugReport {
         let prim = &self.prims.all[chan.0];

@@ -12,6 +12,7 @@ use crate::checkers::RunOutput;
 use crate::report::{BugKind, BugReport};
 use crate::resilience::Incident;
 use crate::telemetry::Stats;
+use golite_ir::fnv::Fnv;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,20 +94,15 @@ impl Diagnostic {
 /// changes do not move IDs.
 fn stable_id(report: &BugReport) -> String {
     let (kind, primitive, locs) = report.dedup_key();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(kind.label().as_bytes());
+    let mut h = Fnv::new();
+    h.bytes(kind.label().as_bytes());
     if let Some(p) = primitive {
-        eat(format!("@f{}b{}i{}", p.func.0, p.block.0, p.idx).as_bytes());
+        h.bytes(format!("@f{}b{}i{}", p.func.0, p.block.0, p.idx).as_bytes());
     }
     for loc in locs {
-        eat(format!("|f{}b{}i{}", loc.func.0, loc.block.0, loc.idx).as_bytes());
+        h.bytes(format!("|f{}b{}i{}", loc.func.0, loc.block.0, loc.idx).as_bytes());
     }
+    let h = h.finish();
     // Fold to 32 bits for a compact, still collision-resistant-enough ID.
     let folded = (h >> 32) as u32 ^ (h as u32);
     format!("GC-{folded:08x}")
@@ -239,7 +235,7 @@ pub fn render_json_with(
                 out.push(',');
             }
             out.push('"');
-            escape_json(w, &mut out);
+            escape_json(&w.to_string(), &mut out);
             out.push('"');
         }
         out.push_str("],");

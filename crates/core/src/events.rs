@@ -31,7 +31,7 @@
 //! incidents as a postmortem (the "flight recorder" of a crashed job).
 
 use crate::diagnostics::escape_json;
-use crate::faults::fnv;
+use golite_ir::fnv::{fnv, OFFSET};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -49,7 +49,7 @@ pub fn obs_zero_time() -> bool {
 /// inputs) under `zero_time`; otherwise the digest is salted with wall
 /// clock and pid so concurrent runs remain distinguishable.
 pub fn derive_run_id(inputs: &[String], zero_time: bool) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut h = OFFSET;
     for input in inputs {
         h = fnv(h, input.as_bytes());
         h = fnv(h, b"\0");

@@ -33,6 +33,7 @@
 //! `false`, so detection outside the batch engine (and every golden
 //! test) is byte-identical to a build without this module.
 
+use golite_ir::fnv::{fnv, OFFSET};
 use prng::Prng;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -230,18 +231,6 @@ pub fn armed() -> bool {
     SCOPE.with(|s| s.borrow().is_some())
 }
 
-/// FNV-1a over a byte string, the same dependency-free hash the stable
-/// diagnostic IDs use. Shared with the batch engine's backoff jitter and
-/// journal fingerprint so every derived decision uses one hash family.
-pub(crate) fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The deterministic decision: does the probe at `site` with `key` fire
 /// under the current scope?
 pub fn should_inject(site: &str, key: &str) -> bool {
@@ -258,7 +247,7 @@ pub fn should_inject(site: &str, key: &str) -> bool {
 }
 
 fn decide(plan: &FaultPlan, job: &str, attempt: u32, site: &str, key: &str) -> bool {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ plan.seed;
+    let mut h = OFFSET ^ plan.seed;
     h = fnv(h, site.as_bytes());
     h = fnv(h, job.as_bytes());
     h = fnv(h, &attempt.to_le_bytes());

@@ -125,7 +125,7 @@ pub use faults::FaultPlan;
 pub use golite_ir::{AliasMode, AliasStats};
 pub use metrics::{render_prometheus, validate_exposition, ExpositionSummary};
 pub use progress::ProgressSnapshot;
-pub use report::{BugKind, BugReport, OpRef, Provenance};
+pub use report::{BugKind, BugReport, OpRef, Provenance, WitnessStep};
 pub use resilience::{Budget, CancelToken, Incident, IncidentKind};
 pub use serve::{
     serve_socket, serve_stdio, Request, ResponseCache, ServeConfig, ServeSummary, WorkKind,

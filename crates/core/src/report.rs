@@ -67,6 +67,40 @@ pub struct OpRef {
     pub func_name: String,
 }
 
+/// One step of a witness interleaving: a position-free label such as
+/// `g0:send(ch)`, plus the IR location and source span of the operation
+/// when the step is one. Rendered as `label@line:col` (or the bare label),
+/// so the span can be moved without re-parsing rendered text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WitnessStep {
+    /// What ran, without its position.
+    pub label: String,
+    /// Where it ran, for steps that are source operations.
+    pub at: Option<(Loc, Span)>,
+}
+
+impl fmt::Display for WitnessStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.label)?;
+        if let Some((_, span)) = &self.at {
+            write!(f, "@{span}")?;
+        }
+        Ok(())
+    }
+}
+
+impl From<&str> for WitnessStep {
+    fn from(label: &str) -> WitnessStep {
+        WitnessStep::from(label.to_string())
+    }
+}
+
+impl From<String> for WitnessStep {
+    fn from(label: String) -> WitnessStep {
+        WitnessStep { label, at: None }
+    }
+}
+
 /// How a BMOC report came to be: the detection work behind one finding.
 ///
 /// Built from per-channel analysis state at the moment the solver returns a
@@ -145,9 +179,9 @@ pub struct BugReport {
     /// The operations that block forever (the suspicious group), or the
     /// offending accesses for traditional bugs.
     pub ops: Vec<OpRef>,
-    /// The witness interleaving from the solver: operation descriptions in
-    /// execution order (empty for traditional detectors).
-    pub witness_order: Vec<String>,
+    /// The witness interleaving from the solver, in execution order (empty
+    /// for traditional detectors).
+    pub witness_order: Vec<WitnessStep>,
     /// Free-form notes: analysis scope, path combination, etc.
     pub notes: String,
     /// Detection provenance (BMOC-family detectors only). Excluded from
@@ -179,7 +213,14 @@ impl fmt::Display for BugReport {
             )?;
         }
         if !self.witness_order.is_empty() {
-            writeln!(f, "  witness: {}", self.witness_order.join(" -> "))?;
+            f.write_str("  witness: ")?;
+            for (i, step) in self.witness_order.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(" -> ")?;
+                }
+                write!(f, "{step}")?;
+            }
+            writeln!(f)?;
         }
         if !self.notes.is_empty() {
             writeln!(f, "  note: {}", self.notes)?;
@@ -226,6 +267,26 @@ mod tests {
         assert!(text.contains("outDone"));
         assert!(text.contains("send on outDone"));
         assert!(text.contains("witness"));
+    }
+
+    #[test]
+    fn witness_steps_render_label_at_span() {
+        let at = Loc {
+            func: FuncId(1),
+            block: BlockId(0),
+            idx: 2,
+        };
+        let send = WitnessStep {
+            label: "g1:send(outDone)".into(),
+            at: Some((at, Span::new(10, 12, 7, 5))),
+        };
+        assert_eq!(send.to_string(), "g1:send(outDone)@7:5");
+        assert_eq!(WitnessStep::from("g0:go(f2)").to_string(), "g0:go(f2)");
+        let mut r = mk_report();
+        r.witness_order = vec!["g0:go(f2)".into(), send];
+        assert!(r
+            .to_string()
+            .contains("  witness: g0:go(f2) -> g1:send(outDone)@7:5\n"));
     }
 
     #[test]

@@ -55,9 +55,9 @@ use crate::events::{Event, EventBus, EventKind, Field};
 use crate::faults::{self, FaultPlan, SITE_SERVE_ACCEPT, SITE_SERVE_CACHE, SITE_SERVE_REQUEST};
 use crate::resilience::{catch_isolated, Budget, Incident, IncidentKind};
 use crate::signals;
-use crate::sweep::write_file_atomic;
+use crate::sweep::write_file_atomic_with;
 use crate::telemetry::{Counter, Telemetry};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -417,6 +417,10 @@ pub struct ResponseCache {
     index: Option<PathBuf>,
     header: String,
     entries: BTreeMap<String, CacheEntry>,
+    /// Every distinct response body, held once and shared by all entries
+    /// whose sources differ only in ways no report reads (comments,
+    /// constants, revision headers) — in an edit loop most entries.
+    bodies: HashSet<Arc<str>>,
     order: VecDeque<String>,
     capacity: usize,
 }
@@ -426,7 +430,25 @@ pub struct ResponseCache {
 /// compactions; the key alone decides hits).
 struct CacheEntry {
     module: String,
-    result: String,
+    result: Arc<str>,
+}
+
+/// The shared copy of `result`, interned on first sight.
+fn intern_body(bodies: &mut HashSet<Arc<str>>, result: &str) -> Arc<str> {
+    if let Some(body) = bodies.get(result) {
+        return body.clone();
+    }
+    let body: Arc<str> = Arc::from(result);
+    bodies.insert(body.clone());
+    body
+}
+
+/// Lets go of one entry's body, dropping it from the set once no other
+/// entry shares it (the set's handle and this one are all that is left).
+fn release_body(bodies: &mut HashSet<Arc<str>>, body: Arc<str>) {
+    if Arc::strong_count(&body) == 2 {
+        bodies.remove(&*body);
+    }
 }
 
 impl ResponseCache {
@@ -445,6 +467,7 @@ impl ResponseCache {
             index: None,
             header,
             entries: BTreeMap::new(),
+            bodies: HashSet::new(),
             order: VecDeque::new(),
             capacity,
         };
@@ -455,44 +478,56 @@ impl ResponseCache {
             .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
         let index = dir.join(CACHE_INDEX);
         let mut load = CacheLoad::default();
-        match std::fs::read_to_string(&index) {
+        let read_err =
+            |e: std::io::Error| format!("cannot read cache index `{}`: {e}", index.display());
+        match std::fs::File::open(&index) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(format!(
-                    "cannot read cache index `{}`: {e}",
-                    index.display()
-                ))
-            }
-            Ok(contents) => {
-                let complete = contents.ends_with('\n');
-                let lines: Vec<&str> = contents.lines().collect();
-                if lines.first() != Some(&cache.header.as_str()) {
-                    // Different fingerprint (or garbage where the header
-                    // should be): the whole index is stale.
-                    load.dropped = lines.len();
-                } else {
-                    for (i, line) in lines.iter().enumerate().skip(1) {
-                        let torn_tail = i + 1 == lines.len() && !complete;
-                        match (torn_tail, parse_cache_entry(line)) {
-                            (false, Some((key, module, result))) => {
-                                let entry = CacheEntry { module, result };
-                                if cache.entries.insert(key.clone(), entry).is_none() {
-                                    cache.order.push_back(key);
-                                } else {
+            Err(e) => return Err(read_err(e)),
+            Ok(file) => {
+                // Line by line, so only the parsed entries — not a second
+                // copy of the whole index — are held while loading.
+                let mut reader = BufReader::new(file);
+                let mut line = String::new();
+                let mut fresh = None;
+                loop {
+                    line.clear();
+                    if reader.read_line(&mut line).map_err(read_err)? == 0 {
+                        break;
+                    }
+                    // A final line without its newline is a torn append.
+                    let (text, torn_tail) = match line.strip_suffix('\n') {
+                        Some(text) => (text.strip_suffix('\r').unwrap_or(text), false),
+                        None => (line.as_str(), true),
+                    };
+                    let Some(fresh) = fresh else {
+                        // Different fingerprint (or garbage where the header
+                        // should be): the whole index is stale.
+                        fresh = Some(text == cache.header);
+                        load.dropped += usize::from(text != cache.header);
+                        continue;
+                    };
+                    match (fresh && !torn_tail, parse_cache_entry(text)) {
+                        (true, Some((key, module, result))) => {
+                            let result = intern_body(&mut cache.bodies, &result);
+                            let entry = CacheEntry { module, result };
+                            match cache.entries.insert(key.clone(), entry) {
+                                None => cache.order.push_back(key),
+                                Some(old) => {
+                                    release_body(&mut cache.bodies, old.result);
                                     cache.order.retain(|k| *k != key);
                                     cache.order.push_back(key);
                                 }
-                                load.restored += 1;
                             }
-                            _ => load.dropped += 1,
+                            load.restored += 1;
                         }
+                        _ => load.dropped += 1,
                     }
                 }
             }
         }
         while cache.order.len() > capacity {
             if let Some(old) = cache.order.pop_front() {
-                cache.entries.remove(&old);
+                cache.evict(&old);
                 load.restored -= 1;
                 load.dropped += 1;
             }
@@ -507,8 +542,15 @@ impl ResponseCache {
     }
 
     /// Looks a response up by cache key.
-    pub fn get(&self, key: &str) -> Option<&String> {
-        self.entries.get(key).map(|e| &e.result)
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.entries.get(key).map(|e| &*e.result)
+    }
+
+    /// Drops one entry (not its place in `order`).
+    fn evict(&mut self, key: &str) {
+        if let Some(entry) = self.entries.remove(key) {
+            release_body(&mut self.bodies, entry.result);
+        }
     }
 
     /// Number of cached entries.
@@ -536,15 +578,20 @@ impl ResponseCache {
         let Some(index) = &self.index else {
             return Ok(());
         };
-        let mut contents = self.header.clone();
-        contents.push('\n');
-        for key in &self.order {
-            if let Some(entry) = self.entries.get(key) {
-                contents.push_str(&Self::render_entry(key, &entry.module, &entry.result));
-                contents.push('\n');
+        // Streamed entry by entry: the cache is never held twice in memory.
+        write_file_atomic_with(index, |w| {
+            writeln!(w, "{}", self.header)?;
+            for key in &self.order {
+                if let Some(entry) = self.entries.get(key) {
+                    writeln!(
+                        w,
+                        "{}",
+                        Self::render_entry(key, &entry.module, &entry.result)
+                    )?;
+                }
             }
-        }
-        write_file_atomic(index, &contents)
+            Ok(())
+        })
     }
 
     /// Inserts a response, appending one fsync'd index line. With
@@ -592,14 +639,14 @@ impl ResponseCache {
         }
         let entry = CacheEntry {
             module: module.to_string(),
-            result: result.to_string(),
+            result: intern_body(&mut self.bodies, result),
         };
         self.entries.insert(key.to_string(), entry);
         self.order.push_back(key.to_string());
         let mut evicted = 0;
         while self.order.len() > self.capacity {
             if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
+                self.evict(&old);
                 evicted += 1;
             }
         }
@@ -632,7 +679,7 @@ fn parse_cache_entry(line: &str) -> Option<(String, String, String)> {
 /// cold `gcatch check --json`. Untimed requests keep the bare
 /// `op:hash` key, so persisted indexes from untimed runs stay valid.
 pub fn cache_key(op: WorkKind, source: &str, timeout_ms: Option<u64>) -> String {
-    let h = crate::faults::fnv(0xcbf2_9ce4_8422_2325, source.as_bytes());
+    let h = golite_ir::fnv::fnv(golite_ir::fnv::OFFSET, source.as_bytes());
     match timeout_ms {
         None => format!("{}:{h:016x}", op.name()),
         Some(ms) => format!("{}:{h:016x}:t{ms}", op.name()),
@@ -865,7 +912,7 @@ impl<'a> Server<'a> {
             }
         };
         let key = cache_key(op, &source, self.effective_timeout_ms(req.timeout_ms));
-        if let Some(result) = lock(&self.cache).get(&key).cloned() {
+        if let Some(result) = lock(&self.cache).get(&key).map(str::to_string) {
             self.telemetry.add(Counter::CacheHits, 1);
             self.emit(
                 EventKind::CacheHit,
@@ -1449,6 +1496,37 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(load3.restored, 0);
         assert!(load3.dropped >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn identical_responses_share_one_body_until_the_last_is_evicted() {
+        let dir = scratch("bodies");
+        let (mut cache, _) = ResponseCache::open(Some(&dir), 2, "fp").unwrap();
+        cache
+            .insert("check:1111", "m.go", "{\"bugs\":1}", false)
+            .unwrap();
+        cache
+            .insert("check:2222", "m.go", "{\"bugs\":1}", false)
+            .unwrap();
+        assert_eq!(cache.bodies.len(), 1, "one copy for two entries");
+        // Capacity 2: this evicts the first entry, whose body stays shared.
+        cache
+            .insert("check:3333", "m.go", "{\"bugs\":0}", false)
+            .unwrap();
+        assert_eq!(cache.bodies.len(), 2);
+        assert_eq!(cache.get("check:2222"), Some("{\"bugs\":1}"));
+        // Evicting the last holder drops the body too.
+        cache
+            .insert("check:4444", "m.go", "{\"bugs\":0}", false)
+            .unwrap();
+        assert_eq!(cache.bodies.len(), 1);
+        assert!(cache.get("check:2222").is_none());
+        // Reloading interns again: both surviving entries share one body.
+        let (reloaded, load) = ResponseCache::open(Some(&dir), 2, "fp").unwrap();
+        assert_eq!(load.restored, 2);
+        assert_eq!(reloaded.bodies.len(), 1);
+        assert_eq!(reloaded.get("check:4444"), Some("{\"bugs\":0}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

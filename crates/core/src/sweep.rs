@@ -78,6 +78,16 @@ pub fn fsync_parent(path: &Path) -> std::io::Result<()> {
 /// Writes a file atomically: temp file in the same directory, contents +
 /// fsync, rename over the target, fsync the directory.
 pub fn write_file_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    write_file_atomic_with(path, |w| w.write_all(contents.as_bytes()))
+}
+
+/// [`write_file_atomic`] for contents produced piece by piece: `fill`
+/// writes into the buffered temp file, so the whole contents never have to
+/// sit in memory at once.
+pub fn write_file_atomic_with(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let tmp = match (path.parent(), path.file_name()) {
         (Some(dir), Some(name)) => dir.join(format!(
             ".{}.tmp-{}",
@@ -91,8 +101,9 @@ pub fn write_file_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
             ))
         }
     };
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(contents.as_bytes())?;
+    let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+    fill(&mut file)?;
+    let file = file.into_inner().map_err(|e| e.into_error())?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(&tmp, path)?;

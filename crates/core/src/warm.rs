@@ -1,39 +1,48 @@
 //! Warm per-module analysis sessions for `gcatch serve` (incremental
 //! re-analysis).
 //!
-//! PR 9's daemon caches final *responses*: any edit, however small, misses
-//! the cache and pays full module cost. This module adds warmth below the
-//! response level. After every eligible `check`, the daemon keeps a
-//! [`WarmEntry`] for the module path: the diffable shape of the lowered IR
-//! ([`golite_ir::diff::ModuleShape`]), one [`ChannelRecord`] per analyzed
-//! channel (its disentangling metadata plus its full outcome — findings,
-//! witnesses, provenance, incident), and a snapshot of the session's
-//! cross-channel solver-verdict cache.
+//! The daemon's response cache keys final *responses*: any edit, however
+//! small, misses it and pays full module cost. This module adds warmth
+//! below the response level. After every eligible `check`, the daemon keeps
+//! a [`WarmEntry`] for the module path: the diffable shape of the lowered
+//! IR ([`golite_ir::diff::ModuleShape`]), one [`ChannelRecord`] per
+//! analyzed channel (its disentangling metadata plus its full outcome —
+//! findings, witnesses, provenance, incident), and a snapshot of the
+//! session's cross-channel solver-verdict cache.
 //!
 //! On the next `check` of the same path, [`warm_check`] diffs the new IR
-//! against the cached shape at function granularity and computes the dirty
-//! set with the memoized reverse-reachability of the alias analysis: a
-//! channel is re-analyzed only if its Pset/scope can reach a changed
-//! function (see `disentangle::influences`); every other channel's outcome
-//! is replayed verbatim from the warm entry, and the re-analyzed channels
-//! reuse the imported solver verdicts instead of rebuilding encodings.
+//! against the cached shape at function granularity
+//! ([`golite_ir::diff::module_diff`]): the changed functions, plus how far
+//! every unchanged function moved. It computes the dirty set with the
+//! memoized reverse-reachability of the alias analysis: a channel is
+//! re-analyzed only if its Pset/scope can reach a changed function (see
+//! `disentangle::influences`); every other channel's outcome is replayed
+//! from the warm entry, moved onto the new text, and the re-analyzed
+//! channels reuse the imported solver verdicts instead of rebuilding
+//! encodings.
 //!
 //! # Soundness / byte-identity
 //!
 //! The correctness bar is the established one: a warm response must be
 //! byte-identical to a cold daemon and to single-shot `gcatch check
 //! --json`. Replay is therefore gated on *everything* a channel's analysis
-//! reads being provably unchanged:
+//! reads being provably unchanged up to a move:
 //!
-//! * function fingerprints cover the CFG dump, all source spans, register
-//!   names/types, and the `FuncId` itself, so a replayed report's `Loc`s
-//!   and spans are valid in the new module;
+//! * function fingerprints cover the CFG dump, all source spans relative
+//!   to the function's own position, register names/types, and the
+//!   `FuncId` itself, so a replayed report's `Loc`s are valid in the new
+//!   module and each of its spans sits at a known offset;
 //! * shapes are incomparable (full cold re-analysis) when module-level
 //!   items change — globals, structs, or the function roster;
 //! * the channel's scope root, Pset member sites, creation-site metadata,
-//!   and the operation lists of every Pset member must be identical;
+//!   and the operation lists of every Pset member must be identical, with
+//!   spans compared relative to their functions;
 //! * no changed function may be inside the channel's scope, reach into it,
-//!   or hold an operation of a Pset member.
+//!   or hold an operation of a Pset member;
+//! * every span in the recorded findings — the primitive's, each
+//!   operation's, each witness step's — is rebased by the shift of the
+//!   function it lies in; a span in a function without a shift (a changed
+//!   one) sends the channel to re-analysis instead.
 //!
 //! Sessions are memory-only by design (crash-only: a killed daemon
 //! restarts cold and falls back to the persisted response cache), bounded
@@ -44,72 +53,91 @@
 use crate::detector::{DetectorConfig, GroupKey};
 use crate::diagnostics::render_json_with;
 use crate::faults;
-use crate::primitives::{PrimId, Primitive, Primitives};
+use crate::primitives::{OpKind, PrimId, PrimKind, Primitive, Primitives};
 use crate::report::BugReport;
 use crate::resilience::Incident;
 use crate::trace::TraceLevel;
 use crate::{checkers::Selection, GCatch};
-use golite_ir::diff::{changed_funcs, module_shape, ModuleShape};
-use golite_ir::ir::{FuncId, Loc};
+use golite_ir::diff::{hash_span, module_diff, module_shape, ModuleDiff, ModuleShape};
+use golite_ir::fnv::Fnv;
+use golite_ir::ir::{FuncId, Loc, Module};
 use golite_ir::AliasMode;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+fn hash_loc(h: &mut Fnv, loc: Loc) {
+    h.u32(loc.func.0).u32(loc.block.0).u32(loc.idx);
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-fn fnv_u32(h: u64, v: u32) -> u64 {
-    fnv(h, &v.to_le_bytes())
-}
-
-fn fnv_loc(mut h: u64, loc: Loc) -> u64 {
-    h = fnv_u32(h, loc.func.0);
-    h = fnv_u32(h, loc.block.0);
-    fnv_u32(h, loc.idx)
-}
-
-/// Fingerprint of a channel's creation site: kind, buffer size, name, and
-/// source span. Two records only match if the primitive itself is the same.
-pub(crate) fn channel_meta(prim: &Primitive) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv(h, format!("{:?}", prim.kind).as_bytes());
-    h = fnv(h, prim.name.as_bytes());
-    h = fnv_loc(h, prim.site);
-    h = fnv_u32(h, prim.span.start);
-    h = fnv_u32(h, prim.span.end);
-    h = fnv_u32(h, prim.span.line);
-    fnv_u32(h, prim.span.col)
-}
-
-/// Fingerprint of the operation lists of every Pset member, in Pset order.
-/// Operations are alias-analysis products, so comparing old vs new op
-/// hashes catches points-to changes the function diff alone cannot see
-/// (an edit far away adding or removing an aliased operation).
-pub(crate) fn ops_hash(prims: &Primitives, pset: &[PrimId]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &p in pset {
-        h = fnv(h, b"p");
-        for op in prims.ops_of(p) {
-            h = fnv(h, format!("{:?}", op.kind).as_bytes());
-            h = fnv_loc(h, op.loc);
-            h = fnv_u32(h, op.span.start);
-            h = fnv_u32(h, op.span.end);
-            h = fnv(
-                h,
-                format!("{:?}{}", op.select_case, op.from_mutex).as_bytes(),
-            );
+/// Fingerprint of a channel's creation site: kind, buffer size, name, site,
+/// and source span relative to its function. Two records only match if the
+/// primitive itself is the same, wherever its function now sits.
+pub(crate) fn channel_meta(module: &Module, prim: &Primitive) -> u64 {
+    let mut h = Fnv::new();
+    match prim.kind {
+        PrimKind::Chan { buffer } => {
+            h.u8(0);
+            match buffer {
+                Some(n) => h.u8(1).i64(n),
+                None => h.u8(0),
+            };
+        }
+        PrimKind::Mutex { rw } => {
+            h.u8(1).u8(u8::from(rw));
         }
     }
-    h
+    h.str(&prim.name);
+    hash_loc(&mut h, prim.site);
+    hash_span(&mut h, prim.span, module.func(prim.site.func).span);
+    h.finish()
+}
+
+/// Fingerprint of the operation lists of every Pset member, in Pset order,
+/// with spans relative to their functions. Operations are alias-analysis
+/// products, so comparing old vs new op hashes catches points-to changes
+/// the function diff alone cannot see (an edit far away adding or removing
+/// an aliased operation).
+pub(crate) fn ops_hash(module: &Module, prims: &Primitives, pset: &[PrimId]) -> u64 {
+    let mut h = Fnv::new();
+    for &p in pset {
+        h.u8(b'p');
+        for op in prims.ops_of(p) {
+            h.u8(match op.kind {
+                OpKind::Send => 0,
+                OpKind::Recv => 1,
+                OpKind::Close => 2,
+            });
+            hash_loc(&mut h, op.loc);
+            hash_span(&mut h, op.span, module.func(op.loc.func).span);
+            match op.select_case {
+                Some(case) => h.u8(1).len(case),
+                None => h.u8(0),
+            };
+            h.u8(u8::from(op.from_mutex));
+        }
+    }
+    h.finish()
+}
+
+/// One recorded report moved onto the new module's text: the primitive's
+/// span, every operation's span, and every witness step's span, each by
+/// the shift of the function it lies in. `None` when any of them lies in a
+/// function without a shift (a changed one).
+fn rebase_report(diff: &ModuleDiff, report: &BugReport) -> Option<BugReport> {
+    let mut out = report.clone();
+    let site = report.primitive?;
+    out.primitive_span = diff.shift(site.func)?.apply(report.primitive_span);
+    for op in &mut out.ops {
+        op.span = diff.shift(op.loc.func)?.apply(op.span);
+    }
+    for step in &mut out.witness_order {
+        if let Some((loc, span)) = &mut step.at {
+            *span = diff.shift(loc.func)?.apply(*span);
+        }
+    }
+    Some(out)
 }
 
 /// One channel's cached analysis: the disentangling metadata replay is
@@ -150,11 +178,11 @@ impl fmt::Debug for WarmEntry {
 }
 
 /// Per-request incremental context, threaded to the BMOC driver through
-/// [`DetectorConfig::warm`]. Carries the prior entry and the changed
-/// function set in; carries the harvested records and replay counts out.
+/// [`DetectorConfig::warm`]. Carries the prior entry and its diff against
+/// the new module in; carries the harvested records and replay counts out.
 pub struct WarmCheck {
     prior: Option<Arc<WarmEntry>>,
-    changed: Vec<FuncId>,
+    diff: ModuleDiff,
     harvest: Mutex<HashMap<Loc, ChannelRecord>>,
     replayed: AtomicU64,
     reanalyzed: AtomicU64,
@@ -164,16 +192,16 @@ impl fmt::Debug for WarmCheck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WarmCheck")
             .field("prior", &self.prior.is_some())
-            .field("changed", &self.changed.len())
+            .field("changed", &self.diff.changed.len())
             .finish()
     }
 }
 
 impl WarmCheck {
-    fn new(prior: Option<Arc<WarmEntry>>, changed: Vec<FuncId>) -> WarmCheck {
+    fn new(prior: Option<Arc<WarmEntry>>, diff: ModuleDiff) -> WarmCheck {
         WarmCheck {
             prior,
-            changed,
+            diff,
             harvest: Mutex::new(HashMap::new()),
             replayed: AtomicU64::new(0),
             reanalyzed: AtomicU64::new(0),
@@ -187,7 +215,20 @@ impl WarmCheck {
 
     /// Functions whose fingerprint changed since the prior entry.
     pub(crate) fn changed(&self) -> &[FuncId] {
-        &self.changed
+        &self.diff.changed
+    }
+
+    /// A prior record's findings moved onto the new module's text, or
+    /// `None` when a span lies in a changed function — the channel is then
+    /// re-analyzed, which is always sound.
+    pub(crate) fn rebase(
+        &self,
+        findings: &[(GroupKey, BugReport)],
+    ) -> Option<Vec<(GroupKey, BugReport)>> {
+        findings
+            .iter()
+            .map(|(key, report)| Some((key.clone(), rebase_report(&self.diff, report)?)))
+            .collect()
     }
 
     /// Counts one channel decision.
@@ -401,11 +442,11 @@ pub fn warm_check(
     let shape = module_shape(&module);
     let prior = store.get(path);
     let mut evicted = 0u64;
-    let (prior, changed) = match prior {
-        Some(entry) => match changed_funcs(&entry.shape, &shape) {
-            Some(changed) => {
+    let (prior, diff) = match prior {
+        Some(entry) => match module_diff(&entry.shape, &shape) {
+            Some(diff) => {
                 store.lock().hits += 1;
-                (Some(entry), changed)
+                (Some(entry), diff)
             }
             None => {
                 // Incomparable shape (toplevel items changed): the stale
@@ -414,12 +455,12 @@ pub fn warm_check(
                 store.lock().evictions += 1;
                 store.lock().misses += 1;
                 evicted += 1;
-                (None, Vec::new())
+                (None, ModuleDiff::default())
             }
         },
         None => {
             store.lock().misses += 1;
-            (None, Vec::new())
+            (None, ModuleDiff::default())
         }
     };
     let reused = prior.is_some();
@@ -428,7 +469,7 @@ pub fn warm_check(
     if let Some(entry) = &prior {
         gcatch.session().seed_encodings(&entry.encodings);
     }
-    let warm = Arc::new(WarmCheck::new(prior, changed));
+    let warm = Arc::new(WarmCheck::new(prior, diff));
     let mut config = base.clone();
     config.warm = Some(warm.clone());
     let diagnostics = gcatch.diagnostics(&config, &Selection::default());
@@ -505,6 +546,22 @@ func main() {
         assert_eq!(second.json, cold_json(&edited));
         assert!(second.replayed >= 1, "untouched channel must replay");
         assert!(second.reanalyzed >= 1, "edited channel must re-analyze");
+    }
+
+    #[test]
+    fn line_shift_replays_every_channel_at_its_new_position() {
+        let store = WarmSessions::new(4);
+        let base = DetectorConfig::default();
+        warm_check(&store, "m.go", LEAKY, &base, AliasMode::default()).unwrap();
+        // A comment and a blank line above every function: all of them
+        // move, none of them changes.
+        let shifted = LEAKY.replace("func tweak", "// moved\n\nfunc tweak");
+        let out = warm_check(&store, "m.go", &shifted, &base, AliasMode::default()).unwrap();
+        assert!(out.reused);
+        assert_eq!(out.reanalyzed, 0);
+        assert!(out.replayed >= 2);
+        assert_eq!(out.json, cold_json(&shifted));
+        assert_ne!(out.json, cold_json(LEAKY), "the report moved with the code");
     }
 
     #[test]

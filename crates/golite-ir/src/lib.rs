@@ -10,7 +10,9 @@
 //! * [`alias`] — Andersen-style points-to analysis with an on-the-fly call
 //!   graph (closures resolve precisely; the paper's documented alias
 //!   imprecisions are reproduced deliberately);
-//! * [`dom`] — dominators and post-dominators used by GFix's safety checks.
+//! * [`dom`] — dominators and post-dominators used by GFix's safety checks;
+//! * [`diff`] — shift-invariant module shapes and function-granular diffs
+//!   for warm re-analysis, hashed with the workspace's one [`fnv`] hash.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@
 pub mod alias;
 pub mod diff;
 pub mod dom;
+pub mod fnv;
 pub mod intern;
 pub mod ir;
 pub mod lower;
@@ -42,7 +45,7 @@ pub mod lower;
 pub use alias::{
     analyze, analyze_with_mode, AbstractObject, AliasMode, AliasStats, Analysis, CallKind, CallSite,
 };
-pub use diff::{changed_funcs, module_shape, ModuleShape};
+pub use diff::{changed_funcs, module_diff, module_shape, ModuleDiff, ModuleShape, Shift};
 pub use dom::{predecessors, reachable_blocks, Dominators, PostDominators};
 pub use intern::Symbol;
 pub use ir::*;

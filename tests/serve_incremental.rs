@@ -116,6 +116,11 @@ struct ModState {
     extra: bool,
     /// Trailing blank lines: source bytes change, the IR does not.
     pad: usize,
+    /// Blank and comment lines above `LeakRun`, plus as many lines inside
+    /// `RelayRun` above its closure: every later function moves without
+    /// changing (replayed at new positions) while `RelayRun` itself
+    /// changes (re-analyzed).
+    lead: usize,
 }
 
 impl ModState {
@@ -126,6 +131,7 @@ impl ModState {
             relay: 1,
             extra: false,
             pad: 0,
+            lead: 0,
         }
     }
 
@@ -140,6 +146,9 @@ impl ModState {
         } else {
             ""
         };
+        let lead: String = (0..self.lead)
+            .map(|i| if i % 2 == 0 { "\n" } else { "// lead\n" })
+            .collect();
         format!(
             r#"func tweak() int {{
     return {tweak}
@@ -148,7 +157,7 @@ impl ModState {
 func job() error {{
     return nil
 }}
-
+{lead}
 func LeakRun() {{
     {done}
     quit := make(chan struct{{}}, 1)
@@ -166,14 +175,19 @@ func LeakRun() {{
 
 func RelayRun() {{
     msg := make(chan int)
-    go func() {{
+{relay_lead}    go func() {{
         msg <- {relay}
     }}()
     <-msg
 }}
-{extra}{pad}"#,
+{extra}
+type relayBox struct {{
+    n int
+}}
+{pad}"#,
             tweak = self.tweak,
             done = done,
+            relay_lead = "    // lead\n".repeat(self.lead),
             relay = self.relay,
             extra = extra,
             pad = "\n".repeat(self.pad),
@@ -182,12 +196,13 @@ func RelayRun() {{
 
     /// Applies the `pick`-th mutation kind in place.
     fn mutate(&mut self, pick: u64) {
-        match pick % 5 {
+        match pick % 6 {
             0 => self.tweak += 1,
             1 => self.buffered = !self.buffered,
             2 => self.relay += 1,
             3 => self.extra = !self.extra,
-            _ => self.pad += 1,
+            4 => self.pad += 1,
+            _ => self.lead += 1,
         }
     }
 }
@@ -245,7 +260,8 @@ fn run_chain(dir: &Path, chain: usize, steps: usize, warm_flags: &[&str], envs: 
 /// Fuzzed edit chains: every warm response is byte-identical to both a
 /// session-less daemon and single-shot `gcatch check --json`, across
 /// empty-dirty-set edits, verdict-flipping Pset edits, roster changes,
-/// and IR-invisible whitespace edits.
+/// IR-invisible whitespace edits, and lines inserted above and inside
+/// functions (moved code replayed at its new position).
 #[test]
 fn fuzzed_edit_chains_are_byte_identical_to_cold_and_single_shot() {
     let dir = scratch("fuzz");
