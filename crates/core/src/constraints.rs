@@ -1152,14 +1152,13 @@ fn witness_timeline(
     assume: &Assumptions,
     model: &minismt::Model,
 ) -> Vec<WitnessStep> {
-    let mut timeline: Vec<(i64, String, WitnessStep)> = Vec::new();
+    let mut timeline: Vec<(i64, WitnessStep)> = Vec::new();
     for &(gi, ei) in &assume.kept_events {
         let t = model.int_value(enc.order[&(gi, ei)]).unwrap_or(0);
-        let step = describe_event(prims, combo, gi, ei);
-        timeline.push((t, step.to_string(), step));
+        timeline.push((t, describe_event(prims, combo, gi, ei)));
     }
-    timeline.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-    timeline.into_iter().map(|(_, _, step)| step).collect()
+    timeline.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp_rendered(&b.1)));
+    timeline.into_iter().map(|(_, step)| step).collect()
 }
 
 /// Builds and solves `ΦR ∧ ΦB` for `combo` with the given suspicious group.

@@ -13,6 +13,7 @@ use crate::report::{BugKind, BugReport};
 use crate::resilience::Incident;
 use crate::telemetry::Stats;
 use golite_ir::fnv::Fnv;
+use std::fmt::Write as _;
 
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +236,11 @@ pub fn render_json_with(
                 out.push(',');
             }
             out.push('"');
-            escape_json(&w.to_string(), &mut out);
+            // Written in place: a position is digits and `:` only.
+            escape_json(&w.label, &mut out);
+            if let Some((_, span)) = &w.at {
+                let _ = write!(out, "@{span}");
+            }
             out.push('"');
         }
         out.push_str("],");

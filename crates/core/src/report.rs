@@ -89,6 +89,18 @@ impl fmt::Display for WitnessStep {
     }
 }
 
+impl WitnessStep {
+    /// Orders two steps as their rendered texts order, without rendering
+    /// them unless one label is a prefix of the other.
+    pub fn cmp_rendered(&self, other: &WitnessStep) -> std::cmp::Ordering {
+        let (a, b) = (self.label.as_bytes(), other.label.as_bytes());
+        let n = a.len().min(b.len());
+        a[..n]
+            .cmp(&b[..n])
+            .then_with(|| self.to_string().cmp(&other.to_string()))
+    }
+}
+
 impl From<&str> for WitnessStep {
     fn from(label: &str) -> WitnessStep {
         WitnessStep::from(label.to_string())
@@ -287,6 +299,40 @@ mod tests {
         assert!(r
             .to_string()
             .contains("  witness: g0:go(f2) -> g1:send(outDone)@7:5\n"));
+    }
+
+    #[test]
+    fn witness_steps_order_as_their_rendered_text() {
+        let at = |line, col| {
+            let loc = Loc {
+                func: FuncId(0),
+                block: BlockId(0),
+                idx: 0,
+            };
+            Some((loc, Span::new(0, 1, line, col)))
+        };
+        let step = |label: &str, at| WitnessStep {
+            label: label.into(),
+            at,
+        };
+        let steps = [
+            step("g1:send(a)", at(7, 5)),
+            step("g1:send(a)", at(10, 3)),
+            step("g10:send(a)", at(2, 1)),
+            step("g0:select.case1", at(4, 2)),
+            step("g0:select.case10", at(4, 2)),
+            step("g0:select.case1", None),
+            step("g2:go(f1)", None),
+        ];
+        for a in &steps {
+            for b in &steps {
+                assert_eq!(
+                    a.cmp_rendered(b),
+                    a.to_string().cmp(&b.to_string()),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -418,8 +418,8 @@ pub struct ResponseCache {
     header: String,
     entries: BTreeMap<String, CacheEntry>,
     /// Every distinct response body, held once and shared by all entries
-    /// whose sources differ only in ways no report reads (comments,
-    /// constants, revision headers) — in an edit loop most entries.
+    /// with byte-identical responses: sources that differ only in what no
+    /// report reads (comments, constants, revision headers).
     bodies: HashSet<Arc<str>>,
     order: VecDeque<String>,
     capacity: usize,
