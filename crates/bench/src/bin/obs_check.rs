@@ -46,7 +46,7 @@ fn check_events(path: &str) -> Result<(), String> {
     let mut quarantined = 0usize;
     for (idx, line) in lines.iter().enumerate() {
         let n = idx + 1;
-        gcatch::trace::validate_json(line)
+        gcatch::codec::validate_json(line)
             .map_err(|e| format!("{path}:{n}: malformed JSON: {e}"))?;
         for key in ["\"ts_ns\":", "\"seq\":", "\"event\":\"", "\"run\":\""] {
             if !line.contains(key) {

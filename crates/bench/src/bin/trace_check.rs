@@ -13,7 +13,7 @@ fn check(path: &str) -> Result<(), String> {
     if text.trim().is_empty() {
         return Err(format!("{path} is empty"));
     }
-    gcatch::trace::validate_json(&text).map_err(|e| format!("{path}: malformed JSON: {e}"))?;
+    gcatch::codec::validate_json(&text).map_err(|e| format!("{path}: malformed JSON: {e}"))?;
     if !text.contains("\"traceEvents\"") {
         return Err(format!("{path}: missing the traceEvents array"));
     }

@@ -22,9 +22,10 @@
 //!   and the loser is cancelled through the [`CancelToken`] on its
 //!   [`JobCtx`] (cooperatively, via the budget it is attached to);
 //! * an **append-only checkpoint journal** ([`Journal`]): one fsynced
-//!   JSONL line per decided job, so a killed run can be resumed with the
-//!   completed jobs restored instead of re-run. A truncated trailing
-//!   line (the kill arrived mid-write) is detected and dropped.
+//!   JSONL line per decided job on a [`durable`] log, so a killed run can
+//!   be resumed with the completed jobs restored instead of re-run. A
+//!   torn line (the kill arrived mid-write) or any other line that does
+//!   not parse is dropped, and the journal compacted without it.
 //!
 //! The engine itself is deterministic *in content*: job results land in
 //! submission order in [`BatchOutcome::records`] regardless of worker
@@ -32,7 +33,8 @@
 //! across worker counts, interruptions, and (injected-)fault schedules —
 //! the property the kill-and-resume tests pin down.
 
-use crate::diagnostics::escape_json;
+use crate::codec::{escape_json, unquote};
+use crate::durable::{self, Log};
 use crate::events::{Event as ObsEvent, EventBus, EventKind, Field, FlightRecorder};
 use crate::faults::{self, FaultPlan};
 use crate::progress::ProgressSnapshot;
@@ -42,7 +44,6 @@ use crate::trace::{ArgValue, Tracer};
 use golite_ir::fnv;
 use prng::Prng;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -251,38 +252,12 @@ impl Default for BatchConfig {
 
 // --------------------------------------------------------------- journal
 
-/// Encodes/decodes a job payload to/from one raw JSON value for the
-/// journal. `encode` must produce a self-contained JSON value (the
-/// journal embeds it verbatim as the line's last field); `decode` gets
-/// that exact text back and returns `None` if it cannot reconstruct the
-/// payload (the job is then re-run on resume — safe, just slower).
-pub struct JournalCodec<T> {
-    /// Payload → raw JSON value.
-    #[allow(clippy::type_complexity)]
-    pub encode: Box<dyn Fn(&T) -> String + Send + Sync>,
-    /// Raw JSON value → payload.
-    #[allow(clippy::type_complexity)]
-    pub decode: Box<dyn Fn(&str) -> Option<T> + Send + Sync>,
-}
-
-impl JournalCodec<String> {
-    /// The identity codec: the payload *is* a raw JSON value.
-    pub fn raw_json() -> JournalCodec<String> {
-        JournalCodec {
-            encode: Box::new(|s| s.clone()),
-            decode: Box::new(|s| Some(s.to_string())),
-        }
-    }
-}
-
 /// Magic key of the journal header line.
 const JOURNAL_MAGIC: &str = "gcatch_batch_journal";
-/// Journal format version.
-const JOURNAL_VERSION: u64 = 1;
 
 /// FNV fingerprint of the submitted job-id set, written into the header
 /// so `--resume` refuses a journal from a different job set.
-pub(crate) fn fingerprint(ids: &[String]) -> String {
+fn fingerprint(ids: &[String]) -> String {
     let mut h = fnv::OFFSET;
     for id in ids {
         h = fnv::fnv(h, id.as_bytes());
@@ -291,101 +266,73 @@ pub(crate) fn fingerprint(ids: &[String]) -> String {
     format!("{h:016x}")
 }
 
-/// An append-only, fsync-per-line JSONL checkpoint journal.
+/// The header line of a job-set log (this journal, the sweep manifest):
+/// its magic key and format version 1, the job count, and the job-set
+/// fingerprint.
+pub(crate) fn job_set_header(magic: &str, ids: &[String]) -> String {
+    format!(
+        "{{\"{magic}\":1,\"jobs\":{},\"fingerprint\":\"{}\"}}",
+        ids.len(),
+        fingerprint(ids)
+    )
+}
+
+/// An append-only, fsync-per-line JSONL checkpoint journal on a
+/// [`durable`] log.
 ///
-/// Line 1 is a header identifying the job set; every subsequent line is
-/// one decided job. Appends are flushed and fsynced individually, so
-/// after a kill at any instant the journal is a valid prefix plus at
-/// most one truncated line, which [`Journal::open_resume`] drops.
+/// The header identifies the job set; every later line is one decided
+/// job, its payload embedded verbatim as a raw JSON value. After a kill at
+/// any instant the journal holds complete records plus at most one torn
+/// line, which [`Journal::open_resume`] drops under the log's heal rule.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<std::fs::File>,
+    log: Mutex<Log>,
 }
 
 impl Journal {
     /// Creates (truncating) a journal for the given job set.
     pub fn create(path: &Path, ids: &[String]) -> std::io::Result<Journal> {
-        let mut file = std::fs::File::create(path)?;
-        let header = format!(
-            "{{\"{JOURNAL_MAGIC}\":{JOURNAL_VERSION},\"jobs\":{},\"fingerprint\":\"{}\"}}\n",
-            ids.len(),
-            fingerprint(ids)
-        );
-        file.write_all(header.as_bytes())?;
-        file.sync_data()?;
-        // Durability of the *name*, not just the bytes: fsync the parent
-        // directory so a metadata-losing crash cannot forget the journal
-        // file itself (the file's own fsyncs only cover its contents).
-        crate::sweep::fsync_parent(path)?;
         Ok(Journal {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            log: Mutex::new(Log::create(path, &job_set_header(JOURNAL_MAGIC, ids))?),
         })
     }
 
     /// Opens an existing journal for resumption: validates the header
     /// against the submitted job set, restores every decided job from the
-    /// intact line prefix (a truncated or malformed tail is dropped), and
-    /// reopens the file for appending.
+    /// records the log keeps, and reopens the file for appending —
+    /// compacted first when a torn or malformed line was dropped, so the
+    /// next record never lands after garbage.
     ///
     /// # Errors
     ///
     /// Reports an unreadable file, a missing/foreign header, or a job-set
-    /// fingerprint mismatch. Restored-payload decode failures are *not*
-    /// errors — the job is simply re-run.
-    #[allow(clippy::type_complexity)]
-    pub fn open_resume<T>(
+    /// fingerprint mismatch. A line that fails to parse is *not* an error
+    /// — its job is simply re-run.
+    pub fn open_resume(
         path: &Path,
         ids: &[String],
-        codec: &JournalCodec<T>,
-    ) -> Result<(Journal, BTreeMap<String, JobRecord<T>>), String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        let mut lines = text.split_inclusive('\n');
-        let header = lines.next().unwrap_or("");
-        if !header.ends_with('\n') || !header.starts_with(&format!("{{\"{JOURNAL_MAGIC}\":")) {
-            return Err(format!("{} is not a gcatch batch journal", path.display()));
-        }
-        let want = fingerprint(ids);
-        if !header.contains(&format!("\"fingerprint\":\"{want}\"")) {
-            return Err(format!(
-                "journal {} was written for a different job set",
-                path.display()
-            ));
-        }
-        let mut restored = BTreeMap::new();
-        let mut intact = header.len() as u64;
-        for line in lines {
-            // Only a complete, parseable line counts; the first bad line
-            // is where the crash landed, so everything after it is noise.
-            if !line.ends_with('\n') {
-                break;
-            }
-            match parse_record_line(line.trim_end_matches('\n'), codec) {
-                Some(rec) => {
-                    restored.insert(rec.id.clone(), rec);
-                    intact += line.len() as u64;
-                }
-                None => break,
-            }
-        }
-        // Self-heal: chop the crashed partial line off before appending,
-        // so the next record never concatenates onto garbage (which would
-        // hide every later record from a second resume).
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("cannot append to journal {}: {e}", path.display()))?;
-        file.set_len(intact)
-            .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| format!("cannot seek journal {}: {e}", path.display()))?;
+    ) -> Result<(Journal, BTreeMap<String, JobRecord<String>>), String> {
+        let (records, load) = Journal::read_records(path, ids)?;
+        let restored: BTreeMap<String, JobRecord<String>> = records
+            .into_iter()
+            .map(|rec| (rec.id.clone(), rec))
+            .collect();
+        let log = Log::open(
+            path,
+            &load,
+            restored.len(),
+            &job_set_header(JOURNAL_MAGIC, ids),
+            restored
+                .values()
+                .map(|rec| render_record(rec, String::clone)),
+        )
+        .map_err(|e| format!("cannot append to journal {}: {e}", path.display()))?;
         Ok((
             Journal {
                 path: path.to_path_buf(),
-                file: Mutex::new(file),
+                log: Mutex::new(log),
             },
             restored,
         ))
@@ -397,140 +344,113 @@ impl Journal {
     }
 
     /// Reads a journal without opening it for appending: validates the
-    /// header against `ids`, parses every intact record line, and drops a
-    /// torn or malformed tail — but never truncates the file. The sweep
-    /// merge uses this to fold every worker's journal into one record set
-    /// while the files stay untouched for postmortem inspection.
-    pub fn read_records<T>(
+    /// header against `ids` and returns every record the log keeps, in
+    /// file order — but never rewrites the file. The sweep merge uses this
+    /// to fold every worker's journal into one record set while the files
+    /// stay untouched for postmortem inspection.
+    pub(crate) fn read_records(
         path: &Path,
         ids: &[String],
-        codec: &JournalCodec<T>,
-    ) -> Result<Vec<JobRecord<T>>, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        let mut lines = text.split_inclusive('\n');
-        let header = lines.next().unwrap_or("");
-        if !header.ends_with('\n') || !header.starts_with(&format!("{{\"{JOURNAL_MAGIC}\":")) {
-            return Err(format!("{} is not a gcatch batch journal", path.display()));
-        }
-        let want = fingerprint(ids);
-        if !header.contains(&format!("\"fingerprint\":\"{want}\"")) {
-            return Err(format!(
-                "journal {} was written for a different job set",
-                path.display()
-            ));
-        }
+    ) -> Result<(Vec<JobRecord<String>>, durable::Load), String> {
         let mut records = Vec::new();
-        for line in lines {
-            if !line.ends_with('\n') {
-                break;
-            }
-            match parse_record_line(line.trim_end_matches('\n'), codec) {
-                Some(rec) => records.push(rec),
-                None => break,
-            }
-        }
-        Ok(records)
-    }
-
-    /// Appends one decided job and fsyncs.
-    pub fn record<T>(&self, rec: &JobRecord<T>, codec: &JournalCodec<T>) -> std::io::Result<()> {
-        let mut line = String::from("{\"job\":\"");
-        escape_json(&rec.id, &mut line);
-        line.push_str("\",\"status\":\"");
-        // Resumed records are not re-journaled; callers only pass
-        // Done/Quarantined, but keep the label honest either way.
-        line.push_str(match rec.status {
-            JobStatus::Quarantined => "quarantined",
-            _ => "done",
-        });
-        line.push_str("\",\"attempts\":");
-        line.push_str(&rec.attempts.to_string());
-        if let Some(inc) = &rec.incident {
-            line.push_str(",\"incident\":\"");
-            escape_json(&inc.message, &mut line);
-            line.push('"');
-            // The flight dump rides along so a resumed run reconstructs
-            // the quarantine postmortem byte-for-byte.
-            if !inc.flight.is_empty() {
-                line.push_str(",\"flight\":[");
-                for (i, fl) in inc.flight.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    line.push('"');
-                    escape_json(fl, &mut line);
-                    line.push('"');
-                }
-                line.push(']');
-            }
-        }
-        line.push_str(",\"payload\":");
-        match &rec.payload {
-            Some(p) => line.push_str(&(codec.encode)(p)),
-            None => line.push_str("null"),
-        }
-        line.push_str("}\n");
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.write_all(line.as_bytes())?;
-        file.sync_data()
-    }
-}
-
-/// Parses one JSON string literal starting at `s` (which must begin with
-/// the opening quote's *content*, i.e. just after `"`). Returns the
-/// unescaped string and the rest after the closing quote.
-pub(crate) fn parse_json_string(s: &str) -> Option<(String, &str)> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &s[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let (j, _) = chars.next()?;
-                    let hex = s.get(j..j + 4)?;
-                    let code = u32::from_str_radix(hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                    // Consume the remaining three hex digits.
-                    for _ in 0..3 {
-                        chars.next()?;
-                    }
-                }
-                _ => return None,
+        let load = durable::load(
+            path,
+            |header| match header {
+                Some(h) if h == job_set_header(JOURNAL_MAGIC, ids) => Ok(true),
+                Some(h) if h.starts_with(&format!("{{\"{JOURNAL_MAGIC}\":")) => Err(format!(
+                    "journal {} was written for a different job set",
+                    path.display()
+                )),
+                _ => Err(format!("{} is not a gcatch batch journal", path.display())),
             },
-            c => out.push(c),
-        }
+            |line| match parse_record_line(line) {
+                Some(rec) => {
+                    records.push(rec);
+                    true
+                }
+                None => false,
+            },
+        )
+        .map_err(|e| format!("cannot read journal {}: {e}", path.display()))??;
+        Ok((records, load))
     }
-    None
+
+    /// Appends one decided job and fsyncs; `encode` renders the payload as
+    /// one self-contained raw JSON value.
+    pub fn record<T>(&self, rec: &JobRecord<T>, encode: fn(&T) -> String) -> std::io::Result<()> {
+        let line = render_record(rec, encode);
+        self.log
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .append(line)
+    }
 }
 
-/// Parses one journal record line (without the trailing newline).
-pub(crate) fn parse_record_line<T>(line: &str, codec: &JournalCodec<T>) -> Option<JobRecord<T>> {
-    let rest = line.strip_prefix("{\"job\":\"")?;
-    let (id, rest) = parse_json_string(rest)?;
-    let rest = rest.strip_prefix(",\"status\":\"")?;
-    let (status, rest) = parse_json_string(rest)?;
+/// Where [`BatchEngine::run`] journals decided jobs: the journal, and the
+/// function rendering a payload as one self-contained raw JSON value.
+pub type JournalSink<'j, T> = (&'j Journal, fn(&T) -> String);
+
+/// Renders one journal record line (without its newline).
+fn render_record<T>(rec: &JobRecord<T>, encode: fn(&T) -> String) -> String {
+    let mut line = String::from("{\"job\":\"");
+    escape_json(&rec.id, &mut line);
+    line.push_str("\",\"status\":\"");
+    // Resumed records are not re-journaled; callers only pass
+    // Done/Quarantined, but keep the label honest either way.
+    line.push_str(match rec.status {
+        JobStatus::Quarantined => "quarantined",
+        _ => "done",
+    });
+    line.push_str("\",\"attempts\":");
+    line.push_str(&rec.attempts.to_string());
+    if let Some(inc) = &rec.incident {
+        line.push_str(",\"incident\":\"");
+        escape_json(&inc.message, &mut line);
+        line.push('"');
+        // The flight dump rides along so a resumed run reconstructs
+        // the quarantine postmortem byte-for-byte.
+        if !inc.flight.is_empty() {
+            line.push_str(",\"flight\":[");
+            for (i, fl) in inc.flight.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                line.push('"');
+                escape_json(fl, &mut line);
+                line.push('"');
+            }
+            line.push(']');
+        }
+    }
+    line.push_str(",\"payload\":");
+    match &rec.payload {
+        Some(p) => line.push_str(&encode(p)),
+        None => line.push_str("null"),
+    }
+    line.push('}');
+    line
+}
+
+/// Parses one journal record line (without its newline).
+fn parse_record_line(line: &str) -> Option<JobRecord<String>> {
+    let rest = line.strip_prefix("{\"job\":")?;
+    let (id, rest) = unquote(rest)?;
+    let rest = rest.strip_prefix(",\"status\":")?;
+    let (status, rest) = unquote(rest)?;
     let rest = rest.strip_prefix(",\"attempts\":")?;
     let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
     let attempts: u32 = digits.parse().ok()?;
     let rest = &rest[digits.len()..];
-    let (incident, rest) = match rest.strip_prefix(",\"incident\":\"") {
+    let (incident, rest) = match rest.strip_prefix(",\"incident\":") {
         Some(r) => {
-            let (msg, r) = parse_json_string(r)?;
+            let (msg, r) = unquote(r)?;
             let (flight, r) = match r.strip_prefix(",\"flight\":[") {
                 Some(mut fl_rest) => {
                     let mut lines = Vec::new();
                     match fl_rest.strip_prefix(']') {
                         Some(after) => (lines, after),
                         None => loop {
-                            let body = fl_rest.strip_prefix('"')?;
-                            let (fl, after) = parse_json_string(body)?;
+                            let (fl, after) = unquote(fl_rest)?;
                             lines.push(fl);
                             if let Some(more) = after.strip_prefix(',') {
                                 fl_rest = more;
@@ -555,19 +475,16 @@ pub(crate) fn parse_record_line<T>(line: &str, codec: &JournalCodec<T>) -> Optio
         }
         None => (None, rest),
     };
-    let payload_raw = rest.strip_prefix(",\"payload\":")?.strip_suffix('}')?;
+    let payload = rest.strip_prefix(",\"payload\":")?.strip_suffix('}')?;
     match status.as_str() {
-        "done" => {
-            let payload = (codec.decode)(payload_raw)?;
-            Some(JobRecord {
-                id,
-                status: JobStatus::Done,
-                attempts,
-                payload: Some(payload),
-                incident: None,
-                wall: Duration::ZERO,
-            })
-        }
+        "done" => Some(JobRecord {
+            id,
+            status: JobStatus::Done,
+            attempts,
+            payload: Some(payload.to_string()),
+            incident: None,
+            wall: Duration::ZERO,
+        }),
         "quarantined" => Some(JobRecord {
             id,
             status: JobStatus::Quarantined,
@@ -787,7 +704,7 @@ impl<'t> BatchEngine<'t> {
     pub fn run<'a, T: Send>(
         &self,
         jobs: &[BatchJob<'a, T>],
-        journal: Option<(&Journal, &JournalCodec<T>)>,
+        journal: Option<JournalSink<'_, T>>,
         mut restored: BTreeMap<String, JobRecord<T>>,
     ) -> BatchOutcome<T> {
         self.telemetry.add(Counter::JobsTotal, jobs.len() as u64);
@@ -1044,7 +961,7 @@ impl<'t> BatchEngine<'t> {
         records: &mut [Option<JobRecord<T>>],
         mut remaining: usize,
         resumed: usize,
-        journal: Option<(&Journal, &JournalCodec<T>)>,
+        journal: Option<JournalSink<'_, T>>,
         journal_error: &mut Option<String>,
         lane: &mut crate::trace::Lane<'_>,
     ) {
@@ -1288,16 +1205,16 @@ impl<'t> BatchEngine<'t> {
     fn journal_record<T>(
         &self,
         rec: &JobRecord<T>,
-        journal: Option<(&Journal, &JournalCodec<T>)>,
+        journal: Option<JournalSink<'_, T>>,
         journal_error: &mut Option<String>,
     ) {
-        let Some((journal, codec)) = journal else {
+        let Some((journal, encode)) = journal else {
             return;
         };
         if journal_error.is_some() {
             return; // journaling already broke; don't spam errors
         }
-        if let Err(e) = journal.record(rec, codec) {
+        if let Err(e) = journal.record(rec, encode) {
             *journal_error = Some(format!(
                 "journal write failed at {}: {e}",
                 journal.path().display()
@@ -1530,7 +1447,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.journal");
         let ids: Vec<String> = (0..3).map(|i| format!("mod-{i}")).collect();
-        let codec = JournalCodec::raw_json();
         let (telemetry, tracer) = engine_parts();
         let engine = BatchEngine::new(
             no_hedge(BatchConfig {
@@ -1551,7 +1467,7 @@ mod tests {
             .collect();
         {
             let journal = Journal::create(&path, &ids).unwrap();
-            let outcome = engine.run(&jobs, Some((&journal, &codec)), BTreeMap::new());
+            let outcome = engine.run(&jobs, Some((&journal, String::clone)), BTreeMap::new());
             assert_eq!(outcome.executed, 3);
             assert!(outcome.journal_error.is_none());
         }
@@ -1559,7 +1475,7 @@ mod tests {
         // Full resume: everything restored, nothing re-run.
         let (telemetry2, tracer2) = engine_parts();
         let engine2 = BatchEngine::new(BatchConfig::default(), &telemetry2, &tracer2);
-        let (journal2, restored) = Journal::open_resume(&path, &ids, &codec).unwrap();
+        let (journal2, restored) = Journal::open_resume(&path, &ids).unwrap();
         assert_eq!(restored.len(), 3);
         let poisoned: Vec<BatchJob<'_, String>> = ids
             .iter()
@@ -1569,7 +1485,7 @@ mod tests {
                 })
             })
             .collect();
-        let outcome = engine2.run(&poisoned, Some((&journal2, &codec)), restored);
+        let outcome = engine2.run(&poisoned, Some((&journal2, String::clone)), restored);
         assert_eq!(outcome.resumed, 3);
         assert_eq!(outcome.executed, 0);
         assert!(outcome
@@ -1586,11 +1502,12 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate(bytes.len() - 7);
         std::fs::write(&path, &bytes).unwrap();
-        let (torn, partial) = Journal::open_resume(&path, &ids, &codec).unwrap();
+        let (torn, partial) = Journal::open_resume(&path, &ids).unwrap();
         assert_eq!(partial.len(), 2, "torn trailing line dropped");
 
-        // Self-healing: the torn tail is chopped before appending, so a
-        // record written now is visible to the *next* resume too. The two
+        // Self-healing: the journal is compacted without the torn tail
+        // before appending, so a record written now is visible to the
+        // *next* resume too. The two
         // workers finish in either order, so the torn record may be any
         // job's: re-record whichever one was lost.
         let lost = ids
@@ -1606,16 +1523,16 @@ mod tests {
                 incident: None,
                 wall: Duration::ZERO,
             },
-            &codec,
+            String::clone,
         )
         .unwrap();
         drop(torn);
-        let (_, healed) = Journal::open_resume(&path, &ids, &codec).unwrap();
+        let (_, healed) = Journal::open_resume(&path, &ids).unwrap();
         assert_eq!(healed.len(), 3, "appended record survives a second resume");
 
         // A different job set is refused.
         let other: Vec<String> = vec!["unrelated".to_string()];
-        let err = Journal::open_resume(&path, &other, &codec).unwrap_err();
+        let err = Journal::open_resume(&path, &other).unwrap_err();
         assert!(err.contains("different job set"), "{err}");
 
         std::fs::remove_dir_all(&dir).ok();
@@ -1631,7 +1548,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.journal");
         let ids = vec!["bad \"name\"\n".to_string()];
-        let codec: JournalCodec<String> = JournalCodec::raw_json();
         let journal = Journal::create(&path, &ids).unwrap();
         journal
             .record(
@@ -1652,10 +1568,10 @@ mod tests {
                     }),
                     wall: Duration::from_millis(5),
                 },
-                &codec,
+                String::clone,
             )
             .unwrap();
-        let (_, restored) = Journal::open_resume(&path, &ids, &codec).unwrap();
+        let (_, restored) = Journal::open_resume(&path, &ids).unwrap();
         let rec = restored.get(ids[0].as_str()).expect("restored");
         assert_eq!(rec.status, JobStatus::Quarantined);
         assert_eq!(rec.attempts, 3);
@@ -1668,6 +1584,73 @@ mod tests {
                 "quarantined after 3 attempt(s)".to_string(),
             ],
             "flight dump round-trips through the journal"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal as the previous journal code wrote it, byte for byte.
+    const OLD_JOURNAL: [&str; 4] = [
+        r#"{"gcatch_batch_journal":1,"jobs":3,"fingerprint":"82dd652fffaaaded"}"#,
+        r#"{"job":"a.go","status":"done","attempts":1,"payload":{"module":"a.go","bugs":0,"report":{"version":1,"diagnostics":[]}}}"#,
+        r#"{"job":"dir/b \"q\".go","status":"quarantined","attempts":2,"incident":"parse error at 2:12: expected identifier, found `{`\n\ttab","flight":["attempt 1: started","attempt 1: failed: \"x\"\u0001"],"payload":null}"#,
+        "{\"job\":\"c\u{e9}\u{1F642}.go\",\"status\":\"done\",\"attempts\":3,\"payload\":{\"module\":\"c\u{e9}\u{1F642}.go\",\"bugs\":1,\"report\":{}}}",
+    ];
+
+    #[test]
+    fn old_journals_load_intact_and_heal_around_garbage() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!(
+            "gcatch-batch-old-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.journal");
+        let ids: Vec<String> = ["a.go", "dir/b \"q\".go", "c\u{e9}\u{1F642}.go"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let text: String = OLD_JOURNAL.iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, &text).unwrap();
+        let ino = std::fs::metadata(&path).unwrap().ino();
+        let (journal, restored) = Journal::open_resume(&path, &ids).unwrap();
+        drop(journal);
+        assert_eq!(restored.len(), 3);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().ino(),
+            ino,
+            "intact: not rewritten"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let quarantined = &restored[&ids[1]];
+        assert_eq!(quarantined.status, JobStatus::Quarantined);
+        let inc = quarantined.incident.as_ref().unwrap();
+        assert_eq!(
+            inc.message,
+            "parse error at 2:12: expected identifier, found `{`\n\ttab"
+        );
+        assert_eq!(inc.flight[1], "attempt 1: failed: \"x\"\u{1}");
+        // Records re-render to the very bytes they were read from.
+        for (line, id) in OLD_JOURNAL[1..].iter().zip(&ids) {
+            assert_eq!(render_record(&restored[id], String::clone), *line);
+        }
+
+        // A garbage line between records: both neighbours survive, and
+        // the compacted journal holds every record (in job-id order) and
+        // no garbage.
+        let damaged = format!(
+            "{}\n{}\nnot a record\n{}\n{}\n",
+            OLD_JOURNAL[0], OLD_JOURNAL[1], OLD_JOURNAL[2], OLD_JOURNAL[3]
+        );
+        std::fs::write(&path, damaged).unwrap();
+        let (_, restored) = Journal::open_resume(&path, &ids).unwrap();
+        assert_eq!(restored.len(), 3);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!(
+                "{}\n{}\n{}\n{}\n",
+                OLD_JOURNAL[0], OLD_JOURNAL[1], OLD_JOURNAL[3], OLD_JOURNAL[2]
+            )
         );
         std::fs::remove_dir_all(&dir).ok();
     }

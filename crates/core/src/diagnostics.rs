@@ -9,6 +9,7 @@
 //! external dependency (`gcatch check --json`).
 
 use crate::checkers::RunOutput;
+use crate::codec::escape_json;
 use crate::report::{BugKind, BugReport};
 use crate::resilience::Incident;
 use crate::telemetry::Stats;
@@ -110,23 +111,6 @@ fn stable_id(report: &BugReport) -> String {
 }
 
 // ------------------------------------------------------------------- JSON
-
-/// Escapes a string for a JSON string literal (quotes not included).
-pub(crate) fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
@@ -489,7 +473,7 @@ mod tests {
             !with.contains("degradation_rung"),
             "rung 0 must not change the schema"
         );
-        crate::trace::validate_json(&with).expect("well-formed");
+        crate::codec::validate_json(&with).expect("well-formed");
     }
 
     #[test]
@@ -521,7 +505,7 @@ mod tests {
             "\"incidents\":[{\"kind\":\"checker\",\"name\":\"panic-test\",\
              \"message\":\"boom \\\"quoted\\\"\",\"rung\":0}]"
         ));
-        crate::trace::validate_json(&json).expect("well-formed");
+        crate::codec::validate_json(&json).expect("well-formed");
     }
 
     #[test]
@@ -535,7 +519,7 @@ mod tests {
         };
         let json = render_json_with(&[], None, std::slice::from_ref(&incident));
         assert!(json.contains("\"rung\":0,\"flight\":[\"attempt 1: failed: \\\"boom\\\"\"]"));
-        crate::trace::validate_json(&json).expect("well-formed");
+        crate::codec::validate_json(&json).expect("well-formed");
     }
 
     #[test]
@@ -569,6 +553,6 @@ mod tests {
         assert!(json.contains("\"stage_ms\""));
         assert!(json.contains("\"hist\""));
         assert!(json.contains("\"solver_query_ns\":{\"count\":0"));
-        crate::trace::validate_json(&json).expect("well-formed");
+        crate::codec::validate_json(&json).expect("well-formed");
     }
 }

@@ -30,7 +30,7 @@
 //! lifecycle lines kept per job, whose dump is attached to `Quarantined`
 //! incidents as a postmortem (the "flight recorder" of a crashed job).
 
-use crate::diagnostics::escape_json;
+use crate::codec::escape_json;
 use golite_ir::fnv::{fnv, OFFSET};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -500,7 +500,7 @@ mod tests {
         // Zero-time renders ts_ns as 0 and every line is valid JSON.
         for line in &events {
             assert!(line.starts_with("{\"ts_ns\":0,"), "{line}");
-            crate::trace::validate_json(line).expect("event line is valid JSON");
+            crate::codec::validate_json(line).expect("event line is valid JSON");
         }
     }
 

@@ -24,8 +24,15 @@
 //!   `testing.Fatal` on child goroutines (§3.5);
 //! * [`checkers`] — the [`Checker`] trait and [`Registry`] unifying every
 //!   detector behind stable names with `--only`/`--skip` selection;
+//! * [`codec`] — the one JSON codec: string escaping and decoding, the
+//!   flat-object reader behind serve requests and sweep leases, and the
+//!   well-formedness validator;
 //! * [`diagnostics`] — structured [`Diagnostic`]s with stable IDs,
 //!   severities, and dependency-free JSON rendering;
+//! * [`durable`] — crash-safe files: fsync helpers, the atomic write, and
+//!   the one header-plus-lines log (with its single heal rule) under the
+//!   batch and sweep journals, the sweep manifest, and the serve cache
+//!   index;
 //! * [`resilience`] — cooperative [`Budget`]s (wall-clock deadline +
 //!   solver-step pool), panic containment, the degradation ladder, and
 //!   structured [`Incident`] reporting for contained failures;
@@ -86,10 +93,12 @@
 pub mod alias_ext;
 pub mod batch;
 pub mod checkers;
+pub mod codec;
 pub mod constraints;
 pub mod detector;
 pub mod diagnostics;
 pub mod disentangle;
+pub mod durable;
 pub mod events;
 pub mod faults;
 pub mod metrics;
@@ -110,7 +119,7 @@ pub mod worker;
 
 pub use batch::{
     BackoffPolicy, BatchConfig, BatchEngine, BatchJob, BatchOutcome, HedgePolicy, JobCtx,
-    JobRecord, JobStatus, Journal, JournalCodec,
+    JobRecord, JobStatus, Journal,
 };
 pub use checkers::{Checker, Registry, RunOutput, Selection};
 pub use constraints::{EncodingCache, SolverStrategy};

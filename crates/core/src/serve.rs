@@ -34,9 +34,10 @@
 //!   deadline is in the key because a tight budget can shape result bytes
 //!   through the degradation ladder, and a deadline-shaped response must
 //!   never be replayed to an untimed request — and persisted through an
-//!   append-only, fsync'd journal-style index. On startup the index is
-//!   reloaded with torn/corrupt/stale entries dropped (exactly like
-//!   `--resume`'s torn-tail healing) and compacted atomically. A
+//!   append-only, fsync'd index on the [`durable`] log. On startup the
+//!   index is reloaded with torn/corrupt/stale entries dropped (the same
+//!   heal rule as `--resume`) and compacted atomically when anything was
+//!   dropped; an intact index is reopened untouched. A
 //!   `kill -9` mid-request therefore loses at most warmth: the restarted
 //!   daemon serves responses byte-identical to a cold single-shot
 //!   `gcatch check`, because a cached response is the byte-for-byte
@@ -50,12 +51,12 @@
 //! entry written deliberately corrupt) drive every failure path
 //! deterministically in `(seed, site, request id)`.
 
-use crate::diagnostics::escape_json;
+use crate::codec::{escape_json, flat_object, unquote, Value};
+use crate::durable::{self, Log};
 use crate::events::{Event, EventBus, EventKind, Field};
 use crate::faults::{self, FaultPlan, SITE_SERVE_ACCEPT, SITE_SERVE_CACHE, SITE_SERVE_REQUEST};
 use crate::resilience::{catch_isolated, Budget, Incident, IncidentKind};
 use crate::signals;
-use crate::sweep::write_file_atomic_with;
 use crate::telemetry::{Counter, Telemetry};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -193,112 +194,20 @@ pub struct ServeSummary {
     pub cache_warm: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON parsing (requests are one-level objects of strings and
-// integers; the repo is dependency-free by policy, so no serde).
-// ---------------------------------------------------------------------------
-
-/// Decodes a JSON string literal at the head of `s` (including the
-/// quotes); returns the decoded text and the rest of the input.
-fn json_unquote(s: &str) -> Option<(String, &str)> {
-    let rest = s.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &rest[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            _ => out.push(c),
-        }
-    }
-    None
-}
-
-#[derive(Debug)]
-enum Val {
-    Str(String),
-    Num(u64),
-}
-
-fn parse_flat_object(s: &str) -> Result<Vec<(String, Val)>, String> {
-    let rest = s
-        .trim()
-        .strip_prefix('{')
-        .ok_or("request must be a JSON object")?;
-    let mut rest = rest.trim_start();
-    let mut fields = Vec::new();
-    if let Some(r) = rest.strip_prefix('}') {
-        return if r.trim().is_empty() {
-            Ok(fields)
-        } else {
-            Err("trailing data after object".to_string())
-        };
-    }
-    loop {
-        let (key, r) = json_unquote(rest.trim_start()).ok_or("expected a string key")?;
-        let r = r
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or("expected `:` after key")?;
-        let r = r.trim_start();
-        let (val, r) = if r.starts_with('"') {
-            let (v, r) = json_unquote(r).ok_or("unterminated string value")?;
-            (Val::Str(v), r)
-        } else {
-            let end = r.find(|c: char| !c.is_ascii_digit()).unwrap_or(r.len());
-            if end == 0 {
-                return Err(format!("unsupported value for `{key}`"));
-            }
-            let n = r[..end]
-                .parse()
-                .map_err(|e| format!("bad number for `{key}`: {e}"))?;
-            (Val::Num(n), &r[end..])
-        };
-        fields.push((key, val));
-        let r = r.trim_start();
-        if let Some(r2) = r.strip_prefix(',') {
-            rest = r2;
-            continue;
-        }
-        return match r.strip_prefix('}') {
-            Some(r2) if r2.trim().is_empty() => Ok(fields),
-            Some(_) => Err("trailing data after object".to_string()),
-            None => Err("expected `,` or `}`".to_string()),
-        };
-    }
-}
-
-/// Parses one request line. Field order is free; unknown or mistyped
-/// fields are errors (a typo'd `"timeout_ms":"50"` must not silently
-/// become an unbounded request).
+/// Parses one request line. Field order is free; unknown, repeated or
+/// mistyped fields are errors (a typo'd `"timeout_ms":"50"` must not
+/// silently become an unbounded request).
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut id = None;
     let mut op = None;
     let mut module = None;
     let mut timeout_ms = None;
-    for (key, val) in parse_flat_object(line)? {
+    for (key, val) in flat_object(line)? {
         match (key.as_str(), val) {
-            ("id", Val::Str(s)) => id = Some(s),
-            ("op", Val::Str(s)) => op = Some(s),
-            ("module", Val::Str(s)) => module = Some(s),
-            ("timeout_ms", Val::Num(n)) => timeout_ms = Some(n),
+            ("id", Value::Str(s)) => id = Some(s),
+            ("op", Value::Str(s)) => op = Some(s),
+            ("module", Value::Str(s)) => module = Some(s),
+            ("timeout_ms", Value::Num(n)) => timeout_ms = Some(n),
             (k, _) => return Err(format!("unknown or mistyped field `{k}`")),
         }
     }
@@ -407,14 +316,16 @@ pub struct CacheLoad {
     pub dropped: usize,
 }
 
-/// Content-addressed response cache with a journal-style on-disk index.
+/// Content-addressed response cache with a [`durable`] log as its
+/// on-disk index.
 ///
-/// Each insert appends one fsync'd line; the load path drops anything
-/// unparseable (torn tail from a crash mid-append, injected corruption)
-/// and compacts the surviving entries atomically, so the index is *always*
-/// either absent, or a valid prefix-healed journal — never a parse error.
+/// Each insert appends one fsync'd line on the log's held handle; loading
+/// drops anything the log's heal rule rejects (torn tail from a crash
+/// mid-append, injected corruption) and compacts atomically only when it
+/// dropped, superseded or evicted something, so the index is *always* a
+/// valid log — never a parse error — and an intact index is not rewritten.
 pub struct ResponseCache {
-    index: Option<PathBuf>,
+    log: Option<Log>,
     header: String,
     entries: BTreeMap<String, CacheEntry>,
     /// Every distinct response body, held once and shared by all entries
@@ -464,7 +375,7 @@ impl ResponseCache {
         escape_json(fingerprint, &mut header);
         header.push_str("\"}");
         let mut cache = ResponseCache {
-            index: None,
+            log: None,
             header,
             entries: BTreeMap::new(),
             bodies: HashSet::new(),
@@ -477,68 +388,63 @@ impl ResponseCache {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
         let index = dir.join(CACHE_INDEX);
-        let mut load = CacheLoad::default();
-        let read_err =
-            |e: std::io::Error| format!("cannot read cache index `{}`: {e}", index.display());
-        match std::fs::File::open(&index) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(read_err(e)),
-            Ok(file) => {
-                // Line by line, so only the parsed entries — not a second
-                // copy of the whole index — are held while loading.
-                let mut reader = BufReader::new(file);
-                let mut line = String::new();
-                let mut fresh = None;
-                loop {
-                    line.clear();
-                    if reader.read_line(&mut line).map_err(read_err)? == 0 {
-                        break;
-                    }
-                    // A final line without its newline is a torn append.
-                    let (text, torn_tail) = match line.strip_suffix('\n') {
-                        Some(text) => (text.strip_suffix('\r').unwrap_or(text), false),
-                        None => (line.as_str(), true),
-                    };
-                    let Some(fresh) = fresh else {
-                        // Different fingerprint (or garbage where the header
-                        // should be): the whole index is stale.
-                        fresh = Some(text == cache.header);
-                        load.dropped += usize::from(text != cache.header);
-                        continue;
-                    };
-                    match (fresh && !torn_tail, parse_cache_entry(text)) {
-                        (true, Some((key, module, result))) => {
-                            let result = intern_body(&mut cache.bodies, &result);
-                            let entry = CacheEntry { module, result };
-                            match cache.entries.insert(key.clone(), entry) {
-                                None => cache.order.push_back(key),
-                                Some(old) => {
-                                    release_body(&mut cache.bodies, old.result);
-                                    cache.order.retain(|k| *k != key);
-                                    cache.order.push_back(key);
-                                }
-                            }
-                            load.restored += 1;
-                        }
-                        _ => load.dropped += 1,
+        // A different fingerprint (or garbage where the header should be)
+        // makes the whole index stale.
+        let loaded = durable::load(
+            &index,
+            |h| Ok(h == Some(cache.header.as_str())),
+            |line| {
+                let Some((key, module, result)) = parse_cache_entry(line) else {
+                    return false;
+                };
+                let result = intern_body(&mut cache.bodies, &result);
+                match cache
+                    .entries
+                    .insert(key.clone(), CacheEntry { module, result })
+                {
+                    None => cache.order.push_back(key),
+                    Some(old) => {
+                        release_body(&mut cache.bodies, old.result);
+                        cache.order.retain(|k| *k != key);
+                        cache.order.push_back(key);
                     }
                 }
+                true
+            },
+        );
+        let load = match loaded {
+            Ok(load) => load?,
+            // No index yet: nothing kept and no header, so opening the log
+            // below writes a fresh one.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => durable::Load::default(),
+            Err(e) => {
+                return Err(format!(
+                    "cannot read cache index `{}`: {e}",
+                    index.display()
+                ))
             }
-        }
+        };
+        let mut counts = CacheLoad {
+            restored: load.kept,
+            dropped: load.dropped,
+        };
         while cache.order.len() > capacity {
             if let Some(old) = cache.order.pop_front() {
                 cache.evict(&old);
-                load.restored -= 1;
-                load.dropped += 1;
+                counts.restored -= 1;
+                counts.dropped += 1;
             }
         }
-        cache.index = Some(index);
-        // Compact: the rewritten index holds exactly the surviving
-        // entries, atomically (tmp + fsync + rename + dir fsync).
-        cache
-            .rewrite()
-            .map_err(|e| format!("cannot rewrite cache index: {e}"))?;
-        Ok((cache, load))
+        let log = Log::open(
+            &index,
+            &load,
+            cache.entries.len(),
+            &cache.header,
+            index_lines(&cache.order, &cache.entries),
+        )
+        .map_err(|e| format!("cannot open cache index `{}`: {e}", index.display()))?;
+        cache.log = Some(log);
+        Ok((cache, counts))
     }
 
     /// Looks a response up by cache key.
@@ -563,45 +469,16 @@ impl ResponseCache {
         self.entries.is_empty()
     }
 
-    fn render_entry(key: &str, module: &str, result: &str) -> String {
-        let mut line = String::from("{\"key\":\"");
-        escape_json(key, &mut line);
-        line.push_str("\",\"module\":\"");
-        escape_json(module, &mut line);
-        line.push_str("\",\"result\":");
-        line.push_str(result);
-        line.push('}');
-        line
-    }
-
-    fn rewrite(&self) -> std::io::Result<()> {
-        let Some(index) = &self.index else {
-            return Ok(());
-        };
-        // Streamed entry by entry: the cache is never held twice in memory.
-        write_file_atomic_with(index, |w| {
-            writeln!(w, "{}", self.header)?;
-            for key in &self.order {
-                if let Some(entry) = self.entries.get(key) {
-                    writeln!(
-                        w,
-                        "{}",
-                        Self::render_entry(key, &entry.module, &entry.result)
-                    )?;
-                }
-            }
-            Ok(())
-        })
-    }
-
-    /// Inserts a response, appending one fsync'd index line. With
-    /// `corrupt` (the [`SITE_SERVE_CACHE`] injection) the persisted line
-    /// is deliberately truncated — the in-memory entry stays correct, and
-    /// the next startup drops the bad line and recomputes. Returns the
-    /// number of evicted entries. Disk errors degrade the cache to
-    /// memory-only for this entry (the response is already correct);
-    /// the caller surfaces them — [`Server::execute`] warns once on
-    /// stderr and emits an `incident` event per failed append.
+    /// Inserts a response, appending one fsync'd index line — or, when the
+    /// insert evicts, compacting the index to the survivors so it stays
+    /// bounded too. With `corrupt` (the [`SITE_SERVE_CACHE`] injection)
+    /// the appended line is deliberately truncated — the in-memory entry
+    /// stays correct, and the next startup drops the bad line and
+    /// recomputes. Returns the number of evicted entries. Disk errors
+    /// degrade the cache to memory-only for this entry (the response is
+    /// already correct); the caller surfaces them — [`Server::execute`]
+    /// warns once on stderr and emits an `incident` event per failed
+    /// append.
     pub fn insert(
         &mut self,
         key: &str,
@@ -611,31 +488,6 @@ impl ResponseCache {
     ) -> std::io::Result<usize> {
         if self.entries.contains_key(key) {
             return Ok(0);
-        }
-        let mut io_result = Ok(());
-        if let Some(index) = &self.index {
-            let line = Self::render_entry(key, module, result);
-            let persisted = if corrupt {
-                // Keep the newline so later appends stay line-aligned;
-                // the half-line itself can never parse back. The midpoint
-                // may fall inside a multibyte character — back up to a
-                // boundary so the slice cannot panic.
-                let mut mid = line.len() / 2;
-                while !line.is_char_boundary(mid) {
-                    mid -= 1;
-                }
-                format!("{}\n", &line[..mid])
-            } else {
-                format!("{line}\n")
-            };
-            io_result = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(index)
-                .and_then(|mut f| {
-                    f.write_all(persisted.as_bytes())?;
-                    f.sync_data()
-                });
         }
         let entry = CacheEntry {
             module: module.to_string(),
@@ -650,19 +502,61 @@ impl ResponseCache {
                 evicted += 1;
             }
         }
+        let Some(log) = &mut self.log else {
+            return Ok(evicted);
+        };
         if evicted > 0 {
-            // Keep the on-disk index bounded too.
-            self.rewrite()?;
+            log.compact(&self.header, index_lines(&self.order, &self.entries))?;
+        } else {
+            let mut line = render_entry(key, module, result);
+            if corrupt {
+                // The log adds the newline, so later appends stay
+                // line-aligned; the half-line itself can never parse
+                // back. The midpoint may fall inside a multibyte
+                // character — back up to a boundary so the cut cannot
+                // panic.
+                let mut mid = line.len() / 2;
+                while !line.is_char_boundary(mid) {
+                    mid -= 1;
+                }
+                line.truncate(mid);
+            }
+            log.append(line)?;
         }
-        io_result.map(|()| evicted)
+        Ok(evicted)
     }
+}
+
+/// One index line (without its newline).
+fn render_entry(key: &str, module: &str, result: &str) -> String {
+    let mut line = String::from("{\"key\":\"");
+    escape_json(key, &mut line);
+    line.push_str("\",\"module\":\"");
+    escape_json(module, &mut line);
+    line.push_str("\",\"result\":");
+    line.push_str(result);
+    line.push('}');
+    line
+}
+
+/// Every entry's index line, oldest first, rendered one at a time so a
+/// compaction never holds the cache twice in memory.
+fn index_lines<'a>(
+    order: &'a VecDeque<String>,
+    entries: &'a BTreeMap<String, CacheEntry>,
+) -> impl Iterator<Item = String> + 'a {
+    order.iter().filter_map(|key| {
+        entries
+            .get(key)
+            .map(|e| render_entry(key, &e.module, &e.result))
+    })
 }
 
 fn parse_cache_entry(line: &str) -> Option<(String, String, String)> {
     let rest = line.strip_prefix("{\"key\":")?;
-    let (key, rest) = json_unquote(rest)?;
+    let (key, rest) = unquote(rest)?;
     let rest = rest.strip_prefix(",\"module\":")?;
-    let (module, rest) = json_unquote(rest)?;
+    let (module, rest) = unquote(rest)?;
     let rest = rest.strip_prefix(",\"result\":")?;
     let raw = rest.strip_suffix('}')?;
     if raw.is_empty() {
@@ -1442,15 +1336,27 @@ mod tests {
             "mistyped timeout"
         );
         assert!(parse_request(r#"{"id":"r","op":"status"} trailing"#).is_err());
+        let dup = parse_request(r#"{"id":"a","id":"b","op":"status"}"#).unwrap_err();
+        assert!(dup.contains("duplicate field `id`"), "{dup}");
+        assert!(
+            parse_request(
+                r#"{"id":"c","op":"check","module":"examples/batch/clean_buffered.go","module":"examples/figure1.go"}"#
+            )
+            .is_err(),
+            "a repeated module must not silently pick the last one"
+        );
+        assert!(
+            parse_request(r#"{"id":"\ud83d","op":"status"}"#).is_err(),
+            "lone surrogate"
+        );
     }
 
     #[test]
-    fn json_unquote_handles_escapes() {
-        let (s, rest) = json_unquote(r#""a\"b\\c\nA" tail"#).unwrap();
-        assert_eq!(s, "a\"b\\c\nA");
-        assert_eq!(rest, " tail");
-        assert!(json_unquote("\"unterminated").is_none());
-        assert!(json_unquote("no quote").is_none());
+    fn parse_request_decodes_surrogate_pairs() {
+        // What Python's `json.dumps({"id": "🙂", "op": "status"})` prints.
+        let req = parse_request(r#"{"id": "\ud83d\ude42", "op": "status"}"#).unwrap();
+        assert_eq!(req.id, "\u{1F642}");
+        assert_eq!(req.op, Op::Status);
     }
 
     #[test]
@@ -1615,6 +1521,116 @@ mod tests {
         assert_eq!(load.restored, 2);
         assert!(reloaded.get("k1").is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inserts_after_an_evicting_compaction_survive_a_reload() {
+        let dir = scratch("compact-append");
+        let (mut cache, _) = ResponseCache::open(Some(&dir), 2, "fp").unwrap();
+        cache.insert("k1", "m", "1", false).unwrap();
+        cache.insert("k2", "m", "2", false).unwrap();
+        assert_eq!(cache.insert("k3", "m", "3", false).unwrap(), 1, "compacts");
+        assert_eq!(cache.insert("k4", "m", "4", false).unwrap(), 1);
+        drop(cache);
+        let (reloaded, load) = ResponseCache::open(Some(&dir), 2, "fp").unwrap();
+        assert_eq!(
+            load,
+            CacheLoad {
+                restored: 2,
+                dropped: 0
+            }
+        );
+        assert_eq!(reloaded.get("k4"), Some("4"), "the insert after compaction");
+        assert_eq!(reloaded.get("k3"), Some("3"));
+
+        // A load that drops a line compacts, and the next append lands in
+        // the compacted file.
+        let index = dir.join(CACHE_INDEX);
+        let mut text = std::fs::read_to_string(&index).unwrap();
+        text.push_str("garbage\n");
+        std::fs::write(&index, text).unwrap();
+        let (mut cache, load) = ResponseCache::open(Some(&dir), 8, "fp").unwrap();
+        assert_eq!(
+            load,
+            CacheLoad {
+                restored: 2,
+                dropped: 1
+            }
+        );
+        cache.insert("k5", "m", "5", false).unwrap();
+        drop(cache);
+        let (reloaded, load) = ResponseCache::open(Some(&dir), 8, "fp").unwrap();
+        assert_eq!(
+            load,
+            CacheLoad {
+                restored: 3,
+                dropped: 0
+            }
+        );
+        assert_eq!(reloaded.get("k5"), Some("5"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opening_an_intact_index_keeps_its_inode_and_bytes() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = scratch("intact");
+        // An index as the previous cache code wrote it, byte for byte.
+        let old = concat!(
+            r#"{"gcatch_serve_cache":1,"config":"v1;alias-mode=default"}"#,
+            "\n",
+            "{\"key\":\"check:00000000000000aa\",\"module\":\"m\u{e9}.go\",\"result\":{\"version\":1,\"diagnostics\":[]}}\n",
+            r#"{"key":"explain:00000000000000bb:t50","module":"dir/\"q\".go","result":{"diagnostics":0,"explain":"a\nb"}}"#,
+            "\n",
+        );
+        let index = dir.join(CACHE_INDEX);
+        std::fs::write(&index, old).unwrap();
+        let ino = std::fs::metadata(&index).unwrap().ino();
+        let (cache, load) = ResponseCache::open(Some(&dir), 8, "v1;alias-mode=default").unwrap();
+        assert_eq!(
+            load,
+            CacheLoad {
+                restored: 2,
+                dropped: 0
+            }
+        );
+        assert_eq!(
+            cache.get("explain:00000000000000bb:t50"),
+            Some(r#"{"diagnostics":0,"explain":"a\nb"}"#)
+        );
+        drop(cache);
+        assert_eq!(
+            std::fs::metadata(&index).unwrap().ino(),
+            ino,
+            "not rewritten"
+        );
+        assert_eq!(std::fs::read_to_string(&index).unwrap(), old);
+
+        // A fresh cache writes the same entries as the very same bytes.
+        let fresh = scratch("intact-fresh");
+        let (mut cache, _) = ResponseCache::open(Some(&fresh), 8, "v1;alias-mode=default").unwrap();
+        cache
+            .insert(
+                "check:00000000000000aa",
+                "m\u{e9}.go",
+                r#"{"version":1,"diagnostics":[]}"#,
+                false,
+            )
+            .unwrap();
+        cache
+            .insert(
+                "explain:00000000000000bb:t50",
+                "dir/\"q\".go",
+                r#"{"diagnostics":0,"explain":"a\nb"}"#,
+                false,
+            )
+            .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(fresh.join(CACHE_INDEX)).unwrap(),
+            old
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fresh);
     }
 
     fn module_file(dir: &Path, name: &str, body: &str) -> String {

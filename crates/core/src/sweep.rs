@@ -41,8 +41,9 @@
 //! the containing directory ([`fsync_dir`]), so a metadata-losing crash
 //! cannot orphan a decided job or resurrect a released lease.
 
-use crate::batch::{fingerprint, parse_json_string, JobRecord, JobStatus, Journal, JournalCodec};
-use crate::diagnostics::escape_json;
+use crate::batch::{job_set_header, JobRecord, JobStatus, Journal};
+use crate::codec::{self, escape_json, unquote};
+use crate::durable::{self, fsync_dir, write_atomic};
 use crate::events::{Event, EventBus, EventKind, Field, FlightRecorder};
 use crate::progress::ProgressSnapshot;
 use crate::resilience::{Incident, IncidentKind};
@@ -57,58 +58,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// the process self-terminates mid-job (a simulated crash, distinguishable
 /// from real panics in CI logs).
 pub const WORKER_KILL_EXIT: i32 = 17;
-
-/// Fsyncs a directory so directory-entry mutations (create/rename/remove)
-/// inside it become durable. On filesystems where directories cannot be
-/// fsynced the error is reported to the caller.
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::File::open(dir)?.sync_all()
-}
-
-/// [`fsync_dir`] on a file's parent directory (no-op for bare filenames,
-/// whose parent `""` means the CWD — opened as `.`).
-pub fn fsync_parent(path: &Path) -> std::io::Result<()> {
-    match path.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => fsync_dir(Path::new(".")),
-        Some(dir) => fsync_dir(dir),
-        None => Ok(()),
-    }
-}
-
-/// Writes a file atomically: temp file in the same directory, contents +
-/// fsync, rename over the target, fsync the directory.
-pub fn write_file_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    write_file_atomic_with(path, |w| w.write_all(contents.as_bytes()))
-}
-
-/// [`write_file_atomic`] for contents produced piece by piece: `fill`
-/// writes into the buffered temp file, so the whole contents never have to
-/// sit in memory at once.
-pub fn write_file_atomic_with(
-    path: &Path,
-    fill: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    let tmp = match (path.parent(), path.file_name()) {
-        (Some(dir), Some(name)) => dir.join(format!(
-            ".{}.tmp-{}",
-            name.to_string_lossy(),
-            std::process::id()
-        )),
-        _ => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "path has no parent/file name",
-            ))
-        }
-    };
-    let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-    fill(&mut file)?;
-    let file = file.into_inner().map_err(|e| e.into_error())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    fsync_parent(path)
-}
 
 /// Milliseconds since the UNIX epoch (lease deadlines; all sweep
 /// processes run on one machine, so one clock serves them all).
@@ -224,7 +173,7 @@ impl SweepLayout {
             std::fs::create_dir_all(&dir)?;
         }
         fsync_dir(&self.root)?;
-        fsync_parent(&self.root)
+        durable::fsync_parent(&self.root)
     }
 }
 
@@ -232,51 +181,50 @@ impl SweepLayout {
 
 /// Magic key of the manifest header line.
 const MANIFEST_MAGIC: &str = "gcatch_sweep_manifest";
-/// Manifest format version.
-const MANIFEST_VERSION: u64 = 1;
 
 /// Writes the job list as the sweep manifest (atomically): a fingerprinted
 /// header line followed by one JSON string per job id, in submission
 /// order. Workers reconstruct the job list — and thus every job's index
 /// and journal fingerprint — from this file alone.
 pub fn write_manifest(layout: &SweepLayout, ids: &[String]) -> std::io::Result<()> {
-    let mut out = format!(
-        "{{\"{MANIFEST_MAGIC}\":{MANIFEST_VERSION},\"jobs\":{},\"fingerprint\":\"{}\"}}\n",
-        ids.len(),
-        fingerprint(ids)
-    );
-    for id in ids {
-        out.push('"');
-        escape_json(id, &mut out);
-        out.push_str("\"\n");
-    }
-    write_file_atomic(&layout.manifest_path(), &out)
+    durable::write_log(
+        &layout.manifest_path(),
+        &job_set_header(MANIFEST_MAGIC, ids),
+        ids.iter().map(|id| {
+            let mut line = String::from("\"");
+            escape_json(id, &mut line);
+            line.push('"');
+            line
+        }),
+    )
 }
 
 /// Reads and validates the manifest, returning the job ids in submission
-/// order.
+/// order. A line the log drops (torn, or not one JSON string) changes the
+/// job list, so the header's fingerprint then refuses it.
 pub fn read_manifest(layout: &SweepLayout) -> Result<Vec<String>, String> {
     let path = layout.manifest_path();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read manifest {}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
-    if !header.starts_with(&format!("{{\"{MANIFEST_MAGIC}\":")) {
-        return Err(format!("{} is not a gcatch sweep manifest", path.display()));
-    }
+    let mut header = String::new();
     let mut ids = Vec::new();
-    for line in lines {
-        let body = line
-            .strip_prefix('"')
-            .ok_or_else(|| format!("malformed manifest line in {}", path.display()))?;
-        let (id, rest) = parse_json_string(body)
-            .ok_or_else(|| format!("malformed manifest line in {}", path.display()))?;
-        if !rest.is_empty() {
-            return Err(format!("trailing garbage in manifest {}", path.display()));
-        }
-        ids.push(id);
-    }
-    if !header.contains(&format!("\"fingerprint\":\"{}\"", fingerprint(&ids))) {
+    durable::load(
+        &path,
+        |h| match h {
+            Some(h) if h.starts_with(&format!("{{\"{MANIFEST_MAGIC}\":")) => {
+                header = h.to_string();
+                Ok(true)
+            }
+            _ => Err(format!("{} is not a gcatch sweep manifest", path.display())),
+        },
+        |line| match unquote(line) {
+            Some((id, "")) => {
+                ids.push(id);
+                true
+            }
+            _ => false,
+        },
+    )
+    .map_err(|e| format!("cannot read manifest {}: {e}", path.display()))??;
+    if header != job_set_header(MANIFEST_MAGIC, &ids) {
         return Err(format!(
             "manifest {} fingerprint does not match its job list",
             path.display()
@@ -314,23 +262,21 @@ impl Lease {
     }
 
     fn parse(text: &str) -> Option<Lease> {
-        let rest = text.trim_end().strip_prefix("{\"job\":")?;
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let job: usize = digits.parse().ok()?;
-        let rest = rest[digits.len()..].strip_prefix(",\"worker\":\"")?;
-        let (worker, rest) = parse_json_string(rest)?;
-        let rest = rest.strip_prefix(",\"generation\":")?;
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let generation: u64 = digits.parse().ok()?;
-        let rest = rest[digits.len()..].strip_prefix(",\"deadline_ms\":")?;
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let deadline_ms: u64 = digits.parse().ok()?;
-        rest[digits.len()..].strip_prefix('}')?;
+        let (mut job, mut worker, mut generation, mut deadline_ms) = (None, None, None, None);
+        for (key, value) in codec::flat_object(text).ok()? {
+            match (key.as_str(), value) {
+                ("job", codec::Value::Num(n)) => job = usize::try_from(n).ok(),
+                ("worker", codec::Value::Str(w)) => worker = Some(w),
+                ("generation", codec::Value::Num(n)) => generation = Some(n),
+                ("deadline_ms", codec::Value::Num(n)) => deadline_ms = Some(n),
+                _ => return None,
+            }
+        }
         Some(Lease {
-            job,
-            worker,
-            generation,
-            deadline_ms,
+            job: job?,
+            worker: worker?,
+            generation: generation?,
+            deadline_ms: deadline_ms?,
         })
     }
 }
@@ -391,7 +337,9 @@ pub fn renew_lease(
                 deadline_ms: now_ms() + ttl.as_millis() as u64,
                 ..cur
             };
-            write_file_atomic(&layout.lease_path(job), &renewed.render())?;
+            write_atomic(&layout.lease_path(job), |w| {
+                w.write_all(renewed.render().as_bytes())
+            })?;
             Ok(true)
         }
         _ => Ok(false),
@@ -419,7 +367,7 @@ pub fn release_count(layout: &SweepLayout, job: usize) -> u64 {
 /// Increments a job's release counter durably and returns the new count.
 pub fn bump_release_count(layout: &SweepLayout, job: usize) -> std::io::Result<u64> {
     let next = release_count(layout, job) + 1;
-    write_file_atomic(&layout.release_path(job), &format!("{next}\n"))?;
+    write_atomic(&layout.release_path(job), |w| writeln!(w, "{next}"))?;
     Ok(next)
 }
 
@@ -446,7 +394,7 @@ pub fn is_done(layout: &SweepLayout, job: usize) -> bool {
 
 /// Writes the shutdown marker; workers drain and exit once they see it.
 pub fn request_shutdown(layout: &SweepLayout) -> std::io::Result<()> {
-    write_file_atomic(&layout.shutdown_path(), "shutdown\n")
+    write_atomic(&layout.shutdown_path(), |w| w.write_all(b"shutdown\n"))
 }
 
 /// Whether the shutdown marker exists.
@@ -516,13 +464,10 @@ fn dedup_rank(status: JobStatus) -> u8 {
 }
 
 /// Folds every worker journal under `journals/` into one record set in
-/// manifest order. Journals are read without modification (torn tails are
-/// skipped, not healed); each must carry the full job set's fingerprint.
-pub fn merge_journals(
-    layout: &SweepLayout,
-    ids: &[String],
-    codec: &JournalCodec<String>,
-) -> Result<MergeOutcome, String> {
+/// manifest order. Journals are read without modification (lines the log
+/// drops are skipped, not healed); each must carry the full job set's
+/// fingerprint.
+pub fn merge_journals(layout: &SweepLayout, ids: &[String]) -> Result<MergeOutcome, String> {
     let dir = layout.journals_dir();
     let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
         .map_err(|e| format!("cannot list journals in {}: {e}", dir.display()))?
@@ -537,7 +482,7 @@ pub fn merge_journals(
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let records = Journal::read_records(path, ids, codec)?;
+        let (records, _) = Journal::read_records(path, ids)?;
         for rec in records {
             by_job
                 .entry(
@@ -728,7 +673,6 @@ impl<'t> Coordinator<'t> {
         mut spawn: impl FnMut(&str) -> std::io::Result<Child>,
     ) -> Result<SweepOutcome, String> {
         let n = self.ids.len();
-        let codec = JournalCodec::raw_json();
         let coordinator_journal =
             Journal::create(&self.layout.journal_path("coordinator"), &self.ids)
                 .map_err(|e| format!("cannot create coordinator journal: {e}"))?;
@@ -837,13 +781,7 @@ impl<'t> Coordinator<'t> {
                                 "worker {} lost while holding lease (generation {})",
                                 name, lease.generation
                             ));
-                            self.release_job(
-                                job,
-                                &flights,
-                                &coordinator_journal,
-                                &codec,
-                                &mut stats,
-                            )?;
+                            self.release_job(job, &flights, &coordinator_journal, &mut stats)?;
                         }
                     }
                 }
@@ -891,7 +829,7 @@ impl<'t> Coordinator<'t> {
                             ("generation", Field::U64(lease.generation)),
                         ],
                     );
-                    self.release_job(job, &flights, &coordinator_journal, &codec, &mut stats)?;
+                    self.release_job(job, &flights, &coordinator_journal, &mut stats)?;
                 }
             }
 
@@ -940,7 +878,7 @@ impl<'t> Coordinator<'t> {
             }
         }
 
-        stats.merge = merge_journals(&self.layout, &self.ids, &codec)?;
+        stats.merge = merge_journals(&self.layout, &self.ids)?;
         if !stats.merge.missing.is_empty() && !stats.interrupted {
             return Err(format!(
                 "sweep finished with undecided jobs: {}",
@@ -1007,7 +945,6 @@ impl<'t> Coordinator<'t> {
         job: usize,
         flights: &[FlightRecorder],
         coordinator_journal: &Journal,
-        codec: &JournalCodec<String>,
         stats: &mut SweepOutcome,
     ) -> Result<(), String> {
         remove_lease(&self.layout, job)
@@ -1044,7 +981,7 @@ impl<'t> Coordinator<'t> {
                 wall: Duration::ZERO,
             };
             coordinator_journal
-                .record(&rec, codec)
+                .record(&rec, String::clone)
                 .map_err(|e| format!("cannot journal coordinator quarantine: {e}"))?;
             mark_done(&self.layout, job).map_err(|e| format!("cannot mark job {job} done: {e}"))?;
             stats.coordinator_quarantined += 1;
@@ -1112,6 +1049,30 @@ mod tests {
         ];
         write_manifest(&layout, &ids).unwrap();
         assert_eq!(read_manifest(&layout).unwrap(), ids);
+        cleanup(&layout);
+    }
+
+    #[test]
+    fn manifest_bytes_match_the_previous_writer() {
+        // As the previous manifest code wrote it, byte for byte.
+        let old = concat!(
+            r#"{"gcatch_sweep_manifest":1,"jobs":3,"fingerprint":"82dd652fffaaaded"}"#,
+            "\n\"a.go\"\n",
+            r#""dir/b \"q\".go""#,
+            "\n\"c\u{e9}\u{1F642}.go\"\n",
+        );
+        let ids: Vec<String> = ["a.go", "dir/b \"q\".go", "c\u{e9}\u{1F642}.go"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let layout = scratch("manifest-old");
+        std::fs::write(layout.manifest_path(), old).unwrap();
+        assert_eq!(read_manifest(&layout).unwrap(), ids);
+        write_manifest(&layout, &ids).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(layout.manifest_path()).unwrap(),
+            old
+        );
         cleanup(&layout);
     }
 
@@ -1207,17 +1168,15 @@ mod tests {
     fn merge_dedups_deterministically_and_reports_duplicates() {
         let layout = scratch("merge");
         let ids: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
-        let codec = JournalCodec::raw_json();
-
         let j0 = Journal::create(&layout.journal_path("w0"), &ids).unwrap();
         j0.record(
             &record("a", JobStatus::Done, 1, Some("{\"m\":\"a\"}")),
-            &codec,
+            String::clone,
         )
         .unwrap();
         j0.record(
             &record("b", JobStatus::Done, 2, Some("{\"m\":\"b\"}")),
-            &codec,
+            String::clone,
         )
         .unwrap();
         let j1 = Journal::create(&layout.journal_path("w1"), &ids).unwrap();
@@ -1225,19 +1184,19 @@ mod tests {
         // for `c` that a later Done from w2 must shadow.
         j1.record(
             &record("b", JobStatus::Done, 2, Some("{\"m\":\"b\"}")),
-            &codec,
+            String::clone,
         )
         .unwrap();
-        j1.record(&record("c", JobStatus::Quarantined, 3, None), &codec)
+        j1.record(&record("c", JobStatus::Quarantined, 3, None), String::clone)
             .unwrap();
         let j2 = Journal::create(&layout.journal_path("w2"), &ids).unwrap();
         j2.record(
             &record("c", JobStatus::Done, 1, Some("{\"m\":\"c\"}")),
-            &codec,
+            String::clone,
         )
         .unwrap();
 
-        let merge = merge_journals(&layout, &ids, &codec).unwrap();
+        let merge = merge_journals(&layout, &ids).unwrap();
         assert!(merge.missing.is_empty());
         assert_eq!(merge.records.len(), 3);
         assert_eq!(
@@ -1269,25 +1228,38 @@ mod tests {
     fn merge_reports_missing_jobs() {
         let layout = scratch("merge-missing");
         let ids: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
-        let codec = JournalCodec::raw_json();
         let j0 = Journal::create(&layout.journal_path("w0"), &ids).unwrap();
-        j0.record(&record("a", JobStatus::Done, 1, Some("1")), &codec)
+        j0.record(&record("a", JobStatus::Done, 1, Some("1")), String::clone)
             .unwrap();
-        let merge = merge_journals(&layout, &ids, &codec).unwrap();
+        let merge = merge_journals(&layout, &ids).unwrap();
         assert_eq!(merge.missing, vec!["b".to_string()]);
         cleanup(&layout);
     }
 
     #[test]
-    fn atomic_write_and_dir_fsync_work_on_plain_paths() {
-        let layout = scratch("atomic");
-        let path = layout.root().join("blob");
-        write_file_atomic(&path, "hello\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "hello\n");
-        write_file_atomic(&path, "replaced\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "replaced\n");
-        fsync_parent(&path).unwrap();
-        fsync_dir(layout.root()).unwrap();
+    fn merge_skips_a_bad_line_and_leaves_the_journal_as_it_was() {
+        let layout = scratch("merge-garbage");
+        let ids: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
+        let path = layout.journal_path("w0");
+        let j0 = Journal::create(&path, &ids).unwrap();
+        j0.record(&record("a", JobStatus::Done, 1, Some("1")), String::clone)
+            .unwrap();
+        j0.record(&record("b", JobStatus::Done, 1, Some("2")), String::clone)
+            .unwrap();
+        drop(j0);
+        // A garbage line between the two records: the merge steps over it.
+        let mut lines: Vec<String> = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(|l| format!("{l}\n"))
+            .collect();
+        lines.insert(2, "garbage\n".to_string());
+        let text = lines.concat();
+        std::fs::write(&path, &text).unwrap();
+        let merge = merge_journals(&layout, &ids).unwrap();
+        assert!(merge.missing.is_empty(), "{:?}", merge.missing);
+        assert_eq!(merge.records[1].payload.as_deref(), Some("2"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "not healed");
         cleanup(&layout);
     }
 
@@ -1302,5 +1274,20 @@ mod tests {
         assert_eq!(Lease::parse(&lease.render()).unwrap(), lease);
         assert!(Lease::parse("garbage").is_none());
         assert!(Lease::parse("{\"job\":1,\"worker\":\"w0\"").is_none());
+        // As the previous lease code wrote it, byte for byte.
+        let old = "{\"job\":4,\"worker\":\"w-\\\"7\\\"\",\"generation\":2,\"deadline_ms\":1760000000000}\n";
+        let lease = Lease {
+            job: 4,
+            worker: "w-\"7\"".to_string(),
+            generation: 2,
+            deadline_ms: 1_760_000_000_000,
+        };
+        assert_eq!(Lease::parse(old), Some(lease.clone()));
+        assert_eq!(lease.render(), old);
+        // A repeated field is malformed, whichever value comes last.
+        assert!(Lease::parse(
+            "{\"job\":4,\"worker\":\"w0\",\"worker\":\"w1\",\"generation\":2,\"deadline_ms\":1}"
+        )
+        .is_none());
     }
 }

@@ -32,6 +32,7 @@
 //! is merged in channel order, `--jobs N` stays bit-identical in diagnostic
 //! output for every `N`.
 
+use crate::codec::escape_json;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -460,14 +461,14 @@ impl TraceSnapshot {
             e.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
             e.push_str(&tid.to_string());
             e.push_str(",\"args\":{\"name\":\"");
-            escape_json_into(name, &mut e);
+            escape_json(name, &mut e);
             e.push_str("\"}}");
             push_event(&e, &mut out);
         }
         for (tid, ev) in &self.events {
             let mut e = String::new();
             e.push_str("{\"name\":\"");
-            escape_json_into(&ev.name, &mut e);
+            escape_json(&ev.name, &mut e);
             e.push_str("\",\"ph\":\"");
             e.push_str(ev.phase.chrome());
             e.push_str("\",\"ts\":");
@@ -494,7 +495,7 @@ impl TraceSnapshot {
                         ArgValue::U64(n) => e.push_str(&n.to_string()),
                         ArgValue::Str(s) => {
                             e.push('"');
-                            escape_json_into(s, &mut e);
+                            escape_json(s, &mut e);
                             e.push('"');
                         }
                     }
@@ -513,20 +514,6 @@ impl TraceSnapshot {
 /// Chrome trace `ts` unit, without going through floats.
 fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 // ------------------------------------------------------------- histogram
@@ -683,171 +670,6 @@ impl HistSnapshot {
     }
 }
 
-// ------------------------------------------------------- JSON well-formed
-
-/// Checks that `s` is one well-formed JSON document (objects, arrays,
-/// strings, numbers, booleans, null). Used by trace tests and the CI
-/// `trace_check` harness; this is a validator, not a parser — it builds no
-/// value tree.
-///
-/// # Errors
-///
-/// Returns a byte offset and message for the first violation.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    validate_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn validate_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let Some(&c) = b.get(*i) else {
-        return Err(format!("unexpected end of input at byte {i}"));
-    };
-    match c {
-        b'{' => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                validate_string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {i}"));
-                }
-                *i += 1;
-                skip_ws(b, i);
-                validate_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {i}")),
-                }
-            }
-        }
-        b'[' => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                validate_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {i}")),
-                }
-            }
-        }
-        b'"' => validate_string(b, i),
-        b't' => validate_lit(b, i, "true"),
-        b'f' => validate_lit(b, i, "false"),
-        b'n' => validate_lit(b, i, "null"),
-        b'-' | b'0'..=b'9' => validate_number(b, i),
-        other => Err(format!("unexpected byte `{}` at byte {i}", other as char)),
-    }
-}
-
-fn validate_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
-fn validate_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    if b.get(*i) != Some(&b'"') {
-        return Err(format!("expected string at byte {i}"));
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        if b.len() < *i + 5 || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {i}"));
-                        }
-                        *i += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("unescaped control byte at {i}")),
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn validate_number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    let digits = |b: &[u8], i: &mut usize| {
-        let s = *i;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-        *i > s
-    };
-    if !digits(b, i) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*i) == Some(&b'.') {
-        *i += 1;
-        if !digits(b, i) {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    if matches!(b.get(*i), Some(b'e' | b'E')) {
-        *i += 1;
-        if matches!(b.get(*i), Some(b'+' | b'-')) {
-            *i += 1;
-        }
-        if !digits(b, i) {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,7 +782,7 @@ mod tests {
             });
         }
         let json = t.snapshot().render_chrome();
-        validate_json(&json).expect("chrome trace is valid JSON");
+        crate::codec::validate_json(&json).expect("chrome trace is valid JSON");
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"ph\":\"X\""));
@@ -1060,24 +882,5 @@ mod tests {
             }
         });
         assert_eq!(h.snapshot().count, 400);
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e+3",
-            r#"{"a":[1,2,{"b":"c\n"}],"d":true}"#,
-            "  [1]  ",
-        ] {
-            assert!(validate_json(good).is_ok(), "{good}");
-        }
-        for bad in [
-            "", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"\\x\"", "{1:2}",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
     }
 }

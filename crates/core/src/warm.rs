@@ -380,7 +380,7 @@ impl WarmSessions {
             }
             let fp = inner.entries[*path].shape.fingerprint;
             out.push_str("{\"module\":\"");
-            crate::diagnostics::escape_json(path, &mut out);
+            crate::codec::escape_json(path, &mut out);
             out.push_str(&format!("\",\"fingerprint\":\"{fp:016x}\"}}"));
         }
         out.push_str("]}");

@@ -21,12 +21,13 @@
 //! the process exit with [`WORKER_KILL_EXIT`] right after a claim, the
 //! cheapest faithful stand-in for a mid-job crash.
 
+use crate::durable::{fsync_parent, write_atomic};
 use crate::faults::{
     should_inject, with_scope, FaultPlan, SITE_SWEEP_HEARTBEAT, SITE_SWEEP_LEASE, SITE_SWEEP_WORKER,
 };
 use crate::sweep::{
-    fsync_parent, is_done, read_lease, release_count, remove_lease, renew_lease,
-    shutdown_requested, try_claim, write_file_atomic, SweepLayout, WORKER_KILL_EXIT,
+    is_done, read_lease, release_count, remove_lease, renew_lease, shutdown_requested, try_claim,
+    SweepLayout, WORKER_KILL_EXIT,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,7 +75,7 @@ pub fn run_worker(
     mut exec: impl FnMut(usize, &str) -> Result<(), String>,
 ) -> Result<WorkerSummary, String> {
     let pid_path = layout.pid_path(&config.id);
-    write_file_atomic(&pid_path, &format!("{}\n", std::process::id()))
+    write_atomic(&pid_path, |w| writeln!(w, "{}", std::process::id()))
         .map_err(|e| format!("cannot write pid file {}: {e}", pid_path.display()))?;
 
     // Sticky per-worker heartbeat suppression: decided once so a suppressed
@@ -101,7 +102,7 @@ pub fn run_worker(
             while !stop.load(Ordering::Relaxed) {
                 if !hb_suppressed {
                     count += 1;
-                    let _ = write_file_atomic(&layout.heartbeat_path(&id), &format!("{count}\n"));
+                    let _ = write_atomic(&layout.heartbeat_path(&id), |w| writeln!(w, "{count}"));
                 }
                 if let Some(cur) = current.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
                     if !cur.renew_suppressed {
@@ -193,7 +194,7 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{JobRecord, JobStatus, Journal, JournalCodec};
+    use crate::batch::{JobRecord, JobStatus, Journal};
     use crate::sweep::merge_journals;
     use std::time::Duration;
 
@@ -213,7 +214,6 @@ mod tests {
     fn two_workers_decide_every_job_exactly_once() {
         let layout = scratch("pair");
         let ids: Vec<String> = (0..12).map(|i| format!("job-{i}")).collect();
-        let codec = JournalCodec::raw_json();
 
         let mut handles = Vec::new();
         for w in 0..2 {
@@ -222,7 +222,6 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let id = format!("w{w}");
                 let journal = Journal::create(&layout.journal_path(&id), &ids).unwrap();
-                let codec = JournalCodec::raw_json();
                 let config = WorkerConfig {
                     id,
                     lease: Duration::from_secs(30),
@@ -240,7 +239,7 @@ mod tests {
                                 incident: None,
                                 wall: Duration::ZERO,
                             },
-                            &codec,
+                            String::clone,
                         )
                         .map_err(|e| e.to_string())
                 })
@@ -253,7 +252,7 @@ mod tests {
             .sum();
         assert_eq!(executed, ids.len(), "every job executed exactly once");
 
-        let merge = merge_journals(&layout, &ids, &codec).unwrap();
+        let merge = merge_journals(&layout, &ids).unwrap();
         assert!(merge.missing.is_empty());
         assert!(merge.duplicates.is_empty(), "{:?}", merge.duplicates);
         assert_eq!(merge.records.len(), ids.len());

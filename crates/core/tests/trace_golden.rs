@@ -122,5 +122,5 @@ fn provenance_is_identical_across_jobs() {
 fn rendered_trace_is_wellformed_json() {
     let (_, snapshot) = run_traced(1);
     let json = snapshot.render_chrome();
-    gcatch::trace::validate_json(&json).expect("trace JSON is well-formed");
+    gcatch::codec::validate_json(&json).expect("trace JSON is well-formed");
 }

@@ -10,14 +10,16 @@
 //! $ gcatch extended file.go           # §6 send-on-closed panic detector
 //! ```
 
+use gcatch_suite::gcatch::codec::escape_json;
+use gcatch_suite::gcatch::durable::write_atomic;
 use gcatch_suite::gcatch::events::Field;
 use gcatch_suite::gcatch::{
     derive_run_id, faults, obs_zero_time, read_manifest, render_explain, render_json_with,
     render_prometheus, render_stats_json, run_worker, serve_socket, serve_stdio, write_manifest,
     AliasMode, BatchConfig, BatchEngine, BatchJob, Budget, Coordinator, Counter, DetectorConfig,
     Event, EventBus, EventKind, FaultPlan, GCatch, HedgePolicy, Incident, IncidentKind, JobCtx,
-    JobRecord, Journal, JournalCodec, Metric, ObsScope, Selection, ServeConfig, SolverStrategy,
-    SweepConfig, SweepLayout, Telemetry, TraceLevel, Tracer, WorkKind, WorkerConfig,
+    JobRecord, Journal, Metric, ObsScope, Selection, ServeConfig, SolverStrategy, SweepConfig,
+    SweepLayout, Telemetry, TraceLevel, Tracer, WorkKind, WorkerConfig,
 };
 use gcatch_suite::{gfix, sim};
 use std::collections::BTreeMap;
@@ -230,7 +232,8 @@ fault injection (sweep adds three process-level sites):
 
 exit status: 0 = clean, 1 = bugs found, 2 = usage or input error;
 with --strict, a run that recorded incidents (or, for batch/sweep,
-quarantined any job) also exits 2";
+quarantined any job) also exits 2; fix exits 2 when its 32-round cap
+stops it before a fixpoint";
 
 /// A parsed `--flag [value]` pair.
 type Flag = (String, Option<String>);
@@ -280,10 +283,14 @@ fn spec(groups: &[&[FlagSpec]], extra: &[FlagSpec]) -> Vec<FlagSpec> {
     out
 }
 
-/// Splits flags from the single positional file argument, rejecting any
-/// flag not in `spec` (exit code 2 at the caller).
-fn parse_common(rest: &[String], spec: &[FlagSpec]) -> Result<(String, Vec<Flag>), String> {
-    let mut file = None;
+/// Splits `rest` into flags, rejecting any flag not in `spec`, and at
+/// most `max_args` positional arguments (exit code 2 at the caller).
+fn parse_args(
+    rest: &[String],
+    spec: &[FlagSpec],
+    max_args: usize,
+) -> Result<(Vec<String>, Vec<Flag>), String> {
+    let mut args = Vec::new();
     let mut flags = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
@@ -306,14 +313,29 @@ fn parse_common(rest: &[String], spec: &[FlagSpec]) -> Result<(String, Vec<Flag>
                 None
             };
             flags.push((name.to_string(), value));
-        } else if file.is_none() {
-            file = Some(arg.clone());
+        } else if args.len() < max_args {
+            args.push(arg.clone());
         } else {
             return Err(format!("unexpected argument `{arg}`"));
         }
     }
-    let file = file.ok_or("missing input file")?;
+    Ok((args, flags))
+}
+
+/// [`parse_args`] for the commands that take exactly one input file.
+fn parse_common(rest: &[String], spec: &[FlagSpec]) -> Result<(String, Vec<Flag>), String> {
+    let (args, flags) = parse_args(rest, spec, 1)?;
+    let file = args.into_iter().next().ok_or("missing input file")?;
     Ok((file, flags))
+}
+
+/// [`parse_args`] for the commands that take one or more inputs.
+fn parse_multi(rest: &[String], spec: &[FlagSpec]) -> Result<(Vec<String>, Vec<Flag>), String> {
+    let (inputs, flags) = parse_args(rest, spec, usize::MAX)?;
+    if inputs.is_empty() {
+        return Err("missing input files (batch takes one or more files or directories)".into());
+    }
+    Ok((inputs, flags))
 }
 
 fn has_flag(flags: &[Flag], name: &str) -> bool {
@@ -583,9 +605,11 @@ fn cmd_extended(rest: &[String]) -> Result<ExitCode, String> {
     )
 }
 
-/// How many detect→patch rounds `fix` will attempt before declaring the
-/// source non-converging (each round applies one patch, so this also caps
-/// the number of patches).
+/// How many detect→patch rounds `fix` will attempt. Each round applies at
+/// most one patch, so this also caps the number of patches. When every
+/// round applies one, no round confirmed a fixpoint: `fix` says so in its
+/// summary and exits 2, the partial-result code (`--write` still writes
+/// the patches it applied).
 const MAX_FIX_ROUNDS: usize = 32;
 
 fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
@@ -606,6 +630,7 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
     let mut applied = 0usize;
     let mut initial_bugs = 0usize;
     let mut last_rejections = Vec::new();
+    let mut converged = false;
     for round in 0..MAX_FIX_ROUNDS {
         let pipeline = gfix::Pipeline::from_source(&source)?;
         // Trace only the first round: it sees the original source, and a
@@ -645,6 +670,7 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
             .map(|(b, w)| (b.primitive_name.clone(), w.clone()))
             .collect();
         let Some(patch) = results.patches.first() else {
+            converged = true;
             break;
         };
         println!(
@@ -664,46 +690,80 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
     for (name, why) in &last_rejections {
         println!("not fixed: {name} — {why}");
     }
-    println!("{applied} patch(es) applied (fixpoint after {applied} round(s))");
+    if converged {
+        println!("{applied} patch(es) applied (fixpoint after {applied} round(s))");
+    } else {
+        println!(
+            "{applied} patch(es) applied (no fixpoint: stopped at the {MAX_FIX_ROUNDS}-round cap)"
+        );
+    }
     if write && applied > 0 {
-        write_atomic(&path, &source)?;
+        write_out(&path, &source)?;
         println!("wrote patched source to {path} ({applied} patch(es) applied)");
     }
-    Ok(if initial_bugs > 0 {
+    Ok(if !converged {
+        ExitCode::from(2)
+    } else if initial_bugs > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     })
 }
 
-/// Replaces `path` atomically: the new contents go to a temp file in the
-/// same directory, which is then renamed over the original, so an
-/// interrupted `fix --write` can never leave a truncated source file.
-/// The containing directory is fsynced after the rename so the new name
-/// itself survives a crash, not just the bytes behind it.
-fn write_atomic(path: &str, contents: &str) -> Result<(), String> {
-    use std::io::Write;
-    let target = std::path::Path::new(path);
-    let dir = match target.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => std::path::Path::new("."),
-    };
-    let file_name = target
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("out.go");
-    let tmp = dir.join(format!(".{}.gcatch-tmp-{}", file_name, std::process::id()));
-    let result = (|| -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, target)?;
-        gcatch_suite::gcatch::sweep::fsync_dir(dir)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result.map_err(|e| format!("cannot write {path}: {e}"))
+/// Writes one output file (a report, a sink, or `fix --write`'s patched
+/// source) through [`write_atomic`], so an interrupted run never leaves
+/// a truncated file behind.
+fn write_out(path: &str, contents: &str) -> Result<(), String> {
+    write_atomic(std::path::Path::new(path), |w| {
+        w.write_all(contents.as_bytes())
+    })
+    .map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Runs `work` while a ticker thread republishes `--metrics-out` from
+/// `telemetry` every ~200 ms, so external scrapers see a batch or a daemon
+/// move while it runs; the caller writes the final (authoritative)
+/// exposition once `work` returns.
+fn with_live_metrics<R>(
+    metrics_out: Option<&str>,
+    telemetry: &Telemetry,
+    zero_time: bool,
+    work: impl FnOnce() -> R,
+) -> R {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let ticker = metrics_out.map(|path| {
+            let stop = &stop;
+            scope.spawn(move || {
+                // A failing live republish degrades to one warning, not a
+                // warning every tick and never an aborted run; the final
+                // post-run write reports again through write_sink.
+                let mut warned = false;
+                loop {
+                    for _ in 0..8 {
+                        if stop.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_millis(25));
+                    }
+                    let rendered = render_prometheus(&telemetry.snapshot(), zero_time);
+                    if let Err(e) = write_out(path, &rendered) {
+                        if !warned {
+                            eprintln!("gcatch: warning: live metrics republish failed: {e}");
+                            warned = true;
+                        }
+                    }
+                }
+            })
+        });
+        let result = work();
+        stop.store(true, Ordering::Relaxed);
+        if let Some(t) = ticker {
+            let _ = t.join();
+        }
+        result
+    })
 }
 
 /// Writes an observability sink file (`--metrics-out` / `--events-out`).
@@ -711,7 +771,7 @@ fn write_atomic(path: &str, contents: &str) -> Result<(), String> {
 /// that produced the results: it degrades to a structured `sink` incident
 /// on stderr, and the run's own exit code stands.
 fn write_sink(path: &str, contents: &str) {
-    if let Err(message) = write_atomic(path, contents) {
+    if let Err(message) = write_out(path, contents) {
         let incident = Incident {
             kind: IncidentKind::Sink,
             name: path.to_string(),
@@ -777,41 +837,6 @@ fn cmd_simulate(rest: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Like [`parse_common`], but collects *all* positional arguments (the
-/// batch command takes many files/directories).
-fn parse_multi(rest: &[String], spec: &[FlagSpec]) -> Result<(Vec<String>, Vec<Flag>), String> {
-    let mut inputs = Vec::new();
-    let mut flags = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            let Some(&(_, takes_value)) = spec.iter().find(|(n, _)| *n == name) else {
-                let known: Vec<String> = spec.iter().map(|(n, _)| format!("--{n}")).collect();
-                return Err(format!(
-                    "unknown flag `--{name}` (known: {})",
-                    known.join(", ")
-                ));
-            };
-            let value = if takes_value {
-                Some(
-                    it.next()
-                        .ok_or_else(|| format!("--{name} needs a value"))?
-                        .clone(),
-                )
-            } else {
-                None
-            };
-            flags.push((name.to_string(), value));
-        } else {
-            inputs.push(arg.clone());
-        }
-    }
-    if inputs.is_empty() {
-        return Err("missing input files (batch takes one or more files or directories)".into());
-    }
-    Ok((inputs, flags))
-}
-
 /// Expands the batch inputs into a deduplicated module list: files pass
 /// through as-is; a directory contributes its `*.go` files
 /// (non-recursive), sorted by name so the job set — and therefore the
@@ -848,24 +873,6 @@ fn expand_modules(inputs: &[String]) -> Result<Vec<String>, String> {
         }
     }
     Ok(modules)
-}
-
-/// JSON string escaping for the batch report (mirrors the diagnostics
-/// renderer so module names round-trip through the journal).
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Extracts the `"bugs":N` count from a batch job payload. The payload is
@@ -906,10 +913,10 @@ fn render_batch_report(records: &[JobRecord<String>], quarantined: usize) -> (St
             }
             None => {
                 report.push_str("{\"module\":\"");
-                json_escape(&rec.id, &mut report);
+                escape_json(&rec.id, &mut report);
                 report.push_str("\",\"quarantined\":true,\"message\":\"");
                 if let Some(inc) = &rec.incident {
-                    json_escape(&inc.message, &mut report);
+                    escape_json(&inc.message, &mut report);
                 }
                 // The flight-recorder dump rides along unconditionally:
                 // it is deterministic (attempt lifecycle only, no wall
@@ -922,7 +929,7 @@ fn render_batch_report(records: &[JobRecord<String>], quarantined: usize) -> (St
                             report.push(',');
                         }
                         report.push('"');
-                        json_escape(line, &mut report);
+                        escape_json(line, &mut report);
                         report.push('"');
                     }
                 }
@@ -988,7 +995,7 @@ fn run_batch_module(
         .observe(Metric::ModuleWallNs, started.elapsed().as_nanos() as u64);
     telemetry.absorb(&gcatch.stats());
     let mut payload = String::from("{\"module\":\"");
-    json_escape(path, &mut payload);
+    escape_json(path, &mut payload);
     payload.push_str("\",\"bugs\":");
     payload.push_str(&diagnostics.len().to_string());
     payload.push_str(",\"report\":");
@@ -1083,7 +1090,6 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     if journal_flag.is_some() && resume_flag.is_some() {
         return Err("--journal and --resume are mutually exclusive".into());
     }
-    let codec = JournalCodec::raw_json();
     let (journal, restored) = match (journal_flag, resume_flag) {
         (Some(p), None) => {
             let journal = Journal::create(std::path::Path::new(p), &modules)
@@ -1091,8 +1097,7 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
             (Some(journal), BTreeMap::new())
         }
         (None, Some(p)) => {
-            let (journal, restored) =
-                Journal::open_resume(std::path::Path::new(p), &modules, &codec)?;
+            let (journal, restored) = Journal::open_resume(std::path::Path::new(p), &modules)?;
             (Some(journal), restored)
         }
         _ => (None, BTreeMap::new()),
@@ -1130,42 +1135,11 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
             Duration::from_millis(100),
         );
     }
-    // While the batch runs, a ticker thread periodically republishes the
-    // metrics file so external scrapers see live progress; the final
-    // (authoritative) exposition is rewritten after the run completes.
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let outcome = std::thread::scope(|scope| {
-        let ticker = metrics_out.map(|path| {
-            let stop = &stop;
-            let telemetry = &telemetry;
-            scope.spawn(move || {
-                // A failing live republish degrades to one warning, not a
-                // warning every tick and never an aborted batch; the final
-                // post-run write reports again through write_sink.
-                let mut warned = false;
-                loop {
-                    for _ in 0..8 {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    let rendered = render_prometheus(&telemetry.snapshot(), zero_time);
-                    if let Err(e) = write_atomic(path, &rendered) {
-                        if !warned {
-                            eprintln!("gcatch: warning: live metrics republish failed: {e}");
-                            warned = true;
-                        }
-                    }
-                }
-            })
-        });
-        let outcome = engine.run(&jobs, journal.as_ref().map(|j| (j, &codec)), restored);
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = ticker {
-            let _ = t.join();
-        }
-        outcome
+    let journal = journal
+        .as_ref()
+        .map(|j| (j, String::clone as fn(&String) -> String));
+    let outcome = with_live_metrics(metrics_out, &telemetry, zero_time, || {
+        engine.run(&jobs, journal, restored)
     });
     if progress {
         eprint!("\r\x1b[K");
@@ -1181,7 +1155,7 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     let (report, total_bugs) = render_batch_report(&outcome.records, outcome.quarantined);
 
     if let Some(path) = flag_value(&flags, "report") {
-        write_atomic(path, &format!("{report}\n"))?;
+        write_out(path, &format!("{report}\n"))?;
     }
     let stats = telemetry.snapshot();
     if let Some(mp) = metrics_out {
@@ -1329,36 +1303,6 @@ fn forward_exec_flags(flags: &[Flag]) -> Vec<String> {
     out
 }
 
-/// Like [`parse_multi`] but for commands that take no positional
-/// arguments at all (`gcatch worker`).
-fn parse_flags_only(rest: &[String], spec: &[FlagSpec]) -> Result<Vec<Flag>, String> {
-    let mut flags = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{arg}`"));
-        };
-        let Some(&(_, takes_value)) = spec.iter().find(|(n, _)| *n == name) else {
-            let known: Vec<String> = spec.iter().map(|(n, _)| format!("--{n}")).collect();
-            return Err(format!(
-                "unknown flag `--{name}` (known: {})",
-                known.join(", ")
-            ));
-        };
-        let value = if takes_value {
-            Some(
-                it.next()
-                    .ok_or_else(|| format!("--{name} needs a value"))?
-                    .clone(),
-            )
-        } else {
-            None
-        };
-        flags.push((name.to_string(), value));
-    }
-    Ok(flags)
-}
-
 /// One sweep worker process (spawned by `gcatch sweep`): claims jobs from
 /// the on-disk lease queue and runs each through a single-job batch
 /// engine that journals the decided record to this worker's own journal.
@@ -1367,7 +1311,7 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
         &[&exec_flags()],
         &[("dir", true), ("id", true), ("lease-ms", true)],
     );
-    let flags = parse_flags_only(rest, &spec)?;
+    let (_, flags) = parse_args(rest, &spec, 0)?;
     let dir = flag_value(&flags, "dir").ok_or("worker needs --dir")?;
     let id = flag_value(&flags, "id")
         .ok_or("worker needs --id")?
@@ -1383,7 +1327,6 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
     base.jobs = 1;
     let alias = alias_mode(&flags)?;
 
-    let codec = JournalCodec::raw_json();
     let journal = Journal::create(&layout.journal_path(&id), &ids)
         .map_err(|e| format!("cannot create worker journal: {e}"))?;
     let telemetry = Telemetry::new();
@@ -1404,7 +1347,7 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
             move |ctx| run_batch_module(&path, &base, alias, telemetry, &bus, ctx)
         });
         let engine = BatchEngine::new(batch.clone(), &telemetry, &tracer);
-        let outcome = engine.run(&[job], Some((&journal, &codec)), BTreeMap::new());
+        let outcome = engine.run(&[job], Some((&journal, String::clone)), BTreeMap::new());
         match outcome.journal_error {
             Some(err) => Err(format!("journal write failed: {err}")),
             None => Ok(()),
@@ -1541,7 +1484,7 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
     let (report, total_bugs) = render_batch_report(records, quarantined);
 
     if let Some(path) = flag_value(&flags, "report") {
-        write_atomic(path, &format!("{report}\n"))?;
+        write_out(path, &format!("{report}\n"))?;
     }
     let stats = telemetry.snapshot();
     if let Some(mp) = metrics_out {
@@ -1672,7 +1615,7 @@ fn serve_execute(
             let mut out = String::from("{\"diagnostics\":");
             out.push_str(&diagnostics.len().to_string());
             out.push_str(",\"explain\":\"");
-            json_escape(&text, &mut out);
+            escape_json(&text, &mut out);
             out.push_str("\"}");
             Ok(out)
         }
@@ -1687,9 +1630,9 @@ fn serve_execute(
                     out.push(',');
                 }
                 out.push_str("{\"strategy\":\"");
-                json_escape(&patch.strategy.to_string(), &mut out);
+                escape_json(&patch.strategy.to_string(), &mut out);
                 out.push_str("\",\"description\":\"");
-                json_escape(&patch.description, &mut out);
+                escape_json(&patch.description, &mut out);
                 out.push_str("\",\"changed_lines\":");
                 out.push_str(&patch.changed_lines.to_string());
                 out.push('}');
@@ -1714,7 +1657,7 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
             ("max-sessions", true),
         ],
     );
-    let flags = parse_flags_only(rest, &spec)?;
+    let (_, flags) = parse_args(rest, &spec, 0)?;
     let socket = flag_value(&flags, "socket").map(std::path::PathBuf::from);
     let stdio = has_flag(&flags, "stdio");
     if socket.is_some() && stdio {
@@ -1828,41 +1771,9 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         serve_execute(op, source, budget, &base, alias)
     };
 
-    // Same live-republish ticker as batch: scrapers watching
-    // --metrics-out see the request counters move while the daemon runs.
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let summary = std::thread::scope(|scope| {
-        let ticker = metrics_out.map(|path| {
-            let stop = &stop;
-            let telemetry = &telemetry;
-            scope.spawn(move || {
-                let mut warned = false;
-                loop {
-                    for _ in 0..8 {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    let rendered = render_prometheus(&telemetry.snapshot(), zero_time);
-                    if let Err(e) = write_atomic(path, &rendered) {
-                        if !warned {
-                            eprintln!("gcatch: warning: live metrics republish failed: {e}");
-                            warned = true;
-                        }
-                    }
-                }
-            })
-        });
-        let summary = match &socket {
-            Some(path) => serve_socket(path, &config, &executor, &telemetry, bus.clone()),
-            None => serve_stdio(&config, &executor, &telemetry, bus.clone()),
-        };
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = ticker {
-            let _ = t.join();
-        }
-        summary
+    let summary = with_live_metrics(metrics_out, &telemetry, zero_time, || match &socket {
+        Some(path) => serve_socket(path, &config, &executor, &telemetry, bus.clone()),
+        None => serve_stdio(&config, &executor, &telemetry, bus.clone()),
     })?;
 
     let stats = telemetry.snapshot();

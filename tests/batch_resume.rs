@@ -193,3 +193,58 @@ fn quarantined_module_is_reported_and_strict_exits_2() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_garbage_line_between_records_is_dropped_and_healed_on_resume() {
+    let dir = scratch("garbage");
+    let clean = dir.join("clean.json");
+    let journal = dir.join("run.jsonl");
+    let resumed = dir.join("resumed.json");
+    run_report(&["--journal", journal.to_str().unwrap()], &clean);
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    assert!(lines.len() >= 4, "journal has a header and decided jobs");
+
+    // The header, a record, one complete line of garbage, then a second
+    // record: the garbage must not hide the record after it.
+    let garbage = "{\"job\":\"not a record\n";
+    let damaged = [lines[0], lines[1], garbage, lines[2]].concat();
+    std::fs::write(&journal, &damaged).unwrap();
+
+    let out = gcatch()
+        .args([
+            "batch",
+            corpus(),
+            "--resume",
+            journal.to_str().unwrap(),
+            "--report",
+            resumed.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.code() == Some(0) || out.status.code() == Some(1),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("2 resumed"), "stdout: {stdout}");
+    assert_eq!(
+        std::fs::read(&clean).unwrap(),
+        std::fs::read(&resumed).unwrap(),
+        "resumed report differs from the uninterrupted run"
+    );
+
+    // Healed: the garbage is gone, both restored records and every job
+    // decided since are there, each line once.
+    let healed = std::fs::read_to_string(&journal).unwrap();
+    assert!(!healed.contains(garbage), "healed journal:\n{healed}");
+    assert!(healed.starts_with(lines[0]));
+    assert!(healed.contains(lines[1]) && healed.contains(lines[2]));
+    assert_eq!(
+        healed.lines().count(),
+        lines.len(),
+        "healed journal:\n{healed}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

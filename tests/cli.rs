@@ -697,3 +697,59 @@ fn fix_write_applies_all_patches_to_fixpoint() {
     );
     std::fs::remove_file(path).ok();
 }
+
+/// A module with `n` independent Figure-1 leaks, each needing its own
+/// GFix round.
+fn leaks(n: usize) -> String {
+    let mut src = String::from("package main\n");
+    for i in 0..n {
+        src.push_str(&format!(
+            "\nfunc leak{i}() {{\n    d := make(chan int)\n    go func() {{\n        d <- {i}\n    }}()\n    select {{\n    case <-d:\n    default:\n    }}\n}}\n"
+        ));
+    }
+    src.push_str("\nfunc main() {\n");
+    for i in 0..n {
+        src.push_str(&format!("    leak{i}()\n"));
+    }
+    src.push_str("}\n");
+    src
+}
+
+#[test]
+fn fix_reports_a_round_cap_without_claiming_a_fixpoint() {
+    // 31 patches leave the 32nd round to confirm the fixpoint.
+    let path = write_temp("fix-cap-31", &leaks(31));
+    let out = gcatch()
+        .args(["fix", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.ends_with("\n31 patch(es) applied (fixpoint after 31 round(s))\n"),
+        "stdout: {stdout}"
+    );
+    std::fs::remove_file(path).ok();
+
+    // 33 leaks: every round applies a patch and none confirms a fixpoint.
+    let path = write_temp("fix-cap-33", &leaks(33));
+    let p = path.to_str().unwrap();
+    let out = gcatch().args(["fix", "--write", p]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "stdout: {stdout}");
+    assert!(!stdout.contains("fixpoint after"), "stdout: {stdout}");
+    let summary = stdout
+        .lines()
+        .find(|l| l.contains("patch(es) applied ("))
+        .expect("summary line");
+    assert_eq!(
+        summary,
+        "32 patch(es) applied (no fixpoint: stopped at the 32-round cap)"
+    );
+    // The applied patches are still written; one leak is left.
+    let patched = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(patched.matches("make(chan int, 1)").count(), 32);
+    let out = gcatch().args(["check", p]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    std::fs::remove_file(path).ok();
+}
