@@ -472,11 +472,13 @@ impl<'p> ChannelSolver<'p> {
         step_limit: u64,
         budget: &Budget,
     ) -> GroupCheck {
-        // Cross-channel sharing is bypassed whenever a budget is active
-        // (cache hits would skip budget draws, changing later queries'
-        // rationing) or fault injection is armed (hits would skip fault
-        // draws, breaking the reproducible fault schedule).
-        let shareable = self.cache.is_some() && !budget.is_active() && !faults::armed();
+        // Cross-channel sharing is bypassed whenever the budget rations
+        // work (cache hits would skip deadline checks and step draws,
+        // changing later queries' rationing) or fault injection is armed
+        // (hits would skip fault draws, breaking the reproducible fault
+        // schedule). A cancel token alone rations nothing: a hit only
+        // skips a solve whose verdict is already known.
+        let shareable = self.cache.is_some() && !budget.rations() && !faults::armed();
         if !shareable {
             return self.run_query_uncached(combo, kind, query, step_limit, budget);
         }
@@ -542,7 +544,7 @@ impl<'p> ChannelSolver<'p> {
         step_limit: u64,
         budget: &Budget,
     ) -> GroupCheck {
-        if budget.is_active() && budget.expired() {
+        if budget.expired() {
             return GroupCheck {
                 verdict: Verdict::Unknown,
                 stats: None,
@@ -1202,7 +1204,7 @@ pub fn check_group_traced(
 /// step limit is rationed from the budget's global step pool and its
 /// deadline is handed to the DPLL engine. An already-expired budget
 /// short-circuits to [`Verdict::Unknown`] without running the solver.
-/// With an inactive (default) budget this is exactly
+/// With an unbounded (default) budget this is exactly
 /// [`check_group_traced`].
 pub fn check_group_budgeted(
     prims: &Primitives,

@@ -103,14 +103,17 @@ pub struct DetectorConfig {
     /// External cancellation attached to the run [`Budget`]: when the
     /// token fires, every cooperative budget check reports expiry and the
     /// run winds down with partial results. The batch engine uses this to
-    /// stop the losing twin of a hedged job.
+    /// stop the losing twin of a hedged job. The token only aborts: until
+    /// it fires the run takes the same code paths, sharing and ladder
+    /// included, as one without a token.
     pub cancel: Option<crate::resilience::CancelToken>,
     /// Cross-channel encoding reuse (the default): structurally identical
     /// channels share solver verdicts through the session's
     /// [`EncodingCache`](crate::constraints::EncodingCache). Reports are
     /// byte-identical either way; `--no-share-encodings` turns it off for
     /// differential testing. Sharing is automatically bypassed while a
-    /// budget is active or fault injection is armed.
+    /// deadline or a step pool rations the run, or fault injection is
+    /// armed; a cancel token does not bypass it.
     pub share_encodings: bool,
     /// Observability context (`--events-out`, the batch flight recorder).
     /// Default is fully inert; the CLI and batch engine fill in the sinks
@@ -325,16 +328,16 @@ impl<'m> AnalysisSession<'m> {
     /// replay vs re-analysis against the prior module's record, and
     /// harvests this channel's record (either way) for the next request.
     ///
-    /// Replay requires *all* of: disentangling on, an inactive budget (the
-    /// ladder changes outcomes), a prior record at the same creation site
-    /// with identical metadata (kind/buffer/name/function-relative span),
-    /// identical scope root and Pset member sites, identical Pset operation
-    /// lists, no changed function that can influence the channel — inside
-    /// its scope, reaching into it (the memoized reverse-reachability), or
-    /// holding a Pset operation — and every recorded span lying in a
-    /// function that merely moved, so the findings can be rebased onto the
-    /// new text. Anything less re-analyzes from scratch, which is always
-    /// sound.
+    /// Replay requires *all* of: disentangling on, a budget with neither
+    /// a deadline nor a step pool (the ladder changes outcomes), a prior
+    /// record at the same creation site with identical metadata
+    /// (kind/buffer/name/function-relative span), identical scope root
+    /// and Pset member sites, identical Pset operation lists, no changed
+    /// function that can influence the channel — inside its scope,
+    /// reaching into it (the memoized reverse-reachability), or holding a
+    /// Pset operation — and every recorded span lying in a function that
+    /// merely moved, so the findings can be rebased onto the new text.
+    /// Anything less re-analyzes from scratch, which is always sound.
     fn detect_channel_warm(
         &self,
         warm: &crate::warm::WarmCheck,
@@ -344,8 +347,8 @@ impl<'m> AnalysisSession<'m> {
         budget: &Budget,
         lane: &mut Lane<'_>,
     ) -> ChannelOutcome {
-        if !config.disentangle || budget.tightened(config.channel_timeout).is_active() {
-            // No disentangling metadata to gate replay on, or a live
+        if !config.disentangle || budget.tightened(config.channel_timeout).rations() {
+            // No disentangling metadata to gate replay on, or a rationing
             // budget (whose draining is stateful): run cold, no harvest.
             return self.detect_channel_laddered(chan, chan_name, config, budget, lane);
         }
@@ -397,8 +400,10 @@ impl<'m> AnalysisSession<'m> {
     /// shrunk to the channel itself. Findings from every rung are kept
     /// (deduplicated by group key, fullest-limits rung first); only if
     /// the last rung still exhausts the budget does the channel give up,
-    /// with an [`Incident`] recording the rung reached. With no budget in
-    /// force this is a single rung-0 run — the legacy behavior.
+    /// with an [`Incident`] recording the rung reached. Unless a deadline
+    /// or a step pool rations the channel this is a single rung-0 run —
+    /// the legacy behavior; a cancel token alone does not enter the
+    /// ladder.
     fn detect_channel_laddered(
         &self,
         chan: PrimId,
@@ -409,7 +414,7 @@ impl<'m> AnalysisSession<'m> {
     ) -> ChannelOutcome {
         faults::maybe_panic(faults::SITE_DETECT_CHANNEL, chan_name);
         let chan_budget = budget.tightened(config.channel_timeout);
-        if !chan_budget.is_active() {
+        if !chan_budget.rations() {
             let (found, _) = self.detect_channel_pipeline(
                 chan,
                 chan_name,
@@ -468,7 +473,8 @@ impl<'m> AnalysisSession<'m> {
     /// session (telemetry and the caller's trace lane aside), so workers
     /// can run it concurrently; findings carry their group key for the
     /// cross-channel merge. The second return value reports whether the
-    /// budget cut the work short (always `false` with an inactive budget).
+    /// budget cut the work short (always `false` with a budget that
+    /// rations nothing and carries no cancelled token).
     #[allow(clippy::too_many_arguments)]
     fn detect_channel_pipeline(
         &self,
@@ -533,9 +539,10 @@ impl<'m> AnalysisSession<'m> {
             );
         }
         let mut exhausted = enumerator.exhausted();
-        if budget.is_active() && combos.len() >= config.max_combos {
-            // Combination blowup under a budget counts as incomplete: the
-            // ladder's tighter limits produce fewer, shorter paths.
+        if budget.rations() && combos.len() >= config.max_combos {
+            // Combination blowup under a rationing budget counts as
+            // incomplete: the ladder's tighter limits produce fewer,
+            // shorter paths.
             exhausted = true;
         }
 
@@ -550,7 +557,7 @@ impl<'m> AnalysisSession<'m> {
         let cache = config.share_encodings.then(|| self.encoding_cache());
         let mut solver = ChannelSolver::with_cache(&self.prims, config.solver_strategy, cache);
         for combo in &combos {
-            if budget.is_active() && budget.expired() {
+            if budget.expired() {
                 exhausted = true;
                 break;
             }
@@ -609,10 +616,10 @@ impl<'m> AnalysisSession<'m> {
                     }
                     Verdict::Safe => {}
                     Verdict::Unknown => {
-                        // Under a budget, an unknown verdict means the
-                        // query ran out of steps or time — the channel's
-                        // answer is incomplete at these limits.
-                        if budget.is_active() {
+                        // Under a rationing budget, an unknown verdict
+                        // means the query ran out of steps or time — the
+                        // channel's answer is incomplete at these limits.
+                        if budget.rations() {
                             exhausted = true;
                         }
                     }
@@ -968,7 +975,7 @@ impl<'m> AnalysisSession<'m> {
                 let mut solver =
                     ChannelSolver::with_cache(&self.prims, config.solver_strategy, cache);
                 for combo in &combos {
-                    if chan_budget.is_active() && chan_budget.expired() {
+                    if chan_budget.expired() {
                         exhausted = true;
                         break;
                     }
@@ -1094,7 +1101,7 @@ impl<'m> AnalysisSession<'m> {
                                 }
                                 Verdict::Unknown => {
                                     seen.remove(&(send_op.loc, close_op.loc));
-                                    if chan_budget.is_active() {
+                                    if chan_budget.rations() {
                                         exhausted = true;
                                     }
                                 }
@@ -1158,5 +1165,75 @@ impl<'m> AnalysisSession<'m> {
                 .observe(Metric::ChannelDetectNs, started.elapsed().as_nanos() as u64);
         }
         reports
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::resilience::CancelToken;
+
+    /// Two leaks whose channels differ only in identity, so the second
+    /// channel's query is answered by the first one's cached verdict.
+    const TWIN_LEAKS: &str = "func leakA() {
+    ch := make(chan int)
+    go func() {
+        ch <- 1
+    }()
+}
+
+func leakB() {
+    ch := make(chan int)
+    go func() {
+        ch <- 1
+    }()
+}
+
+func main() {
+    leakA()
+    leakB()
+}
+";
+
+    /// Runs BMOC on a fresh session (the run budget is fixed per session)
+    /// and returns the rendered reports and the session's counters.
+    fn run(cancel: Option<CancelToken>) -> (Vec<String>, u64, u64) {
+        let module = golite_ir::lower_source(TWIN_LEAKS).expect("lowering");
+        let session = AnalysisSession::new(&module);
+        // One worker, as in a batch job: two concurrent workers could
+        // both miss the cache before either stores its verdict.
+        let config = DetectorConfig {
+            cancel,
+            jobs: 1,
+            ..DetectorConfig::default()
+        };
+        let reports = session.detect_bmoc(&config);
+        let t = session.telemetry();
+        (
+            reports.iter().map(|r| format!("{r:?}")).collect(),
+            t.get(Counter::ChannelEncodingsShared),
+            t.get(Counter::SolverQueries),
+        )
+    }
+
+    #[test]
+    fn an_uncancelled_token_changes_neither_reports_nor_sharing() {
+        let (plain, plain_shared, plain_queries) = run(None);
+        let (tokened, tokened_shared, tokened_queries) = run(Some(CancelToken::new()));
+        assert_eq!(plain.len(), 2, "both leaks are reported: {plain:?}");
+        assert_eq!(tokened, plain);
+        assert_eq!(plain_shared, 1, "the twin channel reuses the verdict");
+        assert_eq!(tokened_shared, plain_shared);
+        assert_eq!(tokened_queries, plain_queries);
+    }
+
+    #[test]
+    fn a_cancelled_token_aborts_before_any_solver_query() {
+        let token = CancelToken::new();
+        token.cancel();
+        let (reports, shared, queries) = run(Some(token));
+        assert!(reports.is_empty(), "{reports:?}");
+        assert_eq!(shared, 0);
+        assert_eq!(queries, 0);
     }
 }

@@ -154,7 +154,7 @@ pub struct Enumerator<'a> {
     paths_enumerated: u64,
     /// Branches discarded by the infeasible-path filter.
     branches_pruned: u64,
-    /// Cooperative wall-clock/step budget (inactive by default).
+    /// Cooperative wall-clock/step budget (unbounded by default).
     budget: Budget,
     /// Set once the budget expires mid-enumeration; remaining walks are
     /// abandoned and the paths collected so far are returned truncated.
@@ -312,7 +312,7 @@ impl<'a> Enumerator<'a> {
         if self.exhausted {
             return;
         }
-        if self.budget.is_active() && self.budget.expired() {
+        if self.budget.expired() {
             // Emit the partial path so the ops observed so far still
             // participate in combinations, then abandon the walk.
             self.exhausted = true;

@@ -17,9 +17,11 @@
 //!   (reduced unroll, then a reduced Pset) before the detector gives
 //!   up, mirroring §3.3's constraint-blowup strategy.
 //!
-//! The whole layer is inert unless a budget is active: with no
-//! `--timeout`/`--channel-timeout` the detector takes the exact same
-//! code paths (and produces byte-identical output) as before.
+//! The whole layer is inert unless a budget
+//! [rations](Budget::rations) work: with no `--timeout`,
+//! `--channel-timeout` or `--step-pool` the detector takes the exact
+//! same code paths (and produces byte-identical output) as before. A
+//! [`CancelToken`] never changes that: it only aborts.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -36,6 +38,10 @@ use crate::paths::Limits;
 /// [`Budget`] starts reporting [`expired`](Budget::expired), so the
 /// loser winds down at the next cooperative check instead of burning a
 /// worker to completion. Clones share the flag.
+///
+/// A token only aborts: it does not make a budget
+/// [ration](Budget::rations) work, so an uncancelled run takes the same
+/// code paths (and produces the same bytes) as a run without one.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -65,10 +71,17 @@ impl CancelToken {
 /// budget degrades the result (to an [`Incident`]) rather than killing
 /// the process.
 ///
-/// `Budget::default()` is unbounded and [`inactive`](Budget::is_active);
-/// an inactive budget never expires and never rations steps, which is
-/// what keeps the default configuration byte-identical to the
-/// pre-budget detector.
+/// The deadline and the pool *ration* work ([`Budget::rations`]): only
+/// they send a channel down the degradation ladder, turn a combination
+/// blowup or an unknown verdict into an incomplete channel, and switch
+/// off verdict sharing and warm replay. An attached [`CancelToken`] only
+/// aborts: once cancelled the budget reports [`expired`](Budget::expired)
+/// and the run stops at its next cooperative check, but an uncancelled
+/// token changes nothing.
+///
+/// `Budget::default()` is unbounded: it never rations, never expires and
+/// never withholds steps, which is what keeps the default configuration
+/// byte-identical to the pre-budget detector.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -97,14 +110,15 @@ impl Budget {
         self
     }
 
-    /// Whether any bound (deadline, step pool, or cancel token) is in
-    /// force.
-    pub fn is_active(&self) -> bool {
-        self.deadline.is_some() || self.pool.is_some() || self.cancel.is_some()
+    /// Whether a bound that rations work (a deadline or a step pool) is
+    /// in force. Only such a bound may shape results; a cancel token
+    /// alone does not count.
+    pub fn rations(&self) -> bool {
+        self.deadline.is_some() || self.pool.is_some()
     }
 
     /// Whether the budget has been used up (deadline passed, step pool
-    /// drained, or cancel token flipped). An inactive budget never
+    /// drained, or cancel token flipped). A budget with no bound never
     /// expires.
     pub fn expired(&self) -> bool {
         if let Some(d) = self.deadline {
@@ -340,9 +354,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_budget_is_inactive_and_never_expires() {
+    fn default_budget_never_rations_or_expires() {
         let b = Budget::default();
-        assert!(!b.is_active());
+        assert!(!b.rations());
         assert!(!b.expired());
         assert_eq!(b.draw(1000), 1000);
     }
@@ -350,7 +364,7 @@ mod tests {
     #[test]
     fn step_pool_is_rationed_and_refundable() {
         let b = Budget::new(None, Some(100));
-        assert!(b.is_active());
+        assert!(b.rations());
         assert_eq!(b.draw(60), 60);
         assert_eq!(b.draw(60), 40);
         assert!(b.expired(), "drained pool expires the budget");
@@ -362,7 +376,7 @@ mod tests {
     #[test]
     fn zero_timeout_expires_immediately() {
         let b = Budget::new(Some(Duration::ZERO), None);
-        assert!(b.is_active());
+        assert!(b.rations());
         assert!(b.expired());
     }
 
@@ -380,11 +394,13 @@ mod tests {
     fn cancel_token_expires_the_budget_and_its_children() {
         let token = CancelToken::new();
         let b = Budget::default().with_cancel(token.clone());
-        assert!(b.is_active(), "a cancellable budget is active");
+        assert!(!b.rations(), "a token only aborts; it rations nothing");
         assert!(!b.expired());
         let child = b.tightened(None);
+        assert!(!child.rations());
         token.cancel();
         assert!(b.expired());
+        assert!(!b.rations(), "cancelling does not make it ration");
         assert!(child.expired(), "children share the token");
         assert!(
             !Budget::default().expired(),

@@ -753,3 +753,100 @@ fn fix_reports_a_round_cap_without_claiming_a_fixpoint() {
     assert_eq!(out.status.code(), Some(1));
     std::fs::remove_file(path).ok();
 }
+
+/// One channel `ch` whose combinations hit `max_combos` (192) exactly: a
+/// goroutine sends in both arms of four `if/else`s, and `main` receives
+/// in one `if/else` and in three `if`s.
+const COMBO_CAP: &str = r#"
+package main
+
+func main() {
+    ch := make(chan int)
+    a := 1
+    b := 2
+    go func() {
+        if a > 0 {
+            ch <- 1
+        } else {
+            ch <- 2
+        }
+        if b > 0 {
+            ch <- 3
+        } else {
+            ch <- 4
+        }
+        if a > b {
+            ch <- 5
+        } else {
+            ch <- 6
+        }
+        if b > a {
+            ch <- 7
+        } else {
+            ch <- 8
+        }
+    }()
+    if a > 0 {
+        <-ch
+    } else {
+        <-ch
+    }
+    if b > 0 {
+        <-ch
+    }
+    if a > b {
+        <-ch
+    }
+    if b > a {
+        <-ch
+    }
+}
+"#;
+
+#[test]
+fn batch_reports_match_check_byte_for_byte() {
+    // A batch job carries its hedge cancel token even when nothing
+    // cancels it; the token must not send the combo-capped channel down
+    // the degradation ladder or turn off verdict sharing.
+    let cap = write_temp("batch-combo-cap", COMBO_CAP);
+    let mut examples: Vec<String> = std::fs::read_dir("examples/batch")
+        .expect("examples/batch")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "go"))
+        .map(|p| p.to_str().expect("utf-8 path").to_string())
+        .collect();
+    examples.sort();
+    let mut modules = vec![cap.to_str().unwrap().to_string()];
+    modules.extend(examples);
+    let out = gcatch()
+        .args(["batch", "--json"])
+        .args(&modules)
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let batch = String::from_utf8(out.stdout).expect("utf-8 batch report");
+    for module in &modules {
+        let out = gcatch().args(["check", "--json", module]).output().unwrap();
+        let check = String::from_utf8(out.stdout).expect("utf-8 check report");
+        let check = check.trim_end();
+        let entry = format!("{{\"module\":\"{module}\",");
+        let at = batch
+            .find(&entry)
+            .unwrap_or_else(|| panic!("{module} missing from batch: {batch}"));
+        let rest = &batch[at..];
+        let report = &rest[rest.find("\"report\":").expect("report field") + "\"report\":".len()..];
+        // The report is the check object itself, then the brace that
+        // closes the module entry.
+        assert!(
+            report.starts_with(check) && report[check.len()..].starts_with('}'),
+            "{module}: batch report differs from check\nbatch: {}\ncheck: {check}",
+            report.get(..check.len() + 160).unwrap_or(report)
+        );
+    }
+    std::fs::remove_file(cap).ok();
+}
