@@ -7,7 +7,7 @@
 //! path-combination and constraint-size cost.
 
 use bench::timing::bench;
-use gcatch::{Detector, DetectorConfig};
+use gcatch::{AnalysisSession, DetectorConfig};
 use golite_ir::Module;
 
 /// A program with `n` producer/consumer channel pairs all rooted in main —
@@ -47,7 +47,7 @@ fn main() {
     let module = interconnected(6);
 
     bench("disentangling_ablation/disentangled", 10, || {
-        let detector = Detector::new(&module);
+        let detector = AnalysisSession::new(&module);
         let config = DetectorConfig {
             disentangle: true,
             ..DetectorConfig::default()
@@ -55,7 +55,7 @@ fn main() {
         detector.detect_bmoc(&config).len()
     });
     bench("disentangling_ablation/whole_program", 10, || {
-        let detector = Detector::new(&module);
+        let detector = AnalysisSession::new(&module);
         let config = DetectorConfig {
             disentangle: false,
             ..DetectorConfig::default()

@@ -26,7 +26,7 @@ fn main() {
     // Pre-built analyses: measure the pure transformation step.
     let gcatch = GCatch::new(pipeline.module());
     let bugs = gcatch.detect_bmoc(&config);
-    let detector = gcatch.detector();
+    let detector = gcatch.session();
     let gfix_sys = gfix::GFix::new(
         pipeline.program(),
         pipeline.module(),

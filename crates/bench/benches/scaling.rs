@@ -4,7 +4,7 @@
 //! largest application dominates, small applications are near-instant.
 
 use bench::timing::bench;
-use gcatch::{Detector, DetectorConfig};
+use gcatch::{AnalysisSession, DetectorConfig};
 use go_corpus::apps::{generate_all, GenConfig};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
             &format!("detect_by_app_size/gcatch/{name}-{size}instrs"),
             10,
             || {
-                let detector = Detector::new(&module);
+                let detector = AnalysisSession::new(&module);
                 detector.detect_bmoc(&DetectorConfig::default()).len()
             },
         );

@@ -9,7 +9,7 @@
 
 use bench::render_table;
 use gcatch::paths::Limits;
-use gcatch::{Detector, DetectorConfig};
+use gcatch::{AnalysisSession, DetectorConfig};
 use go_corpus::patterns::{emit, PatternKind};
 use std::time::Instant;
 
@@ -35,7 +35,7 @@ fn main() {
     for bound in [1u32, 2, 3, 4] {
         for (name, src, marker) in &programs {
             let module = golite_ir::lower_source(src).expect("program lowers");
-            let detector = Detector::new(&module);
+            let detector = AnalysisSession::new(&module);
             let config = DetectorConfig {
                 limits: Limits {
                     max_block_visits: bound,

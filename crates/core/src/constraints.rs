@@ -93,26 +93,6 @@ impl SolverStrategy {
             SolverStrategy::Rescan => SolverMode::Rescan,
         }
     }
-
-    /// Parses a CLI-facing name.
-    pub fn parse(s: &str) -> Option<SolverStrategy> {
-        match s {
-            "incremental" => Some(SolverStrategy::Incremental),
-            "fresh" => Some(SolverStrategy::Fresh),
-            "rescan" => Some(SolverStrategy::Rescan),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SolverStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SolverStrategy::Incremental => "incremental",
-            SolverStrategy::Fresh => "fresh",
-            SolverStrategy::Rescan => "rescan",
-        })
-    }
 }
 
 /// What a combination's encoding is queried for; controls whether

@@ -33,8 +33,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-pub use crate::session::Detector;
-
 /// One goroutine of a path combination.
 #[derive(Debug, Clone)]
 pub struct GoroutinePath {
@@ -81,8 +79,9 @@ pub struct DetectorConfig {
     pub solver_steps: u64,
     /// How solver queries are discharged: one incremental solver per
     /// channel reusing each combination's encoding across its groups (the
-    /// default), or a fresh solver per query (`fresh`/`rescan`, the
-    /// differential baselines). All strategies produce identical reports.
+    /// default), or a fresh solver per query (`Fresh`/`Rescan`, the
+    /// references that tests and bench bins compare it against; the CLI
+    /// always runs the default). All strategies produce identical reports.
     pub solver_strategy: SolverStrategy,
     /// Worker threads sharding the per-channel detection; `0` (the
     /// default) uses all available cores. Reports are identical for every
@@ -110,10 +109,10 @@ pub struct DetectorConfig {
     /// Cross-channel encoding reuse (the default): structurally identical
     /// channels share solver verdicts through the session's
     /// [`EncodingCache`](crate::constraints::EncodingCache). Reports are
-    /// byte-identical either way; `--no-share-encodings` turns it off for
-    /// differential testing. Sharing is automatically bypassed while a
-    /// deadline or a step pool rations the run, or fault injection is
-    /// armed; a cancel token does not bypass it.
+    /// byte-identical either way; tests and bench bins turn it off as the
+    /// unshared reference (the CLI always shares). Sharing is
+    /// automatically bypassed while a deadline or a step pool rations the
+    /// run, or fault injection is armed; a cancel token does not bypass it.
     pub share_encodings: bool,
     /// Observability context (`--events-out`, the batch flight recorder).
     /// Default is fully inert; the CLI and batch engine fill in the sinks

@@ -123,7 +123,7 @@ pub use batch::{
 };
 pub use checkers::{Checker, Registry, RunOutput, Selection};
 pub use constraints::{EncodingCache, SolverStrategy};
-pub use detector::{Detector, DetectorConfig};
+pub use detector::DetectorConfig;
 pub use diagnostics::{
     render_explain, render_json, render_json_with, render_stats_json, Diagnostic, Severity,
 };
@@ -169,9 +169,10 @@ impl<'m> GCatch<'m> {
     }
 
     /// [`GCatch::with_trace`] with an explicit alias-analysis scheduling
-    /// mode (`--alias-mode`): `Demand` (the default) solves points-to
-    /// lazily per queried reference component, `Eager` solves the whole
-    /// module up front. Reports are byte-identical either way.
+    /// mode: `Demand` (the default) solves points-to lazily per queried
+    /// reference component, `Eager` solves the whole module up front and
+    /// is kept as the reference that tests and bench bins compare against.
+    /// Reports are byte-identical either way.
     pub fn with_options(
         module: &'m golite_ir::Module,
         level: TraceLevel,
@@ -219,11 +220,6 @@ impl<'m> GCatch<'m> {
     }
 
     /// The underlying analysis session (exposes analyses for GFix).
-    pub fn detector(&self) -> &AnalysisSession<'m> {
-        &self.session
-    }
-
-    /// The analysis session by its proper name.
     pub fn session(&self) -> &AnalysisSession<'m> {
         &self.session
     }

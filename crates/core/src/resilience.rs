@@ -93,10 +93,11 @@ impl Budget {
     /// Build a budget from optional wall-clock and step allowances.
     ///
     /// `timeout` sets a deadline of `now + timeout`; `step_pool` seeds
-    /// a global pool that every solver query draws from.
+    /// a global pool that every solver query draws from. A deadline too
+    /// far out for [`Instant`] to hold is never reached, so it sets none.
     pub fn new(timeout: Option<Duration>, step_pool: Option<u64>) -> Self {
         Budget {
-            deadline: timeout.map(|t| Instant::now() + t),
+            deadline: timeout.and_then(|t| Instant::now().checked_add(t)),
             pool: step_pool.map(|n| Arc::new(AtomicU64::new(n))),
             cancel: None,
         }
@@ -170,9 +171,9 @@ impl Budget {
 
     /// Derive a per-task budget: same shared step pool, deadline
     /// tightened to `min(self.deadline, now + timeout)` when a
-    /// per-task `timeout` is given.
+    /// per-task `timeout` is given (and [`Instant`] can hold it).
     pub fn tightened(&self, timeout: Option<Duration>) -> Budget {
-        let local = timeout.map(|t| Instant::now() + t);
+        let local = timeout.and_then(|t| Instant::now().checked_add(t));
         let deadline = match (self.deadline, local) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -378,6 +379,21 @@ mod tests {
         let b = Budget::new(Some(Duration::ZERO), None);
         assert!(b.rations());
         assert!(b.expired());
+    }
+
+    #[test]
+    fn unrepresentable_timeout_sets_no_deadline() {
+        let huge = Some(Duration::from_secs(u64::MAX));
+        let b = Budget::new(huge, None);
+        assert!(b.deadline().is_none());
+        assert!(
+            !b.rations(),
+            "a deadline that never arrives rations nothing"
+        );
+        assert!(!b.expired());
+        assert!(b.tightened(huge).deadline().is_none());
+        let bounded = Budget::new(Some(Duration::from_secs(3600)), None);
+        assert_eq!(bounded.tightened(huge).deadline(), bounded.deadline());
     }
 
     #[test]

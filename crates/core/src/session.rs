@@ -12,10 +12,9 @@
 //! solver query records into it, and [`AnalysisSession::stats`] snapshots
 //! the totals for `--stats` output.
 //!
-//! The old entry point survives as an alias — `Detector` *is* an
-//! `AnalysisSession` — so pre-registry callers (`Detector::new(&module)`,
-//! `detector.analysis`, `detector.detect_bmoc(&config)`) compile
-//! unchanged.
+//! The BMOC detector is a method of the session
+//! ([`AnalysisSession::detect_bmoc`]); [`GCatch`](crate::GCatch) wraps a
+//! session together with the checker registry.
 
 use crate::disentangle::{build_dependency_graph, compute_scope, DependencyGraph, Scope};
 use crate::primitives::{collect, Primitives};
@@ -57,9 +56,6 @@ pub struct AnalysisSession<'m> {
     encoding_cache: crate::constraints::EncodingCache,
 }
 
-/// Compatibility alias: the BMOC detector is the session itself.
-pub type Detector<'m> = AnalysisSession<'m>;
-
 impl<'m> AnalysisSession<'m> {
     /// Runs the preparatory whole-module analyses (Algorithm 1, lines 2–7).
     pub fn new(module: &'m Module) -> AnalysisSession<'m> {
@@ -73,9 +69,10 @@ impl<'m> AnalysisSession<'m> {
     }
 
     /// [`AnalysisSession::with_trace`] with an explicit alias-analysis
-    /// scheduling mode (`--alias-mode`). Both modes yield byte-identical
-    /// reports; demand mode skips points-to work for functions no checker
-    /// ever asks about.
+    /// scheduling mode. Both modes yield byte-identical reports; demand
+    /// mode (the default) skips points-to work for functions no checker
+    /// ever asks about, and eager mode stays as the reference that tests
+    /// and bench bins compare it against.
     pub fn with_options(
         module: &'m Module,
         level: TraceLevel,

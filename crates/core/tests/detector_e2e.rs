@@ -1,11 +1,11 @@
 //! End-to-end BMOC detection tests on the paper's figures and on correct
 //! programs that must stay clean.
 
-use gcatch::{BugKind, Detector, DetectorConfig};
+use gcatch::{AnalysisSession, BugKind, DetectorConfig};
 
 fn detect(src: &str) -> Vec<gcatch::BugReport> {
     let module = golite_ir::lower_source(src).expect("lowering");
-    let detector = Detector::new(&module);
+    let detector = AnalysisSession::new(&module);
     detector.detect_bmoc(&DetectorConfig::default())
 }
 
@@ -346,7 +346,7 @@ func main() {
 }
 "#;
     let module = golite_ir::lower_source(src).unwrap();
-    let detector = Detector::new(&module);
+    let detector = AnalysisSession::new(&module);
     let bugs = detector.detect_send_on_closed(&DetectorConfig::default());
     assert!(
         bugs.iter().any(|b| b.kind == BugKind::SendOnClosedChannel),
@@ -365,7 +365,7 @@ func main() {
 }
 "#;
     let module = golite_ir::lower_source(src).unwrap();
-    let detector = Detector::new(&module);
+    let detector = AnalysisSession::new(&module);
     let bugs = detector.detect_send_on_closed(&DetectorConfig::default());
     assert!(
         bugs.is_empty(),
@@ -389,7 +389,7 @@ func main() {
 }
 "#;
     let module = golite_ir::lower_source(src).unwrap();
-    let detector = Detector::new(&module);
+    let detector = AnalysisSession::new(&module);
     let bugs = detector.detect_send_on_closed(&DetectorConfig::default());
     assert!(
         bugs.is_empty(),

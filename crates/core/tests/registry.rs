@@ -208,9 +208,10 @@ fn diagnostic_ids_are_stable_across_sessions_and_selections() {
     assert_eq!(full, ids(&only_bmoc), "selection moved IDs");
 }
 
-/// The compatibility alias still works: `Detector` is the session.
+/// The session's own BMOC detector finds Figure 1's bug under its
+/// stable ID.
 #[test]
-fn detector_alias_is_the_session() {
+fn session_detects_figure1_under_its_stable_id() {
     let module = golite_ir::lower_source(FIGURE1).expect("figure 1 lowers");
     let session = AnalysisSession::new(&module);
     let bugs = session.detect_bmoc(&DetectorConfig::default());

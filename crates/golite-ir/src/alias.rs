@@ -137,25 +137,6 @@ pub enum AliasMode {
     Demand,
 }
 
-impl AliasMode {
-    /// Parses a CLI value.
-    pub fn parse(s: &str) -> Option<AliasMode> {
-        match s {
-            "eager" => Some(AliasMode::Eager),
-            "demand" => Some(AliasMode::Demand),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            AliasMode::Eager => "eager",
-            AliasMode::Demand => "demand",
-        }
-    }
-}
-
 /// Work counters for the alias layer (surfaced as telemetry by the
 /// detector session).
 #[derive(Debug, Clone, Copy, Default)]

@@ -15,11 +15,12 @@ use gcatch_suite::gcatch::durable::write_atomic;
 use gcatch_suite::gcatch::events::Field;
 use gcatch_suite::gcatch::{
     derive_run_id, faults, obs_zero_time, read_manifest, render_explain, render_json_with,
-    render_prometheus, render_stats_json, run_worker, serve_socket, serve_stdio, write_manifest,
-    AliasMode, BatchConfig, BatchEngine, BatchJob, Budget, Coordinator, Counter, DetectorConfig,
-    Event, EventBus, EventKind, FaultPlan, GCatch, HedgePolicy, Incident, IncidentKind, JobCtx,
-    JobRecord, Journal, Metric, ObsScope, Selection, ServeConfig, SolverStrategy, SweepConfig,
-    SweepLayout, Telemetry, TraceLevel, Tracer, WorkKind, WorkerConfig,
+    render_prometheus, render_stats_json, run_worker, serve_socket, serve_stdio, warm_check,
+    write_manifest, AliasMode, BatchConfig, BatchEngine, BatchJob, Budget, Coordinator, Counter,
+    DetectorConfig, Diagnostic, Event, EventBus, EventKind, FaultPlan, GCatch, HedgePolicy,
+    Incident, IncidentKind, JobRecord, Journal, Metric, ObsScope, ProgressSnapshot, Selection,
+    ServeConfig, Stats, SweepConfig, SweepLayout, Telemetry, TraceLevel, TraceSnapshot, Tracer,
+    WarmSessions, WorkKind, WorkerConfig,
 };
 use gcatch_suite::{gfix, sim};
 use std::collections::BTreeMap;
@@ -62,8 +63,7 @@ usage: gcatch <command> [options] <file.go>
 
 commands:
   check [--json] [--stats] [--explain] [--trace FILE] [--only C] [--skip C] [--jobs N]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         [--metrics-out FILE] [--events-out FILE] [--strict]
                         detect concurrency bugs via the checker registry;
                         --only/--skip select checkers by name (repeatable,
@@ -85,8 +85,7 @@ commands:
         [--inject-faults RATE] [--fault-seed N] [--journal FILE | --resume FILE]
         [--report FILE] [--json] [--stats] [--strict] [--explain] [--trace FILE]
         [--metrics-out FILE] [--events-out FILE] [--progress]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         <file.go|dir>...
                         check many modules under a supervised worker pool:
                         failed modules retry with exponential backoff,
@@ -104,8 +103,7 @@ commands:
         [--inject-faults RATE] [--fault-seed N]
         [--report FILE] [--json] [--stats] [--strict] [--progress]
         [--metrics-out FILE] [--events-out FILE]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         <file.go|dir>...
                         check many modules across a fleet of --workers N
                         worker *processes* coordinated through an on-disk
@@ -130,8 +128,7 @@ commands:
         [--request-timeout-ms MS] [--cache-dir DIR] [--max-cache N]
         [--inject-faults RATE] [--fault-seed N]
         [--metrics-out FILE] [--events-out FILE]
-        [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--channel-timeout MS] [--solver-steps N] [--step-pool N]
                         crash-only analysis daemon speaking a JSON-lines
                         protocol (one request object per line, each
                         echoing its client-supplied id): ops `check`,
@@ -152,8 +149,7 @@ commands:
                         `gcatch check --json`. SIGTERM/SIGINT drain
                         gracefully (finish in flight, flush, exit 0)
   extended [--json] [--stats] [--explain] [--trace FILE] [--jobs N]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         [--metrics-out FILE] [--events-out FILE] [--strict]
                         run the send-on-closed (panic) detector (paper §6)
 
@@ -161,20 +157,6 @@ budgets (check / extended):
   --timeout SECS        wall-clock deadline for the whole run
   --channel-timeout MS  wall-clock deadline per analyzed channel
   --solver-steps N      solver step limit per query (default 400000)
-  --solver-mode M       constraint-solver strategy: `incremental` (default;
-                        one persistent solver per channel, combos solved as
-                        assumption queries against a shared encoding),
-                        `fresh` (one solver per query), or `rescan` (fresh
-                        solvers with the legacy clone-and-rescan engine);
-                        all three produce identical reports
-  --alias-mode M        alias-analysis scheduling: `demand` (default;
-                        points-to components solved lazily, only for the
-                        code slices the checkers actually query) or
-                        `eager` (whole module up front); reports are
-                        byte-identical either way
-  --no-share-encodings  disable the cross-channel verdict cache that lets
-                        structurally identical channels share solver work
-                        (sharing never changes the reports)
   --step-pool N         global solver-step pool shared by all queries
                         a channel that exhausts its budget is retried at
                         degraded limits (reduced unroll, then a reduced
@@ -255,14 +237,11 @@ const OBS_FLAGS: &[FlagSpec] = &[("metrics-out", true), ("events-out", true)];
 /// The whole-run wall-clock budget.
 const TIMEOUT_FLAG: &[FlagSpec] = &[("timeout", true)];
 
-/// Per-analysis knobs that shape every report byte (alias scheduling,
-/// solver strategy and budgets, encoding sharing).
+/// Per-analysis budgets: they can shape report bytes, so sweep forwards
+/// them to its workers and serve fingerprints its cache with them.
 const ANALYSIS_FLAGS: &[FlagSpec] = &[
     ("channel-timeout", true),
     ("solver-steps", true),
-    ("solver-mode", true),
-    ("alias-mode", true),
-    ("no-share-encodings", false),
     ("step-pool", true),
 ];
 
@@ -365,18 +344,20 @@ fn trace_level(trace_path: Option<&str>) -> Result<TraceLevel, String> {
 }
 
 /// Writes a trace snapshot as Chrome trace-event JSON.
-fn write_trace(path: &str, snapshot: &gcatch_suite::gcatch::TraceSnapshot) -> Result<(), String> {
+fn write_trace(path: &str, snapshot: &TraceSnapshot) -> Result<(), String> {
     std::fs::write(path, snapshot.render_chrome())
         .map_err(|e| format!("cannot write trace file {path}: {e}"))
 }
 
-/// A run-level (`run_start`/`run_end`) event: group 0, no job/channel
-/// correlation, so canonical ordering brackets the stream with it.
-fn run_event(kind: EventKind, fields: Vec<(&'static str, Field)>) -> Event {
+/// An event of the run itself (group 0, no attempt or channel
+/// correlation), about `job` when it concerns one module. Run-level
+/// (`run_start`/`run_end`) events have no job, so canonical ordering
+/// brackets the stream with them.
+fn run_event(kind: EventKind, job: Option<&str>, fields: Vec<(&'static str, Field)>) -> Event {
     Event {
         kind,
         group: 0,
-        job: None,
+        job: job.map(str::to_string),
         attempt: None,
         channel: None,
         fields,
@@ -395,60 +376,46 @@ fn flag_values(flags: &[Flag], name: &str) -> Vec<String> {
         .collect()
 }
 
-fn parse_jobs(flags: &[Flag]) -> Result<usize, String> {
-    flags
-        .iter()
-        .find(|(n, _)| n == "jobs")
-        .and_then(|(_, v)| v.as_deref())
-        .map_or(Ok(0), str::parse)
-        .map_err(|e| format!("bad --jobs: {e}"))
-}
-
-/// The value of an integer flag, if present; a malformed value is a usage
-/// error (exit code 2 at the caller).
-fn parse_u64_flag(flags: &[Flag], name: &str) -> Result<Option<u64>, String> {
+/// The value of a single-occurrence flag parsed as `T`, if present; a
+/// malformed or out-of-range value is a usage error (exit code 2 at the
+/// caller).
+fn parse_flag<T: std::str::FromStr>(flags: &[Flag], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
     flag_value(flags, name)
-        .map(|v| v.parse::<u64>().map_err(|e| format!("bad --{name}: {e}")))
+        .map(|v| v.parse::<T>().map_err(|e| format!("bad --{name}: {e}")))
         .transpose()
 }
 
-/// The budget-related detector configuration shared by `check` and
-/// `extended`.
-fn budget_config(flags: &[Flag]) -> Result<DetectorConfig, String> {
+/// The detector configuration a command analyzes its modules under.
+/// `sharded` commands (`check`, `extended`) split one module's channels
+/// over `--jobs` threads (0 = all cores). The others (batch jobs, sweep
+/// workers, serve requests) analyze each module single-threaded: their
+/// parallelism comes from their own pools, and fault schedules key on
+/// deterministic per-channel decisions.
+fn analysis_config(flags: &[Flag], sharded: bool) -> Result<DetectorConfig, String> {
     let mut config = DetectorConfig {
-        jobs: parse_jobs(flags)?,
-        timeout: parse_u64_flag(flags, "timeout")?.map(Duration::from_secs),
-        channel_timeout: parse_u64_flag(flags, "channel-timeout")?.map(Duration::from_millis),
-        solver_step_pool: parse_u64_flag(flags, "step-pool")?,
+        jobs: if sharded {
+            parse_flag(flags, "jobs")?.unwrap_or(0)
+        } else {
+            1
+        },
+        timeout: parse_flag(flags, "timeout")?.map(Duration::from_secs),
+        channel_timeout: parse_flag(flags, "channel-timeout")?.map(Duration::from_millis),
+        solver_step_pool: parse_flag(flags, "step-pool")?,
         ..DetectorConfig::default()
     };
-    if let Some(steps) = parse_u64_flag(flags, "solver-steps")? {
+    if let Some(steps) = parse_flag(flags, "solver-steps")? {
         config.solver_steps = steps;
     }
-    if let Some(mode) = flag_value(flags, "solver-mode") {
-        config.solver_strategy = SolverStrategy::parse(mode).ok_or_else(|| {
-            format!("bad --solver-mode: `{mode}` (expected incremental, fresh, or rescan)")
-        })?;
-    }
-    config.share_encodings = !has_flag(flags, "no-share-encodings");
     Ok(config)
 }
 
-/// The alias-analysis scheduling mode (`--alias-mode`), defaulting to
-/// demand-driven solving. Not part of [`DetectorConfig`] because it is
-/// fixed at session construction, before any checker runs.
-fn alias_mode(flags: &[Flag]) -> Result<AliasMode, String> {
-    match flag_value(flags, "alias-mode") {
-        Some(v) => AliasMode::parse(v)
-            .ok_or_else(|| format!("bad --alias-mode: `{v}` (expected eager or demand)")),
-        None => Ok(AliasMode::default()),
-    }
-}
-
-/// Exit code for a diagnostics run: bugs mean 1, incidents under
-/// `--strict` mean 2 (honest-failure semantics), otherwise 0.
-fn diagnostics_exit(found_bugs: bool, incidents: &[Incident], strict: bool) -> ExitCode {
-    if strict && !incidents.is_empty() {
+/// A run's exit code: bugs mean 1, failures (incidents, quarantined jobs)
+/// under `--strict` mean 2 (honest-failure semantics), otherwise 0.
+fn exit_status(found_bugs: bool, failures: usize, strict: bool) -> ExitCode {
+    if strict && failures > 0 {
         ExitCode::from(2)
     } else if found_bugs {
         ExitCode::FAILURE
@@ -459,6 +426,139 @@ fn diagnostics_exit(found_bugs: bool, incidents: &[Incident], strict: bool) -> E
 
 fn read_source(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// A run's observability sinks: the `--metrics-out` exposition and the
+/// `--events-out` stream, which `run_start` and `run_end` bracket.
+struct Sinks<'f> {
+    metrics_out: Option<&'f str>,
+    events_out: Option<&'f str>,
+    zero_time: bool,
+    /// The run's event bus; armed only under `--events-out`.
+    bus: Option<Arc<EventBus>>,
+}
+
+impl<'f> Sinks<'f> {
+    /// Arms the sinks `flags` ask for and opens the event stream with
+    /// `run_start`. `run_inputs` seed the run id; `modules` is how many
+    /// modules the run knows of up front.
+    fn open(flags: &'f [Flag], run_inputs: &[String], modules: usize) -> Sinks<'f> {
+        let zero_time = obs_zero_time();
+        let events_out = flag_value(flags, "events-out");
+        let bus = events_out.map(|_| {
+            Arc::new(EventBus::new(
+                derive_run_id(run_inputs, zero_time),
+                zero_time,
+            ))
+        });
+        if let Some(bus) = &bus {
+            // Worker counts are deliberately absent: the stream must be
+            // byte-identical across --jobs once timestamps are normalized.
+            bus.emit(run_event(
+                EventKind::RunStart,
+                None,
+                vec![("modules", Field::U64(modules as u64))],
+            ));
+        }
+        Sinks {
+            metrics_out: flag_value(flags, "metrics-out"),
+            events_out,
+            zero_time,
+            bus,
+        }
+    }
+
+    /// Runs `work` while a ticker thread republishes `--metrics-out` from
+    /// `telemetry` every ~200 ms, so external scrapers see a batch or a
+    /// daemon move while it runs; [`Sinks::close`] writes the final
+    /// (authoritative) exposition once `work` returns.
+    fn live<R>(&self, telemetry: &Telemetry, work: impl FnOnce() -> R) -> R {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let ticker = self.metrics_out.map(|path| {
+                let stop = &stop;
+                scope.spawn(move || {
+                    // A failing live republish degrades to one warning, not
+                    // a warning every tick and never an aborted run; the
+                    // final post-run write reports again through write_sink.
+                    let mut warned = false;
+                    loop {
+                        for _ in 0..8 {
+                            if stop.load(Ordering::Relaxed) {
+                                return;
+                            }
+                            std::thread::sleep(Duration::from_millis(25));
+                        }
+                        let rendered = render_prometheus(&telemetry.snapshot(), self.zero_time);
+                        if let Err(e) = write_out(path, &rendered) {
+                            if !warned {
+                                eprintln!("gcatch: warning: live metrics republish failed: {e}");
+                                warned = true;
+                            }
+                        }
+                    }
+                })
+            });
+            let result = work();
+            stop.store(true, Ordering::Relaxed);
+            if let Some(t) = ticker {
+                let _ = t.join();
+            }
+            result
+        })
+    }
+
+    /// Writes the final `--metrics-out` exposition of `stats`, then closes
+    /// the event stream with a `run_end` carrying `fields` and writes it
+    /// to `--events-out`.
+    fn close(&self, stats: &Stats, fields: Vec<(&'static str, Field)>) {
+        if let Some(path) = self.metrics_out {
+            write_sink(path, &render_prometheus(stats, self.zero_time));
+        }
+        if let (Some(bus), Some(path)) = (&self.bus, self.events_out) {
+            bus.emit(run_event(EventKind::RunEnd, None, fields));
+            write_sink(path, &bus.render_jsonl());
+        }
+    }
+}
+
+/// What checking one module produced.
+struct Checked {
+    diagnostics: Vec<Diagnostic>,
+    incidents: Vec<Incident>,
+    /// The session's counters, the module's wall time included.
+    stats: Stats,
+    /// The span recording (empty unless traced).
+    trace: TraceSnapshot,
+}
+
+/// Checks one module: lowers `source`, builds its analysis session, and
+/// runs the selected checkers under `config`. `check`, `extended`, every
+/// batch job and serve's cold requests all come through here, which is
+/// what keeps their reports byte-identical.
+fn check_module(
+    source: &str,
+    level: TraceLevel,
+    config: &DetectorConfig,
+    selection: &Selection,
+) -> Result<Checked, String> {
+    let started = std::time::Instant::now();
+    let module = gcatch_suite::ir::lower_source(source)?;
+    let gcatch = GCatch::with_trace(&module, level);
+    selection.validate(gcatch.registry())?;
+    let diagnostics = gcatch.diagnostics(config, selection);
+    let incidents = gcatch.incidents();
+    gcatch
+        .session()
+        .telemetry()
+        .observe(Metric::ModuleWallNs, started.elapsed().as_nanos() as u64);
+    Ok(Checked {
+        diagnostics,
+        incidents,
+        stats: gcatch.stats(),
+        trace: gcatch.trace_snapshot(),
+    })
 }
 
 /// Shared body of `check` and `extended`: run the selected checkers and
@@ -474,89 +574,54 @@ fn run_diagnostics(
     let explain = has_flag(flags, "explain");
     let strict = has_flag(flags, "strict");
     let trace_path = flag_value(flags, "trace");
-    let metrics_out = flag_value(flags, "metrics-out");
-    let events_out = flag_value(flags, "events-out");
-    let zero_time = obs_zero_time();
-    let bus = events_out.map(|_| {
-        Arc::new(EventBus::new(
-            derive_run_id(&[path.to_string()], zero_time),
-            zero_time,
-        ))
-    });
-    if let Some(bus) = &bus {
-        bus.emit(run_event(
-            EventKind::RunStart,
-            vec![("modules", Field::U64(1))],
-        ));
-    }
+    let sinks = Sinks::open(flags, &[path.to_string()], 1);
     let level = trace_level(trace_path)?;
-    let mut config = budget_config(flags)?;
+    let mut config = analysis_config(flags, true)?;
     config.obs = ObsScope {
-        bus: bus.clone(),
+        bus: sinks.bus.clone(),
         ..ObsScope::default()
     };
-    let alias = alias_mode(flags)?;
     let src = read_source(path)?;
-    let started = std::time::Instant::now();
-    let module = gcatch_suite::ir::lower_source(&src)?;
-    let gcatch = GCatch::with_options(&module, level, alias);
-    selection.validate(gcatch.registry())?;
-    let diagnostics = gcatch.diagnostics(&config, &selection);
-    let incidents = gcatch.incidents();
-    gcatch
-        .session()
-        .telemetry()
-        .observe(Metric::ModuleWallNs, started.elapsed().as_nanos() as u64);
-    let stats = gcatch.stats();
+    let Checked {
+        diagnostics,
+        incidents,
+        stats,
+        trace,
+    } = check_module(&src, level, &config, &selection)?;
     if let Some(tp) = trace_path {
-        write_trace(tp, &gcatch.trace_snapshot())?;
+        write_trace(tp, &trace)?;
     }
-    if let Some(mp) = metrics_out {
-        write_sink(mp, &render_prometheus(&stats, zero_time));
-    }
-    if let (Some(bus), Some(ep)) = (&bus, events_out) {
-        bus.emit(run_event(
-            EventKind::RunEnd,
-            vec![
-                ("diagnostics", Field::U64(diagnostics.len() as u64)),
-                ("incidents", Field::U64(incidents.len() as u64)),
-            ],
-        ));
-        write_sink(ep, &bus.render_jsonl());
-    }
+    sinks.close(
+        &stats,
+        vec![
+            ("diagnostics", Field::U64(diagnostics.len() as u64)),
+            ("incidents", Field::U64(incidents.len() as u64)),
+        ],
+    );
+    let code = exit_status(!diagnostics.is_empty(), incidents.len(), strict);
     if json {
         println!(
             "{}",
             render_json_with(&diagnostics, want_stats.then_some(&stats), &incidents)
         );
-        return Ok(diagnostics_exit(
-            !diagnostics.is_empty(),
-            &incidents,
-            strict,
-        ));
+        return Ok(code);
     }
     if diagnostics.is_empty() {
         println!("{path}: {empty_message}");
-        for incident in &incidents {
-            print!("{}", incident.render());
-        }
-        if want_stats {
-            print!("{}", stats.render_text());
-        }
-        return Ok(diagnostics_exit(false, &incidents, strict));
-    }
-    println!("{path}: {} diagnostic(s)\n", diagnostics.len());
-    if explain {
-        print!("{}", render_explain(&diagnostics));
     } else {
-        for d in &diagnostics {
-            println!(
-                "{} [{}] ({}) {}",
-                d.id,
-                d.severity.name(),
-                d.checker,
-                d.report
-            );
+        println!("{path}: {} diagnostic(s)\n", diagnostics.len());
+        if explain {
+            print!("{}", render_explain(&diagnostics));
+        } else {
+            for d in &diagnostics {
+                println!(
+                    "{} [{}] ({}) {}",
+                    d.id,
+                    d.severity.name(),
+                    d.checker,
+                    d.report
+                );
+            }
         }
     }
     for incident in &incidents {
@@ -565,7 +630,7 @@ fn run_diagnostics(
     if want_stats {
         print!("{}", stats.render_text());
     }
-    Ok(diagnostics_exit(true, &incidents, strict))
+    Ok(code)
 }
 
 fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
@@ -720,52 +785,6 @@ fn write_out(path: &str, contents: &str) -> Result<(), String> {
     .map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// Runs `work` while a ticker thread republishes `--metrics-out` from
-/// `telemetry` every ~200 ms, so external scrapers see a batch or a daemon
-/// move while it runs; the caller writes the final (authoritative)
-/// exposition once `work` returns.
-fn with_live_metrics<R>(
-    metrics_out: Option<&str>,
-    telemetry: &Telemetry,
-    zero_time: bool,
-    work: impl FnOnce() -> R,
-) -> R {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let ticker = metrics_out.map(|path| {
-            let stop = &stop;
-            scope.spawn(move || {
-                // A failing live republish degrades to one warning, not a
-                // warning every tick and never an aborted run; the final
-                // post-run write reports again through write_sink.
-                let mut warned = false;
-                loop {
-                    for _ in 0..8 {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    let rendered = render_prometheus(&telemetry.snapshot(), zero_time);
-                    if let Err(e) = write_out(path, &rendered) {
-                        if !warned {
-                            eprintln!("gcatch: warning: live metrics republish failed: {e}");
-                            warned = true;
-                        }
-                    }
-                }
-            })
-        });
-        let result = work();
-        stop.store(true, Ordering::Relaxed);
-        if let Some(t) = ticker {
-            let _ = t.join();
-        }
-        result
-    })
-}
-
 /// Writes an observability sink file (`--metrics-out` / `--events-out`).
 /// A sink failure — full disk, yanked directory — must never kill the run
 /// that produced the results: it degrades to a structured `sink` incident
@@ -785,17 +804,8 @@ fn write_sink(path: &str, contents: &str) {
 
 fn cmd_simulate(rest: &[String]) -> Result<ExitCode, String> {
     let (path, flags) = parse_common(rest, &[("seeds", true), ("entry", true)])?;
-    let seeds: u64 = flags
-        .iter()
-        .find(|(n, _)| n == "seeds")
-        .and_then(|(_, v)| v.as_deref())
-        .map_or(Ok(30), str::parse)
-        .map_err(|e| format!("bad --seeds: {e}"))?;
-    let entry = flags
-        .iter()
-        .find(|(n, _)| n == "entry")
-        .and_then(|(_, v)| v.clone())
-        .unwrap_or_else(|| "main".to_string());
+    let seeds: u64 = parse_flag(&flags, "seeds")?.unwrap_or(30);
+    let entry = flag_value(&flags, "entry").unwrap_or("main").to_string();
     let src = read_source(&path)?;
     let module = gcatch_suite::ir::lower_source(&src)?;
     let simulator = sim::Simulator::new(&module);
@@ -876,7 +886,7 @@ fn expand_modules(inputs: &[String]) -> Result<Vec<String>, String> {
 }
 
 /// Extracts the `"bugs":N` count from a batch job payload. The payload is
-/// produced by [`run_batch_module`], whose escaped module name can never
+/// produced by [`batch_job`], whose escaped module name can never
 /// contain a raw `"`, so the first `","bugs":` is always the real field.
 fn payload_bugs(payload: &str) -> usize {
     payload
@@ -892,116 +902,243 @@ fn payload_bugs(payload: &str) -> usize {
         .unwrap_or(0)
 }
 
-/// Renders the merged batch/sweep report from decided records, returning
-/// `(report, total_bugs)`. The output is deterministic — submission
-/// order, no attempt counts or timings, payloads that are pure functions
-/// of each module — so a resumed batch, and a multi-process sweep, are
-/// byte-identical to an uninterrupted single-process run. Sweep reuses
-/// this renderer verbatim (including `"command":"batch"`): the report
-/// describes *what was decided*, not which topology decided it.
-fn render_batch_report(records: &[JobRecord<String>], quarantined: usize) -> (String, usize) {
-    let mut total_bugs = 0usize;
-    let mut report = String::from("{\"version\":1,\"command\":\"batch\",\"modules\":[");
-    for (i, rec) in records.iter().enumerate() {
-        if i > 0 {
-            report.push(',');
-        }
-        match &rec.payload {
-            Some(p) => {
-                total_bugs += payload_bugs(p);
-                report.push_str(p);
-            }
-            None => {
-                report.push_str("{\"module\":\"");
-                escape_json(&rec.id, &mut report);
-                report.push_str("\",\"quarantined\":true,\"message\":\"");
-                if let Some(inc) = &rec.incident {
-                    escape_json(&inc.message, &mut report);
-                }
-                // The flight-recorder dump rides along unconditionally:
-                // it is deterministic (attempt lifecycle only, no wall
-                // times), so the report stays byte-identical whether or
-                // not observability flags were passed.
-                report.push_str("\",\"flight\":[");
-                if let Some(inc) = &rec.incident {
-                    for (i, line) in inc.flight.iter().enumerate() {
-                        if i > 0 {
-                            report.push(',');
-                        }
-                        report.push('"');
-                        escape_json(line, &mut report);
-                        report.push('"');
-                    }
-                }
-                report.push_str("]}");
-            }
-        }
-    }
-    report.push_str("],\"total_bugs\":");
-    report.push_str(&total_bugs.to_string());
-    report.push_str(",\"quarantined\":");
-    report.push_str(&quarantined.to_string());
-    report.push('}');
-    (report, total_bugs)
+/// A batch or sweep run's merged result.
+struct Merged<'r> {
+    records: &'r [JobRecord<String>],
+    quarantined: usize,
+    /// The merged JSON report.
+    report: String,
+    total_bugs: usize,
 }
 
-/// One batch job: lower and check a single module, returning a
-/// self-contained JSON payload. Failures surface as `Err` so the engine
-/// retries (transient, e.g. injected faults) or quarantines
-/// (deterministic, e.g. a syntax error) the module instead of killing the
-/// sweep.
-fn run_batch_module(
-    path: &str,
-    base: &DetectorConfig,
-    alias: AliasMode,
+impl<'r> Merged<'r> {
+    /// Renders the merged report from decided records and writes it to
+    /// `--report` when asked. The output is deterministic — submission
+    /// order, no attempt counts or timings, payloads that are pure
+    /// functions of each module — so a resumed batch, and a multi-process
+    /// sweep, are byte-identical to an uninterrupted single-process run.
+    /// Sweep uses this renderer verbatim (including `"command":"batch"`):
+    /// the report describes *what was decided*, not which topology
+    /// decided it.
+    fn new(
+        flags: &[Flag],
+        records: &'r [JobRecord<String>],
+        quarantined: usize,
+    ) -> Result<Merged<'r>, String> {
+        let mut total_bugs = 0usize;
+        let mut report = String::from("{\"version\":1,\"command\":\"batch\",\"modules\":[");
+        for (i, rec) in records.iter().enumerate() {
+            if i > 0 {
+                report.push(',');
+            }
+            match &rec.payload {
+                Some(p) => {
+                    total_bugs += payload_bugs(p);
+                    report.push_str(p);
+                }
+                None => {
+                    report.push_str("{\"module\":\"");
+                    escape_json(&rec.id, &mut report);
+                    report.push_str("\",\"quarantined\":true,\"message\":\"");
+                    if let Some(inc) = &rec.incident {
+                        escape_json(&inc.message, &mut report);
+                    }
+                    // The flight-recorder dump rides along unconditionally:
+                    // it is deterministic (attempt lifecycle only, no wall
+                    // times), so the report stays byte-identical whether or
+                    // not observability flags were passed.
+                    report.push_str("\",\"flight\":[");
+                    if let Some(inc) = &rec.incident {
+                        for (i, line) in inc.flight.iter().enumerate() {
+                            if i > 0 {
+                                report.push(',');
+                            }
+                            report.push('"');
+                            escape_json(line, &mut report);
+                            report.push('"');
+                        }
+                    }
+                    report.push_str("]}");
+                }
+            }
+        }
+        report.push_str("],\"total_bugs\":");
+        report.push_str(&total_bugs.to_string());
+        report.push_str(",\"quarantined\":");
+        report.push_str(&quarantined.to_string());
+        report.push('}');
+        if let Some(path) = flag_value(flags, "report") {
+            write_out(path, &format!("{report}\n"))?;
+        }
+        Ok(Merged {
+            records,
+            quarantined,
+            report,
+            total_bugs,
+        })
+    }
+
+    /// Prints the outcome — the merged report under `--json` (with
+    /// `--stats` folded in), otherwise `header`, one line per module
+    /// (`--explain` adds each quarantined job's flight recorder) and the
+    /// total — and returns the run's exit code.
+    fn print(&self, flags: &[Flag], header: &str, stats: &Stats) -> ExitCode {
+        let want_stats = has_flag(flags, "stats");
+        if has_flag(flags, "json") {
+            if want_stats {
+                let mut with_stats = self.report[..self.report.len() - 1].to_string();
+                with_stats.push_str(",\"stats\":");
+                with_stats.push_str(&render_stats_json(stats));
+                with_stats.push('}');
+                println!("{with_stats}");
+            } else {
+                println!("{}", self.report);
+            }
+        } else {
+            println!("{header}");
+            for rec in self.records {
+                match &rec.payload {
+                    Some(p) => println!("  {}: {} bug(s)", rec.id, payload_bugs(p)),
+                    None => {
+                        let why = rec.incident.as_ref().map_or("", |inc| inc.message.as_str());
+                        println!("  {}: quarantined — {why}", rec.id);
+                        if has_flag(flags, "explain") {
+                            if let Some(inc) = &rec.incident {
+                                print!("{}", inc.render());
+                            }
+                        }
+                    }
+                }
+            }
+            println!("total: {} bug(s)", self.total_bugs);
+            if want_stats {
+                print!("{}", stats.render_text());
+            }
+        }
+        exit_status(
+            self.total_bugs > 0,
+            self.quarantined,
+            has_flag(flags, "strict"),
+        )
+    }
+}
+
+/// How often to redraw the live `--progress` line, if it is drawn at all:
+/// only on a terminal stderr, and never under `--json`.
+fn progress_every(flags: &[Flag]) -> Option<Duration> {
+    (has_flag(flags, "progress")
+        && !has_flag(flags, "json")
+        && std::io::IsTerminal::is_terminal(&std::io::stderr()))
+    .then_some(Duration::from_millis(100))
+}
+
+/// Redraws the live progress line in place on stderr.
+fn draw_progress(snap: &ProgressSnapshot) {
+    use std::io::Write;
+    let mut err = std::io::stderr().lock();
+    let _ = write!(err, "\r\x1b[K{}", snap.render_line());
+    let _ = err.flush();
+}
+
+/// One batch job: check the module at `path` and return a self-contained
+/// JSON payload. Failures surface as `Err` so the engine retries
+/// (transient, e.g. injected faults) or quarantines (deterministic, e.g. a
+/// syntax error) the module instead of killing the run.
+fn batch_job(
+    path: String,
+    base: DetectorConfig,
     telemetry: &Telemetry,
-    bus: &Option<Arc<EventBus>>,
-    ctx: &JobCtx,
-) -> Result<String, String> {
-    let src = read_source(path)?;
-    let started = std::time::Instant::now();
-    let module = gcatch_suite::ir::lower_source(&src)?;
-    let gcatch = GCatch::with_options(&module, TraceLevel::Off, alias);
-    // The flight recorder is always attached (its lines feed the
-    // quarantine postmortem, which must be byte-identical whether or not
-    // --events-out was passed); the bus only when the run armed one.
-    let config = DetectorConfig {
-        cancel: Some(ctx.cancel.clone()),
-        obs: ObsScope {
-            bus: bus.clone(),
-            flight: Some(ctx.flight.clone()),
-            job: Some(ctx.job_id.clone()),
-            group: Some(ctx.index as u64),
-            attempt: Some(ctx.attempt),
-        },
-        ..base.clone()
+    bus: Option<Arc<EventBus>>,
+) -> BatchJob<'_, String> {
+    BatchJob::new(path.clone(), move |ctx| {
+        let src = read_source(&path)?;
+        // The flight recorder is always attached (its lines feed the
+        // quarantine postmortem, which must be byte-identical whether or
+        // not --events-out was passed); the bus only when the run armed one.
+        let config = DetectorConfig {
+            cancel: Some(ctx.cancel.clone()),
+            obs: ObsScope {
+                bus: bus.clone(),
+                flight: Some(ctx.flight.clone()),
+                job: Some(ctx.job_id.clone()),
+                group: Some(ctx.index as u64),
+                attempt: Some(ctx.attempt),
+            },
+            ..base.clone()
+        };
+        let checked = check_module(&src, TraceLevel::Off, &config, &Selection::default())?;
+        // An injected fault contained by an inner degradation rung would
+        // leave a partial report behind; surface it as a failed attempt so
+        // the retry produces a clean, deterministic payload instead.
+        if let Some(inc) = checked
+            .incidents
+            .iter()
+            .find(|i| faults::is_injected(&i.message))
+        {
+            return Err(inc.message.clone());
+        }
+        // A hedge twin that lost the race ran under a fired cancel token;
+        // its partial results must never win, so degrade them to a failed
+        // attempt.
+        if ctx.cancel.is_cancelled() {
+            return Err("cancelled mid-run".to_string());
+        }
+        telemetry.absorb(&checked.stats);
+        let mut payload = String::from("{\"module\":\"");
+        escape_json(&path, &mut payload);
+        payload.push_str("\",\"bugs\":");
+        payload.push_str(&checked.diagnostics.len().to_string());
+        payload.push_str(",\"report\":");
+        payload.push_str(&render_json_with(
+            &checked.diagnostics,
+            None,
+            &checked.incidents,
+        ));
+        payload.push('}');
+        Ok(payload)
+    })
+}
+
+/// The engine configuration batch jobs are decided under. Every
+/// record-shaping knob (attempt budget, backoff schedule, fault plan)
+/// comes from the same flags for `batch` and a sweep worker; only the
+/// topology differs. `batch` runs `--jobs` workers (0 = all cores) and
+/// hedges stragglers. A sweep worker runs one job at a time and never
+/// hedges, so each decision is a pure function of its module: this is
+/// what makes the merged sweep report byte-identical to
+/// `gcatch batch --no-hedge` regardless of fleet size, kills, or
+/// re-leases.
+fn engine_config(flags: &[Flag], sweep_worker: bool) -> Result<BatchConfig, String> {
+    let (plan, fault_seed) = fault_plan(flags)?;
+    let max_attempts = parse_flag(flags, "max-attempts")?.unwrap_or(3);
+    if max_attempts == 0 {
+        return Err("--max-attempts must be at least 1".into());
+    }
+    let mut batch = BatchConfig {
+        workers: 1,
+        max_attempts,
+        hedge: None,
+        faults: plan.map(Arc::new),
+        ..BatchConfig::default()
     };
-    let diagnostics = gcatch.diagnostics(&config, &Selection::default());
-    let incidents = gcatch.incidents();
-    // An injected fault contained by an inner degradation rung would leave
-    // a partial report behind; surface it as a failed attempt so the retry
-    // produces a clean, deterministic payload instead.
-    if let Some(inc) = incidents.iter().find(|i| faults::is_injected(&i.message)) {
-        return Err(inc.message.clone());
+    if !sweep_worker {
+        batch.workers = match parse_flag(flags, "jobs")?.unwrap_or(0) {
+            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+            n => n,
+        };
     }
-    // A hedge twin that lost the race ran under a fired cancel token; its
-    // partial results must never win, so degrade them to a failed attempt.
-    if ctx.cancel.is_cancelled() {
-        return Err("cancelled mid-run".to_string());
+    if let Some(ms) = parse_flag(flags, "backoff-ms")? {
+        batch.backoff.base = Duration::from_millis(ms);
     }
-    gcatch
-        .session()
-        .telemetry()
-        .observe(Metric::ModuleWallNs, started.elapsed().as_nanos() as u64);
-    telemetry.absorb(&gcatch.stats());
-    let mut payload = String::from("{\"module\":\"");
-    escape_json(path, &mut payload);
-    payload.push_str("\",\"bugs\":");
-    payload.push_str(&diagnostics.len().to_string());
-    payload.push_str(",\"report\":");
-    payload.push_str(&render_json_with(&diagnostics, None, &incidents));
-    payload.push('}');
-    Ok(payload)
+    batch.backoff.seed = fault_seed.unwrap_or(0);
+    if !sweep_worker && !has_flag(flags, "no-hedge") {
+        let mut hedge = HedgePolicy::default();
+        if let Some(ms) = parse_flag(flags, "hedge-ms")? {
+            hedge.min_age = Duration::from_millis(ms);
+        }
+        batch.hedge = Some(hedge);
+    }
+    Ok(batch)
 }
 
 fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
@@ -1028,62 +1165,11 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     );
     let (inputs, flags) = parse_multi(rest, &spec)?;
     let modules = expand_modules(&inputs)?;
-    let json = has_flag(&flags, "json");
-    let want_stats = has_flag(&flags, "stats");
-    let strict = has_flag(&flags, "strict");
-    let explain = has_flag(&flags, "explain");
     let trace_path = flag_value(&flags, "trace");
     let level = trace_level(trace_path)?;
-    let metrics_out = flag_value(&flags, "metrics-out");
-    let events_out = flag_value(&flags, "events-out");
-    let zero_time = obs_zero_time();
-    let bus =
-        events_out.map(|_| Arc::new(EventBus::new(derive_run_id(&modules, zero_time), zero_time)));
-    if let Some(bus) = &bus {
-        // Worker count is deliberately absent: the stream must be
-        // byte-identical across --jobs once timestamps are normalized.
-        bus.emit(run_event(
-            EventKind::RunStart,
-            vec![("modules", Field::U64(modules.len() as u64))],
-        ));
-    }
-
-    let (plan, fault_seed) = fault_plan(&flags)?;
-
-    let max_attempts = parse_u64_flag(&flags, "max-attempts")?.unwrap_or(3);
-    if max_attempts == 0 {
-        return Err("--max-attempts must be at least 1".into());
-    }
-    let workers = match parse_jobs(&flags)? {
-        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-        n => n,
-    };
-    let mut batch = BatchConfig {
-        workers,
-        max_attempts: max_attempts as u32,
-        ..BatchConfig::default()
-    };
-    if let Some(ms) = parse_u64_flag(&flags, "backoff-ms")? {
-        batch.backoff.base = Duration::from_millis(ms);
-    }
-    batch.backoff.seed = fault_seed.unwrap_or(0);
-    batch.hedge = if has_flag(&flags, "no-hedge") {
-        None
-    } else {
-        let mut hedge = HedgePolicy::default();
-        if let Some(ms) = parse_u64_flag(&flags, "hedge-ms")? {
-            hedge.min_age = Duration::from_millis(ms);
-        }
-        Some(hedge)
-    };
-    batch.faults = plan.map(Arc::new);
-
-    // Each job runs its analysis single-threaded: the fault schedule keys
-    // on deterministic per-channel decisions, and parallelism comes from
-    // the worker pool above instead.
-    let mut base = budget_config(&flags)?;
-    base.jobs = 1;
-    let alias = alias_mode(&flags)?;
+    let sinks = Sinks::open(&flags, &modules, modules.len());
+    let batch = engine_config(&flags, false)?;
+    let base = analysis_config(&flags, false)?;
 
     let journal_flag = flag_value(&flags, "journal");
     let resume_flag = flag_value(&flags, "resume");
@@ -1107,41 +1193,21 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     let tracer = Tracer::new(level);
     let jobs: Vec<BatchJob<String>> = modules
         .iter()
-        .map(|path| {
-            let base = base.clone();
-            let telemetry = &telemetry;
-            let path = path.clone();
-            let bus = bus.clone();
-            BatchJob::new(path.clone(), move |ctx| {
-                run_batch_module(&path, &base, alias, telemetry, &bus, ctx)
-            })
-        })
+        .map(|path| batch_job(path.clone(), base.clone(), &telemetry, sinks.bus.clone()))
         .collect();
     let mut engine = BatchEngine::new(batch, &telemetry, &tracer);
-    if let Some(bus) = &bus {
+    if let Some(bus) = &sinks.bus {
         engine = engine.with_events(bus);
     }
-    let progress = has_flag(&flags, "progress")
-        && !json
-        && std::io::IsTerminal::is_terminal(&std::io::stderr());
-    if progress {
-        engine = engine.with_progress(
-            |snap| {
-                use std::io::Write;
-                let mut err = std::io::stderr().lock();
-                let _ = write!(err, "\r\x1b[K{}", snap.render_line());
-                let _ = err.flush();
-            },
-            Duration::from_millis(100),
-        );
+    let progress = progress_every(&flags);
+    if let Some(every) = progress {
+        engine = engine.with_progress(draw_progress, every);
     }
     let journal = journal
         .as_ref()
         .map(|j| (j, String::clone as fn(&String) -> String));
-    let outcome = with_live_metrics(metrics_out, &telemetry, zero_time, || {
-        engine.run(&jobs, journal, restored)
-    });
-    if progress {
+    let outcome = sinks.live(&telemetry, || engine.run(&jobs, journal, restored));
+    if progress.is_some() {
         eprint!("\r\x1b[K");
     }
     drop(jobs);
@@ -1152,72 +1218,26 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
         eprintln!("gcatch: warning: journal write failed: {err}");
     }
 
-    let (report, total_bugs) = render_batch_report(&outcome.records, outcome.quarantined);
-
-    if let Some(path) = flag_value(&flags, "report") {
-        write_out(path, &format!("{report}\n"))?;
-    }
+    let merged = Merged::new(&flags, &outcome.records, outcome.quarantined)?;
     let stats = telemetry.snapshot();
-    if let Some(mp) = metrics_out {
-        write_sink(mp, &render_prometheus(&stats, zero_time));
-    }
-    if let (Some(bus), Some(ep)) = (&bus, events_out) {
-        bus.emit(run_event(
-            EventKind::RunEnd,
-            vec![
-                ("modules", Field::U64(outcome.records.len() as u64)),
-                ("executed", Field::U64(outcome.executed as u64)),
-                ("resumed", Field::U64(outcome.resumed as u64)),
-                ("quarantined", Field::U64(outcome.quarantined as u64)),
-                ("total_bugs", Field::U64(total_bugs as u64)),
-            ],
-        ));
-        write_sink(ep, &bus.render_jsonl());
-    }
-    if json {
-        if want_stats {
-            let mut with_stats = report[..report.len() - 1].to_string();
-            with_stats.push_str(",\"stats\":");
-            with_stats.push_str(&render_stats_json(&stats));
-            with_stats.push('}');
-            println!("{with_stats}");
-        } else {
-            println!("{report}");
-        }
-    } else {
-        println!(
-            "batch: {} module(s) — {} executed, {} resumed, {} quarantined",
-            outcome.records.len(),
-            outcome.executed,
-            outcome.resumed,
-            outcome.quarantined
-        );
-        for rec in &outcome.records {
-            match &rec.payload {
-                Some(p) => println!("  {}: {} bug(s)", rec.id, payload_bugs(p)),
-                None => {
-                    let why = rec.incident.as_ref().map_or("", |inc| inc.message.as_str());
-                    println!("  {}: quarantined — {why}", rec.id);
-                    if explain {
-                        if let Some(inc) = &rec.incident {
-                            print!("{}", inc.render());
-                        }
-                    }
-                }
-            }
-        }
-        println!("total: {total_bugs} bug(s)");
-        if want_stats {
-            print!("{}", stats.render_text());
-        }
-    }
-    Ok(if strict && outcome.quarantined > 0 {
-        ExitCode::from(2)
-    } else if total_bugs > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
+    sinks.close(
+        &stats,
+        vec![
+            ("modules", Field::U64(outcome.records.len() as u64)),
+            ("executed", Field::U64(outcome.executed as u64)),
+            ("resumed", Field::U64(outcome.resumed as u64)),
+            ("quarantined", Field::U64(outcome.quarantined as u64)),
+            ("total_bugs", Field::U64(merged.total_bugs as u64)),
+        ],
+    );
+    let header = format!(
+        "batch: {} module(s) — {} executed, {} resumed, {} quarantined",
+        outcome.records.len(),
+        outcome.executed,
+        outcome.resumed,
+        outcome.quarantined
+    );
+    Ok(merged.print(&flags, &header, &stats))
 }
 
 /// Exec-layer flags shared by `batch`, `sweep`, and `worker`: everything
@@ -1232,17 +1252,12 @@ fn exec_flags() -> Vec<FlagSpec> {
     )
 }
 
-/// Resolves the fault plan shared by batch/sweep/worker: CLI flags
+/// Resolves the fault plan shared by batch/sweep/worker/serve: CLI flags
 /// override the `GCATCH_FAULT_*` environment. Also returns the CLI
 /// `--fault-seed` (it doubles as the retry-backoff seed).
 fn fault_plan(flags: &[Flag]) -> Result<(Option<FaultPlan>, Option<u64>), String> {
-    let fault_rate = flag_value(flags, "inject-faults")
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("bad --inject-faults: {e}"))
-        })
-        .transpose()?;
-    let fault_seed = parse_u64_flag(flags, "fault-seed")?;
+    let fault_rate: Option<f64> = parse_flag(flags, "inject-faults")?;
+    let fault_seed = parse_flag(flags, "fault-seed")?;
     if fault_seed.is_some() && fault_rate.is_none() {
         return Err("--fault-seed needs --inject-faults".into());
     }
@@ -1258,36 +1273,7 @@ fn fault_plan(flags: &[Flag]) -> Result<(Option<FaultPlan>, Option<u64>), String
     Ok((plan, fault_seed))
 }
 
-/// The engine configuration a sweep worker runs each claimed job under:
-/// identical to `cmd_batch`'s in every record-shaping knob, pinned to one
-/// thread and no hedging so each decision is a pure function of its
-/// module. This is what makes the merged sweep report byte-identical to
-/// `gcatch batch --no-hedge` regardless of fleet size, kills, or
-/// re-leases.
-fn worker_engine_config(
-    flags: &[Flag],
-    plan: Option<Arc<FaultPlan>>,
-    fault_seed: Option<u64>,
-) -> Result<BatchConfig, String> {
-    let max_attempts = parse_u64_flag(flags, "max-attempts")?.unwrap_or(3);
-    if max_attempts == 0 {
-        return Err("--max-attempts must be at least 1".into());
-    }
-    let mut batch = BatchConfig {
-        workers: 1,
-        max_attempts: max_attempts as u32,
-        ..BatchConfig::default()
-    };
-    if let Some(ms) = parse_u64_flag(flags, "backoff-ms")? {
-        batch.backoff.base = Duration::from_millis(ms);
-    }
-    batch.backoff.seed = fault_seed.unwrap_or(0);
-    batch.hedge = None;
-    batch.faults = plan;
-    Ok(batch)
-}
-
-/// The subset of `flags` in [`EXEC_FLAGS`], re-rendered as command-line
+/// The subset of `flags` in [`exec_flags`], re-rendered as command-line
 /// arguments for a spawned worker process.
 fn forward_exec_flags(flags: &[Flag]) -> Vec<String> {
     let exec = exec_flags();
@@ -1303,6 +1289,15 @@ fn forward_exec_flags(flags: &[Flag]) -> Vec<String> {
     out
 }
 
+/// How long a sweep lease runs before it must be renewed (`--lease-ms`,
+/// default 1 s, at least 20 ms). The coordinator passes its value to
+/// every worker it spawns.
+fn lease(flags: &[Flag]) -> Result<Duration, String> {
+    Ok(Duration::from_millis(
+        parse_flag(flags, "lease-ms")?.unwrap_or(1_000).max(20),
+    ))
+}
+
 /// One sweep worker process (spawned by `gcatch sweep`): claims jobs from
 /// the on-disk lease queue and runs each through a single-job batch
 /// engine that journals the decided record to this worker's own journal.
@@ -1316,36 +1311,25 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
     let id = flag_value(&flags, "id")
         .ok_or("worker needs --id")?
         .to_string();
-    let lease = Duration::from_millis(parse_u64_flag(&flags, "lease-ms")?.unwrap_or(1_000).max(20));
+    let lease = lease(&flags)?;
 
     let layout = SweepLayout::new(dir);
     let ids = read_manifest(&layout)?;
-    let (plan, fault_seed) = fault_plan(&flags)?;
-    let plan = plan.map(Arc::new);
-    let batch = worker_engine_config(&flags, plan.clone(), fault_seed)?;
-    let mut base = budget_config(&flags)?;
-    base.jobs = 1;
-    let alias = alias_mode(&flags)?;
+    let batch = engine_config(&flags, true)?;
+    let base = analysis_config(&flags, false)?;
 
     let journal = Journal::create(&layout.journal_path(&id), &ids)
         .map_err(|e| format!("cannot create worker journal: {e}"))?;
     let telemetry = Telemetry::new();
     let tracer = Tracer::new(TraceLevel::Off);
-    let bus: Option<Arc<EventBus>> = None;
     let config = WorkerConfig {
         id,
         lease,
         poll: Duration::from_millis(10),
-        plan,
+        plan: batch.faults.clone(),
     };
     run_worker(&layout, &ids, &config, |_, module| {
-        let path = module.to_string();
-        let job = BatchJob::new(path.clone(), {
-            let base = base.clone();
-            let bus = bus.clone();
-            let telemetry = &telemetry;
-            move |ctx| run_batch_module(&path, &base, alias, telemetry, &bus, ctx)
-        });
+        let job = batch_job(module.to_string(), base.clone(), &telemetry, None);
         let engine = BatchEngine::new(batch.clone(), &telemetry, &tracer);
         let outcome = engine.run(&[job], Some((&journal, String::clone)), BTreeMap::new());
         match outcome.journal_error {
@@ -1370,25 +1354,18 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
     );
     let (inputs, flags) = parse_multi(rest, &spec)?;
     let modules = expand_modules(&inputs)?;
-    let json = has_flag(&flags, "json");
-    let want_stats = has_flag(&flags, "stats");
-    let strict = has_flag(&flags, "strict");
-    let metrics_out = flag_value(&flags, "metrics-out");
-    let events_out = flag_value(&flags, "events-out");
 
     // Validate every exec-layer flag up front so usage errors surface
     // here, with exit code 2, instead of inside a spawned worker.
-    let (plan, fault_seed) = fault_plan(&flags)?;
-    worker_engine_config(&flags, plan.map(Arc::new), fault_seed)?;
-    budget_config(&flags)?;
-    alias_mode(&flags)?;
+    engine_config(&flags, true)?;
+    analysis_config(&flags, false)?;
 
-    let workers = match parse_u64_flag(&flags, "workers")?.unwrap_or(4) {
+    let workers = match parse_flag(&flags, "workers")?.unwrap_or(4) {
         0 => return Err("--workers must be at least 1".into()),
-        n => n as usize,
+        n => n,
     };
-    let lease_ms = parse_u64_flag(&flags, "lease-ms")?.unwrap_or(1_000).max(20);
-    let max_releases = parse_u64_flag(&flags, "max-releases")?.unwrap_or(3);
+    let lease = lease(&flags)?;
+    let max_releases = parse_flag(&flags, "max-releases")?.unwrap_or(3);
 
     // The sweep directory: caller-provided (kept afterwards, must be
     // fresh) or an ephemeral temp directory (removed after the run).
@@ -1409,18 +1386,8 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
         .map_err(|e| format!("cannot create sweep directory {}: {e}", root.display()))?;
     write_manifest(&layout, &modules).map_err(|e| format!("cannot write sweep manifest: {e}"))?;
 
-    let zero_time = obs_zero_time();
-    let bus =
-        events_out.map(|_| Arc::new(EventBus::new(derive_run_id(&modules, zero_time), zero_time)));
-    if let Some(bus) = &bus {
-        bus.emit(run_event(
-            EventKind::RunStart,
-            vec![("modules", Field::U64(modules.len() as u64))],
-        ));
-    }
-
+    let sinks = Sinks::open(&flags, &modules, modules.len());
     let telemetry = Telemetry::new();
-    let lease = Duration::from_millis(lease_ms);
     let config = SweepConfig {
         workers,
         lease,
@@ -1429,22 +1396,12 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
         stale_after: lease * 4,
     };
     let mut coordinator = Coordinator::new(layout.clone(), modules.clone(), config, &telemetry);
-    if let Some(bus) = &bus {
+    if let Some(bus) = &sinks.bus {
         coordinator = coordinator.with_events(bus);
     }
-    let progress = has_flag(&flags, "progress")
-        && !json
-        && std::io::IsTerminal::is_terminal(&std::io::stderr());
-    if progress {
-        coordinator = coordinator.with_progress(
-            |snap| {
-                use std::io::Write;
-                let mut err = std::io::stderr().lock();
-                let _ = write!(err, "\r\x1b[K{}", snap.render_line());
-                let _ = err.flush();
-            },
-            Duration::from_millis(100),
-        );
+    let progress = progress_every(&flags);
+    if let Some(every) = progress {
+        coordinator = coordinator.with_progress(draw_progress, every);
     }
 
     let exe =
@@ -1458,13 +1415,13 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
             .arg("--id")
             .arg(name)
             .arg("--lease-ms")
-            .arg(lease_ms.to_string())
+            .arg(lease.as_millis().to_string())
             .args(&forwarded)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::inherit())
             .spawn()
     })?;
-    if progress {
+    if progress.is_some() {
         eprint!("\r\x1b[K");
     }
 
@@ -1481,62 +1438,28 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
 
     let records = &outcome.merge.records;
     let quarantined = records.iter().filter(|r| r.payload.is_none()).count();
-    let (report, total_bugs) = render_batch_report(records, quarantined);
-
-    if let Some(path) = flag_value(&flags, "report") {
-        write_out(path, &format!("{report}\n"))?;
-    }
+    let merged = Merged::new(&flags, records, quarantined)?;
     let stats = telemetry.snapshot();
-    if let Some(mp) = metrics_out {
-        write_sink(mp, &render_prometheus(&stats, zero_time));
-    }
-    if let (Some(bus), Some(ep)) = (&bus, events_out) {
-        bus.emit(run_event(
-            EventKind::RunEnd,
-            vec![
-                ("modules", Field::U64(records.len() as u64)),
-                ("quarantined", Field::U64(quarantined as u64)),
-                ("total_bugs", Field::U64(total_bugs as u64)),
-                ("workers_spawned", Field::U64(outcome.workers_spawned)),
-                ("workers_lost", Field::U64(outcome.workers_lost)),
-                ("releases", Field::U64(outcome.jobs_releases)),
-            ],
-        ));
-        write_sink(ep, &bus.render_jsonl());
-    }
-    if json {
-        if want_stats {
-            let mut with_stats = report[..report.len() - 1].to_string();
-            with_stats.push_str(",\"stats\":");
-            with_stats.push_str(&render_stats_json(&stats));
-            with_stats.push('}');
-            println!("{with_stats}");
-        } else {
-            println!("{report}");
-        }
-    } else {
-        println!(
-            "sweep: {} module(s) — {} workers spawned, {} lost, {} releases, {} quarantined",
-            records.len(),
-            outcome.workers_spawned,
-            outcome.workers_lost,
-            outcome.jobs_releases,
-            quarantined
-        );
-        for rec in records.iter() {
-            match &rec.payload {
-                Some(p) => println!("  {}: {} bug(s)", rec.id, payload_bugs(p)),
-                None => {
-                    let why = rec.incident.as_ref().map_or("", |inc| inc.message.as_str());
-                    println!("  {}: quarantined — {why}", rec.id);
-                }
-            }
-        }
-        println!("total: {total_bugs} bug(s)");
-        if want_stats {
-            print!("{}", stats.render_text());
-        }
-    }
+    sinks.close(
+        &stats,
+        vec![
+            ("modules", Field::U64(records.len() as u64)),
+            ("quarantined", Field::U64(quarantined as u64)),
+            ("total_bugs", Field::U64(merged.total_bugs as u64)),
+            ("workers_spawned", Field::U64(outcome.workers_spawned)),
+            ("workers_lost", Field::U64(outcome.workers_lost)),
+            ("releases", Field::U64(outcome.jobs_releases)),
+        ],
+    );
+    let header = format!(
+        "sweep: {} module(s) — {} workers spawned, {} lost, {} releases, {} quarantined",
+        records.len(),
+        outcome.workers_spawned,
+        outcome.workers_lost,
+        outcome.jobs_releases,
+        quarantined
+    );
+    let code = merged.print(&flags, &header, &stats);
     if outcome.interrupted {
         eprintln!(
             "gcatch: sweep interrupted — {} decided job(s) merged, {} undecided",
@@ -1547,16 +1470,12 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
     if ephemeral {
         let _ = std::fs::remove_dir_all(&root);
     }
+    // The conventional 128 + SIGINT exit for a run wound down early;
+    // decided work was merged and reported above.
     Ok(if outcome.interrupted {
-        // The conventional 128 + SIGINT exit for a run wound down early;
-        // decided work was merged and reported above.
         ExitCode::from(130)
-    } else if strict && quarantined > 0 {
-        ExitCode::from(2)
-    } else if total_bugs > 0 {
-        ExitCode::FAILURE
     } else {
-        ExitCode::SUCCESS
+        code
     })
 }
 
@@ -1589,7 +1508,6 @@ fn serve_execute(
     source: &str,
     budget: &Budget,
     base: &DetectorConfig,
-    alias: AliasMode,
 ) -> Result<String, String> {
     // The request deadline flows into the analysis budget, so a slow
     // module degrades through the usual rungs instead of running
@@ -1601,19 +1519,18 @@ fn serve_execute(
     }
     match op {
         WorkKind::Check => {
-            let module = gcatch_suite::ir::lower_source(source)?;
-            let gcatch = GCatch::with_options(&module, TraceLevel::Off, alias);
-            let diagnostics = gcatch.diagnostics(&config, &Selection::default());
-            let incidents = gcatch.incidents();
-            Ok(render_json_with(&diagnostics, None, &incidents))
+            let checked = check_module(source, TraceLevel::Off, &config, &Selection::default())?;
+            Ok(render_json_with(
+                &checked.diagnostics,
+                None,
+                &checked.incidents,
+            ))
         }
         WorkKind::Explain => {
-            let module = gcatch_suite::ir::lower_source(source)?;
-            let gcatch = GCatch::with_options(&module, TraceLevel::Off, alias);
-            let diagnostics = gcatch.diagnostics(&config, &Selection::default());
-            let text = render_explain(&diagnostics);
+            let checked = check_module(source, TraceLevel::Off, &config, &Selection::default())?;
+            let text = render_explain(&checked.diagnostics);
             let mut out = String::from("{\"diagnostics\":");
-            out.push_str(&diagnostics.len().to_string());
+            out.push_str(&checked.diagnostics.len().to_string());
             out.push_str(",\"explain\":\"");
             escape_json(&text, &mut out);
             out.push_str("\"}");
@@ -1667,33 +1584,14 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         return Err("serve needs --socket PATH or --stdio".into());
     }
     let (plan, _fault_seed) = fault_plan(&flags)?;
-    // Each request analyzes single-threaded (parallelism comes from the
-    // daemon's own pool), keeping fault schedules and reports identical
-    // to single-shot runs.
-    let mut base = budget_config(&flags)?;
-    base.jobs = 1;
-    let alias = alias_mode(&flags)?;
-    let workers = parse_u64_flag(&flags, "workers")?.unwrap_or(4).max(1) as usize;
-    let max_queue = parse_u64_flag(&flags, "max-queue")?.unwrap_or(64) as usize;
-    let request_timeout = parse_u64_flag(&flags, "request-timeout-ms")?.map(Duration::from_millis);
-    let cache_capacity = parse_u64_flag(&flags, "max-cache")?.unwrap_or(512).max(1) as usize;
-    let max_sessions = parse_u64_flag(&flags, "max-sessions")?.unwrap_or(8) as usize;
+    let base = analysis_config(&flags, false)?;
+    let workers: usize = parse_flag(&flags, "workers")?.unwrap_or(4).max(1);
+    let max_queue = parse_flag(&flags, "max-queue")?.unwrap_or(64);
+    let request_timeout = parse_flag(&flags, "request-timeout-ms")?.map(Duration::from_millis);
+    let cache_capacity: usize = parse_flag(&flags, "max-cache")?.unwrap_or(512).max(1);
+    let max_sessions: usize = parse_flag(&flags, "max-sessions")?.unwrap_or(8);
     let cache_dir = flag_value(&flags, "cache-dir").map(std::path::PathBuf::from);
-    let metrics_out = flag_value(&flags, "metrics-out");
-    let events_out = flag_value(&flags, "events-out");
-    let zero_time = obs_zero_time();
-    let bus = events_out.map(|_| {
-        Arc::new(EventBus::new(
-            derive_run_id(&["serve".to_string()], zero_time),
-            zero_time,
-        ))
-    });
-    if let Some(bus) = &bus {
-        bus.emit(run_event(
-            EventKind::RunStart,
-            vec![("modules", Field::U64(0))],
-        ));
-    }
+    let sinks = Sinks::open(&flags, &["serve".to_string()], 0);
 
     // Warm-session eligibility. Sessions carry analysis artifacts across
     // requests, so they are only sound when every request computes the
@@ -1711,7 +1609,7 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         && base.solver_step_pool.is_none()
         && base.disentangle;
     let warm_store = (max_sessions > 0 && warm_plan_ok && warm_base_ok)
-        .then(|| Arc::new(gcatch_suite::gcatch::WarmSessions::new(max_sessions)));
+        .then(|| Arc::new(WarmSessions::new(max_sessions)));
 
     let config = ServeConfig {
         workers,
@@ -1730,68 +1628,55 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         // into (or replayed from) a session.
         if op == WorkKind::Check && budget.deadline().is_none() {
             if let Some(store) = warm_store.as_deref() {
-                let outcome = gcatch_suite::gcatch::warm_check(store, path, source, &base, alias)?;
+                let outcome = warm_check(store, path, source, &base, AliasMode::default())?;
                 if outcome.reused {
                     telemetry.add(Counter::SessionsReused, 1);
                 }
                 telemetry.add(Counter::ChannelsReplayed, outcome.replayed);
                 telemetry.add(Counter::ChannelsReanalyzed, outcome.reanalyzed);
                 telemetry.add(Counter::SessionEvictions, outcome.evicted);
-                if let Some(bus) = &bus {
+                if let Some(bus) = &sinks.bus {
                     if outcome.reused {
-                        bus.emit(Event {
-                            kind: EventKind::SessionReuse,
-                            group: 0,
-                            job: Some(path.to_string()),
-                            attempt: None,
-                            channel: None,
-                            fields: vec![
+                        bus.emit(run_event(
+                            EventKind::SessionReuse,
+                            Some(path),
+                            vec![
                                 ("replayed", Field::U64(outcome.replayed)),
                                 ("reanalyzed", Field::U64(outcome.reanalyzed)),
                             ],
-                        });
+                        ));
                     }
                     if outcome.evicted > 0 || outcome.fault_evicted {
-                        bus.emit(Event {
-                            kind: EventKind::SessionEvict,
-                            group: 0,
-                            job: Some(path.to_string()),
-                            attempt: None,
-                            channel: None,
-                            fields: vec![
+                        bus.emit(run_event(
+                            EventKind::SessionEvict,
+                            Some(path),
+                            vec![
                                 ("evicted", Field::U64(outcome.evicted)),
                                 ("fault", Field::Bool(outcome.fault_evicted)),
                             ],
-                        });
+                        ));
                     }
                 }
                 return Ok(outcome.json);
             }
         }
-        serve_execute(op, source, budget, &base, alias)
+        serve_execute(op, source, budget, &base)
     };
 
-    let summary = with_live_metrics(metrics_out, &telemetry, zero_time, || match &socket {
-        Some(path) => serve_socket(path, &config, &executor, &telemetry, bus.clone()),
-        None => serve_stdio(&config, &executor, &telemetry, bus.clone()),
+    let summary = sinks.live(&telemetry, || match &socket {
+        Some(path) => serve_socket(path, &config, &executor, &telemetry, sinks.bus.clone()),
+        None => serve_stdio(&config, &executor, &telemetry, sinks.bus.clone()),
     })?;
 
-    let stats = telemetry.snapshot();
-    if let Some(mp) = metrics_out {
-        write_sink(mp, &render_prometheus(&stats, zero_time));
-    }
-    if let (Some(bus), Some(ep)) = (&bus, events_out) {
-        bus.emit(run_event(
-            EventKind::RunEnd,
-            vec![
-                ("requests", Field::U64(summary.requests)),
-                ("shed", Field::U64(summary.shed)),
-                ("failed", Field::U64(summary.failed)),
-                ("cache_hits", Field::U64(summary.cache_hits)),
-            ],
-        ));
-        write_sink(ep, &bus.render_jsonl());
-    }
+    sinks.close(
+        &telemetry.snapshot(),
+        vec![
+            ("requests", Field::U64(summary.requests)),
+            ("shed", Field::U64(summary.shed)),
+            ("failed", Field::U64(summary.failed)),
+            ("cache_hits", Field::U64(summary.cache_hits)),
+        ],
+    );
     // The summary goes to stderr: in --stdio mode stdout is the protocol
     // stream and must carry response lines only.
     eprintln!(

@@ -2,7 +2,7 @@
 //! alias analysis and cross-channel encoding sharing must be pure
 //! optimizations. Over the example corpus, a stream of random programs,
 //! and an amplified synthetic suite, every combination of
-//! `--alias-mode eager|demand`, sharing on/off, and `--jobs 1|4` must
+//! `AliasMode::{Eager, Demand}`, sharing on/off, and `jobs` 1|4 must
 //! produce byte-identical diagnostics and incident sets.
 
 use bench::amplifier::{expected_leaks, generate, AmpConfig};

@@ -185,6 +185,11 @@ fn unknown_flags_are_rejected_with_exit_2() {
         vec!["simulate", "--strict"],
         vec!["fix", "--solver-steps", "10"],
         vec!["simulate", "--step-pool", "100"],
+        // Solver strategy, alias scheduling and encoding sharing never
+        // change a report, so no command takes them as flags.
+        vec!["check", "--solver-mode", "fresh"],
+        vec!["batch", "--alias-mode", "eager"],
+        vec!["serve", "--no-share-encodings"],
     ] {
         let mut full = args.clone();
         let p = path.to_str().unwrap();
@@ -285,6 +290,28 @@ fn check_jobs_values_agree() {
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     assert_eq!(run("1"), run("8"), "--jobs must not change the diagnostics");
+    std::fs::remove_file(path).ok();
+}
+
+/// A `--timeout` too large for a deadline to hold is no deadline: the
+/// report is the untimed one, byte for byte.
+#[test]
+fn huge_timeout_matches_an_untimed_check() {
+    let path = write_temp("check-huge-timeout", BUGGY);
+    let p = path.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        let mut args = vec!["check", "--json"];
+        args.extend_from_slice(extra);
+        args.push(p);
+        gcatch().args(&args).output().unwrap()
+    };
+    let untimed = run(&[]);
+    let huge = run(&["--timeout", "18446744073709551615"]);
+    assert_eq!(huge.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&huge.stdout),
+        String::from_utf8_lossy(&untimed.stdout)
+    );
     std::fs::remove_file(path).ok();
 }
 
@@ -434,6 +461,8 @@ fn bad_budget_flag_values_exit_2() {
         vec!["check", "--channel-timeout", "-5"],
         vec!["check", "--solver-steps", "many"],
         vec!["extended", "--step-pool", "1.5"],
+        // 2^32 fits a u64 but not the u32 attempt counter.
+        vec!["batch", "--max-attempts", "4294967296"],
     ] {
         let mut full = args.clone();
         full.push(p);

@@ -281,7 +281,7 @@ fn send_on_closed_detector_never_panics() {
         let module = gcatch_suite::ir::lower_source(&src).expect("generated program lowers");
         let gcatch = GCatch::new(&module);
         let _ = gcatch
-            .detector()
+            .session()
             .detect_send_on_closed(&DetectorConfig::default());
     }
 }

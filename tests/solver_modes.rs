@@ -1,7 +1,7 @@
 //! Differential testing of the solver strategies: the incremental
 //! per-channel solver must be a pure optimization. Over the example corpus
-//! and a stream of random programs, `--solver-mode incremental` and
-//! `--solver-mode fresh` must produce byte-identical diagnostics and
+//! and a stream of random programs, `SolverStrategy::Incremental` and
+//! `SolverStrategy::Fresh` must produce byte-identical diagnostics and
 //! incident sets, and the legacy rescan engine must agree on which bugs
 //! exist (its witnesses may pick a different satisfying schedule).
 
