@@ -153,6 +153,9 @@ impl Checker for FatalInChild {
     }
 }
 
+/// The §6 extension: the send-on-closed pass of the per-channel driver
+/// that also runs BMOC, so it shards over `--jobs` and descends the same
+/// degradation ladder.
 struct SendOnClosed;
 
 impl Checker for SendOnClosed {

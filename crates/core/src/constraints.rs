@@ -1,8 +1,8 @@
-//! The BMOC constraint system (§3.4 of the paper).
+//! The BMOC constraint system (§3.4 of the paper) and its §6 extension.
 //!
 //! Given one path combination, this module builds a **guarded** encoding of
 //! `Φ = ΦR ∧ ΦB` over the [`minismt`] constraint language, shared by every
-//! suspicious-group query on that combination:
+//! query on that combination:
 //!
 //! * every event gets an order variable `O`, a guard `kept` (the event
 //!   executes in this scenario), and — for blockable events — a guard `blk`
@@ -25,12 +25,16 @@
 //! * `ΦB` (blocking) asserts every `blk` operation blocks and is ordered
 //!   after every participating event.
 //!
-//! Because all per-group variation lives in the `kept`/`blk` guards, one
-//! encoding serves every group of a combination: each query is a
-//! [`minismt::Solver::solve_under`] call whose assumptions fix the guards.
-//! [`ChannelSolver`] manages that reuse (one persistent solver per channel,
-//! one [`minismt::Solver::push`] scope per combination) and also implements
-//! the fresh-per-query strategies used for differential testing.
+//! A [`Query`] is either a suspicious group (`ΦR ∧ ΦB`: can the group
+//! block forever?) or a §6 (send, close) pair (`ΦR` plus the panic
+//! constraint `O_close < O_send`: can the send run after the close?).
+//! Because all per-query variation lives in the `kept`/`blk` guards and
+//! the pair's order atom, one encoding serves every query of a
+//! combination: each query is a [`minismt::Solver::solve_under`] call whose
+//! assumptions fix them. [`ChannelSolver::check`] answers both kinds and
+//! manages that reuse (one persistent solver per channel, one
+//! [`minismt::Solver::push`] scope per combination); it also implements the
+//! fresh-per-query strategies used for differential testing.
 //!
 //! Mutexes were already rewritten into the channel view (`Lock` = send on a
 //! buffer-1 channel, `Unlock` = receive), so a single encoding covers both.
@@ -41,7 +45,6 @@ use crate::paths::{Event, PathOp};
 use crate::primitives::{OpKind, PrimId, Primitives};
 use crate::report::WitnessStep;
 use crate::resilience::Budget;
-use crate::telemetry::Telemetry;
 use minismt::{Atom, BoolVar, IntVar, SolveResult, Solver, SolverMode, Term};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
@@ -58,12 +61,13 @@ struct Occurrence {
     event: (usize, usize),
 }
 
-/// The verdict for one (combination, group) query.
+/// The verdict for one (combination, query) pair.
 #[derive(Debug)]
 pub enum Verdict {
-    /// A witness interleaving exists: its events in execution order.
+    /// A witness interleaving exists (the group blocks, or the send runs
+    /// after the close): its events in execution order.
     Blocking(Vec<WitnessStep>),
-    /// The group cannot block under this combination.
+    /// No such interleaving exists under this combination.
     Safe,
     /// The solver gave up (budget).
     Unknown,
@@ -95,19 +99,7 @@ impl SolverStrategy {
     }
 }
 
-/// What a combination's encoding is queried for; controls whether
-/// default-select blocked-case constraints are asserted (the blocking
-/// queries need them, the reachability-only send-after-close queries
-/// keep the historical encoding without them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncodingKind {
-    /// Blocking-group queries (`ΦR ∧ ΦB`).
-    Group,
-    /// Reachability-only queries (§6 send-after-close).
-    Reach,
-}
-
-/// The result of one group query.
+/// The result of one query.
 #[derive(Debug)]
 pub struct GroupCheck {
     /// The verdict.
@@ -122,14 +114,29 @@ pub struct GroupCheck {
     pub reused: bool,
 }
 
-/// One query: either a blocking-group check or a send-after-close pair.
+/// One question asked of a combination.
 #[derive(Debug, Clone)]
-enum Query<'q> {
-    Group(&'q [GroupMember]),
+pub enum Query {
+    /// Can this suspicious group block forever (`ΦR ∧ ΦB`, §3.4)?
+    Group(Vec<GroupMember>),
+    /// Can `send` execute after `close` on the same channel, a runtime
+    /// panic (`ΦR ∧ O_close < O_send`, §6)?
     Pair {
+        /// The send operation.
         send: GroupMember,
+        /// The close operation.
         close: GroupMember,
     },
+}
+
+impl Query {
+    /// Whether the combination's encoding asserts that a default-chosen
+    /// select found every case blocked: blocking-group queries need it,
+    /// and the reachability-only pair queries keep the historical
+    /// encoding without it.
+    fn blocking(&self) -> bool {
+        matches!(self, Query::Group(_))
+    }
 }
 
 /// The canonical structure of one query's encoding, modulo channel (and
@@ -146,16 +153,12 @@ type CanonKey = Vec<u64>;
 fn canon_key(
     prims: &Primitives,
     combo: &Combo,
-    kind: EncodingKind,
-    query: &Query<'_>,
+    query: &Query,
     step_limit: u64,
     mode: SolverMode,
 ) -> CanonKey {
     let mut key: Vec<u64> = Vec::with_capacity(64);
-    key.push(match kind {
-        EncodingKind::Group => 0,
-        EncodingKind::Reach => 1,
-    });
+    key.push(if query.blocking() { 0 } else { 1 });
     key.push(match mode {
         SolverMode::Watched => 0,
         SolverMode::Rescan => 1,
@@ -212,7 +215,7 @@ fn canon_key(
         Query::Group(group) => {
             key.push(0);
             key.push(group.len() as u64);
-            for m in *group {
+            for m in group {
                 key.push(m.goroutine as u64);
                 key.push(m.event as u64);
             }
@@ -296,7 +299,7 @@ impl EncodingCache {
 /// The guarded encoding of one combination.
 #[derive(Debug)]
 struct Encoding {
-    kind: EncodingKind,
+    blocking: bool,
     order: BTreeMap<(usize, usize), IntVar>,
     kept: BTreeMap<(usize, usize), BoolVar>,
     blk: BTreeMap<(usize, usize), BoolVar>,
@@ -316,12 +319,10 @@ pub struct ChannelSolver<'p> {
     prims: &'p Primitives,
     strategy: SolverStrategy,
     solver: Option<Solver>,
+    /// The current combination's encoding, built lazily by its first query
+    /// that misses the cross-channel cache, so fully shared combinations
+    /// never pay for an encoding at all.
     enc: Option<Encoding>,
-    /// Query kind declared by [`ChannelSolver::begin_combo`]; the actual
-    /// encoding is built lazily on the first query that misses the
-    /// cross-channel cache, so fully shared combinations never pay for
-    /// an encoding at all.
-    pending_kind: Option<EncodingKind>,
     base_clauses: usize,
     combo_queries: u64,
     /// Cross-channel verdict cache; `None` disables sharing.
@@ -354,7 +355,6 @@ impl<'p> ChannelSolver<'p> {
             strategy,
             solver: None,
             enc: None,
-            pending_kind: None,
             base_clauses: 0,
             combo_queries: 0,
             cache,
@@ -364,40 +364,27 @@ impl<'p> ChannelSolver<'p> {
         }
     }
 
-    /// Opens a combination for the incremental strategy. The encoding
-    /// itself is built lazily by the first cache-missing query (see
-    /// [`ChannelSolver::ensure_encoding`]); the fresh strategies defer
-    /// everything to the query.
-    pub fn begin_combo(&mut self, _combo: &Combo, kind: EncodingKind) {
-        if self.strategy != SolverStrategy::Incremental {
-            return;
-        }
-        self.pending_kind = Some(kind);
-    }
-
     /// Builds the combination's shared guarded encoding into a fresh
-    /// push scope of the persistent solver, once per opened combination.
-    fn ensure_encoding(&mut self, combo: &Combo) {
+    /// push scope of the persistent solver, once per combination.
+    fn ensure_encoding(&mut self, combo: &Combo, blocking: bool) {
         if self.enc.is_some() {
             return;
         }
-        let kind = self
-            .pending_kind
-            .expect("begin_combo must be called before incremental queries");
         let solver = self
             .solver
             .get_or_insert_with(|| Solver::with_mode(SolverMode::Watched));
         solver.push();
-        let enc = build_encoding(solver, self.prims, combo, kind);
+        let enc = build_encoding(solver, self.prims, combo, blocking);
         self.base_clauses = solver.num_clauses();
         self.combo_queries = 0;
         self.enc = Some(enc);
     }
 
-    /// Closes the current combination, discarding its encoding scope (the
-    /// persistent solver survives for the next combination).
+    /// Closes the current combination: discards the encoding scope its
+    /// first cache-missing query opened, if any (the persistent solver
+    /// survives for the next combination). Every query until the next
+    /// call belongs to one combination and asks one kind of question.
     pub fn end_combo(&mut self) {
-        self.pending_kind = None;
         if self.enc.take().is_some() {
             if let Some(s) = self.solver.as_mut() {
                 s.pop();
@@ -405,50 +392,15 @@ impl<'p> ChannelSolver<'p> {
         }
     }
 
-    /// Checks one suspicious group of the current combination under a
-    /// cooperative [`Budget`] (see [`check_group_budgeted`] for the
-    /// rationing rules). Under the incremental strategy,
-    /// [`ChannelSolver::begin_combo`] must have been called for `combo`.
-    pub fn check_group(
+    /// Answers one query on the current combination under a cooperative
+    /// [`Budget`]: the query's step limit is rationed from the budget's
+    /// global step pool and its deadline is handed to the DPLL engine; an
+    /// already-expired budget short-circuits to [`Verdict::Unknown`]
+    /// without running the solver.
+    pub fn check(
         &mut self,
         combo: &Combo,
-        group: &[GroupMember],
-        step_limit: u64,
-        budget: &Budget,
-    ) -> GroupCheck {
-        self.run_query(
-            combo,
-            EncodingKind::Group,
-            Query::Group(group),
-            step_limit,
-            budget,
-        )
-    }
-
-    /// Checks one send-after-close pair of the current combination (§6):
-    /// can the send execute after the close (a runtime panic)?
-    pub fn check_send_after_close(
-        &mut self,
-        combo: &Combo,
-        send: GroupMember,
-        close: GroupMember,
-        step_limit: u64,
-        budget: &Budget,
-    ) -> GroupCheck {
-        self.run_query(
-            combo,
-            EncodingKind::Reach,
-            Query::Pair { send, close },
-            step_limit,
-            budget,
-        )
-    }
-
-    fn run_query(
-        &mut self,
-        combo: &Combo,
-        kind: EncodingKind,
-        query: Query<'_>,
+        query: &Query,
         step_limit: u64,
         budget: &Budget,
     ) -> GroupCheck {
@@ -460,14 +412,13 @@ impl<'p> ChannelSolver<'p> {
         // skips a solve whose verdict is already known.
         let shareable = self.cache.is_some() && !budget.rations() && !faults::armed();
         if !shareable {
-            return self.run_query_uncached(combo, kind, query, step_limit, budget);
+            return self.check_uncached(combo, query, step_limit, budget);
         }
         let cache = self.cache.expect("checked above");
         let key = canon_key(
             self.prims,
             combo,
-            kind,
-            &query,
+            query,
             step_limit,
             self.strategy.engine_mode(),
         );
@@ -492,8 +443,7 @@ impl<'p> ChannelSolver<'p> {
                     self.prims,
                     self.strategy.engine_mode(),
                     combo,
-                    kind,
-                    &query,
+                    query,
                     step_limit,
                     budget,
                     None,
@@ -505,7 +455,7 @@ impl<'p> ChannelSolver<'p> {
                 }
             }
             None => {
-                let check = self.run_query_uncached(combo, kind, query, step_limit, budget);
+                let check = self.check_uncached(combo, query, step_limit, budget);
                 match check.verdict {
                     Verdict::Safe => cache.store(key, false),
                     Verdict::Blocking(_) => cache.store(key, true),
@@ -516,11 +466,10 @@ impl<'p> ChannelSolver<'p> {
         }
     }
 
-    fn run_query_uncached(
+    fn check_uncached(
         &mut self,
         combo: &Combo,
-        kind: EncodingKind,
-        query: Query<'_>,
+        query: &Query,
         step_limit: u64,
         budget: &Budget,
     ) -> GroupCheck {
@@ -551,8 +500,7 @@ impl<'p> ChannelSolver<'p> {
                 self.prims,
                 self.strategy.engine_mode(),
                 combo,
-                kind,
-                &query,
+                query,
                 granted,
                 budget,
                 fault,
@@ -566,14 +514,15 @@ impl<'p> ChannelSolver<'p> {
             };
         }
 
-        self.ensure_encoding(combo);
+        self.ensure_encoding(combo, query.blocking());
         let assume = {
             let enc = self.enc.as_ref().expect("ensure_encoding built it");
             debug_assert_eq!(
-                enc.kind, kind,
+                enc.blocking,
+                query.blocking(),
                 "combo was opened for a different query kind"
             );
-            assumptions_for(enc, combo, &query)
+            assumptions_for(enc, combo, query)
         };
         let Some(assume) = assume else {
             // A group member's goroutine never starts; the solver is not run.
@@ -629,8 +578,7 @@ impl<'p> ChannelSolver<'p> {
                     self.prims,
                     SolverMode::Watched,
                     combo,
-                    kind,
-                    &query,
+                    query,
                     granted,
                     budget,
                     fault,
@@ -660,13 +608,11 @@ impl<'p> ChannelSolver<'p> {
 /// solves under the query's guard assumptions. This is both the fresh
 /// strategy's query path and the incremental strategy's canonical witness
 /// path, which is what keeps the two strategies' reports byte-identical.
-#[allow(clippy::too_many_arguments)]
 fn solve_fresh(
     prims: &Primitives,
     mode: SolverMode,
     combo: &Combo,
-    kind: EncodingKind,
-    query: &Query<'_>,
+    query: &Query,
     granted: u64,
     budget: &Budget,
     fault: Option<u64>,
@@ -675,7 +621,7 @@ fn solve_fresh(
     solver.set_step_limit(granted);
     solver.set_deadline(budget.deadline());
     solver.set_step_fault(fault);
-    let enc = build_encoding(&mut solver, prims, combo, kind);
+    let enc = build_encoding(&mut solver, prims, combo, query.blocking());
     let Some(assume) = assumptions_for(&enc, combo, query) else {
         return (Verdict::Safe, None);
     };
@@ -789,12 +735,14 @@ impl StateVars<'_> {
     }
 }
 
-/// Builds the combination's guarded encoding into `solver`'s current scope.
+/// Builds the combination's guarded encoding into `solver`'s current scope,
+/// for blocking-group queries or, with `blocking` false, for pair queries
+/// (see [`Query::blocking`]).
 fn build_encoding(
     solver: &mut Solver,
     prims: &Primitives,
     combo: &Combo,
-    kind: EncodingKind,
+    blocking: bool,
 ) -> Encoding {
     // All maps are BTreeMaps: iteration order feeds term assertion order,
     // which decides atom numbering — and with it the DPLL search path and
@@ -986,7 +934,7 @@ fn build_encoding(
     // ΦR for default-chosen selects (blocking queries only, matching the
     // historical encodings): every Pset case is blocked at the moment the
     // select executes.
-    if kind == EncodingKind::Group {
+    if blocking {
         for (gi, g) in combo.gos.iter().enumerate() {
             for (ei, event) in g.path.events.iter().enumerate() {
                 if let Event::Select {
@@ -1034,7 +982,7 @@ fn build_encoding(
     }
 
     Encoding {
-        kind,
+        blocking,
         order,
         kept,
         blk,
@@ -1046,13 +994,13 @@ fn build_encoding(
 /// pair queries) and which are blocking-group members. Returns `None`
 /// when a group member's goroutine never starts (the query is trivially
 /// safe).
-fn assumptions_for(enc: &Encoding, combo: &Combo, query: &Query<'_>) -> Option<Assumptions> {
+fn assumptions_for(enc: &Encoding, combo: &Combo, query: &Query) -> Option<Assumptions> {
     let kept_of: Vec<usize> = match query {
         Query::Group(group) => {
             // Truncation point per goroutine: events after a group member's
             // event never execute.
             let mut cutoff: Vec<usize> = combo.gos.iter().map(|g| g.path.events.len()).collect();
-            for m in *group {
+            for m in group {
                 cutoff[m.goroutine] = cutoff[m.goroutine].min(m.event + 1);
             }
             // A goroutine is alive if it is the root or its spawn event is
@@ -1143,61 +1091,6 @@ fn witness_timeline(
     timeline.into_iter().map(|(_, step)| step).collect()
 }
 
-/// Builds and solves `ΦR ∧ ΦB` for `combo` with the given suspicious group.
-pub fn check_group(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-) -> Verdict {
-    check_group_recorded(prims, combo, group, step_limit, None)
-}
-
-/// [`check_group`], additionally recording solver effort into `telemetry`.
-pub fn check_group_recorded(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-    telemetry: Option<&Telemetry>,
-) -> Verdict {
-    let (verdict, stats) = check_group_traced(prims, combo, group, step_limit);
-    if let (Some(t), Some(s)) = (telemetry, stats) {
-        t.add_solver_stats(s);
-    }
-    verdict
-}
-
-/// [`check_group`], additionally returning the query's [`minismt`] effort
-/// and timing stats (for tracing, histograms, and report provenance).
-/// `None` when the query was short-circuited before reaching the solver.
-pub fn check_group_traced(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-) -> (Verdict, Option<minismt::SolverStats>) {
-    check_group_budgeted(prims, combo, group, step_limit, &Budget::default())
-}
-
-/// [`check_group_traced`] under a cooperative [`Budget`]: the query's
-/// step limit is rationed from the budget's global step pool and its
-/// deadline is handed to the DPLL engine. An already-expired budget
-/// short-circuits to [`Verdict::Unknown`] without running the solver.
-/// With an unbounded (default) budget this is exactly
-/// [`check_group_traced`].
-pub fn check_group_budgeted(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-    budget: &Budget,
-) -> (Verdict, Option<minismt::SolverStats>) {
-    let mut cs = ChannelSolver::new(prims, SolverStrategy::Fresh);
-    let check = cs.check_group(combo, group, step_limit, budget);
-    (check.verdict, check.stats)
-}
-
 fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> WitnessStep {
     match &combo.gos[gi].path.events[ei] {
         Event::Op(op) => {
@@ -1226,65 +1119,6 @@ fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> Wi
         Event::Spawn { target, .. } => format!("g{gi}:go(f{})", target.0).into(),
         Event::Fact { value, .. } => format!("g{gi}:branch({value})").into(),
     }
-}
-
-/// §6 extension — the non-blocking misuse-of-channel query: can a send on
-/// `prim` execute *after* a close of the same channel (a runtime panic)?
-///
-/// The encoding reuses ΦR (reachability: every communication in the
-/// combination proceeds) and adds the panic constraint `O_close < O_send`
-/// as an assumption for the queried pair.
-pub fn check_send_after_close(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-) -> Verdict {
-    check_send_after_close_recorded(prims, combo, send, close, step_limit, None)
-}
-
-/// [`check_send_after_close`], additionally recording solver effort.
-pub fn check_send_after_close_recorded(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-    telemetry: Option<&Telemetry>,
-) -> Verdict {
-    let (verdict, stats) = check_send_after_close_traced(prims, combo, send, close, step_limit);
-    if let Some(t) = telemetry {
-        t.add_solver_stats(stats);
-    }
-    verdict
-}
-
-/// [`check_send_after_close`], additionally returning the query's solver
-/// stats (for tracing and provenance).
-pub fn check_send_after_close_traced(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-) -> (Verdict, minismt::SolverStats) {
-    check_send_after_close_budgeted(prims, combo, send, close, step_limit, &Budget::default())
-}
-
-/// [`check_send_after_close_traced`] under a cooperative [`Budget`]
-/// (see [`check_group_budgeted`] for the rationing rules).
-pub fn check_send_after_close_budgeted(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-    budget: &Budget,
-) -> (Verdict, minismt::SolverStats) {
-    let mut cs = ChannelSolver::new(prims, SolverStrategy::Fresh);
-    let check = cs.check_send_after_close(combo, send, close, step_limit, budget);
-    (check.verdict, check.stats.unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -1340,6 +1174,13 @@ mod tests {
         (combo, prims)
     }
 
+    /// Asks one query of `combo` on a fresh-strategy solver.
+    fn check(prims: &Primitives, combo: &Combo, query: Query) -> Verdict {
+        ChannelSolver::new(prims, SolverStrategy::Fresh)
+            .check(combo, &query, 100_000, &Budget::default())
+            .verdict
+    }
+
     fn op(prim: PrimId, kind: OpKind, idx: u32) -> Event {
         Event::Op(PathOp {
             prim,
@@ -1362,7 +1203,7 @@ mod tests {
             event: 0,
         }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check(&prims, &combo, Query::Group(group.to_vec())),
             Verdict::Blocking(_)
         ));
     }
@@ -1380,7 +1221,7 @@ mod tests {
             event: 0,
         }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check(&prims, &combo, Query::Group(group.to_vec())),
             Verdict::Safe
         ));
     }
@@ -1397,7 +1238,7 @@ mod tests {
             event: 0,
         }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check(&prims, &combo, Query::Group(group.to_vec())),
             Verdict::Safe
         ));
     }
@@ -1420,7 +1261,7 @@ mod tests {
             event: 1,
         }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check(&prims, &combo, Query::Group(group.to_vec())),
             Verdict::Blocking(_)
         ));
     }
@@ -1435,18 +1276,19 @@ mod tests {
             vec![op(PrimId(0), OpKind::Send, 9)],
             1,
         );
-        let verdict = check_send_after_close(
+        let verdict = check(
             &prims,
             &combo,
-            GroupMember {
-                goroutine: 1,
-                event: 0,
+            Query::Pair {
+                send: GroupMember {
+                    goroutine: 1,
+                    event: 0,
+                },
+                close: GroupMember {
+                    goroutine: 0,
+                    event: 1,
+                },
             },
-            GroupMember {
-                goroutine: 0,
-                event: 1,
-            },
-            100_000,
         );
         assert!(matches!(verdict, Verdict::Blocking(_)));
     }
@@ -1500,10 +1342,10 @@ mod tests {
             },
         ];
         for (combo, prims, group) in &cases {
+            let query = Query::Group(group.clone());
             let run = |strategy: SolverStrategy| {
                 let mut cs = ChannelSolver::new(prims, strategy);
-                cs.begin_combo(combo, EncodingKind::Group);
-                let check = cs.check_group(combo, group, 100_000, &Budget::default());
+                let check = cs.check(combo, &query, 100_000, &Budget::default());
                 cs.end_combo();
                 check
             };
@@ -1540,22 +1382,21 @@ mod tests {
             ],
         );
         let mut cs = ChannelSolver::new(&prims, SolverStrategy::Incremental);
-        cs.begin_combo(&combo, EncodingKind::Group);
-        let g0 = cs.check_group(
+        let g0 = cs.check(
             &combo,
-            &[GroupMember {
+            &Query::Group(vec![GroupMember {
                 goroutine: 1,
                 event: 0,
-            }],
+            }]),
             100_000,
             &Budget::default(),
         );
-        let g1 = cs.check_group(
+        let g1 = cs.check(
             &combo,
-            &[GroupMember {
+            &Query::Group(vec![GroupMember {
                 goroutine: 1,
                 event: 1,
-            }],
+            }]),
             100_000,
             &Budget::default(),
         );

@@ -1,9 +1,15 @@
-//! The BMOC detector driver (Algorithm 1 of the paper).
+//! The per-channel detector driver (Algorithm 1 of the paper) and its two
+//! passes.
 //!
 //! For every channel: compute its scope and Pset (disentangling, §3.2),
-//! enumerate path combinations for the goroutines in scope (§3.3), compute
-//! suspicious groups, and ask the constraint solver whether the group can
-//! block forever (§3.4). The `disentangle` switch exists solely for the
+//! enumerate path combinations for the goroutines in scope (§3.3), and ask
+//! the constraint solver the pass's queries on each combination (§3.4).
+//! The BMOC pass asks whether a suspicious group can block forever; the §6
+//! send-on-closed pass asks, on channels with both a send and a close,
+//! whether a send can run after a close. The passes differ only in the
+//! channels they visit, the queries they ask and the reports they build;
+//! sharding, fault isolation, the degradation ladder, the solver and the
+//! merge are one code path. The `disentangle` switch exists solely for the
 //! paper's ablation (§5.2, ">115× slowdown without disentangling"): when
 //! off, every channel is analyzed from `main` with *all* primitives in its
 //! Pset.
@@ -11,15 +17,15 @@
 //! Channels are independent once the shared analyses are built, so the
 //! per-channel work is sharded across `config.jobs` worker threads
 //! ([`std::thread::scope`]); each worker returns its findings keyed by the
-//! suspicious group, and a deterministic merge in channel order applies the
+//! query, and a deterministic merge in channel order applies the
 //! cross-channel deduplication. One channel's detection is fully
 //! sequential, so `jobs = 1` and `jobs = N` produce identical reports.
 
-use crate::constraints::{ChannelSolver, EncodingKind, SolverStrategy, Verdict};
+use crate::constraints::{ChannelSolver, Query, SolverStrategy, Verdict};
 use crate::disentangle::{influences, pset};
 use crate::faults;
 use crate::paths::{Enumerator, Event, Limits, Path};
-use crate::primitives::{OpKind, PrimId};
+use crate::primitives::{OpKind, PrimId, Primitives};
 use crate::report::{BugKind, BugReport, OpRef, Provenance, WitnessStep};
 use crate::resilience::{
     catch_isolated, ladder_limits, Budget, Incident, IncidentKind, LADDER_RUNGS,
@@ -148,12 +154,32 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Cross-channel deduplication key of one suspicious group.
+/// Cross-channel deduplication key of one query's finding.
 pub(crate) type GroupKey = (BugKind, Option<Loc>, Vec<Loc>);
 
 /// One channel's detection result: findings keyed for the cross-channel
 /// merge, plus the incident (panic or exhausted budget), if any.
 pub(crate) type ChannelOutcome = (Vec<(GroupKey, BugReport)>, Option<Incident>);
+
+/// A per-channel detection pass. Passes differ in the channels they visit
+/// ([`Pass::visits`]), the queries they ask of each combination and the
+/// reports their findings become; everything else is shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Blocking misuse of channel (Algorithm 1): suspicious groups.
+    Bmoc,
+    /// §6 extension: every (send, close) pair on the channel.
+    SendOnClosed,
+}
+
+impl Pass {
+    /// Whether the pass analyzes `chan`: BMOC visits every channel, and
+    /// send-on-closed only those with at least one send and one close.
+    fn visits(self, prims: &Primitives, chan: PrimId) -> bool {
+        let has = |kind| prims.ops_of(chan).any(|o| o.kind == kind);
+        self == Pass::Bmoc || (has(OpKind::Send) && has(OpKind::Close))
+    }
+}
 
 /// Resolves the worker count: `0` means every available core, and there is
 /// never a reason to spawn more workers than work items.
@@ -174,6 +200,22 @@ impl<'m> AnalysisSession<'m> {
     /// Channels are processed by `config.jobs` workers; the merge is
     /// deterministic, so the result is independent of the worker count.
     pub fn detect_bmoc(&self, config: &DetectorConfig) -> Vec<BugReport> {
+        self.detect_channels(Pass::Bmoc, config)
+    }
+
+    /// §6 extension: detects *non-blocking* misuse of channels — a send
+    /// that some interleaving can execute after a close of the same channel
+    /// (a guaranteed runtime panic). The paper describes this as a new bug
+    /// constraint `O_close < O_send` over the same ΦR machinery; it runs
+    /// on the same per-channel driver as [`AnalysisSession::detect_bmoc`].
+    pub fn detect_send_on_closed(&self, config: &DetectorConfig) -> Vec<BugReport> {
+        self.detect_channels(Pass::SendOnClosed, config)
+    }
+
+    /// The per-channel driver of both passes: shards the pass's channels
+    /// over `config.jobs` workers and merges their findings in channel
+    /// order.
+    fn detect_channels(&self, pass: Pass, config: &DetectorConfig) -> Vec<BugReport> {
         // Force the shared disentangling artifacts once, outside the
         // workers, so their cost is attributed (and paid) exactly once.
         if config.disentangle {
@@ -185,6 +227,7 @@ impl<'m> AnalysisSession<'m> {
             .channels()
             .filter(|c| c.buffer_size().is_some()) // dynamic capacity: not modeled
             .map(|c| c.id)
+            .filter(|&c| pass.visits(&self.prims, c))
             .collect();
         self.telemetry
             .add(Counter::ChannelsAnalyzed, channels.len() as u64);
@@ -195,7 +238,7 @@ impl<'m> AnalysisSession<'m> {
             let mut lane = self.tracer().lane(1, "bmoc-worker-0");
             channels
                 .iter()
-                .map(|&c| self.detect_channel(c, config, &budget, &mut lane))
+                .map(|&c| self.detect_channel(pass, c, config, &budget, &mut lane))
                 .collect()
         } else {
             let slots: Vec<Mutex<ChannelOutcome>> = channels
@@ -215,7 +258,8 @@ impl<'m> AnalysisSession<'m> {
                             if i >= channels.len() {
                                 break;
                             }
-                            let found = self.detect_channel(channels[i], config, budget, &mut lane);
+                            let found =
+                                self.detect_channel(pass, channels[i], config, budget, &mut lane);
                             // Panics are contained inside `detect_channel`,
                             // so a poisoned slot can only hold the default
                             // value; recover it rather than cascading.
@@ -261,6 +305,7 @@ impl<'m> AnalysisSession<'m> {
     /// cannot take down the run or the other workers.
     fn detect_channel(
         &self,
+        pass: Pass,
         chan: PrimId,
         config: &DetectorConfig,
         budget: &Budget,
@@ -272,9 +317,13 @@ impl<'m> AnalysisSession<'m> {
             "bmoc_channel",
             vec![("chan", ArgValue::from(chan_name.as_str()))],
         );
+        // Warm records hold BMOC outcomes keyed by channel site, so only
+        // the BMOC pass replays them.
         let attempt = catch_isolated(|| match config.warm.as_deref() {
-            Some(warm) => self.detect_channel_warm(warm, chan, &chan_name, config, budget, lane),
-            None => self.detect_channel_laddered(chan, &chan_name, config, budget, lane),
+            Some(warm) if pass == Pass::Bmoc => {
+                self.detect_channel_warm(warm, chan, &chan_name, config, budget, lane)
+            }
+            _ => self.detect_channel_laddered(pass, chan, &chan_name, config, budget, lane),
         });
         let (found, incident) = match attempt {
             Ok(outcome) => {
@@ -349,7 +398,7 @@ impl<'m> AnalysisSession<'m> {
         if !config.disentangle || budget.tightened(config.channel_timeout).rations() {
             // No disentangling metadata to gate replay on, or a rationing
             // budget (whose draining is stateful): run cold, no harvest.
-            return self.detect_channel_laddered(chan, chan_name, config, budget, lane);
+            return self.detect_channel_laddered(Pass::Bmoc, chan, chan_name, config, budget, lane);
         }
         let prim = &self.prims.all[chan.0];
         let scopes = self.scopes();
@@ -376,7 +425,7 @@ impl<'m> AnalysisSession<'m> {
         let (outcome, replayed) = match replay {
             Some(outcome) => (outcome, true),
             None => (
-                self.detect_channel_laddered(chan, chan_name, config, budget, lane),
+                self.detect_channel_laddered(Pass::Bmoc, chan, chan_name, config, budget, lane),
                 false,
             ),
         };
@@ -405,6 +454,7 @@ impl<'m> AnalysisSession<'m> {
     /// ladder.
     fn detect_channel_laddered(
         &self,
+        pass: Pass,
         chan: PrimId,
         chan_name: &str,
         config: &DetectorConfig,
@@ -415,6 +465,7 @@ impl<'m> AnalysisSession<'m> {
         let chan_budget = budget.tightened(config.channel_timeout);
         if !chan_budget.rations() {
             let (found, _) = self.detect_channel_pipeline(
+                pass,
                 chan,
                 chan_name,
                 config,
@@ -430,6 +481,7 @@ impl<'m> AnalysisSession<'m> {
         for rung in 0..LADDER_RUNGS {
             let limits = ladder_limits(&config.limits, rung);
             let (found, exhausted) = self.detect_channel_pipeline(
+                pass,
                 chan,
                 chan_name,
                 config,
@@ -468,15 +520,16 @@ impl<'m> AnalysisSession<'m> {
     }
 
     /// The full detection pipeline for one channel at one ladder rung:
-    /// disentangle, enumerate, group, solve. Pure with respect to the
+    /// disentangle, enumerate, query, solve. Pure with respect to the
     /// session (telemetry and the caller's trace lane aside), so workers
-    /// can run it concurrently; findings carry their group key for the
+    /// can run it concurrently; findings carry their query key for the
     /// cross-channel merge. The second return value reports whether the
     /// budget cut the work short (always `false` with a budget that
     /// rations nothing and carries no cancelled token).
     #[allow(clippy::too_many_arguments)]
     fn detect_channel_pipeline(
         &self,
+        pass: Pass,
         chan: PrimId,
         chan_name: &str,
         config: &DetectorConfig,
@@ -551,8 +604,8 @@ impl<'m> AnalysisSession<'m> {
         // One solving context for the whole channel: under the incremental
         // strategy the solver persists across combinations and each
         // combination's encoding is built once, in a push/pop scope, then
-        // shared by every group query on it. The session's cross-channel
-        // cache extends that reuse to structurally identical channels.
+        // shared by every query on it. The session's cross-channel cache
+        // extends that reuse to structurally identical channels.
         let cache = config.share_encodings.then(|| self.encoding_cache());
         let mut solver = ChannelSolver::with_cache(&self.prims, config.solver_strategy, cache);
         for combo in &combos {
@@ -560,9 +613,8 @@ impl<'m> AnalysisSession<'m> {
                 exhausted = true;
                 break;
             }
-            let mut combo_open = false;
-            for group in self.suspicious_groups(combo, chan, config.max_group_size) {
-                let key = self.group_key(combo, &group);
+            for query in self.queries(pass, combo, chan, config.max_group_size) {
+                let key = self.query_key(combo, &query);
                 if local_seen.contains(&key) {
                     continue;
                 }
@@ -570,11 +622,7 @@ impl<'m> AnalysisSession<'m> {
                 groups_checked += 1;
                 lane.begin("solve", vec![("group", ArgValue::U64(groups_checked))]);
                 let check = self.telemetry.time(Stage::Constraints, || {
-                    if !combo_open {
-                        solver.begin_combo(combo, EncodingKind::Group);
-                        combo_open = true;
-                    }
-                    solver.check_group(combo, &group, config.solver_steps, budget)
+                    solver.check(combo, &query, config.solver_steps, budget)
                 });
                 let (verdict, solver_stats) = (check.verdict, check.stats);
                 if let Some(s) = solver_stats {
@@ -596,7 +644,16 @@ impl<'m> AnalysisSession<'m> {
                         local_seen.insert(key.clone());
                         self.telemetry.add(Counter::ReportsEmitted, 1);
                         lane.instant("report_emitted", vec![("chan", ArgValue::from(chan_name))]);
-                        let mut report = self.make_report(chan, combo, &group, witness, root);
+                        let (mut report, solver_verdict) = match &query {
+                            Query::Group(group) => (
+                                self.make_report(chan, combo, group, witness, root),
+                                "blocking",
+                            ),
+                            Query::Pair { send, close } => (
+                                self.send_on_closed_report(chan, combo, *send, *close, witness),
+                                "panic-schedule",
+                            ),
+                        };
                         let s = solver_stats.unwrap_or_default();
                         report.provenance = Some(Provenance {
                             channel: chan_name.to_string(),
@@ -605,7 +662,7 @@ impl<'m> AnalysisSession<'m> {
                             branches_pruned,
                             combos_tried: combos.len(),
                             groups_checked,
-                            solver_verdict: "blocking",
+                            solver_verdict,
                             solver_steps: s.steps,
                             solver_decisions: s.decisions,
                             solver_conflicts: s.conflicts,
@@ -624,9 +681,7 @@ impl<'m> AnalysisSession<'m> {
                     }
                 }
             }
-            if combo_open {
-                solver.end_combo();
-            }
+            solver.end_combo();
         }
         self.telemetry
             .add(Counter::SolverEncodingsReused, solver.encodings_reused);
@@ -734,7 +789,48 @@ impl<'m> AnalysisSession<'m> {
         }
     }
 
-    // ----------------------------------------------------------- grouping
+    // ------------------------------------------------------------ queries
+
+    /// The queries `pass` asks of one combination: BMOC's suspicious
+    /// groups, or every (send, close) pair on `chan` — sends in goroutine
+    /// and event order, each with every close in that order.
+    fn queries(
+        &self,
+        pass: Pass,
+        combo: &Combo,
+        chan: PrimId,
+        max_group_size: usize,
+    ) -> Vec<Query> {
+        if pass == Pass::Bmoc {
+            return self
+                .suspicious_groups(combo, chan, max_group_size)
+                .into_iter()
+                .map(Query::Group)
+                .collect();
+        }
+        let ops_on_chan = |kind: OpKind| -> Vec<GroupMember> {
+            let mut members = Vec::new();
+            for (gi, g) in combo.gos.iter().enumerate() {
+                for (ei, event) in g.path.events.iter().enumerate() {
+                    if matches!(event, Event::Op(op) if op.prim == chan && op.kind == kind) {
+                        members.push(GroupMember {
+                            goroutine: gi,
+                            event: ei,
+                        });
+                    }
+                }
+            }
+            members
+        };
+        let closes = ops_on_chan(OpKind::Close);
+        let mut pairs = Vec::new();
+        for send in ops_on_chan(OpKind::Send) {
+            for &close in &closes {
+                pairs.push(Query::Pair { send, close });
+            }
+        }
+        pairs
+    }
 
     /// Suspicious groups (Algorithm 1, line 15): up to `max_size` blocking
     /// operations from distinct goroutines, at least one on channel `c`,
@@ -816,17 +912,26 @@ impl<'m> AnalysisSession<'m> {
         false
     }
 
-    fn group_key(&self, combo: &Combo, group: &[GroupMember]) -> GroupKey {
-        let mut locs: Vec<Loc> = group
-            .iter()
-            .filter_map(|m| match &combo.gos[m.goroutine].path.events[m.event] {
-                Event::Op(op) => Some(op.loc),
-                Event::Select { loc, .. } => Some(*loc),
-                _ => None,
-            })
-            .collect();
-        locs.sort_unstable();
-        (BugKind::BmocChannel, None, locs)
+    /// The deduplication key of one query: a group's sorted operation
+    /// sites, or a pair's close and send sites.
+    fn query_key(&self, combo: &Combo, query: &Query) -> GroupKey {
+        let loc = |m: &GroupMember| match &combo.gos[m.goroutine].path.events[m.event] {
+            Event::Op(op) => Some(op.loc),
+            Event::Select { loc, .. } => Some(*loc),
+            _ => None,
+        };
+        match query {
+            Query::Group(group) => {
+                let mut locs: Vec<Loc> = group.iter().filter_map(loc).collect();
+                locs.sort_unstable();
+                (BugKind::BmocChannel, None, locs)
+            }
+            Query::Pair { send, close } => (
+                BugKind::SendOnClosedChannel,
+                loc(close),
+                loc(send).into_iter().collect(),
+            ),
+        }
     }
 
     fn make_report(
@@ -896,274 +1001,41 @@ impl<'m> AnalysisSession<'m> {
             provenance: None,
         }
     }
-}
 
-impl<'m> AnalysisSession<'m> {
-    /// §6 extension: detects *non-blocking* misuse of channels — a send
-    /// that some interleaving can execute after a close of the same channel
-    /// (a guaranteed runtime panic). The paper describes this as a new bug
-    /// constraint `O_close < O_send` over the same ΦR machinery.
-    pub fn detect_send_on_closed(&self, config: &DetectorConfig) -> Vec<BugReport> {
-        let dg = self.dependency_graph();
-        let scopes = self.scopes();
-        let budget = self.run_budget(config).clone();
-        let mut lane = self.tracer().lane(0, "main");
-        let mut reports = Vec::new();
-        let mut seen: HashSet<(Loc, Loc)> = HashSet::new();
-
-        for chan in self.prims.channels() {
-            if chan.buffer_size().is_none() {
-                continue;
-            }
-            // Fast filter: the channel must have both a send and a close.
-            let has_send = self
-                .prims
-                .ops_of(chan.id)
-                .any(|o| o.kind == crate::primitives::OpKind::Send);
-            let has_close = self
-                .prims
-                .ops_of(chan.id)
-                .any(|o| o.kind == crate::primitives::OpKind::Close);
-            if !has_send || !has_close {
-                continue;
-            }
-            let started = Instant::now();
-            let chan_budget = budget.tightened(config.channel_timeout);
-            lane.begin(
-                "bmoc_channel",
-                vec![("chan", ArgValue::from(chan.name.as_str()))],
-            );
-            // Same fault isolation as the BMOC workers: a panic while
-            // analyzing one channel becomes an incident, not an abort.
-            let attempt = catch_isolated(|| {
-                let mut found: Vec<BugReport> = Vec::new();
-                let root = scopes[chan.id.0].root;
-                let prim_set = pset(chan.id, dg, scopes, &self.prims);
-                let pset_size = prim_set.len();
-                let mut enumerator = Enumerator::new(
-                    self.module,
-                    &self.analysis,
-                    &self.prims,
-                    &prim_set,
-                    config.limits.clone(),
-                )
-                .with_budget(chan_budget.clone());
-                lane.begin("build_combos", vec![]);
-                let combos = self.telemetry.time(Stage::Paths, || {
-                    self.build_combos(&mut enumerator, root, config, &mut lane)
-                });
-                lane.end();
-                let paths_enumerated = enumerator.paths_enumerated();
-                let branches_pruned = enumerator.branches_pruned();
-                let mut exhausted = enumerator.exhausted();
-                self.telemetry
-                    .add(Counter::PathsEnumerated, paths_enumerated);
-                self.telemetry.add(Counter::BranchesPruned, branches_pruned);
-                self.telemetry
-                    .add(Counter::CombosBuilt, combos.len() as u64);
-                self.telemetry
-                    .observe(Metric::PathsPerChannel, paths_enumerated);
-                self.telemetry
-                    .observe(Metric::CombosPerChannel, combos.len() as u64);
-                let mut groups_checked = 0u64;
-                // Same per-channel solving context as the BMOC pipeline:
-                // the incremental strategy shares each combination's ΦR
-                // encoding across every (send, close) pair queried on it,
-                // and the session cache shares verdicts across channels.
-                let cache = config.share_encodings.then(|| self.encoding_cache());
-                let mut solver =
-                    ChannelSolver::with_cache(&self.prims, config.solver_strategy, cache);
-                for combo in &combos {
-                    if chan_budget.expired() {
-                        exhausted = true;
-                        break;
-                    }
-                    let mut combo_open = false;
-                    // Collect sends and closes on this channel.
-                    let mut sends = Vec::new();
-                    let mut closes = Vec::new();
-                    for (gi, g) in combo.gos.iter().enumerate() {
-                        for (ei, event) in g.path.events.iter().enumerate() {
-                            if let Event::Op(op) = event {
-                                if op.prim == chan.id {
-                                    match op.kind {
-                                        crate::primitives::OpKind::Send => sends.push((
-                                            GroupMember {
-                                                goroutine: gi,
-                                                event: ei,
-                                            },
-                                            op.clone(),
-                                        )),
-                                        crate::primitives::OpKind::Close => closes.push((
-                                            GroupMember {
-                                                goroutine: gi,
-                                                event: ei,
-                                            },
-                                            op.clone(),
-                                        )),
-                                        _ => {}
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for (send_m, send_op) in &sends {
-                        for (close_m, close_op) in &closes {
-                            if !seen.insert((send_op.loc, close_op.loc)) {
-                                continue;
-                            }
-                            self.telemetry.add(Counter::GroupsChecked, 1);
-                            groups_checked += 1;
-                            lane.begin("solve", vec![("group", ArgValue::U64(groups_checked))]);
-                            let check = self.telemetry.time(Stage::Constraints, || {
-                                if !combo_open {
-                                    solver.begin_combo(combo, EncodingKind::Reach);
-                                    combo_open = true;
-                                }
-                                solver.check_send_after_close(
-                                    combo,
-                                    *send_m,
-                                    *close_m,
-                                    config.solver_steps,
-                                    &chan_budget,
-                                )
-                            });
-                            let verdict = check.verdict;
-                            let solver_stats = check.stats.unwrap_or_default();
-                            self.telemetry.add_solver_stats(solver_stats);
-                            lane.complete(
-                                "dpll",
-                                solver_stats.elapsed,
-                                vec![
-                                    ("steps", ArgValue::U64(solver_stats.steps)),
-                                    ("decisions", ArgValue::U64(solver_stats.decisions)),
-                                    ("conflicts", ArgValue::U64(solver_stats.conflicts)),
-                                    ("solver_reuse", ArgValue::U64(u64::from(check.reused))),
-                                ],
-                            );
-                            lane.end();
-                            match verdict {
-                                Verdict::Blocking(witness) => {
-                                    self.telemetry.add(Counter::ReportsEmitted, 1);
-                                    lane.instant(
-                                        "report_emitted",
-                                        vec![("chan", ArgValue::from(chan.name.as_str()))],
-                                    );
-                                    found.push(BugReport {
-                                        kind: BugKind::SendOnClosedChannel,
-                                        primitive: Some(chan.site),
-                                        primitive_span: chan.span,
-                                        primitive_name: chan.name.clone(),
-                                        ops: vec![
-                                            OpRef {
-                                                loc: send_op.loc,
-                                                span: send_op.span,
-                                                what: format!("send on {} after close", chan.name),
-                                                func_name: self
-                                                    .module
-                                                    .func(send_op.loc.func)
-                                                    .name
-                                                    .to_string(),
-                                            },
-                                            OpRef {
-                                                loc: close_op.loc,
-                                                span: close_op.span,
-                                                what: format!("close of {}", chan.name),
-                                                func_name: self
-                                                    .module
-                                                    .func(close_op.loc.func)
-                                                    .name
-                                                    .to_string(),
-                                            },
-                                        ],
-                                        witness_order: witness,
-                                        notes: "a schedule orders the close before the send \
-                                            (runtime panic)"
-                                            .into(),
-                                        provenance: Some(Provenance {
-                                            channel: chan.name.clone(),
-                                            pset_size,
-                                            paths_enumerated,
-                                            branches_pruned,
-                                            combos_tried: combos.len(),
-                                            groups_checked,
-                                            solver_verdict: "panic-schedule",
-                                            solver_steps: solver_stats.steps,
-                                            solver_decisions: solver_stats.decisions,
-                                            solver_conflicts: solver_stats.conflicts,
-                                            degradation_rung: 0,
-                                        }),
-                                    });
-                                }
-                                Verdict::Safe => {
-                                    seen.remove(&(send_op.loc, close_op.loc));
-                                }
-                                Verdict::Unknown => {
-                                    seen.remove(&(send_op.loc, close_op.loc));
-                                    if chan_budget.rations() {
-                                        exhausted = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if combo_open {
-                        solver.end_combo();
-                    }
-                }
-                self.telemetry
-                    .add(Counter::SolverEncodingsReused, solver.encodings_reused);
-                self.telemetry
-                    .add(Counter::LearnedClausesKept, solver.learned_kept);
-                self.telemetry
-                    .add(Counter::ChannelEncodingsShared, solver.encodings_shared);
-                (found, exhausted)
-            });
-            let incident = match attempt {
-                Ok((found, exhausted)) => {
-                    lane.end();
-                    reports.extend(found);
-                    exhausted.then(|| Incident {
-                        kind: IncidentKind::Channel,
-                        name: chan.name.clone(),
-                        message: "analysis budget exhausted; results for this channel are partial"
-                            .into(),
-                        rung: 0,
-                        flight: Vec::new(),
-                    })
-                }
-                Err(message) => {
-                    lane.rewind();
-                    Some(Incident {
-                        kind: IncidentKind::Channel,
-                        name: chan.name.clone(),
-                        message,
-                        rung: 0,
-                        flight: Vec::new(),
-                    })
-                }
+    /// The report of a (send, close) pair some schedule runs close-first.
+    fn send_on_closed_report(
+        &self,
+        chan: PrimId,
+        combo: &Combo,
+        send: GroupMember,
+        close: GroupMember,
+        witness: Vec<WitnessStep>,
+    ) -> BugReport {
+        let prim = &self.prims.all[chan.0];
+        let op_ref = |m: GroupMember, what: String| {
+            let Event::Op(op) = &combo.gos[m.goroutine].path.events[m.event] else {
+                unreachable!("pair members are channel operations");
             };
-            if let Some(incident) = incident {
-                self.telemetry.add(Counter::IncompleteChannels, 1);
-                lane.instant(
-                    "incident",
-                    vec![
-                        ("kind", ArgValue::from(incident.kind.label())),
-                        ("name", ArgValue::from(incident.name.as_str())),
-                    ],
-                );
-                config.obs.incident(
-                    chan.id.0 as u64,
-                    &incident.name,
-                    incident.kind.label(),
-                    &incident.message,
-                );
-                self.record_incident(incident);
+            OpRef {
+                loc: op.loc,
+                span: op.span,
+                what,
+                func_name: self.module.func(op.loc.func).name.to_string(),
             }
-            self.telemetry
-                .observe(Metric::ChannelDetectNs, started.elapsed().as_nanos() as u64);
+        };
+        BugReport {
+            kind: BugKind::SendOnClosedChannel,
+            primitive: Some(prim.site),
+            primitive_span: prim.span,
+            primitive_name: prim.name.clone(),
+            ops: vec![
+                op_ref(send, format!("send on {} after close", prim.name)),
+                op_ref(close, format!("close of {}", prim.name)),
+            ],
+            witness_order: witness,
+            notes: "a schedule orders the close before the send (runtime panic)".into(),
+            provenance: None,
         }
-        reports
     }
 }
 
@@ -1234,5 +1106,48 @@ func main() {
         assert!(reports.is_empty(), "{reports:?}");
         assert_eq!(shared, 0);
         assert_eq!(queries, 0);
+    }
+
+    /// A close racing a send on a channel of capacity `cap`.
+    fn close_race(cap: usize) -> String {
+        format!(
+            "func main() {{
+    ch := make(chan int, {cap})
+    go func() {{
+        ch <- 1
+    }}()
+    close(ch)
+}}
+"
+        )
+    }
+
+    /// The rungs of the incidents one pass records on `src` under a step
+    /// limit no query can meet and a channel deadline that rations the
+    /// run, so every exhausted channel walks the degradation ladder.
+    fn incident_rungs(
+        src: &str,
+        pass: impl Fn(&AnalysisSession<'_>, &DetectorConfig) -> Vec<BugReport>,
+    ) -> Vec<u32> {
+        let module = golite_ir::lower_source(src).expect("lowering");
+        let session = AnalysisSession::new(&module);
+        let config = DetectorConfig {
+            solver_steps: 10,
+            channel_timeout: Some(Duration::from_secs(60)),
+            ..DetectorConfig::default()
+        };
+        let reports = pass(&session, &config);
+        assert!(reports.is_empty(), "{reports:?}");
+        session.incidents().iter().map(|i| i.rung).collect()
+    }
+
+    #[test]
+    fn send_on_closed_descends_the_ladder_like_bmoc() {
+        // Buffered, the (send, close) pair query outgrows 10 steps;
+        // unbuffered, the leaked send's group query does.
+        let soc = incident_rungs(&close_race(1), |s, c| s.detect_send_on_closed(c));
+        let bmoc = incident_rungs(&close_race(0), |s, c| s.detect_bmoc(c));
+        assert_eq!(bmoc, vec![LADDER_RUNGS - 1]);
+        assert_eq!(soc, bmoc);
     }
 }

@@ -13,12 +13,14 @@
 //!   with bounded loop unrolling and infeasible-branch pruning (§3.3);
 //! * [`constraints`] — encodes `ΦR ∧ ΦB` over order variables, `P(s,r)`
 //!   match booleans, and channel-buffer counters, discharging them with the
-//!   [`minismt`] DPLL(T) solver (§3.4, Z3 in the original);
+//!   [`minismt`] DPLL(T) solver (§3.4, Z3 in the original); one entry
+//!   point answers both blocking-group and §6 send-after-close queries;
 //! * [`session`] — the [`AnalysisSession`]: every whole-module analysis
 //!   built once and shared immutably by all checkers;
-//! * [`detector`] — the per-channel BMOC driver with suspicious-group
-//!   enumeration, sharded across worker threads, plus the whole-program
-//!   ablation mode (§5.2);
+//! * [`detector`] — the one per-channel driver, sharded across worker
+//!   threads, under two passes: BMOC with suspicious-group enumeration and
+//!   the §6 send-on-closed extension; plus the whole-program ablation mode
+//!   (§5.2);
 //! * [`traditional`] — the five classic checkers: double lock, missing
 //!   unlock, conflicting lock order, struct-field lockset races, and
 //!   `testing.Fatal` on child goroutines (§3.5);

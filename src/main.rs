@@ -68,12 +68,13 @@ commands:
                         detect concurrency bugs via the checker registry;
                         --only/--skip select checkers by name (repeatable,
                         comma-separated lists accepted), --jobs shards the
-                        BMOC detector over N worker threads (0 = all cores),
-                        --json emits structured diagnostics, --stats adds
-                        pipeline counters, stage timings, and percentiles,
-                        --explain adds per-bug provenance (channel, paths,
-                        solver verdict), --trace writes a Chrome trace-event
-                        JSON of the analysis spans to FILE
+                        per-channel passes (BMOC, send-on-closed) over N
+                        worker threads (0 = all cores), --json emits
+                        structured diagnostics, --stats adds pipeline
+                        counters, stage timings, and percentiles, --explain
+                        adds per-bug provenance (channel, paths, solver
+                        verdict), --trace writes a Chrome trace-event JSON
+                        of the analysis spans to FILE
   fix [--write] [--explain] [--trace FILE]
                         detect and patch, re-running detection on each
                         patched source until a fixpoint; --write applies
@@ -1131,9 +1132,12 @@ fn engine_config(flags: &[Flag], sweep_worker: bool) -> Result<BatchConfig, Stri
         batch.backoff.base = Duration::from_millis(ms);
     }
     batch.backoff.seed = fault_seed.unwrap_or(0);
+    // Parsed even under `--no-hedge`: a malformed value is a usage error
+    // whether or not it is used.
+    let hedge_ms: Option<u64> = parse_flag(flags, "hedge-ms")?;
     if !sweep_worker && !has_flag(flags, "no-hedge") {
         let mut hedge = HedgePolicy::default();
-        if let Some(ms) = parse_flag(flags, "hedge-ms")? {
+        if let Some(ms) = hedge_ms {
             hedge.min_age = Duration::from_millis(ms);
         }
         batch.hedge = Some(hedge);

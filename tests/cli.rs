@@ -282,14 +282,22 @@ fn check_only_and_skip_select_checkers() {
 fn check_jobs_values_agree() {
     let path = write_temp("check-jobs", BUGGY);
     let p = path.to_str().unwrap();
-    let run = |jobs: &str| {
+    let run = |command: &str, file: &str, jobs: &str| {
         let out = gcatch()
-            .args(["check", "--json", "--jobs", jobs, p])
+            .args([command, "--json", "--jobs", jobs, file])
             .output()
             .unwrap();
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    assert_eq!(run("1"), run("8"), "--jobs must not change the diagnostics");
+    for (command, file) in [("check", p), ("extended", "examples/send_on_closed.go")] {
+        let one = run(command, file, "1");
+        assert!(one.contains("\"id\":"), "{command} {file}: {one}");
+        assert_eq!(
+            one,
+            run(command, file, "8"),
+            "--jobs must not change the {command} diagnostics"
+        );
+    }
     std::fs::remove_file(path).ok();
 }
 
@@ -463,6 +471,8 @@ fn bad_budget_flag_values_exit_2() {
         vec!["extended", "--step-pool", "1.5"],
         // 2^32 fits a u64 but not the u32 attempt counter.
         vec!["batch", "--max-attempts", "4294967296"],
+        // Malformed even where hedging is off.
+        vec!["batch", "--no-hedge", "--hedge-ms", "banana"],
     ] {
         let mut full = args.clone();
         full.push(p);
