@@ -232,7 +232,7 @@ fn canon_key(
 }
 
 /// Session-global cross-channel verdict cache: structurally identical
-/// queries (see [`canon_key`]) share one solved outcome. Only definitive
+/// queries (see `canon_key`) share one solved outcome. Only definitive
 /// verdicts are stored (`true` = blocking, `false` = safe); `Unknown` is
 /// never cached. A `Blocking` hit still re-derives its witness and
 /// provenance from the *actual* combination via the canonical fresh

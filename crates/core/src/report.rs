@@ -33,6 +33,20 @@ impl BugKind {
         matches!(self, BugKind::BmocChannel | BugKind::BmocChannelMutex)
     }
 
+    /// Whether the reported operations block forever: the BMOC and lock
+    /// kinds. A field race, a `Fatal` in a child goroutine, and a send on a
+    /// closed channel are reported at operations that do not block.
+    pub fn is_blocking(&self) -> bool {
+        matches!(
+            self,
+            BugKind::BmocChannel
+                | BugKind::BmocChannelMutex
+                | BugKind::MissingUnlock
+                | BugKind::DoubleLock
+                | BugKind::ConflictingLockOrder
+        )
+    }
+
     /// Short column label matching Table 1.
     pub fn label(&self) -> &'static str {
         match self {
@@ -217,10 +231,15 @@ impl fmt::Display for BugReport {
             "[{}] {} ({})",
             self.kind, self.primitive_name, self.primitive_span
         )?;
+        let label = if self.kind.is_blocking() {
+            "blocked"
+        } else {
+            "op"
+        };
         for op in &self.ops {
             writeln!(
                 f,
-                "  blocked: {} at {} in {}",
+                "  {label}: {} at {} in {}",
                 op.what, op.span, op.func_name
             )?;
         }
@@ -279,6 +298,27 @@ mod tests {
         assert!(text.contains("outDone"));
         assert!(text.contains("send on outDone"));
         assert!(text.contains("witness"));
+    }
+
+    #[test]
+    fn display_labels_only_blocking_operations_blocked() {
+        let mut r = mk_report();
+        assert!(r
+            .to_string()
+            .contains("  blocked: send on outDone at 7:5 in Exec$closure0\n"));
+        for kind in [
+            BugKind::StructFieldRace,
+            BugKind::FatalInChildGoroutine,
+            BugKind::SendOnClosedChannel,
+        ] {
+            r.kind = kind;
+            let text = r.to_string();
+            assert!(
+                text.contains("  op: send on outDone at 7:5 in Exec$closure0\n"),
+                "{text}"
+            );
+            assert!(!text.contains("blocked:"), "{text}");
+        }
     }
 
     #[test]

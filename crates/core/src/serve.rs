@@ -43,11 +43,9 @@
 //!   `gcatch check`, because a cached response is the byte-for-byte
 //!   result of a pure function of `(op, source, config)`.
 //!
-//! Fault sites [`SITE_SERVE_ACCEPT`](crate::faults::SITE_SERVE_ACCEPT)
-//! (contained connection-setup panic),
-//! [`SITE_SERVE_REQUEST`](crate::faults::SITE_SERVE_REQUEST) (injected
-//! request panic / slow request, keys `exec` and `delay`), and
-//! [`SITE_SERVE_CACHE`](crate::faults::SITE_SERVE_CACHE) (a cache index
+//! Fault sites [`SITE_SERVE_ACCEPT`] (contained connection-setup panic),
+//! [`SITE_SERVE_REQUEST`] (injected request panic / slow request, keys
+//! `exec` and `delay`), and [`SITE_SERVE_CACHE`] (a cache index
 //! entry written deliberately corrupt) drive every failure path
 //! deterministically in `(seed, site, request id)`.
 
@@ -476,7 +474,7 @@ impl ResponseCache {
     /// stays correct, and the next startup drops the bad line and
     /// recomputes. Returns the number of evicted entries. Disk errors
     /// degrade the cache to memory-only for this entry (the response is
-    /// already correct); the caller surfaces them — [`Server::execute`]
+    /// already correct); the caller surfaces them — `Server::execute`
     /// warns once on stderr and emits an `incident` event per failed
     /// append.
     pub fn insert(

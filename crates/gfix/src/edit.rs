@@ -23,6 +23,12 @@ impl IdGen {
         }
     }
 
+    /// Records the ids handed out so far in `prog`, so that a generator
+    /// later built on `prog` continues after them.
+    pub fn commit(self, prog: &mut Program) {
+        prog.next_node_id = self.next;
+    }
+
     /// A fresh id.
     pub fn id(&mut self) -> NodeId {
         let id = NodeId(self.next);

@@ -22,7 +22,9 @@ use golite::{print_program, Span};
 use golite_ir::alias::{AbstractObject, Analysis, CallKind};
 use golite_ir::dom::Dominators;
 use golite_ir::ir::{self as ir, FuncId, Instr, Loc, Module, Operand};
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::rc::Rc;
 
 /// Which strategy produced a patch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,7 +61,8 @@ pub struct Patch {
     pub strategy: Strategy,
     /// Human-readable summary of the transformation.
     pub description: String,
-    /// Canonically printed original program.
+    /// Canonically printed program the patch applies to: the parsed
+    /// program, or the result of the patches [`GFix::apply`] applied.
     pub before: String,
     /// Canonically printed patched program.
     pub after: String,
@@ -67,6 +70,20 @@ pub struct Patch {
     pub changed_lines: usize,
     /// The buggy channel's variable name.
     pub primitive_name: String,
+}
+
+/// A patch before it is applied: the [`Patch`] together with the patched
+/// program it was printed from. [`GFix::apply`] makes that program the one
+/// later patches build on; a draft that is not applied drops it.
+#[derive(Debug)]
+pub struct Draft {
+    /// The patch itself.
+    pub patch: Patch,
+    /// The IR functions holding the statements the patch changes: the
+    /// channel's creating function, plus the child closure for Strategy
+    /// III.
+    pub edited: Vec<FuncId>,
+    program: Program,
 }
 
 /// Why GFix declined to fix a bug (§5.3 lists the four reasons).
@@ -100,14 +117,16 @@ impl std::fmt::Display for Rejection {
 
 /// The GFix fixing system bound to one program.
 pub struct GFix<'a> {
-    prog: &'a Program,
+    /// The working program patches build on: the parsed program until
+    /// [`GFix::apply`] replaces it with an applied patch's result.
+    prog: Cow<'a, Program>,
     module: &'a Module,
     analysis: &'a Analysis<'a>,
     prims: &'a Primitives,
     /// Memoized channel-locality verdicts (a full-module scan each).
     locality: std::cell::RefCell<std::collections::HashMap<PrimId, bool>>,
-    /// The canonically printed original program (shared by every patch).
-    printed: std::cell::RefCell<Option<std::rc::Rc<String>>>,
+    /// The canonically printed working program (shared by every patch).
+    printed: std::cell::RefCell<Option<Rc<String>>>,
 }
 
 impl<'a> GFix<'a> {
@@ -119,7 +138,7 @@ impl<'a> GFix<'a> {
         prims: &'a Primitives,
     ) -> GFix<'a> {
         GFix {
-            prog,
+            prog: Cow::Borrowed(prog),
             module,
             analysis,
             prims,
@@ -128,12 +147,12 @@ impl<'a> GFix<'a> {
         }
     }
 
-    /// The printed original program, computed once.
-    fn printed_original(&self) -> std::rc::Rc<String> {
+    /// The printed working program, computed once per working program.
+    fn printed_working(&self) -> Rc<String> {
         if let Some(p) = self.printed.borrow().as_ref() {
             return p.clone();
         }
-        let p = std::rc::Rc::new(print_program(self.prog));
+        let p = Rc::new(print_program(&self.prog));
         *self.printed.borrow_mut() = Some(p.clone());
         p
     }
@@ -153,6 +172,16 @@ impl<'a> GFix<'a> {
     /// attempted, in dispatch order (for fix-iteration trace spans). A bug
     /// rejected by classification attempts no strategy.
     pub fn fix_annotated(&self, bug: &BugReport) -> (Result<Patch, Rejection>, Vec<&'static str>) {
+        let (result, attempted) = self.draft_annotated(bug);
+        (result.map(|draft| draft.patch), attempted)
+    }
+
+    /// [`GFix::fix_annotated`], returning the patch as a [`Draft`] that
+    /// [`GFix::apply`] can build on.
+    pub fn draft_annotated(
+        &self,
+        bug: &BugReport,
+    ) -> (Result<Draft, Rejection>, Vec<&'static str>) {
         let mut attempted = Vec::new();
         let ctx = match self.classify(bug) {
             Ok(ctx) => ctx,
@@ -166,7 +195,7 @@ impl<'a> GFix<'a> {
         ] {
             attempted.push(strategy.label());
             match self.try_strategy(strategy, &ctx) {
-                Ok(patch) => return (Ok(patch), attempted),
+                Ok(draft) => return (Ok(draft), attempted),
                 // Keep the most informative decline reason across strategies
                 // (the generic shape mismatch is the least informative).
                 Err(r) if r != Rejection::UnsupportedShape => most_specific = r,
@@ -174,6 +203,20 @@ impl<'a> GFix<'a> {
             }
         }
         (Err(most_specific), attempted)
+    }
+
+    /// Makes `draft`'s patched program the working program, so later
+    /// patches build on it, and returns the patch.
+    ///
+    /// Reports stay addressed by their spans in the parsed program. A
+    /// draft edits only the functions in [`Draft::edited`], so the spans
+    /// of every other function stay valid; a caller must not fix a report
+    /// whose channel an applied patch's edited functions influence
+    /// (`gcatch::disentangle::influences`).
+    pub fn apply(&mut self, draft: Draft) -> Patch {
+        *self.printed.get_mut() = Some(Rc::new(draft.patch.after.clone()));
+        self.prog = Cow::Owned(draft.program);
+        draft.patch
     }
 
     // ---------------------------------------------------------- dispatcher
@@ -301,7 +344,7 @@ impl<'a> GFix<'a> {
         true
     }
 
-    fn try_strategy(&self, strategy: Strategy, ctx: &BugCtx) -> Result<Patch, Rejection> {
+    fn try_strategy(&self, strategy: Strategy, ctx: &BugCtx) -> Result<Draft, Rejection> {
         match strategy {
             Strategy::IncreaseBuffer => self.strategy1(ctx),
             Strategy::DeferOperation => self.strategy2(ctx),
@@ -311,7 +354,7 @@ impl<'a> GFix<'a> {
 
     // ---------------------------------------------------------- strategy I
 
-    fn strategy1(&self, ctx: &BugCtx) -> Result<Patch, Rejection> {
+    fn strategy1(&self, ctx: &BugCtx) -> Result<Draft, Rejection> {
         // Single-sending bug: o2 is the child's only op on c, a send, on an
         // unbuffered channel, and unblocking it has no side effects.
         if ctx.o2.kind != OpKind::Send || !ctx.unbuffered || ctx.o2.select_case.is_some() {
@@ -323,7 +366,7 @@ impl<'a> GFix<'a> {
         if self.has_side_effects_after(ctx, &ctx.o2, true) {
             return Err(Rejection::SideEffectsAfterO2);
         }
-        let mut prog = self.prog.clone();
+        let mut prog = Program::clone(&self.prog);
         let mut ids = IdGen::new(&prog);
         if !edit::set_make_cap(&mut prog, ctx.chan_span, 1, &mut ids) {
             return Err(Rejection::UnsupportedShape);
@@ -331,6 +374,7 @@ impl<'a> GFix<'a> {
         Ok(self.finish(
             Strategy::IncreaseBuffer,
             prog,
+            ids,
             ctx,
             format!("increase {}'s buffer size from 0 to 1", ctx.chan_name),
         ))
@@ -338,7 +382,7 @@ impl<'a> GFix<'a> {
 
     // --------------------------------------------------------- strategy II
 
-    fn strategy2(&self, ctx: &BugCtx) -> Result<Patch, Rejection> {
+    fn strategy2(&self, ctx: &BugCtx) -> Result<Draft, Rejection> {
         // Missing-interaction bug: the parent can leave without executing
         // o1. Defer o1 right after c's declaration, removing the originals.
         if ctx.o2.select_case.is_some() {
@@ -372,7 +416,7 @@ impl<'a> GFix<'a> {
         };
 
         // Build the deferred replacement and check per-kind conditions.
-        let mut prog = self.prog.clone();
+        let mut prog = Program::clone(&self.prog);
         let mut ids = IdGen::new(&prog);
         let chan_ident = |ids: &mut IdGen| ids.expr(ExprKind::Ident(ctx.chan_name.clone()));
         let deferred: Stmt = match o1_kind {
@@ -453,6 +497,7 @@ impl<'a> GFix<'a> {
         Ok(self.finish(
             Strategy::DeferOperation,
             prog,
+            ids,
             ctx,
             format!(
                 "defer the parent's {} on {} so every exit performs it",
@@ -468,7 +513,7 @@ impl<'a> GFix<'a> {
 
     // -------------------------------------------------------- strategy III
 
-    fn strategy3(&self, ctx: &BugCtx) -> Result<Patch, Rejection> {
+    fn strategy3(&self, ctx: &BugCtx) -> Result<Draft, Rejection> {
         // Multiple-operations bug: replace the child's blocking send with a
         // select on a stop channel closed (deferred) by the parent.
         if ctx.o2.kind != OpKind::Send || ctx.o2.select_case.is_some() {
@@ -484,7 +529,7 @@ impl<'a> GFix<'a> {
             return Err(Rejection::SideEffectsAfterO2);
         }
         let stop = self.fresh_name("stop");
-        let mut prog = self.prog.clone();
+        let mut prog = Program::clone(&self.prog);
         let mut ids = IdGen::new(&prog);
 
         // Parent: stop := make(chan struct{}); defer close(stop).
@@ -548,6 +593,7 @@ impl<'a> GFix<'a> {
         Ok(self.finish(
             Strategy::AddStopChannel,
             prog,
+            ids,
             ctx,
             format!("add channel {stop}, defer closing it, and select on it at the child's send"),
         ))
@@ -555,17 +601,35 @@ impl<'a> GFix<'a> {
 
     // ----------------------------------------------------------- utilities
 
-    fn finish(&self, strategy: Strategy, prog: Program, ctx: &BugCtx, what: String) -> Patch {
-        let before = self.printed_original().as_ref().clone();
+    fn finish(
+        &self,
+        strategy: Strategy,
+        mut prog: Program,
+        ids: IdGen,
+        ctx: &BugCtx,
+        what: String,
+    ) -> Draft {
+        ids.commit(&mut prog);
+        let before = self.printed_working().as_ref().clone();
         let after = print_program(&prog);
         let changed_lines = golite::diff_lines(&before, &after);
-        Patch {
-            strategy,
-            description: what,
-            before,
-            after,
-            changed_lines,
-            primitive_name: ctx.chan_name.clone(),
+        // Strategies I and II edit only the creating function; Strategy III
+        // also rewrites the child closure's send.
+        let mut edited = vec![ctx.parent_func];
+        if strategy == Strategy::AddStopChannel {
+            edited.push(ctx.child);
+        }
+        Draft {
+            patch: Patch {
+                strategy,
+                description: what,
+                before,
+                after,
+                changed_lines,
+                primitive_name: ctx.chan_name.clone(),
+            },
+            edited,
+            program: prog,
         }
     }
 
@@ -727,7 +791,7 @@ impl<'a> GFix<'a> {
 
     /// A variable name not used anywhere in the program.
     fn fresh_name(&self, base: &str) -> String {
-        let printed = self.printed_original();
+        let printed = self.printed_working();
         if !printed.contains(base) {
             return base.to_string();
         }
@@ -751,7 +815,6 @@ struct BugCtx {
     chan_site: Loc,
     chan_span: Span,
     chan_name: String,
-    #[allow(dead_code)] // retained for diagnostics
     parent_func: FuncId,
     child: FuncId,
     #[allow(dead_code)] // retained for diagnostics

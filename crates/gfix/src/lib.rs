@@ -10,7 +10,9 @@
 //! dispatcher, each bug gets the simplest applicable strategy, and every
 //! patch can be validated dynamically with the simulator
 //! ([`validate::validate`]) — automating the patch-testing process the
-//! paper performs manually.
+//! paper performs manually. [`fixpoint`] applies the patches: it detects
+//! and patches until a detection round finds nothing left to patch, as
+//! `gcatch fix` does.
 //!
 //! # Examples
 //!
@@ -51,13 +53,17 @@ pub mod edit;
 pub mod fix;
 pub mod validate;
 
-pub use fix::{GFix, Patch, Rejection, Strategy};
+pub use fix::{Draft, GFix, Patch, Rejection, Strategy};
 pub use validate::{try_validate, validate, Validation};
 
+use gcatch::disentangle::{influences, pset};
 use gcatch::trace::ArgValue;
-use gcatch::{DetectorConfig, GCatch, Selection, Stage, Stats, TraceLevel, TraceSnapshot};
+use gcatch::{
+    AnalysisSession, BugReport, DetectorConfig, GCatch, Selection, Stage, Stats, TraceLevel,
+    TraceSnapshot,
+};
 use golite::Program;
-use golite_ir::Module;
+use golite_ir::{FuncId, Module};
 
 /// End-to-end detect-then-fix results.
 #[derive(Debug)]
@@ -103,10 +109,10 @@ impl Pipeline {
         self.run_with_stats(config, &Selection::default()).0
     }
 
-    /// Runs the selected checkers through one shared [`AnalysisSession`]
-    /// (`gcatch::AnalysisSession`), patches every fixable BMOC bug under the
-    /// `fix` telemetry stage, and returns the results together with the
-    /// session's [`Stats`] snapshot (stage timings and pipeline counters).
+    /// Runs the selected checkers through one shared [`AnalysisSession`],
+    /// patches every fixable BMOC bug under the `fix` telemetry stage, and
+    /// returns the results together with the session's [`Stats`] snapshot
+    /// (stage timings and pipeline counters).
     pub fn run_with_stats(
         &self,
         config: &DetectorConfig,
@@ -127,10 +133,25 @@ impl Pipeline {
         selection: &Selection,
         level: TraceLevel,
     ) -> (PipelineResults, Stats, TraceSnapshot) {
+        self.detect_and_fix(config, selection, level, false)
+    }
+
+    /// Detects, then fixes the BMOC bugs in report order. With `in_place`,
+    /// each patch becomes the program the next one builds on, and the fix
+    /// loop stops at the first BMOC bug whose channel an applied patch
+    /// influences: that bug and every later one get a `fix_deferred`
+    /// instant and wait for a detection of the patched source.
+    fn detect_and_fix(
+        &self,
+        config: &DetectorConfig,
+        selection: &Selection,
+        level: TraceLevel,
+        in_place: bool,
+    ) -> (PipelineResults, Stats, TraceSnapshot) {
         let gcatch = GCatch::with_trace(&self.module, level);
         let bugs = gcatch::checkers::flatten(gcatch.run(config, selection));
         let session = gcatch.session();
-        let gfix = GFix::new(
+        let mut gfix = GFix::new(
             &self.program,
             &self.module,
             &session.analysis,
@@ -141,25 +162,39 @@ impl Pipeline {
             lane.begin("fix", Vec::new());
             let mut patches = Vec::new();
             let mut rejections = Vec::new();
-            for bug in &bugs {
-                if !bug.kind.is_bmoc() {
-                    continue;
+            // The IR functions the applied patches changed.
+            let mut edited: Vec<FuncId> = Vec::new();
+            let bmoc: Vec<&BugReport> = bugs.iter().filter(|b| b.kind.is_bmoc()).collect();
+            for (i, &bug) in bmoc.iter().enumerate() {
+                if influenced(session, config, bug, &edited) {
+                    for later in &bmoc[i..] {
+                        lane.instant(
+                            "fix_deferred",
+                            vec![("primitive", ArgValue::from(later.primitive_name.as_str()))],
+                        );
+                    }
+                    break;
                 }
                 lane.begin(
                     "fix_bug",
                     vec![("primitive", ArgValue::from(bug.primitive_name.as_str()))],
                 );
-                let (result, attempted) = gfix.fix_annotated(bug);
+                let (result, attempted) = gfix.draft_annotated(bug);
                 for label in &attempted {
                     lane.instant("strategy_tried", vec![("strategy", ArgValue::from(*label))]);
                 }
                 match result {
-                    Ok(patch) => {
+                    Ok(draft) => {
                         lane.instant(
                             "fix_applied",
-                            vec![("outcome", patch.strategy.label().into())],
+                            vec![("outcome", draft.patch.strategy.label().into())],
                         );
-                        patches.push(patch);
+                        patches.push(if in_place {
+                            edited.extend(&draft.edited);
+                            gfix.apply(draft)
+                        } else {
+                            draft.patch
+                        });
                     }
                     Err(r) => {
                         lane.instant("fix_rejected", vec![("outcome", r.to_string().into())]);
@@ -181,4 +216,116 @@ impl Pipeline {
             gcatch.trace_snapshot(),
         )
     }
+}
+
+/// Whether a patch that changed the IR functions `edited` can change what
+/// detection reports for `bug`'s channel: [`influences`], the rule warm
+/// re-analysis uses to prove a channel's outcome unchanged. Any edit
+/// counts for a report with no primitive, and without disentangling,
+/// where no scope bounds a channel's analysis (warm replay never replays
+/// then either).
+fn influenced(
+    session: &AnalysisSession<'_>,
+    config: &DetectorConfig,
+    bug: &BugReport,
+    edited: &[FuncId],
+) -> bool {
+    if edited.is_empty() {
+        return false;
+    }
+    let prim = bug.primitive.and_then(|site| session.prims.by_site(site));
+    let (true, Some(prim)) = (config.disentangle, prim) else {
+        return true;
+    };
+    let scopes = session.scopes();
+    let prim_set = pset(prim.id, session.dependency_graph(), scopes, &session.prims);
+    edited.iter().any(|&f| {
+        influences(
+            &scopes[prim.id.0],
+            &session.analysis,
+            &session.prims,
+            &prim_set,
+            f,
+        )
+    })
+}
+
+/// How many detection rounds [`fixpoint`] runs at most. A round applies
+/// every patch it can prove independent, so this bounds rounds, not
+/// patches. When every round applies a patch, no round confirmed a
+/// fixpoint, and [`Fixpoint::converged`] is false.
+pub const MAX_FIX_ROUNDS: usize = 32;
+
+/// What [`fixpoint`] did to one source file.
+#[derive(Debug)]
+pub struct Fixpoint {
+    /// Every bug the first detection round reported on the original source.
+    pub bugs: Vec<BugReport>,
+    /// The applied patches, in the order they were applied.
+    pub patches: Vec<Patch>,
+    /// The detection rounds that applied at least one patch.
+    pub rounds: usize,
+    /// The BMOC bugs the last detection round declined, with the reasons.
+    pub rejections: Vec<(BugReport, Rejection)>,
+    /// The source with every applied patch (the original text when none
+    /// applied).
+    pub source: String,
+    /// Whether a detection round found nothing left to patch within
+    /// [`MAX_FIX_ROUNDS`] rounds.
+    pub converged: bool,
+    /// The first round's trace, the only round traced.
+    pub trace: TraceSnapshot,
+}
+
+/// Detects and patches `source` until a detection round finds nothing
+/// left to patch, for at most [`MAX_FIX_ROUNDS`] rounds.
+///
+/// A round runs one detection and then applies, in report order, the
+/// patch of every fixable BMOC report, each building on the ones before
+/// it. The round ends at the first BMOC report whose channel an earlier
+/// patch of the round influences ([`gcatch::disentangle::influences`]);
+/// that report and every later one wait for the next round, which detects
+/// on the patched source. So every patch a round applies is the patch a
+/// fresh detection of the partly patched source would produce. Only the
+/// first round is traced, at `level`: it sees the original source.
+///
+/// # Errors
+///
+/// Returns the parse or lowering error of `source`.
+pub fn fixpoint(
+    source: &str,
+    config: &DetectorConfig,
+    level: TraceLevel,
+) -> Result<Fixpoint, String> {
+    let round = |source: &str, level| -> Result<_, String> {
+        let pipeline = Pipeline::from_source(source)?;
+        let (results, _, trace) =
+            pipeline.detect_and_fix(config, &Selection::default(), level, true);
+        Ok((results, trace))
+    };
+    let (mut results, trace) = round(source, level)?;
+    let mut fixed = Fixpoint {
+        bugs: std::mem::take(&mut results.bugs),
+        patches: Vec::new(),
+        rounds: 0,
+        rejections: Vec::new(),
+        source: source.to_string(),
+        converged: false,
+        trace,
+    };
+    loop {
+        fixed.rejections = results.rejections;
+        let Some(last) = results.patches.last() else {
+            fixed.converged = true;
+            break;
+        };
+        fixed.source = last.after.clone();
+        fixed.patches.extend(results.patches);
+        fixed.rounds += 1;
+        if fixed.rounds == MAX_FIX_ROUNDS {
+            break;
+        }
+        results = round(&fixed.source, TraceLevel::Off)?.0;
+    }
+    Ok(fixed)
 }

@@ -61,9 +61,74 @@ pub use parser::{parse, ParseError};
 pub use printer::{print_expr, print_program, print_stmt, print_type};
 pub use token::{Span, Token, TokenKind};
 
-/// Computes a line-based diff size between two sources: the number of lines
-/// added plus lines removed (a replaced line counts as one removal plus one
-/// addition, matching how the paper counts "changed lines of code").
+/// One line of a line diff between two sources.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineEdit<'a> {
+    /// A line of the old source that the new one drops.
+    Removed(&'a str),
+    /// A line of the new source that the old one lacks.
+    Added(&'a str),
+}
+
+/// The shortest line edit script from `before` to `after`: every line
+/// outside one longest common subsequence of their lines, in source order.
+/// Within a changed run, removals come before additions, so a replaced
+/// line reads as `Removed(old)` then `Added(new)`.
+///
+/// # Examples
+///
+/// ```
+/// use golite::LineEdit;
+/// let edits = golite::line_edits("a\nb\nc", "a\nx\nb\nc");
+/// assert_eq!(edits, vec![LineEdit::Added("x")]);
+/// ```
+pub fn line_edits<'a>(before: &'a str, after: &'a str) -> Vec<LineEdit<'a>> {
+    let a: Vec<&str> = before.lines().collect();
+    let b: Vec<&str> = after.lines().collect();
+    // Trim the common prefix and suffix first: patches touch few lines, so
+    // this keeps the quadratic LCS table tiny even for large files.
+    let prefix = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[prefix..], &b[prefix..]);
+    let suffix = a
+        .iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count();
+    let (a, b) = (&a[..a.len() - suffix], &b[..b.len() - suffix]);
+    // `lcs[i * w + j]` is the LCS length of `a[i..]` and `b[j..]`.
+    let w = b.len() + 1;
+    let mut lcs = vec![0u32; (a.len() + 1) * w];
+    for i in (0..a.len()).rev() {
+        for j in (0..b.len()).rev() {
+            lcs[i * w + j] = if a[i] == b[j] {
+                lcs[(i + 1) * w + j + 1] + 1
+            } else {
+                lcs[(i + 1) * w + j].max(lcs[i * w + j + 1])
+            };
+        }
+    }
+    let mut edits = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        if i < a.len() && j < b.len() && a[i] == b[j] {
+            i += 1;
+            j += 1;
+        } else if j == b.len() || (i < a.len() && lcs[(i + 1) * w + j] >= lcs[i * w + j + 1]) {
+            edits.push(LineEdit::Removed(a[i]));
+            i += 1;
+        } else {
+            edits.push(LineEdit::Added(b[j]));
+            j += 1;
+        }
+    }
+    edits
+}
+
+/// Computes a line-based diff size between two sources: the length of
+/// their [`line_edits`] script, i.e. lines added plus lines removed (a
+/// replaced line counts as one removal plus one addition, matching how the
+/// paper counts "changed lines of code").
 ///
 /// # Examples
 ///
@@ -74,44 +139,7 @@ pub use token::{Span, Token, TokenKind};
 /// assert_eq!(golite::diff_lines(before, after), 2); // 1 removed + 1 added
 /// ```
 pub fn diff_lines(before: &str, after: &str) -> usize {
-    let mut a: Vec<&str> = before.lines().collect();
-    let mut b: Vec<&str> = after.lines().collect();
-    // Trim the common prefix and suffix first: patches touch few lines, so
-    // this keeps the quadratic LCS core tiny even for large files.
-    let mut prefix = 0;
-    while prefix < a.len() && prefix < b.len() && a[prefix] == b[prefix] {
-        prefix += 1;
-    }
-    a.drain(..prefix);
-    b.drain(..prefix);
-    let mut suffix = 0;
-    while suffix < a.len() && suffix < b.len() && a[a.len() - 1 - suffix] == b[b.len() - 1 - suffix]
-    {
-        suffix += 1;
-    }
-    a.truncate(a.len() - suffix);
-    b.truncate(b.len() - suffix);
-    let lcs = lcs_len(&a, &b);
-    (a.len() - lcs) + (b.len() - lcs)
-}
-
-fn lcs_len(a: &[&str], b: &[&str]) -> usize {
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    let mut prev = vec![0usize; b.len() + 1];
-    let mut cur = vec![0usize; b.len() + 1];
-    for &la in a {
-        for (j, &lb) in b.iter().enumerate() {
-            cur[j + 1] = if la == lb {
-                prev[j] + 1
-            } else {
-                prev[j + 1].max(cur[j])
-            };
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
+    line_edits(before, after).len()
 }
 
 #[cfg(test)]
@@ -137,6 +165,21 @@ mod tests {
     #[test]
     fn diff_lines_replacement_counts_two() {
         assert_eq!(diff_lines("a\nb\nc", "a\nx\nc"), 2);
+    }
+
+    #[test]
+    fn line_edits_list_exactly_the_changed_lines() {
+        use LineEdit::{Added, Removed};
+        // An insertion shifts every later line; only the new lines differ.
+        assert_eq!(
+            line_edits("f\nx\ny\nz", "f\nnew\nx\ny\nold\nz"),
+            vec![Added("new"), Added("old")]
+        );
+        assert_eq!(
+            line_edits("a\nb\nc", "a\nx\nc"),
+            vec![Removed("b"), Added("x")]
+        );
+        assert_eq!(line_edits("a\nb", ""), vec![Removed("a"), Removed("b")]);
     }
 
     #[test]

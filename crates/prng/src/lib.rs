@@ -1,7 +1,7 @@
 //! A tiny deterministic pseudo-random number generator.
 //!
 //! The workspace builds with no external dependencies, so the seeded
-//! scheduler exploration ([`golite-sim`]), the corpus generator, and the
+//! scheduler exploration (the `golite-sim` crate), the corpus generator, and the
 //! hand-rolled property tests all draw randomness from this SplitMix64
 //! generator. It is *not* cryptographic; it only needs to be fast, seedable,
 //! and stable across platforms so every run is reproducible.

@@ -76,10 +76,14 @@ commands:
                         verdict), --trace writes a Chrome trace-event JSON
                         of the analysis spans to FILE
   fix [--write] [--explain] [--trace FILE]
-                        detect and patch, re-running detection on each
-                        patched source until a fixpoint; --write applies
-                        the final result in place (atomically, via a
-                        temp file + rename)
+                        detect and patch to a fixpoint: each detection
+                        round applies the patch of every fixable BMOC bug
+                        that no earlier patch of the round can influence,
+                        and the next round re-detects on the patched
+                        source; prints each patch's changed lines. --write
+                        applies the final result in place (atomically, via
+                        a temp file + rename). When 32 rounds each applied
+                        a patch, fix stops without a fixpoint and exits 2
   simulate [--seeds N] [--entry F]
                         explore schedules and report outcomes
   batch [--jobs N] [--max-attempts N] [--backoff-ms MS] [--hedge-ms MS] [--no-hedge]
@@ -671,13 +675,12 @@ fn cmd_extended(rest: &[String]) -> Result<ExitCode, String> {
     )
 }
 
-/// How many detect→patch rounds `fix` will attempt. Each round applies at
-/// most one patch, so this also caps the number of patches. When every
-/// round applies one, no round confirmed a fixpoint: `fix` says so in its
-/// summary and exits 2, the partial-result code (`--write` still writes
-/// the patches it applied).
-const MAX_FIX_ROUNDS: usize = 32;
-
+/// `gcatch fix`: detect and patch to a fixpoint ([`gfix::fixpoint`]),
+/// printing each applied patch's changed lines. A round applies every
+/// patch it can prove independent, and at most [`gfix::MAX_FIX_ROUNDS`]
+/// rounds run. When every round applied a patch, no round confirmed a
+/// fixpoint: the summary says so and `fix` exits 2, the partial-result
+/// code (`--write` still writes the patches it applied).
 fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
     let spec: &[FlagSpec] = &[("write", false), ("explain", false), ("trace", true)];
     let (path, flags) = parse_common(rest, spec)?;
@@ -685,94 +688,63 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
     let explain = has_flag(&flags, "explain");
     let trace_path = flag_value(&flags, "trace");
     let level = trace_level(trace_path)?;
-    let config = DetectorConfig::default();
     let original = read_source(&path)?;
 
-    // Detect → apply the first patch → re-detect on the patched source,
-    // until no patch applies. Re-detection is required for soundness: a
-    // patch can shift line numbers and even unblock previously-masked
-    // schedules, so later patches from the *first* run may no longer apply.
-    let mut source = original.clone();
-    let mut applied = 0usize;
-    let mut initial_bugs = 0usize;
-    let mut last_rejections = Vec::new();
-    let mut converged = false;
-    for round in 0..MAX_FIX_ROUNDS {
-        let pipeline = gfix::Pipeline::from_source(&source)?;
-        // Trace only the first round: it sees the original source, and a
-        // per-round trace file would overwrite itself anyway.
-        let results = if round == 0 {
-            let (results, _, snapshot) = pipeline.run_traced(&config, &Selection::default(), level);
-            if let Some(tp) = trace_path {
-                write_trace(tp, &snapshot)?;
+    let fixed = gfix::fixpoint(&original, &DetectorConfig::default(), level)?;
+    if let Some(tp) = trace_path {
+        write_trace(tp, &fixed.trace)?;
+    }
+    if fixed.bugs.is_empty() {
+        println!("{path}: no concurrency bugs detected");
+        return Ok(ExitCode::SUCCESS);
+    }
+    println!("{path}: {} bug(s) detected\n", fixed.bugs.len());
+    if explain {
+        for bug in &fixed.bugs {
+            print!("{bug}");
+            match &bug.provenance {
+                Some(p) => print!("{}", p.render()),
+                None => println!("  why: reported by a flow-analysis checker (no solver query)"),
             }
-            results
-        } else {
-            pipeline.run(&config)
-        };
-        if round == 0 {
-            initial_bugs = results.bugs.len();
-            if results.bugs.is_empty() {
-                println!("{path}: no concurrency bugs detected");
-                return Ok(ExitCode::SUCCESS);
-            }
-            println!("{path}: {} bug(s) detected\n", results.bugs.len());
-            if explain {
-                for bug in &results.bugs {
-                    print!("{bug}");
-                    match &bug.provenance {
-                        Some(p) => print!("{}", p.render()),
-                        None => {
-                            println!("  why: reported by a flow-analysis checker (no solver query)")
-                        }
-                    }
-                    println!();
-                }
-            }
+            println!();
         }
-        last_rejections = results
-            .rejections
-            .iter()
-            .map(|(b, w)| (b.primitive_name.clone(), w.clone()))
-            .collect();
-        let Some(patch) = results.patches.first() else {
-            converged = true;
-            break;
-        };
+    }
+    for patch in &fixed.patches {
         println!(
             "[{}] {} ({} changed lines)",
             patch.strategy, patch.description, patch.changed_lines
         );
-        for (before, after) in patch.before.lines().zip(patch.after.lines()) {
-            if before != after {
-                println!("  - {before}");
-                println!("  + {after}");
+        for edit in golite::line_edits(&patch.before, &patch.after) {
+            match edit {
+                golite::LineEdit::Removed(line) => println!("  - {line}"),
+                golite::LineEdit::Added(line) => println!("  + {line}"),
             }
         }
         println!();
-        source = patch.after.clone();
-        applied += 1;
     }
-    for (name, why) in &last_rejections {
-        println!("not fixed: {name} — {why}");
+    for (bug, why) in &fixed.rejections {
+        println!("not fixed: {} — {why}", bug.primitive_name);
     }
-    if converged {
-        println!("{applied} patch(es) applied (fixpoint after {applied} round(s))");
+    let applied = fixed.patches.len();
+    if fixed.converged {
+        println!(
+            "{applied} patch(es) applied (fixpoint after {} round(s))",
+            fixed.rounds
+        );
     } else {
         println!(
-            "{applied} patch(es) applied (no fixpoint: stopped at the {MAX_FIX_ROUNDS}-round cap)"
+            "{applied} patch(es) applied (no fixpoint: stopped at the {}-round cap)",
+            gfix::MAX_FIX_ROUNDS
         );
     }
     if write && applied > 0 {
-        write_out(&path, &source)?;
+        write_out(&path, &fixed.source)?;
         println!("wrote patched source to {path} ({applied} patch(es) applied)");
     }
-    Ok(if !converged {
-        ExitCode::from(2)
-    } else if initial_bugs > 0 {
+    Ok(if fixed.converged {
         ExitCode::FAILURE
     } else {
-        ExitCode::SUCCESS
+        ExitCode::from(2)
     })
 }
 
@@ -1486,9 +1458,11 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
 /// Fingerprint of every flag that shapes a serve response byte. The
 /// cache index records it in its header; an index written under a
 /// different fingerprint is discarded wholesale on startup, because its
-/// cached responses would no longer match what this daemon computes.
+/// cached responses would no longer match what this daemon computes. The
+/// leading version changes with the response text itself: `v2` labels the
+/// operations of non-blocking reports `op:` in `explain` text.
 fn serve_fingerprint(flags: &[Flag]) -> String {
-    let mut fp = String::from("v1");
+    let mut fp = String::from("v2");
     for (name, takes_value) in ANALYSIS_FLAGS {
         fp.push(';');
         fp.push_str(name);

@@ -154,6 +154,18 @@ func main() {
 }
 
 #[test]
+fn extended_labels_panicking_operations_op_not_blocked() {
+    let out = gcatch()
+        .args(["extended", "examples/send_on_closed.go"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("  op: send on "), "stdout: {stdout}");
+    assert!(!stdout.contains("blocked:"), "stdout: {stdout}");
+}
+
+#[test]
 fn usage_errors_exit_2() {
     let out = gcatch().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -737,8 +749,9 @@ fn fix_write_applies_all_patches_to_fixpoint() {
     std::fs::remove_file(path).ok();
 }
 
-/// A module with `n` independent Figure-1 leaks, each needing its own
-/// GFix round.
+/// A module with `n` independent Figure-1 leaks, each in its own function:
+/// no leak's patch can influence another leak's channel, so one detection
+/// round patches them all.
 fn leaks(n: usize) -> String {
     let mut src = String::from("package main\n");
     for i in 0..n {
@@ -754,10 +767,29 @@ fn leaks(n: usize) -> String {
     src
 }
 
+/// `n` Figure-1 leaks in a call chain: `leak{i}` calls `leak{i-1}`, so each
+/// leak's scope reaches the function the previous leak's patch edits, and
+/// a detection round can apply only one patch.
+fn leak_chain(n: usize) -> String {
+    let mut src = String::from("package main\n");
+    for i in 0..n {
+        let call = if i > 0 {
+            format!("    leak{}()\n", i - 1)
+        } else {
+            String::new()
+        };
+        src.push_str(&format!(
+            "\nfunc leak{i}() {{\n    d := make(chan int)\n    go func() {{\n        d <- {i}\n    }}()\n    select {{\n    case <-d:\n    default:\n    }}\n{call}}}\n"
+        ));
+    }
+    src.push_str(&format!("\nfunc main() {{\n    leak{}()\n}}\n", n - 1));
+    src
+}
+
 #[test]
 fn fix_reports_a_round_cap_without_claiming_a_fixpoint() {
-    // 31 patches leave the 32nd round to confirm the fixpoint.
-    let path = write_temp("fix-cap-31", &leaks(31));
+    // 31 patching rounds leave the 32nd round to confirm the fixpoint.
+    let path = write_temp("fix-cap-31", &leak_chain(31));
     let out = gcatch()
         .args(["fix", path.to_str().unwrap()])
         .output()
@@ -770,8 +802,9 @@ fn fix_reports_a_round_cap_without_claiming_a_fixpoint() {
     );
     std::fs::remove_file(path).ok();
 
-    // 33 leaks: every round applies a patch and none confirms a fixpoint.
-    let path = write_temp("fix-cap-33", &leaks(33));
+    // 33 chained leaks: every round applies a patch and none confirms a
+    // fixpoint.
+    let path = write_temp("fix-cap-33", &leak_chain(33));
     let p = path.to_str().unwrap();
     let out = gcatch().args(["fix", "--write", p]).output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -790,6 +823,100 @@ fn fix_reports_a_round_cap_without_claiming_a_fixpoint() {
     assert_eq!(patched.matches("make(chan int, 1)").count(), 32);
     let out = gcatch().args(["check", p]).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn fix_patches_independent_leaks_in_one_round() {
+    // More leaks than the round cap: one round patches every one of them.
+    let path = write_temp("fix-leaks-33", &leaks(33));
+    let p = path.to_str().unwrap();
+    let out = gcatch().args(["fix", "--write", p]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(
+        stdout.contains("\n33 patch(es) applied (fixpoint after 1 round(s))\n"),
+        "stdout: {stdout}"
+    );
+    let patched = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(patched.matches("make(chan int, 1)").count(), 33);
+    let out = gcatch().args(["check", p]).output().unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    std::fs::remove_file(path).ok();
+}
+
+/// Figure 4 of the paper: Strategy III inserts lines, shifting every line
+/// after the channel's declaration.
+const FIGURE4: &str = r#"
+package main
+
+func Input() (string, error) {
+    return "line", nil
+}
+
+func Interactive(abort chan struct{}) {
+    scheduler := make(chan string)
+    go func() {
+        for {
+            line, err := Input()
+            if err != nil {
+                close(scheduler)
+                return
+            }
+            scheduler <- line
+        }
+    }()
+    for {
+        select {
+        case <-abort:
+            return
+        case _, ok := <-scheduler:
+            if !ok {
+                return
+            }
+        }
+    }
+}
+
+func main() {
+    abort := make(chan struct{}, 1)
+    abort <- struct{}{}
+    Interactive(abort)
+}
+"#;
+
+#[test]
+fn fix_prints_exactly_the_changed_lines() {
+    let path = write_temp("fix-figure4", FIGURE4);
+    let out = gcatch()
+        .args(["fix", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let header = stdout
+        .lines()
+        .find(|l| l.starts_with("[S-III] "))
+        .unwrap_or_else(|| panic!("no Strategy III patch: {stdout}"));
+    let changed: usize = header
+        .rsplit_once(" (")
+        .and_then(|(_, n)| n.strip_suffix(" changed lines)"))
+        .and_then(|n| n.parse().ok())
+        .expect("changed-lines count");
+    let diff: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("  - ") || l.starts_with("  + "))
+        .collect();
+    assert_eq!(diff.len(), changed, "stdout: {stdout}");
+    assert!(
+        !diff.iter().any(|l| l.contains("func main() {")),
+        "stdout: {stdout}"
+    );
     std::fs::remove_file(path).ok();
 }
 
