@@ -48,6 +48,32 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// Alternating plain/bus pairs behind `observability.overhead_pct`.
+const OBS_PAIRS: usize = 10;
+
+/// Median and quartiles of a sample (linear interpolation between ranks).
+struct Quartiles {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Quartiles {
+    fn of(samples: &mut [f64]) -> Quartiles {
+        samples.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let pos = q * (samples.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            samples[lo] + (samples[hi] - samples[lo]) * (pos - lo as f64)
+        };
+        Quartiles {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = AmpConfig {
@@ -148,52 +174,46 @@ fn main() {
         }
         bad
     };
-    // Observability overhead: the same optimized run with a live event
-    // bus attached (every channel_analyzed emitted) against a plain run,
-    // both warm; best of two on each side to damp scheduler noise. The
-    // bus must never change the report.
-    let obs_base = {
-        let (a, b) = (
-            run(&module, AliasMode::Demand, &after_config),
-            run(&module, AliasMode::Demand, &after_config),
-        );
-        if a.wall <= b.wall {
-            a
-        } else {
-            b
-        }
+    // Observability overhead: the optimized run with a live event bus
+    // attached (every channel_analyzed emitted) against a plain run, in
+    // alternating pairs at `jobs: 1` (thread scheduling would swamp a
+    // difference of a few percent), compared by their medians. The
+    // quartiles say whether that difference is resolved at all. The bus
+    // must never change the report.
+    let plain_config = DetectorConfig {
+        jobs: 1,
+        ..DetectorConfig::default()
     };
-    let run_with_bus = || {
+    let mut base_ms = Vec::with_capacity(OBS_PAIRS);
+    let mut events_ms = Vec::with_capacity(OBS_PAIRS);
+    let mut emitted = 0;
+    let mut bus_diverged = false;
+    for _ in 0..OBS_PAIRS {
+        let plain = run(&module, AliasMode::Demand, &plain_config);
         let bus = Arc::new(EventBus::new("scale-bench".to_string(), false));
         let obs_config = DetectorConfig {
             obs: ObsScope {
                 bus: Some(bus.clone()),
                 ..ObsScope::default()
             },
-            ..DetectorConfig::default()
+            ..plain_config.clone()
         };
-        let result = run(&module, AliasMode::Demand, &obs_config);
-        (result, bus.len())
-    };
-    let (obs_events, emitted) = {
-        let (a, b) = (run_with_bus(), run_with_bus());
-        if a.0.wall <= b.0.wall {
-            a
-        } else {
-            b
-        }
-    };
-    let obs_overhead_pct =
-        (ms(obs_events.wall) - ms(obs_base.wall)) / ms(obs_base.wall).max(1e-9) * 100.0;
+        let with_bus = run(&module, AliasMode::Demand, &obs_config);
+        emitted = bus.len();
+        bus_diverged |= with_bus.report != plain.report;
+        base_ms.push(ms(plain.wall));
+        events_ms.push(ms(with_bus.wall));
+    }
+    let base = Quartiles::of(&mut base_ms);
+    let events = Quartiles::of(&mut events_ms);
+    let obs_overhead_pct = (events.median - base.median) / base.median.max(1e-9) * 100.0;
+    let base_iqr_pct = (base.q3 - base.q1) / base.median.max(1e-9) * 100.0;
     eprintln!(
-        "scale_bench: observability: {:.1} ms plain vs {:.1} ms with events ({} emitted, {:+.2}% overhead)",
-        ms(obs_base.wall),
-        ms(obs_events.wall),
-        emitted,
-        obs_overhead_pct
+        "scale_bench: observability ({OBS_PAIRS} pairs, jobs 1): median {:.1} ms plain vs {:.1} ms with events ({} emitted, {:+.2}% overhead; plain IQR {:.1}% of its median)",
+        base.median, events.median, emitted, obs_overhead_pct, base_iqr_pct
     );
     let mut divergences = divergences;
-    if obs_events.report != obs_base.report {
+    if bus_diverged {
         divergences.push("event bus (on vs off)");
     }
     let reports_identical = divergences.is_empty();
@@ -220,8 +240,10 @@ fn main() {
             "\"after\":{{\"solver_mode\":\"incremental\",\"alias_mode\":\"demand\",\"share_encodings\":true,",
             "\"wall_ms\":{:.2},\"ms_per_1k_channels\":{:.2},",
             "\"channel_encodings_shared\":{},\"alias_queries_solved\":{},\"alias_functions_skipped\":{}}},",
-            "\"observability\":{{\"base_wall_ms\":{:.2},\"events_wall_ms\":{:.2},",
-            "\"overhead_pct\":{:.2},\"events\":{}}},",
+            "\"observability\":{{\"pairs\":{},\"jobs\":1,",
+            "\"base_wall_ms\":{:.2},\"base_q1_ms\":{:.2},\"base_q3_ms\":{:.2},",
+            "\"events_wall_ms\":{:.2},\"events_q1_ms\":{:.2},\"events_q3_ms\":{:.2},",
+            "\"overhead_pct\":{:.2},\"base_iqr_pct\":{:.2},\"events\":{}}},",
             "\"speedup\":{:.2},\"reports_identical\":{},\"bugs\":{}}}"
         ),
         config.channels,
@@ -234,9 +256,15 @@ fn main() {
         shared,
         alias_solved,
         alias_skipped,
-        ms(obs_base.wall),
-        ms(obs_events.wall),
+        OBS_PAIRS,
+        base.median,
+        base.q1,
+        base.q3,
+        events.median,
+        events.q1,
+        events.q3,
         obs_overhead_pct,
+        base_iqr_pct,
         emitted,
         speedup,
         reports_identical,

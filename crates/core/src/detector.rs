@@ -403,7 +403,7 @@ impl<'m> AnalysisSession<'m> {
         let prim = &self.prims.all[chan.0];
         let scopes = self.scopes();
         let scope = &scopes[chan.0];
-        let prim_set = pset(chan, self.dependency_graph(), scopes, &self.prims);
+        let prim_set = pset(chan, self.dependency_graph(), scopes);
         let pset_sites: Vec<Loc> = prim_set.iter().map(|&p| self.prims.all[p.0].site).collect();
         let meta = crate::warm::channel_meta(self.module, prim);
         let ops_hash = crate::warm::ops_hash(self.module, &self.prims, &prim_set);
@@ -540,7 +540,7 @@ impl<'m> AnalysisSession<'m> {
     ) -> (Vec<(GroupKey, BugReport)>, bool) {
         let (root, mut prim_set): (FuncId, Vec<PrimId>) = if config.disentangle {
             let scopes = self.scopes();
-            let set = pset(chan, self.dependency_graph(), scopes, &self.prims);
+            let set = pset(chan, self.dependency_graph(), scopes);
             if rung == 0 {
                 self.telemetry.add(Counter::PsetsComputed, 1);
                 self.telemetry

@@ -37,11 +37,10 @@ impl Scope {
 /// single function covers all operations (the paper falls back to per-
 /// function scopes for libraries; we fall back to the creation function,
 /// which reproduces the paper's LCA-related misses).
-pub fn compute_scope(module: &Module, analysis: &Analysis, prims: &Primitives, p: PrimId) -> Scope {
+pub fn compute_scope(analysis: &Analysis, prims: &Primitives, p: PrimId) -> Scope {
     let prim = &prims.all[p.0];
     let mut must_cover: HashSet<FuncId> = prims.funcs_with_ops_of(p).clone();
     must_cover.insert(prim.site.func);
-    let _ = module; // kept in the signature for API stability
 
     // The candidate roots are exactly ∩ reaching(m) over the functions the
     // scope must cover (`must_cover ⊆ reachable_from(f)` ⟺ `f` reaches
@@ -237,8 +236,7 @@ fn intra_reachable(f: &Function, from: Loc, to: Loc) -> bool {
 
 /// Computes the Pset of channel `c` (§3.2): `c` plus every primitive that
 /// circularly depends on `c` and whose scope is not larger.
-pub fn pset(c: PrimId, dg: &DependencyGraph, scopes: &[Scope], prims: &Primitives) -> Vec<PrimId> {
-    let _ = prims;
+pub fn pset(c: PrimId, dg: &DependencyGraph, scopes: &[Scope]) -> Vec<PrimId> {
     // A circular partner must appear in `depends[c]`, so only those
     // candidates are tested (instead of every primitive in the module);
     // sorting restores the old ascending-id output order.
@@ -317,7 +315,7 @@ mod tests {
             "func work(ch chan int) {\n ch <- 1\n}\nfunc driver() {\n ch := make(chan int)\n go work(ch)\n <-ch\n}\nfunc main() {\n driver()\n}",
         );
         let ch = prim_named(&s, "ch");
-        let scope = compute_scope(s.module, &s.analysis, &s.prims, ch);
+        let scope = compute_scope(&s.analysis, &s.prims, ch);
         let driver = s.module.func_by_name("driver").unwrap().id;
         assert_eq!(scope.root, driver, "LCA is driver, not main");
         assert!(scope.contains(s.module.func_by_name("work").unwrap().id));
@@ -344,11 +342,11 @@ mod tests {
             .prims
             .all
             .iter()
-            .map(|p| compute_scope(s.module, &s.analysis, &s.prims, p.id))
+            .map(|p| compute_scope(&s.analysis, &s.prims, p.id))
             .collect();
         let a = prim_named(&s, "a");
         let b = prim_named(&s, "b");
-        let pset_a = pset(a, &dg, &scopes, &s.prims);
+        let pset_a = pset(a, &dg, &scopes);
         assert!(
             pset_a.contains(&b),
             "same-scope select peer belongs to Pset"
@@ -385,7 +383,7 @@ func main() {
             .prims
             .all
             .iter()
-            .map(|p| compute_scope(s.module, &s.analysis, &s.prims, p.id))
+            .map(|p| compute_scope(&s.analysis, &s.prims, p.id))
             .collect();
         let out_done = prim_named(&s, "outDone");
         let ctx = prim_named(&s, "ctx");
@@ -397,11 +395,11 @@ func main() {
             scopes[ctx.0].size() > scopes[out_done.0].size(),
             "ctx channel has the larger scope"
         );
-        let ps = pset(out_done, &dg, &scopes, &s.prims);
+        let ps = pset(out_done, &dg, &scopes);
         assert!(!ps.contains(&ctx), "ctx is excluded from outDone's Pset");
         // ...but analyzing ctx includes outDone (paper: "inspected together
         // when GCatch analyzes ctx.Done()").
-        let ps_ctx = pset(ctx, &dg, &scopes, &s.prims);
+        let ps_ctx = pset(ctx, &dg, &scopes);
         assert!(ps_ctx.contains(&out_done));
     }
 

@@ -172,13 +172,13 @@ impl<'a> Enumerator<'a> {
     ) -> Enumerator<'a> {
         let pset: HashSet<PrimId> = pset.iter().copied().collect();
         // A function "touches" the Pset if any function reachable from it
-        // contains an op on a Pset primitive.
-        let mut direct: HashSet<FuncId> = HashSet::new();
-        for op in &prims.ops {
-            if pset.contains(&op.prim) {
-                direct.insert(op.func);
-            }
-        }
+        // contains an op on a Pset primitive. The functions holding such
+        // an op come from each member's own op index, so this costs the
+        // Pset's ops, not the module's.
+        let direct: HashSet<FuncId> = pset
+            .iter()
+            .flat_map(|&p| prims.funcs_with_ops_of(p).iter().copied())
+            .collect();
         // `f` touches the Pset ⟺ some direct function is reachable from
         // `f` ⟺ `f` can reach a direct function — so the union of the
         // (memoized) reverse-reachability slices gives the same set
@@ -988,5 +988,93 @@ func TestX(t *testing.T, fail bool) {
                 }
             }
         }
+    }
+
+    /// The toucher definition the enumerator used to compute by scanning
+    /// every op of the module: the functions holding a Pset op, then every
+    /// function from which one of them is reachable.
+    fn touchers_by_full_scan(s: &Setup, pset: &[PrimId]) -> HashSet<FuncId> {
+        let direct: HashSet<FuncId> = s
+            .prims
+            .ops
+            .iter()
+            .filter(|op| pset.contains(&op.prim))
+            .map(|op| op.func)
+            .collect();
+        s.module
+            .funcs
+            .iter()
+            .map(|f| f.id)
+            .filter(|&f| {
+                s.analysis
+                    .reachable_from(f)
+                    .iter()
+                    .any(|g| direct.contains(g))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn touchers_from_the_pset_op_index_match_the_full_scan() {
+        // A three-deep chain (top → middle → leaf), a `go` closure, a call
+        // through a function value, and a function that reaches no Pset op.
+        let s = setup(
+            r#"
+func leaf(ch chan int) {
+    ch <- 1
+}
+
+func middle(ch chan int) {
+    leaf(ch)
+}
+
+func top(ch chan int) {
+    middle(ch)
+}
+
+func run(f func(chan int), ch chan int) {
+    f(ch)
+}
+
+func unrelated() {
+    other := make(chan int, 1)
+    other <- 1
+}
+
+func main() {
+    ch := make(chan int)
+    go func() {
+        top(ch)
+    }()
+    run(leaf, ch)
+    <-ch
+    unrelated()
+}
+"#,
+        );
+        let name = |f: FuncId| s.module.func(f).name.to_string();
+        let id = |n: &str| s.module.func_by_name(n).unwrap().id;
+        let ch = s.prims.all.iter().find(|p| p.name == "ch").unwrap().id;
+        let other = s.prims.all.iter().find(|p| p.name == "other").unwrap().id;
+        for pset in [vec![ch], vec![other], vec![ch, other], all_prims(&s)] {
+            let e = Enumerator::new(s.module, &s.analysis, &s.prims, &pset, Limits::default());
+            assert_eq!(
+                e.touchers,
+                touchers_by_full_scan(&s, &pset),
+                "Pset {pset:?}"
+            );
+        }
+        // The reference is not vacuous: `ch`'s touchers span the chain, the
+        // closure and the function-value call, and exclude `unrelated`.
+        let e = Enumerator::new(s.module, &s.analysis, &s.prims, &[ch], Limits::default());
+        let closure = s.module.funcs.iter().find(|f| f.is_closure).unwrap().id;
+        for f in ["leaf", "middle", "top", "run", "main"]
+            .map(id)
+            .into_iter()
+            .chain([closure])
+        {
+            assert!(e.touchers.contains(&f), "{} touches ch", name(f));
+        }
+        assert!(!e.touchers.contains(&id("unrelated")));
     }
 }

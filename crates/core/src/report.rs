@@ -145,7 +145,8 @@ pub struct Provenance {
     pub branches_pruned: u64,
     /// Path combinations built for the channel.
     pub combos_tried: usize,
-    /// Suspicious groups submitted to the solver for the channel.
+    /// Solver queries submitted for the channel: suspicious groups for
+    /// BMOC, (send, close) pairs for send-on-closed.
     pub groups_checked: u64,
     /// Verdict of the satisfying query (`blocking` for BMOC,
     /// `panic-schedule` for send-on-closed).
@@ -166,9 +167,14 @@ impl Provenance {
     /// Renders the record as indented human-readable lines (the body of
     /// the `--explain` output).
     pub fn render(&self) -> String {
+        let queries = if self.solver_verdict == "panic-schedule" {
+            "pair(s)"
+        } else {
+            "group(s)"
+        };
         let mut text = format!(
             "  why: channel `{}` — Pset of {} primitive(s); {} path(s) enumerated \
-             ({} branch(es) pruned), {} combo(s) built, {} group(s) checked;\n  \
+             ({} branch(es) pruned), {} combo(s) built, {} {queries} checked;\n  \
              solver verdict `{}` after {} step(s), {} decision(s), {} conflict(s)\n",
             self.channel,
             self.pset_size,
@@ -426,6 +432,7 @@ mod tests {
         assert!(text.contains("outDone"));
         assert!(text.contains("2 primitive(s)"));
         assert!(text.contains("7 path(s)"));
+        assert!(text.contains("4 group(s) checked"));
         assert!(text.contains("blocking"));
         assert!(text.contains("120 step(s)"));
         assert!(text.contains("ladder rung 1"));

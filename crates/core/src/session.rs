@@ -157,7 +157,7 @@ impl<'m> AnalysisSession<'m> {
                     self.prims
                         .all
                         .iter()
-                        .map(|p| compute_scope(self.module, &self.analysis, &self.prims, p.id))
+                        .map(|p| compute_scope(&self.analysis, &self.prims, p.id))
                         .collect()
                 })
             })

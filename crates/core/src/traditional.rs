@@ -138,15 +138,13 @@ impl<'a> LockExplorer<'a> {
                 }
             }
         }
+        // `f` touches a lock ⟺ some direct function is reachable from `f`
+        // ⟺ `f` can reach a direct function, so the union of the memoized
+        // reverse-reachability slices is the set: it costs the lock
+        // functions' caller slices, not a walk from every module function.
         let mut touchers = HashSet::new();
-        for f in &module.funcs {
-            if analysis
-                .reachable_from(f.id)
-                .iter()
-                .any(|g| direct.contains(g))
-            {
-                touchers.insert(f.id);
-            }
+        for &d in &direct {
+            touchers.extend(analysis.reaching(d).iter().copied());
         }
         LockExplorer {
             module,
@@ -821,5 +819,84 @@ func TestX(t *testing.T) {
             !kinds(&bugs).contains(&BugKind::FatalInChildGoroutine),
             "got {bugs:?}"
         );
+    }
+
+    #[test]
+    fn lock_touchers_through_reaching_match_the_reachability_scan() {
+        // A three-deep chain (top → middle → leaf), a `go` closure, a call
+        // through a function value, and a function that reaches no lock.
+        let src = r#"
+func leaf(mu *sync.Mutex) {
+    mu.Lock()
+    mu.Unlock()
+}
+
+func middle(mu *sync.Mutex) {
+    leaf(mu)
+}
+
+func top(mu *sync.Mutex) {
+    middle(mu)
+}
+
+func run(f func(*sync.Mutex), mu *sync.Mutex) {
+    f(mu)
+}
+
+func unrelated() {
+    ch := make(chan int, 1)
+    ch <- 1
+}
+
+func main() {
+    var mu sync.Mutex
+    go func() {
+        top(&mu)
+    }()
+    run(leaf, &mu)
+    unrelated()
+}
+"#;
+        let module = lower_source(src).expect("lowering");
+        let analysis = analyze(&module);
+        let prims = collect(&module, &analysis);
+        // The old definition: a full scan for lock functions, then a
+        // reachability walk from every module function.
+        let direct: HashSet<FuncId> = module
+            .funcs
+            .iter()
+            .filter(|f| {
+                f.blocks
+                    .iter()
+                    .flat_map(|b| &b.instrs)
+                    .any(|i| matches!(i, Instr::Lock { .. } | Instr::Unlock { .. }))
+            })
+            .map(|f| f.id)
+            .collect();
+        let want: HashSet<FuncId> = module
+            .funcs
+            .iter()
+            .map(|f| f.id)
+            .filter(|&f| {
+                analysis
+                    .reachable_from(f)
+                    .iter()
+                    .any(|g| direct.contains(g))
+            })
+            .collect();
+        let explorer = LockExplorer::new(&module, &analysis, &prims);
+        assert_eq!(explorer.touchers, want);
+        // The reference is not vacuous: it spans the chain, the closure and
+        // the function-value call, and excludes `unrelated`.
+        let id = |n: &str| module.func_by_name(n).unwrap().id;
+        let closure = module.funcs.iter().find(|f| f.is_closure).unwrap().id;
+        for f in ["leaf", "middle", "top", "run", "main"]
+            .map(id)
+            .into_iter()
+            .chain([closure])
+        {
+            assert!(want.contains(&f), "{} touches a lock", module.func(f).name);
+        }
+        assert!(!want.contains(&id("unrelated")));
     }
 }

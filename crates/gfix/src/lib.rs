@@ -238,7 +238,7 @@ fn influenced(
         return true;
     };
     let scopes = session.scopes();
-    let prim_set = pset(prim.id, session.dependency_graph(), scopes, &session.prims);
+    let prim_set = pset(prim.id, session.dependency_graph(), scopes);
     edited.iter().any(|&f| {
         influences(
             &scopes[prim.id.0],

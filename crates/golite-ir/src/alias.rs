@@ -516,7 +516,9 @@ pub fn analyze(module: &Module) -> Analysis<'_> {
 /// when (and whether) each function's constraints are solved.
 pub fn analyze_with_mode(module: &Module, mode: AliasMode) -> Analysis<'_> {
     let mode = match mode {
-        AliasMode::Eager => ModeState::Eager(Solver::new(module).run(None)),
+        AliasMode::Eager => {
+            ModeState::Eager(Solver::new(module).run(module.funcs.iter().map(|f| f.id)))
+        }
         AliasMode::Demand => ModeState::Demand(DemandState::build(module)),
     };
     Analysis {
@@ -762,8 +764,7 @@ impl DemandState {
     fn comp_solved(&self, module: &Module, comp: usize) -> &CompSolved {
         self.solved[comp].get_or_init(|| {
             self.solves.fetch_add(1, Ordering::Relaxed);
-            let filter: HashSet<FuncId> = self.comps[comp].funcs.iter().copied().collect();
-            let solved = Solver::new(module).run(Some(&filter));
+            let solved = Solver::new(module).run(self.comps[comp].funcs.iter().copied());
             // Keep only the dynamic call sites: static/external sites are
             // already materialized syntactically for every function.
             let mut dyn_sites_in: HashMap<FuncId, Vec<CallSite>> = HashMap::new();
@@ -905,20 +906,18 @@ impl<'m> Solver<'m> {
         }
     }
 
-    /// Seeds and solves the constraint system. With `filter = None` every
-    /// function is seeded (eager whole-module run); with a filter only the
-    /// given functions are — the demand engine's per-component slice, whose
-    /// answers coincide with the eager run's answers for those functions
-    /// because constraint edges never cross reference components.
-    fn run(mut self, filter: Option<&HashSet<FuncId>>) -> Solved {
-        // Phase 1: seed constraints from every (selected) instruction.
-        for function in &self.module.funcs {
-            let fid = function.id;
-            if let Some(keep) = filter {
-                if !keep.contains(&fid) {
-                    continue;
-                }
-            }
+    /// Seeds and solves the constraint system over `seeds`, in ascending
+    /// id order: every function for the eager whole-module run, or one
+    /// component's members for the demand engine's per-component slice,
+    /// whose answers coincide with the eager run's answers for those
+    /// functions because constraint edges never cross reference
+    /// components. Seeding reads only the given functions, so a component
+    /// solve costs its own slice, not the module.
+    fn run(mut self, seeds: impl IntoIterator<Item = FuncId>) -> Solved {
+        let module = self.module;
+        // Phase 1: seed constraints from every selected instruction.
+        for fid in seeds {
+            let function = module.func(fid);
             for (bid, block) in function.iter_blocks() {
                 for (idx, instr) in block.instrs.iter().enumerate() {
                     let loc = Loc {

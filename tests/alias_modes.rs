@@ -1,11 +1,13 @@
 //! Differential testing of the corpus-scale optimizations: demand-driven
 //! alias analysis and cross-channel encoding sharing must be pure
 //! optimizations. Over the example corpus, a stream of random programs,
-//! and an amplified synthetic suite, every combination of
-//! `AliasMode::{Eager, Demand}`, sharing on/off, and `jobs` 1|4 must
-//! produce byte-identical diagnostics and incident sets.
+//! small relay programs, the Table 1 replicas, and an amplified synthetic
+//! suite, every combination of `AliasMode::{Eager, Demand}`, sharing
+//! on/off, and `jobs` 1|4 must produce byte-identical diagnostics and
+//! incident sets.
 
 use bench::amplifier::{expected_leaks, generate, AmpConfig};
+use gcatch_suite::corpus::apps::{generate_all, GenConfig};
 use gcatch_suite::gcatch::{
     render_json, AliasMode, Counter, DetectorConfig, GCatch, Selection, TraceLevel,
 };
@@ -208,6 +210,64 @@ fn fuzz_programs_agree_across_alias_and_sharing() {
         let seed = pick.gen_range(0u64..10_000);
         let src = random_program(seed);
         assert_axes_agree(&format!("fuzz seed {seed}"), &src);
+    }
+}
+
+/// Programs whose channel reaches its operations only through functions
+/// that hold no sync operation: a relay call, a relaying `go` closure, a
+/// struct built by a helper, a global set by a helper, and a function
+/// value applied by a helper. A component solve that skipped such members
+/// would lose the flow.
+const RELAY_PROGRAMS: [(&str, &str); 5] = [
+    (
+        "relay call",
+        "func worker(ch chan int) {\n ch <- 1\n}\nfunc relay(ch chan int) {\n worker(ch)\n}\n\
+         func main() {\n ch := make(chan int)\n go relay(ch)\n}\n",
+    ),
+    (
+        "relay closure",
+        "func worker(ch chan int) {\n ch <- 1\n}\n\
+         func main() {\n ch := make(chan int)\n go func() {\n  worker(ch)\n }()\n}\n",
+    ),
+    (
+        "struct from a helper",
+        "type Box struct {\n ch chan int\n}\nfunc wrap(c chan int) Box {\n return Box{ch: c}\n}\n\
+         func fill(b *Box) {\n b.ch <- 1\n}\n\
+         func main() {\n c := make(chan int)\n b := wrap(c)\n go fill(&b)\n}\n",
+    ),
+    (
+        "global from a helper",
+        "var shared chan int\nfunc setup(c chan int) {\n shared = c\n}\nfunc use() {\n shared <- 1\n}\n\
+         func main() {\n c := make(chan int)\n setup(c)\n go use()\n}\n",
+    ),
+    (
+        "function value applied by a helper",
+        "func send(c chan int) {\n c <- 1\n}\nfunc apply(f func(chan int), c chan int) {\n f(c)\n}\n\
+         func main() {\n c := make(chan int)\n go apply(send, c)\n}\n",
+    ),
+];
+
+#[test]
+fn relay_programs_agree_across_alias_and_sharing() {
+    for (name, source) in RELAY_PROGRAMS {
+        let (diagnostics, _) = run_module(source, BASELINE);
+        assert!(diagnostics.contains("BMOC-C"), "{name}: the leak is found");
+        assert_axes_agree(name, source);
+    }
+}
+
+/// The 21 Table 1 replicas: unlike the examples and the fuzz programs,
+/// their component solves carry dynamic calls, struct fields, globals and
+/// mutexes.
+#[test]
+fn table1_replicas_agree_across_alias_and_sharing() {
+    let apps = generate_all(&GenConfig {
+        seed: 11,
+        filler_per_kloc: 0.01,
+    });
+    assert_eq!(apps.len(), 21);
+    for app in &apps {
+        assert_axes_agree(app.name, &app.source);
     }
 }
 

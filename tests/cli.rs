@@ -166,6 +166,28 @@ fn extended_labels_panicking_operations_op_not_blocked() {
 }
 
 #[test]
+fn explain_words_solver_queries_by_kind() {
+    // Send-on-closed asks (send, close) pair queries, BMOC blocking-group
+    // queries; --explain names each by what it asked.
+    let out = gcatch()
+        .args(["extended", "--explain", "examples/send_on_closed.go"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(" pair(s) checked;"), "stdout: {stdout}");
+    assert!(!stdout.contains("group(s) checked"), "stdout: {stdout}");
+    let out = gcatch()
+        .args(["check", "--explain", "examples/figure1.go"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(" group(s) checked;"), "stdout: {stdout}");
+    assert!(!stdout.contains("pair(s) checked"), "stdout: {stdout}");
+}
+
+#[test]
 fn usage_errors_exit_2() {
     let out = gcatch().output().unwrap();
     assert_eq!(out.status.code(), Some(2));
