@@ -47,7 +47,7 @@ use crate::report::WitnessStep;
 use crate::resilience::Budget;
 use minismt::{Atom, BoolVar, IntVar, SolveResult, Solver, SolverMode, Term};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// A communication occurrence inside a combination.
 #[derive(Debug, Clone)]
@@ -238,9 +238,73 @@ fn canon_key(
 /// provenance from the *actual* combination via the canonical fresh
 /// solve, so reports carry the right names and spans and stay
 /// byte-identical with sharing off.
+///
+/// Concurrent workers solve each key once, so the counters of a
+/// `--jobs N` run equal a one-worker run's: a miss claims its key, and a
+/// worker that finds the key claimed waits for the claimant's verdict and
+/// shares it. An `Unknown` verdict, or a claimant that unwinds, releases
+/// the claim instead; the waiters then solve the key themselves.
 #[derive(Debug, Default)]
 pub struct EncodingCache {
-    map: Mutex<HashMap<CanonKey, bool>>,
+    state: Mutex<CacheState>,
+    /// Signalled when a claim settles while workers wait on one.
+    settled: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct CacheState {
+    slots: HashMap<CanonKey, Slot>,
+    /// Workers blocked on a claim.
+    waiting: usize,
+}
+
+/// One canonical key's entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// A worker is solving the key.
+    Claimed,
+    /// The key's definitive verdict (`true` = blocking).
+    Decided(bool),
+}
+
+/// What [`EncodingCache::lookup`] found.
+enum Lookup<'c> {
+    /// A definitive verdict (`true` = blocking), possibly after waiting
+    /// for the worker that solved it.
+    Hit(bool),
+    /// The key was free and is now the caller's to solve.
+    Claimed(Claim<'c>),
+    /// The claim the caller waited on was released without a verdict:
+    /// the caller solves the key itself, uncached.
+    Released,
+}
+
+/// A worker's claim on a key it is solving. Dropping it settles the key:
+/// it stores [`Claim::verdict`] or, when that is `None` (an `Unknown`
+/// verdict, or a solve that unwound), releases the key, and it wakes every
+/// waiter either way.
+struct Claim<'c> {
+    cache: &'c EncodingCache,
+    key: CanonKey,
+    verdict: Option<bool>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut state = self.cache.state();
+        let key = std::mem::take(&mut self.key);
+        match self.verdict {
+            Some(blocking) => {
+                state.slots.insert(key, Slot::Decided(blocking));
+            }
+            None => {
+                state.slots.remove(&key);
+            }
+        }
+        if state.waiting > 0 {
+            self.cache.settled.notify_all();
+        }
+    }
 }
 
 impl EncodingCache {
@@ -249,24 +313,44 @@ impl EncodingCache {
         EncodingCache::default()
     }
 
-    fn lookup(&self, key: &CanonKey) -> Option<bool> {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .copied()
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn store(&self, key: CanonKey, blocking: bool) {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, blocking);
+    /// Looks `key` up: a decided verdict is a hit, a free key is claimed
+    /// for the caller, and another worker's claim is waited out.
+    fn lookup(&self, key: CanonKey) -> Lookup<'_> {
+        let mut state = self.state();
+        let mut waited = false;
+        loop {
+            match state.slots.get(&key) {
+                Some(&Slot::Decided(blocking)) => return Lookup::Hit(blocking),
+                Some(Slot::Claimed) => {
+                    state.waiting += 1;
+                    state = self.settled.wait(state).unwrap_or_else(|e| e.into_inner());
+                    state.waiting -= 1;
+                    waited = true;
+                }
+                None if waited => return Lookup::Released,
+                None => {
+                    state.slots.insert(key.clone(), Slot::Claimed);
+                    return Lookup::Claimed(Claim {
+                        cache: self,
+                        key,
+                        verdict: None,
+                    });
+                }
+            }
+        }
     }
 
-    /// Number of distinct canonical encodings currently cached.
+    /// Number of distinct canonical encodings with a cached verdict.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.state()
+            .slots
+            .values()
+            .filter(|slot| matches!(slot, Slot::Decided(_)))
+            .count()
     }
 
     /// Snapshots every cached verdict, sorted by key, for carrying solver
@@ -274,8 +358,15 @@ impl EncodingCache {
     /// renamed by first appearance, no positions), so a snapshot taken
     /// against one module version is sound to replay against any other.
     pub fn export(&self) -> Vec<(Vec<u64>, bool)> {
-        let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        let mut entries: Vec<(Vec<u64>, bool)> = map.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        let state = self.state();
+        let mut entries: Vec<(Vec<u64>, bool)> = state
+            .slots
+            .iter()
+            .filter_map(|(k, slot)| match *slot {
+                Slot::Decided(blocking) => Some((k.clone(), blocking)),
+                Slot::Claimed => None,
+            })
+            .collect();
         entries.sort();
         entries
     }
@@ -284,13 +375,13 @@ impl EncodingCache {
     /// [`EncodingCache::export`]. Existing entries win on collision (both
     /// sides hold the same verdict for the same canonical key anyway).
     pub fn import(&self, entries: &[(Vec<u64>, bool)]) {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state();
         for (k, v) in entries {
-            map.entry(k.clone()).or_insert(*v);
+            state.slots.entry(k.clone()).or_insert(Slot::Decided(*v));
         }
     }
 
-    /// Whether the cache is empty.
+    /// Whether no verdict is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -422,8 +513,8 @@ impl<'p> ChannelSolver<'p> {
             step_limit,
             self.strategy.engine_mode(),
         );
-        match cache.lookup(&key) {
-            Some(false) => {
+        match cache.lookup(key) {
+            Lookup::Hit(false) => {
                 // A structurally identical query was safe; so is this one.
                 self.encodings_shared += 1;
                 GroupCheck {
@@ -432,7 +523,7 @@ impl<'p> ChannelSolver<'p> {
                     reused: false,
                 }
             }
-            Some(true) => {
+            Lookup::Hit(true) => {
                 // Blocking: the verdict is shared, but the witness and
                 // provenance must name *this* channel's events, so they
                 // are re-derived by the canonical fresh solve — the exact
@@ -454,15 +545,16 @@ impl<'p> ChannelSolver<'p> {
                     reused: false,
                 }
             }
-            None => {
+            Lookup::Claimed(mut claim) => {
                 let check = self.check_uncached(combo, query, step_limit, budget);
-                match check.verdict {
-                    Verdict::Safe => cache.store(key, false),
-                    Verdict::Blocking(_) => cache.store(key, true),
-                    Verdict::Unknown => {} // indefinite: never cached
-                }
+                claim.verdict = match check.verdict {
+                    Verdict::Safe => Some(false),
+                    Verdict::Blocking(_) => Some(true),
+                    Verdict::Unknown => None, // indefinite: never cached
+                };
                 check
             }
+            Lookup::Released => self.check_uncached(combo, query, step_limit, budget),
         }
     }
 
@@ -1406,5 +1498,77 @@ mod tests {
         assert_eq!(cs.encodings_reused, 1);
         assert!(matches!(g0.verdict, Verdict::Safe));
         assert!(matches!(g1.verdict, Verdict::Blocking(_)));
+    }
+
+    /// Blocks until `n` workers wait on a claim: the interleaving under
+    /// test is forced, never left to timing.
+    fn await_waiters(cache: &EncodingCache, n: usize) {
+        while cache.state().waiting < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Workers that miss one key together solve it once: the first claims
+    /// it, the rest wait and share its verdict.
+    #[test]
+    fn concurrent_misses_on_one_key_solve_it_once() {
+        let cache = EncodingCache::new();
+        let key: CanonKey = vec![3, 1, 4];
+        let Lookup::Claimed(mut claim) = cache.lookup(key.clone()) else {
+            panic!("the first lookup claims the key")
+        };
+        let workers = 3;
+        let start = std::sync::Barrier::new(workers + 1);
+        let solves = std::sync::atomic::AtomicUsize::new(1);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        match cache.lookup(key.clone()) {
+                            Lookup::Hit(blocking) => Some(blocking),
+                            Lookup::Claimed(_) | Lookup::Released => {
+                                solves.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                None
+                            }
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            await_waiters(&cache, workers);
+            claim.verdict = Some(true);
+            drop(claim);
+            for handle in handles {
+                assert_eq!(handle.join().expect("worker"), Some(true));
+            }
+        });
+        assert_eq!(solves.into_inner(), 1, "one solve for the key");
+        assert_eq!(cache.export(), vec![(key, true)]);
+    }
+
+    /// A claim released without a verdict (an `Unknown`, or a claimant
+    /// that unwound) wakes its waiter, which then solves the key itself;
+    /// the key stays uncached and free to claim.
+    #[test]
+    fn a_released_claim_wakes_its_waiter() {
+        let cache = EncodingCache::new();
+        let key: CanonKey = vec![2, 7];
+        let Lookup::Claimed(claim) = cache.lookup(key.clone()) else {
+            panic!("the first lookup claims the key")
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| matches!(cache.lookup(key.clone()), Lookup::Released));
+            await_waiters(&cache, 1);
+            drop(claim);
+            assert!(waiter.join().expect("waiter"), "the waiter was released");
+        });
+        assert!(cache.is_empty(), "nothing was decided");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _claim = cache.lookup(key.clone());
+            panic!("solver unwound");
+        }));
+        assert!(unwound.is_err());
+        assert!(matches!(cache.lookup(key), Lookup::Claimed(_)));
     }
 }

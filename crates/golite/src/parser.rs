@@ -11,7 +11,7 @@
 //!   a condition followed by a block.
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError};
+use crate::lexer::{lex, string_value, LexError};
 use crate::token::{Span, Token, TokenKind};
 
 /// An error produced while parsing.
@@ -67,16 +67,56 @@ impl From<LexError> for ParseError {
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
     let mut p = Parser {
+        src,
         tokens,
         pos: 0,
         next_id: 0,
         no_composite: 0,
         depth: 0,
+        stmt_bufs: Pool::default(),
+        expr_bufs: Pool::default(),
+        param_bufs: Pool::default(),
+        case_bufs: Pool::default(),
+        field_bufs: Pool::default(),
     };
     p.program()
 }
 
-struct Parser {
+/// Reusable buffers for one kind of list, one buffer per nesting level in
+/// use. A list grows in a buffer, then moves into a `Vec` of exactly its
+/// length ([`Pool::finish`]): no list pays for growth or keeps slack.
+struct Pool<T>(Vec<Vec<T>>);
+
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Pool(Vec::new())
+    }
+}
+
+impl<T> Pool<T> {
+    fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Moves `buf`'s items into an exact-size `Vec` and keeps `buf`.
+    fn finish(&mut self, mut buf: Vec<T>) -> Vec<T> {
+        let mut list = Vec::with_capacity(buf.len());
+        list.append(&mut buf);
+        self.0.push(buf);
+        list
+    }
+}
+
+/// Tokens carry no text: the parser slices names and literals out of
+/// `src` by span and allocates each identifier once, for its AST node.
+///
+/// The lists a node keeps (statements, arguments and returned values,
+/// parameters, select cases, composite fields) are built in [`Pool`]
+/// buffers and stored at their exact length. Growth slack was almost half
+/// of the AST's memory (5.2 of 11.2 MB on the 960-channel probe), and the
+/// AST sets the front end's peak.
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
@@ -85,22 +125,54 @@ struct Parser {
     /// Current recursion depth of the nesting productions (expressions,
     /// blocks, types); capped at [`Parser::MAX_DEPTH`].
     depth: u32,
+    stmt_bufs: Pool<Stmt>,
+    expr_bufs: Pool<Expr>,
+    param_bufs: Pool<Param>,
+    case_bufs: Pool<SelectCase>,
+    field_bufs: Pool<(Option<String>, Expr)>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn id(&mut self) -> NodeId {
         let id = NodeId(self.next_id);
         self.next_id += 1;
         id
     }
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+    fn peek(&self) -> TokenKind {
+        self.tokens[self.pos].kind
     }
 
-    fn peek_at(&self, off: usize) -> &TokenKind {
+    fn peek_at(&self, off: usize) -> TokenKind {
         let i = (self.pos + off).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
+        self.tokens[i].kind
+    }
+
+    /// The source text of `tok`.
+    fn text(&self, tok: Token) -> &'a str {
+        tok.text(self.src)
+    }
+
+    /// `tok` as error messages print it: identifiers by name, integers
+    /// by value, strings as the quoted value, everything else by kind.
+    fn describe(&self, tok: Token) -> String {
+        match tok.kind {
+            TokenKind::Ident => self.text(tok).to_string(),
+            TokenKind::Int => self.int_value(tok).to_string(),
+            TokenKind::Str => format!("{:?}", string_value(self.text(tok))),
+            kind => kind.to_string(),
+        }
+    }
+
+    /// The current token, [`described`](Parser::describe).
+    fn found(&self) -> String {
+        self.describe(self.tokens[self.pos])
+    }
+
+    fn int_value(&self, tok: Token) -> i64 {
+        self.text(tok)
+            .parse()
+            .expect("the lexer admits only literals that fit in an i64")
     }
 
     fn span(&self) -> Span {
@@ -112,14 +184,14 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -128,11 +200,11 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
+    fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
         if self.peek() == kind {
             Ok(self.bump())
         } else {
-            Err(self.err(format!("expected `{kind}`, found `{}`", self.peek())))
+            Err(self.err(format!("expected `{kind}`, found `{}`", self.found())))
         }
     }
 
@@ -179,21 +251,29 @@ impl Parser {
                 Ok(())
             }
             TokenKind::RBrace | TokenKind::Eof => Ok(()),
-            other => Err(self.err(format!("expected end of statement, found `{other}`"))),
+            _ => Err(self.err(format!(
+                "expected end of statement, found `{}`",
+                self.found()
+            ))),
         }
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(name)
+        self.ident_text().map(str::to_string)
+    }
+
+    /// An identifier (or `_`), borrowed from the source.
+    fn ident_text(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek() {
+            TokenKind::Ident => {
+                let tok = self.bump();
+                Ok(self.text(tok))
             }
             TokenKind::Underscore => {
                 self.bump();
-                Ok("_".to_string())
+                Ok("_")
             }
-            other => Err(self.err(format!("expected identifier, found `{other}`"))),
+            _ => Err(self.err(format!("expected identifier, found `{}`", self.found()))),
         }
     }
 
@@ -202,7 +282,7 @@ impl Parser {
     fn program(&mut self) -> Result<Program, ParseError> {
         self.skip_semis();
         let mut package = "main".to_string();
-        if self.eat(&TokenKind::Package) {
+        if self.eat(TokenKind::Package) {
             package = self.ident()?;
             self.end_of_stmt()?;
             self.skip_semis();
@@ -210,22 +290,14 @@ impl Parser {
         let mut imports = Vec::new();
         while matches!(self.peek(), TokenKind::Import) {
             self.bump();
-            if self.eat(&TokenKind::LParen) {
+            if self.eat(TokenKind::LParen) {
                 self.skip_semis();
-                while !self.eat(&TokenKind::RParen) {
-                    match self.bump().kind {
-                        TokenKind::Str(path) => imports.push(path),
-                        other => {
-                            return Err(self.err(format!("expected import path, found `{other}`")))
-                        }
-                    }
+                while !self.eat(TokenKind::RParen) {
+                    imports.push(self.import_path()?);
                     self.skip_semis();
                 }
             } else {
-                match self.bump().kind {
-                    TokenKind::Str(path) => imports.push(path),
-                    other => return Err(self.err(format!("expected import path, found `{other}`"))),
-                }
+                imports.push(self.import_path()?);
             }
             self.end_of_stmt()?;
             self.skip_semis();
@@ -243,7 +315,7 @@ impl Parser {
                     self.bump();
                     let name = self.ident()?;
                     let ty = self.parse_type()?;
-                    let init = if self.eat(&TokenKind::Assign) {
+                    let init = if self.eat(TokenKind::Assign) {
                         Some(self.expr()?)
                     } else {
                         None
@@ -259,7 +331,9 @@ impl Parser {
                         id,
                     });
                 }
-                other => return Err(self.err(format!("expected declaration, found `{other}`"))),
+                _ => {
+                    return Err(self.err(format!("expected declaration, found `{}`", self.found())))
+                }
             }
         }
         Ok(Program {
@@ -270,17 +344,29 @@ impl Parser {
         })
     }
 
+    /// One import path. A non-string is reported at the token after it.
+    fn import_path(&mut self) -> Result<String, ParseError> {
+        let tok = self.bump();
+        match tok.kind {
+            TokenKind::Str => Ok(string_value(self.text(tok))),
+            _ => Err(self.err(format!(
+                "expected import path, found `{}`",
+                self.describe(tok)
+            ))),
+        }
+    }
+
     fn struct_decl(&mut self) -> Result<StructDecl, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::Type)?;
+        self.expect(TokenKind::Type)?;
         let name = self.ident()?;
-        self.expect(&TokenKind::Struct)?;
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::Struct)?;
+        self.expect(TokenKind::LBrace)?;
         self.skip_semis();
         let mut fields = Vec::new();
         while !matches!(self.peek(), TokenKind::RBrace) {
             let mut names = vec![self.ident()?];
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 names.push(self.ident()?);
             }
             let ty = self.parse_type()?;
@@ -289,7 +375,7 @@ impl Parser {
             }
             self.skip_semis();
         }
-        self.expect(&TokenKind::RBrace)?;
+        self.expect(TokenKind::RBrace)?;
         let id = self.id();
         let span = start.to(self.prev_span());
         self.end_of_stmt()?;
@@ -303,7 +389,7 @@ impl Parser {
 
     fn func_decl(&mut self) -> Result<FuncDecl, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::Func)?;
+        self.expect(TokenKind::Func)?;
         let name = self.ident()?;
         let params = self.param_list()?;
         let results = self.result_types()?;
@@ -321,15 +407,15 @@ impl Parser {
     }
 
     fn param_list(&mut self) -> Result<Vec<Param>, ParseError> {
-        self.expect(&TokenKind::LParen)?;
-        let mut params = Vec::new();
-        if self.eat(&TokenKind::RParen) {
-            return Ok(params);
+        self.expect(TokenKind::LParen)?;
+        if self.eat(TokenKind::RParen) {
+            return Ok(Vec::new());
         }
+        let mut params = self.param_bufs.take();
         loop {
             // Collect a run of names sharing one type: `a, b int`.
             let mut names = vec![self.ident()?];
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 names.push(self.ident()?);
             }
             let ty = self.parse_type()?;
@@ -339,28 +425,28 @@ impl Parser {
                     ty: ty.clone(),
                 });
             }
-            if self.eat(&TokenKind::Comma) {
+            if self.eat(TokenKind::Comma) {
                 continue;
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
             break;
         }
-        Ok(params)
+        Ok(self.param_bufs.finish(params))
     }
 
     fn result_types(&mut self) -> Result<Vec<Type>, ParseError> {
         if matches!(self.peek(), TokenKind::LBrace | TokenKind::Semicolon) {
             return Ok(Vec::new());
         }
-        if self.eat(&TokenKind::LParen) {
+        if self.eat(TokenKind::LParen) {
             let mut tys = Vec::new();
-            if !self.eat(&TokenKind::RParen) {
+            if !self.eat(TokenKind::RParen) {
                 loop {
                     // Allow optional names in result lists: `(n int, err error)`.
-                    if matches!(self.peek(), TokenKind::Ident(_))
+                    if self.peek() == TokenKind::Ident
                         && matches!(
                             self.peek_at(1),
-                            TokenKind::Ident(_)
+                            TokenKind::Ident
                                 | TokenKind::Chan
                                 | TokenKind::Star
                                 | TokenKind::LBracket
@@ -371,10 +457,10 @@ impl Parser {
                         self.bump(); // discard the result name
                     }
                     tys.push(self.parse_type()?);
-                    if self.eat(&TokenKind::Comma) {
+                    if self.eat(TokenKind::Comma) {
                         continue;
                     }
-                    self.expect(&TokenKind::RParen)?;
+                    self.expect(TokenKind::RParen)?;
                     break;
                 }
             }
@@ -389,7 +475,7 @@ impl Parser {
     fn starts_type(&self) -> bool {
         matches!(
             self.peek(),
-            TokenKind::Ident(_)
+            TokenKind::Ident
                 | TokenKind::Chan
                 | TokenKind::Star
                 | TokenKind::LBracket
@@ -406,7 +492,7 @@ impl Parser {
     }
 
     fn parse_type_inner(&mut self) -> Result<Type, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Chan => {
                 self.bump();
                 let elem = self.parse_type()?;
@@ -419,27 +505,27 @@ impl Parser {
             }
             TokenKind::LBracket => {
                 self.bump();
-                self.expect(&TokenKind::RBracket)?;
+                self.expect(TokenKind::RBracket)?;
                 let elem = self.parse_type()?;
                 Ok(Type::Slice(Box::new(elem)))
             }
             TokenKind::Struct => {
                 self.bump();
-                self.expect(&TokenKind::LBrace)?;
-                self.expect(&TokenKind::RBrace)?;
+                self.expect(TokenKind::LBrace)?;
+                self.expect(TokenKind::RBrace)?;
                 Ok(Type::Unit)
             }
             TokenKind::Func => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let mut params = Vec::new();
-                if !self.eat(&TokenKind::RParen) {
+                if !self.eat(TokenKind::RParen) {
                     loop {
                         params.push(self.parse_type()?);
-                        if self.eat(&TokenKind::Comma) {
+                        if self.eat(TokenKind::Comma) {
                             continue;
                         }
-                        self.expect(&TokenKind::RParen)?;
+                        self.expect(TokenKind::RParen)?;
                         break;
                     }
                 }
@@ -450,21 +536,22 @@ impl Parser {
                 };
                 Ok(Type::Func(params, results))
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if self.eat(&TokenKind::Dot) {
-                    let member = self.ident()?;
-                    return self.qualified_type(&name, &member);
+            TokenKind::Ident => {
+                let tok = self.bump();
+                let name = self.text(tok);
+                if self.eat(TokenKind::Dot) {
+                    let member = self.ident_text()?;
+                    return self.qualified_type(name, member);
                 }
-                Ok(match name.as_str() {
+                Ok(match name {
                     "int" => Type::Int,
                     "bool" => Type::Bool,
                     "string" => Type::String,
                     "error" => Type::Error,
-                    _ => Type::Named(name),
+                    _ => Type::Named(name.to_string()),
                 })
             }
-            other => Err(self.err(format!("expected type, found `{other}`"))),
+            _ => Err(self.err(format!("expected type, found `{}`", self.found()))),
         }
     }
 
@@ -491,10 +578,10 @@ impl Parser {
 
     fn block_inner(&mut self) -> Result<Block, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let saved = self.no_composite;
         self.no_composite = 0;
-        let mut stmts = Vec::new();
+        let mut stmts = self.stmt_bufs.take();
         loop {
             self.skip_semis();
             if matches!(self.peek(), TokenKind::RBrace) {
@@ -505,22 +592,22 @@ impl Parser {
             }
             stmts.push(self.stmt()?);
         }
-        self.expect(&TokenKind::RBrace)?;
+        self.expect(TokenKind::RBrace)?;
         self.no_composite = saved;
         Ok(Block {
-            stmts,
+            stmts: self.stmt_bufs.finish(stmts),
             span: start.to(self.prev_span()),
         })
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Var => {
                 self.bump();
                 let name = self.ident()?;
                 let ty = self.parse_type()?;
-                let init = if self.eat(&TokenKind::Assign) {
+                let init = if self.eat(TokenKind::Assign) {
                     Some(self.expr()?)
                 } else {
                     None
@@ -547,9 +634,9 @@ impl Parser {
                     // `defer close(ch)` — represent close as a builtin call.
                     let cspan = self.span();
                     self.bump();
-                    self.expect(&TokenKind::LParen)?;
+                    self.expect(TokenKind::LParen)?;
                     let arg = self.expr()?;
-                    self.expect(&TokenKind::RParen)?;
+                    self.expect(TokenKind::RParen)?;
                     let callee = Expr {
                         kind: ExprKind::Ident("close".into()),
                         span: cspan,
@@ -579,27 +666,28 @@ impl Parser {
             }
             TokenKind::Close => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let ch = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 self.finish_stmt(StmtKind::Close(ch), start, true)
             }
             TokenKind::Panic => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let v = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 self.finish_stmt(StmtKind::Panic(v), start, true)
             }
             TokenKind::Return => {
                 self.bump();
-                let mut vals = Vec::new();
+                let mut vals = self.expr_bufs.take();
                 if !matches!(self.peek(), TokenKind::Semicolon | TokenKind::RBrace) {
                     vals.push(self.expr()?);
-                    while self.eat(&TokenKind::Comma) {
+                    while self.eat(TokenKind::Comma) {
                         vals.push(self.expr()?);
                     }
                 }
+                let vals = self.expr_bufs.finish(vals);
                 self.finish_stmt(StmtKind::Return(vals), start, true)
             }
             TokenKind::If => self.if_stmt(),
@@ -645,7 +733,7 @@ impl Parser {
         let start = self.span();
         let first = self.expr()?;
 
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Arrow => {
                 self.bump();
                 let value = self.expr()?;
@@ -674,20 +762,20 @@ impl Parser {
             | TokenKind::PlusAssign
             | TokenKind::MinusAssign => {
                 let mut lhs = vec![first];
-                while self.eat(&TokenKind::Comma) {
+                while self.eat(TokenKind::Comma) {
                     lhs.push(self.expr()?);
                 }
-                match self.peek().clone() {
+                match self.peek() {
                     TokenKind::Define => {
                         self.bump();
                         let mut names = Vec::with_capacity(lhs.len());
-                        for e in &lhs {
-                            match e.as_ident() {
-                                Some(n) => names.push(n.to_string()),
-                                None => {
+                        for e in lhs {
+                            match into_ident(e) {
+                                Ok(n) => names.push(n),
+                                Err(span) => {
                                     return Err(ParseError {
                                         message: "left side of `:=` must be identifiers".into(),
-                                        span: e.span,
+                                        span,
                                     })
                                 }
                             }
@@ -735,7 +823,7 @@ impl Parser {
                             id,
                         })
                     }
-                    other => Err(self.err(format!("expected `:=` or `=`, found `{other}`"))),
+                    _ => Err(self.err(format!("expected `:=` or `=`, found `{}`", self.found()))),
                 }
             }
             _ => {
@@ -752,12 +840,12 @@ impl Parser {
 
     fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::If)?;
+        self.expect(TokenKind::If)?;
         self.no_composite += 1;
         let cond = self.expr()?;
         self.no_composite -= 1;
         let then = self.block()?;
-        let els = if self.eat(&TokenKind::Else) {
+        let els = if self.eat(TokenKind::Else) {
             if matches!(self.peek(), TokenKind::If) {
                 Some(Box::new(self.if_stmt()?))
             } else {
@@ -785,7 +873,7 @@ impl Parser {
 
     fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::For)?;
+        self.expect(TokenKind::For)?;
 
         // `for { ... }` — infinite loop.
         if matches!(self.peek(), TokenKind::LBrace) {
@@ -815,16 +903,14 @@ impl Parser {
                 let _ = body_start;
                 return Ok(Some((None, over)));
             }
-            if let (TokenKind::Ident(v), TokenKind::Define, TokenKind::Range) = (
-                self.peek().clone(),
-                self.peek_at(1).clone(),
-                self.peek_at(2).clone(),
-            ) {
-                self.bump();
+            if let (TokenKind::Ident, TokenKind::Define, TokenKind::Range) =
+                (self.peek(), self.peek_at(1), self.peek_at(2))
+            {
+                let var = self.ident()?;
                 self.bump();
                 self.bump();
                 let over = self.expr()?;
-                return Ok(Some((Some(v), over)));
+                return Ok(Some((Some(var), over)));
             }
             Ok(None)
         })();
@@ -856,13 +942,13 @@ impl Parser {
             Some(self.simple_stmt()?)
         };
 
-        let (init, cond, post) = if self.eat(&TokenKind::Semicolon) {
+        let (init, cond, post) = if self.eat(TokenKind::Semicolon) {
             let cond = if matches!(self.peek(), TokenKind::Semicolon) {
                 None
             } else {
                 Some(self.expr()?)
             };
-            self.expect(&TokenKind::Semicolon)?;
+            self.expect(TokenKind::Semicolon)?;
             let post = if matches!(self.peek(), TokenKind::LBrace) {
                 None
             } else {
@@ -899,24 +985,24 @@ impl Parser {
 
     fn select_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
-        self.expect(&TokenKind::Select)?;
-        self.expect(&TokenKind::LBrace)?;
-        let mut cases = Vec::new();
+        self.expect(TokenKind::Select)?;
+        self.expect(TokenKind::LBrace)?;
+        let mut cases = self.case_bufs.take();
         loop {
             self.skip_semis();
-            if self.eat(&TokenKind::RBrace) {
+            if self.eat(TokenKind::RBrace) {
                 break;
             }
             let case_start = self.span();
-            let kind = if self.eat(&TokenKind::Default) {
-                self.expect(&TokenKind::Colon)?;
+            let kind = if self.eat(TokenKind::Default) {
+                self.expect(TokenKind::Colon)?;
                 SelectCaseKind::Default
             } else {
-                self.expect(&TokenKind::Case)?;
+                self.expect(TokenKind::Case)?;
                 self.select_comm()?
             };
             // Body: statements until the next `case`/`default`/`}`.
-            let mut stmts = Vec::new();
+            let mut stmts = self.stmt_bufs.take();
             loop {
                 self.skip_semis();
                 if matches!(
@@ -927,6 +1013,7 @@ impl Parser {
                 }
                 stmts.push(self.stmt()?);
             }
+            let stmts = self.stmt_bufs.finish(stmts);
             let body_span = stmts
                 .first()
                 .map(|s: &Stmt| s.span.to(stmts.last().unwrap().span))
@@ -940,6 +1027,7 @@ impl Parser {
                 span: case_start,
             });
         }
+        let cases = self.case_bufs.finish(cases);
         let span = start.to(self.prev_span());
         let id = self.id();
         self.skip_semis();
@@ -955,7 +1043,7 @@ impl Parser {
         if matches!(self.peek(), TokenKind::Arrow) {
             self.bump();
             let chan = self.expr()?;
-            self.expect(&TokenKind::Colon)?;
+            self.expect(TokenKind::Colon)?;
             return Ok(SelectCaseKind::Recv {
                 value: None,
                 ok: None,
@@ -963,22 +1051,22 @@ impl Parser {
             });
         }
         // `case v := <-ch:` / `case v, ok := <-ch:`
-        let is_recv_bind = matches!(self.peek(), TokenKind::Ident(_) | TokenKind::Underscore)
+        let is_recv_bind = matches!(self.peek(), TokenKind::Ident | TokenKind::Underscore)
             && (matches!(self.peek_at(1), TokenKind::Define)
                 || (matches!(self.peek_at(1), TokenKind::Comma)
-                    && matches!(self.peek_at(2), TokenKind::Ident(_) | TokenKind::Underscore)
+                    && matches!(self.peek_at(2), TokenKind::Ident | TokenKind::Underscore)
                     && matches!(self.peek_at(3), TokenKind::Define)));
         if is_recv_bind {
             let value = self.ident()?;
-            let ok = if self.eat(&TokenKind::Comma) {
+            let ok = if self.eat(TokenKind::Comma) {
                 Some(self.ident()?)
             } else {
                 None
             };
-            self.expect(&TokenKind::Define)?;
-            self.expect(&TokenKind::Arrow)?;
+            self.expect(TokenKind::Define)?;
+            self.expect(TokenKind::Arrow)?;
             let chan = self.expr()?;
-            self.expect(&TokenKind::Colon)?;
+            self.expect(TokenKind::Colon)?;
             return Ok(SelectCaseKind::Recv {
                 value: Some(value),
                 ok,
@@ -987,9 +1075,9 @@ impl Parser {
         }
         // `case ch <- v:`
         let chan = self.expr()?;
-        self.expect(&TokenKind::Arrow)?;
+        self.expect(TokenKind::Arrow)?;
         let value = self.expr()?;
-        self.expect(&TokenKind::Colon)?;
+        self.expect(TokenKind::Colon)?;
         Ok(SelectCaseKind::Send { chan, value })
     }
 
@@ -1123,7 +1211,7 @@ impl Parser {
                 TokenKind::LBracket => {
                     self.bump();
                     let index = self.expr()?;
-                    self.expect(&TokenKind::RBracket)?;
+                    self.expect(TokenKind::RBracket)?;
                     let span = e.span.to(self.prev_span());
                     let id = self.id();
                     e = Expr {
@@ -1136,12 +1224,10 @@ impl Parser {
                     };
                 }
                 TokenKind::LBrace if self.composite_allowed(&e) => {
-                    let name = e
-                        .as_ident()
-                        .expect("checked by composite_allowed")
-                        .to_string();
+                    let head = e.span;
+                    let name = into_ident(e).expect("checked by composite_allowed");
                     let fields = self.composite_body()?;
-                    let span = e.span.to(self.prev_span());
+                    let span = head.to(self.prev_span());
                     let id = self.id();
                     e = Expr {
                         kind: ExprKind::Composite {
@@ -1173,68 +1259,67 @@ impl Parser {
     }
 
     fn composite_body(&mut self) -> Result<Vec<(Option<String>, Expr)>, ParseError> {
-        self.expect(&TokenKind::LBrace)?;
-        let mut fields = Vec::new();
+        self.expect(TokenKind::LBrace)?;
+        let mut fields = self.field_bufs.take();
         self.skip_semis();
         while !matches!(self.peek(), TokenKind::RBrace) {
             // `name: value` or positional `value`.
-            let named = matches!(self.peek(), TokenKind::Ident(_))
-                && matches!(self.peek_at(1), TokenKind::Colon);
+            let named = self.peek() == TokenKind::Ident && self.peek_at(1) == TokenKind::Colon;
             if named {
                 let name = self.ident()?;
-                self.expect(&TokenKind::Colon)?;
+                self.expect(TokenKind::Colon)?;
                 let value = self.expr()?;
                 fields.push((Some(name), value));
             } else {
                 fields.push((None, self.expr()?));
             }
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 self.skip_semis();
                 break;
             }
             self.skip_semis();
         }
-        self.expect(&TokenKind::RBrace)?;
-        Ok(fields)
+        self.expect(TokenKind::RBrace)?;
+        Ok(self.field_bufs.finish(fields))
     }
 
     fn call_args(&mut self) -> Result<Vec<Expr>, ParseError> {
         let saved = self.no_composite;
         self.no_composite = 0;
-        let mut args = Vec::new();
-        if self.eat(&TokenKind::RParen) {
+        if self.eat(TokenKind::RParen) {
             self.no_composite = saved;
-            return Ok(args);
+            return Ok(Vec::new());
         }
+        let mut args = self.expr_bufs.take();
         loop {
             args.push(self.expr()?);
-            if self.eat(&TokenKind::Comma) {
+            if self.eat(TokenKind::Comma) {
                 continue;
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
             break;
         }
         self.no_composite = saved;
-        Ok(args)
+        Ok(self.expr_bufs.finish(args))
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         let start = self.span();
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
+        match self.peek() {
+            TokenKind::Int => {
+                let tok = self.bump();
                 let id = self.id();
                 Ok(Expr {
-                    kind: ExprKind::Int(v),
+                    kind: ExprKind::Int(self.int_value(tok)),
                     span: start,
                     id,
                 })
             }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str => {
+                let tok = self.bump();
                 let id = self.id();
                 Ok(Expr {
-                    kind: ExprKind::Str(s),
+                    kind: ExprKind::Str(string_value(self.text(tok))),
                     span: start,
                     id,
                 })
@@ -1275,11 +1360,11 @@ impl Parser {
                     id,
                 })
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident => {
+                let tok = self.bump();
                 let id = self.id();
                 Ok(Expr {
-                    kind: ExprKind::Ident(name),
+                    kind: ExprKind::Ident(self.text(tok).to_string()),
                     span: start,
                     id,
                 })
@@ -1287,10 +1372,10 @@ impl Parser {
             TokenKind::Struct => {
                 // `struct{}{}` — unit literal.
                 self.bump();
-                self.expect(&TokenKind::LBrace)?;
-                self.expect(&TokenKind::RBrace)?;
-                self.expect(&TokenKind::LBrace)?;
-                self.expect(&TokenKind::RBrace)?;
+                self.expect(TokenKind::LBrace)?;
+                self.expect(TokenKind::RBrace)?;
+                self.expect(TokenKind::LBrace)?;
+                self.expect(TokenKind::RBrace)?;
                 let span = start.to(self.prev_span());
                 let id = self.id();
                 Ok(Expr {
@@ -1301,14 +1386,14 @@ impl Parser {
             }
             TokenKind::Make => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let ty = self.parse_type()?;
-                let cap = if self.eat(&TokenKind::Comma) {
+                let cap = if self.eat(TokenKind::Comma) {
                     Some(Box::new(self.expr()?))
                 } else {
                     None
                 };
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 let span = start.to(self.prev_span());
                 let id = self.id();
                 Ok(Expr {
@@ -1343,7 +1428,7 @@ impl Parser {
                 self.no_composite = 0;
                 let inner = self.expr()?;
                 self.no_composite = saved;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 let span = start.to(self.prev_span());
                 let id = self.id();
                 Ok(Expr {
@@ -1364,7 +1449,21 @@ impl Parser {
                     id,
                 })
             }
-            other => Err(self.err(format!("expected expression, found `{other}`"))),
+            _ => Err(self.err(format!("expected expression, found `{}`", self.found()))),
+        }
+    }
+}
+
+/// Moves the name out of a (possibly parenthesized) identifier
+/// expression; anything else yields the expression's span.
+fn into_ident(e: Expr) -> Result<String, Span> {
+    let span = e.span;
+    let mut kind = e.kind;
+    loop {
+        match kind {
+            ExprKind::Ident(name) => return Ok(name),
+            ExprKind::Paren(inner) => kind = inner.kind,
+            _ => return Err(span),
         }
     }
 }

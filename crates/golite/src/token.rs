@@ -66,15 +66,19 @@ impl fmt::Display for Span {
 }
 
 /// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Kinds carry no text: an identifier's name and a literal's value are
+/// read from the source through the token's span ([`Token::text`]), so
+/// lexing allocates nothing per token and [`Token`] is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     // Literals and identifiers.
-    /// A ident token.
-    Ident(String),
-    /// A int token.
-    Int(i64),
-    /// A str token.
-    Str(String),
+    /// An identifier.
+    Ident,
+    /// A decimal integer literal that fits in an `i64`.
+    Int,
+    /// A string literal, quotes and escapes included.
+    Str,
 
     // Keywords.
     /// `package`
@@ -251,9 +255,9 @@ impl TokenKind {
     pub fn ends_statement(&self) -> bool {
         matches!(
             self,
-            TokenKind::Ident(_)
-                | TokenKind::Int(_)
-                | TokenKind::Str(_)
+            TokenKind::Ident
+                | TokenKind::Int
+                | TokenKind::Str
                 | TokenKind::True
                 | TokenKind::False
                 | TokenKind::Nil
@@ -270,12 +274,14 @@ impl TokenKind {
     }
 }
 
+/// Spells a keyword or symbol as it appears in source; the text-carrying
+/// kinds print what they are, since the kind alone has no text.
 impl fmt::Display for TokenKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TokenKind::Ident(s) => write!(f, "{s}"),
-            TokenKind::Int(v) => write!(f, "{v}"),
-            TokenKind::Str(s) => write!(f, "{s:?}"),
+            TokenKind::Ident => write!(f, "identifier"),
+            TokenKind::Int => write!(f, "integer literal"),
+            TokenKind::Str => write!(f, "string literal"),
             TokenKind::Package => write!(f, "package"),
             TokenKind::Import => write!(f, "import"),
             TokenKind::Func => write!(f, "func"),
@@ -344,12 +350,19 @@ impl fmt::Display for TokenKind {
 }
 
 /// A lexical token with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
     /// Where in the source it came from.
     pub span: Span,
+}
+
+impl Token {
+    /// The token's text in `src`, the source it was lexed from.
+    pub fn text(self, src: &str) -> &str {
+        &src[self.span.start as usize..self.span.end as usize]
+    }
 }
 
 #[cfg(test)]
@@ -379,7 +392,7 @@ mod tests {
 
     #[test]
     fn semicolon_insertion_rule_matches_go() {
-        assert!(TokenKind::Ident("x".into()).ends_statement());
+        assert!(TokenKind::Ident.ends_statement());
         assert!(TokenKind::RParen.ends_statement());
         assert!(TokenKind::Return.ends_statement());
         assert!(!TokenKind::Comma.ends_statement());

@@ -24,6 +24,8 @@ use gcatch_suite::gcatch::{
 };
 use gcatch_suite::{gfix, sim};
 use std::collections::BTreeMap;
+use std::convert::identity;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -419,13 +421,13 @@ fn analysis_config(flags: &[Flag], sharded: bool) -> Result<DetectorConfig, Stri
 
 /// A run's exit code: bugs mean 1, failures (incidents, quarantined jobs)
 /// under `--strict` mean 2 (honest-failure semantics), otherwise 0.
-fn exit_status(found_bugs: bool, failures: usize, strict: bool) -> ExitCode {
+fn exit_status(found_bugs: bool, failures: usize, strict: bool) -> u8 {
     if strict && failures > 0 {
-        ExitCode::from(2)
+        2
     } else if found_bugs {
-        ExitCode::FAILURE
+        1
     } else {
-        ExitCode::SUCCESS
+        0
     }
 }
 
@@ -538,16 +540,18 @@ struct Checked {
     trace: TraceSnapshot,
 }
 
-/// Checks one module: lowers `source`, builds its analysis session, and
-/// runs the selected checkers under `config`. `check`, `extended`, every
-/// batch job and serve's cold requests all come through here, which is
-/// what keeps their reports byte-identical.
-fn check_module(
+/// Checks one module: lowers `source`, builds its analysis session, runs
+/// the selected checkers under `config`, and hands what they produced to
+/// `finish` while the module and session are still alive. `check`,
+/// `extended`, every batch job and serve's cold requests all come through
+/// here, which is what keeps their reports byte-identical.
+fn check_module<R>(
     source: &str,
     level: TraceLevel,
     config: &DetectorConfig,
     selection: &Selection,
-) -> Result<Checked, String> {
+    finish: impl FnOnce(Checked) -> R,
+) -> Result<R, String> {
     let started = std::time::Instant::now();
     let module = gcatch_suite::ir::lower_source(source)?;
     let gcatch = GCatch::with_trace(&module, level);
@@ -558,42 +562,61 @@ fn check_module(
         .session()
         .telemetry()
         .observe(Metric::ModuleWallNs, started.elapsed().as_nanos() as u64);
-    Ok(Checked {
+    Ok(finish(Checked {
         diagnostics,
         incidents,
         stats: gcatch.stats(),
         trace: gcatch.trace_snapshot(),
-    })
+    }))
 }
 
-/// Shared body of `check` and `extended`: run the selected checkers and
-/// print diagnostics as text or JSON.
+/// Shared body of `check` and `extended`: run the selected checkers, print
+/// diagnostics as text or JSON, and end the process.
 fn run_diagnostics(
     path: &str,
     flags: &[Flag],
     selection: Selection,
     empty_message: &str,
 ) -> Result<ExitCode, String> {
-    let json = has_flag(flags, "json");
-    let want_stats = has_flag(flags, "stats");
-    let explain = has_flag(flags, "explain");
-    let strict = has_flag(flags, "strict");
-    let trace_path = flag_value(flags, "trace");
     let sinks = Sinks::open(flags, &[path.to_string()], 1);
-    let level = trace_level(trace_path)?;
+    let level = trace_level(flag_value(flags, "trace"))?;
     let mut config = analysis_config(flags, true)?;
     config.obs = ObsScope {
         bus: sinks.bus.clone(),
         ..ObsScope::default()
     };
     let src = read_source(path)?;
+    check_module(&src, level, &config, &selection, |checked| {
+        let code = print_diagnostics(path, flags, &sinks, checked, empty_message)?;
+        // The answer is out: exit from inside `check_module`, so neither
+        // the module nor its analysis session is dropped. The operating
+        // system takes their memory back in one piece; freeing it one
+        // allocation at a time cost milliseconds on a large module.
+        std::io::stdout()
+            .flush()
+            .map_err(|e| format!("cannot write to stdout: {e}"))?;
+        std::process::exit(i32::from(code))
+    })?
+}
+
+/// Writes the trace and sinks of a checked module, prints its report, and
+/// returns the run's exit code.
+fn print_diagnostics(
+    path: &str,
+    flags: &[Flag],
+    sinks: &Sinks,
+    checked: Checked,
+    empty_message: &str,
+) -> Result<u8, String> {
+    let json = has_flag(flags, "json");
+    let want_stats = has_flag(flags, "stats");
     let Checked {
         diagnostics,
         incidents,
         stats,
         trace,
-    } = check_module(&src, level, &config, &selection)?;
-    if let Some(tp) = trace_path {
+    } = checked;
+    if let Some(tp) = flag_value(flags, "trace") {
         write_trace(tp, &trace)?;
     }
     sinks.close(
@@ -603,7 +626,11 @@ fn run_diagnostics(
             ("incidents", Field::U64(incidents.len() as u64)),
         ],
     );
-    let code = exit_status(!diagnostics.is_empty(), incidents.len(), strict);
+    let code = exit_status(
+        !diagnostics.is_empty(),
+        incidents.len(),
+        has_flag(flags, "strict"),
+    );
     if json {
         println!(
             "{}",
@@ -615,7 +642,7 @@ fn run_diagnostics(
         println!("{path}: {empty_message}");
     } else {
         println!("{path}: {} diagnostic(s)\n", diagnostics.len());
-        if explain {
+        if has_flag(flags, "explain") {
             print!("{}", render_explain(&diagnostics));
         } else {
             for d in &diagnostics {
@@ -988,11 +1015,11 @@ impl<'r> Merged<'r> {
                 print!("{}", stats.render_text());
             }
         }
-        exit_status(
+        ExitCode::from(exit_status(
             self.total_bugs > 0,
             self.quarantined,
             has_flag(flags, "strict"),
-        )
+        ))
     }
 }
 
@@ -1039,7 +1066,13 @@ fn batch_job(
             },
             ..base.clone()
         };
-        let checked = check_module(&src, TraceLevel::Off, &config, &Selection::default())?;
+        let checked = check_module(
+            &src,
+            TraceLevel::Off,
+            &config,
+            &Selection::default(),
+            identity,
+        )?;
         // An injected fault contained by an inner degradation rung would
         // leave a partial report behind; surface it as a failed attempt so
         // the retry produces a clean, deterministic payload instead.
@@ -1497,7 +1530,13 @@ fn serve_execute(
     }
     match op {
         WorkKind::Check => {
-            let checked = check_module(source, TraceLevel::Off, &config, &Selection::default())?;
+            let checked = check_module(
+                source,
+                TraceLevel::Off,
+                &config,
+                &Selection::default(),
+                identity,
+            )?;
             Ok(render_json_with(
                 &checked.diagnostics,
                 None,
@@ -1505,7 +1544,13 @@ fn serve_execute(
             ))
         }
         WorkKind::Explain => {
-            let checked = check_module(source, TraceLevel::Off, &config, &Selection::default())?;
+            let checked = check_module(
+                source,
+                TraceLevel::Off,
+                &config,
+                &Selection::default(),
+                identity,
+            )?;
             let text = render_explain(&checked.diagnostics);
             let mut out = String::from("{\"diagnostics\":");
             out.push_str(&checked.diagnostics.len().to_string());

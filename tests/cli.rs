@@ -335,6 +335,51 @@ fn check_jobs_values_agree() {
     std::fs::remove_file(path).ok();
 }
 
+/// The value of counter `name` in a `--json --stats` report.
+fn counter(report: &str, name: &str) -> u64 {
+    let counters = &report[report.find("\"counters\":").expect("a stats report")..];
+    let key = format!("\"{name}\":");
+    let at = counters
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {name}: {report}"))
+        + key.len();
+    let digits: String = counters[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("a counter value")
+}
+
+/// Workers that miss one canonical encoding at once solve it once, so the
+/// solver counters of a two-worker check equal a one-worker check's on
+/// every run, not only the report.
+#[test]
+fn solver_counters_do_not_depend_on_jobs() {
+    let source = bench::amplifier::generate(&bench::amplifier::AmpConfig {
+        channels: 240,
+        leak_every: 60,
+        ballast: 160,
+    });
+    let path = write_temp("check-jobs-counters", &source);
+    let counters = |jobs: &str| {
+        let out = gcatch()
+            .args(["check", "--json", "--stats", "--jobs", jobs])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        ["solver_queries", "channel_encodings_shared", "solver_steps"]
+            .map(|name| counter(&report, name))
+    };
+    let one = counters("1");
+    assert!(one[1] > 0, "the module shares encodings: {one:?}");
+    for run in 0..10 {
+        assert_eq!(counters("2"), one, "run {run} at --jobs 2");
+    }
+    std::fs::remove_file(path).ok();
+}
+
 /// A `--timeout` too large for a deadline to hold is no deadline: the
 /// report is the untimed one, byte for byte.
 #[test]
@@ -607,6 +652,80 @@ func main() {
     <-ch0
 }
 "#;
+
+/// `check` and `extended` end the process as soon as their answer is out,
+/// without tearing the module down: with `--trace`, `--metrics-out` and
+/// `--events-out` armed, stdout still equals a run without sinks byte for
+/// byte, every sink file is complete, and the exit code still says clean
+/// (0), bugs (1) or an incident under `--strict` (2).
+#[test]
+fn one_shot_commands_flush_every_sink_before_exiting() {
+    let clean = write_temp("exit-clean", CLEAN);
+    let buggy = write_temp("exit-buggy", BUGGY);
+    let ring = write_temp("exit-ring", RING);
+    let strict = [
+        "--solver-steps",
+        "10",
+        "--channel-timeout",
+        "60000",
+        "--strict",
+    ];
+    let sink = |name: &str| {
+        std::env::temp_dir().join(format!("gcatch-cli-exit-{}.{name}", std::process::id()))
+    };
+    let (trace, metrics, events) = (sink("trace.json"), sink("prom"), sink("jsonl"));
+    let cases: [(&str, &std::path::Path, &[&str], i32); 4] = [
+        ("check", &clean, &[], 0),
+        ("check", &buggy, &[], 1),
+        (
+            "extended",
+            std::path::Path::new("examples/send_on_closed.go"),
+            &[],
+            1,
+        ),
+        ("check", &ring, &strict, 2),
+    ];
+    for (command, file, extra, code) in cases {
+        let run = |sinks: bool| {
+            let mut cmd = gcatch();
+            cmd.args([command, "--json"]).args(extra);
+            if sinks {
+                cmd.arg("--trace").arg(&trace);
+                cmd.arg("--metrics-out").arg(&metrics);
+                cmd.arg("--events-out").arg(&events);
+            }
+            cmd.arg(file).output().unwrap()
+        };
+        let plain = run(false);
+        for stale in [&trace, &metrics, &events] {
+            std::fs::remove_file(stale).ok();
+        }
+        let armed = run(true);
+        let case = format!("{command} {}", file.display());
+        assert_eq!(plain.status.code(), Some(code), "{case}");
+        assert_eq!(armed.status.code(), Some(code), "{case} with sinks");
+        assert!(!plain.stdout.is_empty(), "{case}");
+        assert_eq!(armed.stdout, plain.stdout, "{case}: sinks moved stdout");
+
+        let trace_text = std::fs::read_to_string(&trace).expect("trace written");
+        gcatch_suite::gcatch::codec::validate_json(&trace_text)
+            .unwrap_or_else(|e| panic!("{case}: trace: {e}"));
+        assert!(trace_text.contains("\"traceEvents\""), "{case}");
+        let prom = std::fs::read_to_string(&metrics).expect("metrics written");
+        gcatch_suite::gcatch::validate_exposition(&prom)
+            .unwrap_or_else(|e| panic!("{case}: metrics: {e}"));
+        let stream = std::fs::read_to_string(&events).expect("events written");
+        for line in stream.lines() {
+            gcatch_suite::gcatch::codec::validate_json(line)
+                .unwrap_or_else(|e| panic!("{case}: event {line}: {e}"));
+        }
+        let last = stream.lines().last().expect("events");
+        assert!(last.contains("\"event\":\"run_end\""), "{case}: {last}");
+    }
+    for path in [clean, buggy, ring, trace, metrics, events] {
+        std::fs::remove_file(path).ok();
+    }
+}
 
 #[test]
 fn exhausted_budget_reports_incidents_and_strict_exit() {
