@@ -35,12 +35,12 @@
 
 use crate::codec::{escape_json, unquote};
 use crate::durable::{self, Log};
-use crate::events::{Event as ObsEvent, EventBus, EventKind, Field, FlightRecorder};
+use crate::events::{Decision, EventBus, FlightRecorder, Recorder};
 use crate::faults::{self, FaultPlan};
 use crate::progress::ProgressSnapshot;
 use crate::resilience::{catch_isolated, CancelToken, Incident, IncidentKind};
 use crate::telemetry::{Counter, Metric, Telemetry};
-use crate::trace::{ArgValue, Tracer};
+use crate::trace::{ArgValue, Lane, Tracer};
 use golite_ir::fnv;
 use prng::Prng;
 use std::collections::{BTreeMap, VecDeque};
@@ -144,12 +144,10 @@ pub struct JobRecord<T> {
 /// Everything a finished batch produced.
 #[derive(Debug)]
 pub struct BatchOutcome<T> {
-    /// One record per submitted job, in submission order.
+    /// One record per submitted job, in submission order. How many were
+    /// restored and how many executed is in the engine's counters
+    /// ([`Counter::JobsResumed`], [`Counter::JobsTotal`]).
     pub records: Vec<JobRecord<T>>,
-    /// Jobs restored from the journal.
-    pub resumed: usize,
-    /// Jobs actually executed this run.
-    pub executed: usize,
     /// Jobs quarantined (this run or restored).
     pub quarantined: usize,
     /// First journal write error, if journaling broke mid-run (the batch
@@ -564,15 +562,6 @@ impl JobState {
     }
 }
 
-/// Supervisor-side counters backing `--progress` snapshots.
-struct Meter {
-    total: usize,
-    resumed: usize,
-    retried: u64,
-    hedged: u64,
-    quarantined: u64,
-}
-
 /// Exact p99 (in the [`crate::trace::HistSnapshot::percentile`] sense:
 /// the sample at rank `ceil(0.99 n)`) of the completed wall times.
 fn p99(walls: &[Duration]) -> Duration {
@@ -647,30 +636,30 @@ impl<'t> BatchEngine<'t> {
         self
     }
 
-    /// Emits one job-correlated event when a bus is attached.
-    fn emit(
-        &self,
-        kind: EventKind,
+    /// The recorder of one job's decisions: the engine's sinks, the job's
+    /// flight ring, and the job's id, submission index and `attempt`.
+    fn recorder<'r>(
+        &'r self,
+        job: &'r str,
         index: usize,
-        job: &str,
         attempt: Option<u32>,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        if let Some(bus) = self.events {
-            bus.emit(ObsEvent {
-                kind,
-                group: index as u64,
-                job: Some(job.to_string()),
-                attempt,
-                channel: None,
-                fields,
-            });
+        flight: &'r FlightRecorder,
+    ) -> Recorder<'r> {
+        Recorder {
+            telemetry: Some(self.telemetry),
+            bus: self.events,
+            flight: Some(flight),
+            group: index as u64,
+            job: Some(job),
+            attempt,
+            channel: None,
         }
     }
 
-    /// Hands a progress snapshot to the callback, throttled to its
-    /// configured interval unless `force`d (start/end of the run).
-    fn emit_progress(&self, meter: &Meter, remaining: usize, last: &mut Instant, force: bool) {
+    /// Hands a progress snapshot of `total` jobs, `remaining` of them
+    /// undecided, to the callback, throttled to its configured interval
+    /// unless `force`d (start/end of the run).
+    fn emit_progress(&self, total: usize, remaining: usize, last: &mut Instant, force: bool) {
         let Some((callback, every)) = &self.progress else {
             return;
         };
@@ -678,23 +667,13 @@ impl<'t> BatchEngine<'t> {
             return;
         }
         *last = Instant::now();
-        let hist = self.telemetry.hist(Metric::JobWallNs).snapshot();
-        let eta_ms = (hist.count > 0 && remaining > 0).then(|| {
-            let per_job_ms = hist.mean() as f64 / 1e6;
-            (per_job_ms * remaining as f64 / self.config.workers.max(1) as f64) as u64
-        });
-        callback(&ProgressSnapshot {
-            total: meter.total,
-            done: meter.total - remaining,
-            resumed: meter.resumed,
-            retried: meter.retried,
-            hedged: meter.hedged,
-            quarantined: meter.quarantined,
-            p50_ms: hist.percentile(50) as f64 / 1e6,
-            p99_ms: hist.percentile(99) as f64 / 1e6,
-            eta_ms,
-            ..ProgressSnapshot::default()
-        });
+        callback(&ProgressSnapshot::from_stats(
+            false,
+            &self.telemetry.snapshot(),
+            total,
+            total - remaining,
+            self.config.workers,
+        ));
     }
 
     /// Runs the batch to completion and returns one record per job in
@@ -711,37 +690,29 @@ impl<'t> BatchEngine<'t> {
         let mut records: Vec<Option<JobRecord<T>>> = Vec::with_capacity(jobs.len());
         let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
         let mut pending: Vec<usize> = Vec::new();
-        let mut resumed = 0usize;
         let mut sup_lane = self.tracer.lane(0, "batch-supervisor");
         for (i, job) in jobs.iter().enumerate() {
+            let state = JobState::new();
             if let Some(mut rec) = restored.remove(&job.id) {
                 if rec.status == JobStatus::Done {
                     rec.status = JobStatus::Resumed;
                 }
-                self.telemetry.add(Counter::JobsResumed, 1);
-                resumed += 1;
-                sup_lane.instant(
-                    "job_resumed",
-                    vec![("job", ArgValue::from(job.id.as_str()))],
-                );
-                self.emit(
-                    EventKind::JobResumed,
-                    i,
-                    &job.id,
-                    None,
-                    vec![("attempts", Field::U64(u64::from(rec.attempts)))],
+                self.recorder(&job.id, i, None, &state.flight).record_on(
+                    &mut sup_lane,
+                    Decision::Resumed {
+                        attempts: rec.attempts,
+                    },
                 );
                 records.push(Some(rec));
             } else {
                 pending.push(i);
                 records.push(None);
             }
-            states.push(JobState::new());
+            states.push(state);
         }
-        let executed = pending.len();
         let mut journal_error: Option<String> = None;
 
-        if executed > 0 {
+        if !pending.is_empty() {
             let queue = Mutex::new(Queue {
                 items: VecDeque::new(),
                 shutdown: false,
@@ -763,7 +734,7 @@ impl<'t> BatchEngine<'t> {
                 }
             }
             let (tx, rx) = mpsc::channel::<Event<T>>();
-            let workers = self.config.workers.max(1).min(executed.max(1));
+            let workers = self.config.workers.max(1).min(pending.len());
             std::thread::scope(|scope| {
                 for w in 0..workers {
                     let tx = tx.clone();
@@ -779,8 +750,7 @@ impl<'t> BatchEngine<'t> {
                     rx,
                     &mut states,
                     &mut records,
-                    executed,
-                    resumed,
+                    pending.len(),
                     journal,
                     &mut journal_error,
                     &mut sup_lane,
@@ -802,8 +772,6 @@ impl<'t> BatchEngine<'t> {
             .count();
         BatchOutcome {
             records,
-            resumed,
-            executed,
             quarantined,
             journal_error,
         }
@@ -860,20 +828,8 @@ impl<'t> BatchEngine<'t> {
                 index: d.index,
                 flight: d.flight.clone(),
             };
-            // Hedge twins race the original attempt, so their lifecycle is
-            // schedule-dependent; they go to the event bus (operators want
-            // them) but never into the flight ring, which must stay
-            // deterministic for byte-identical quarantine postmortems.
-            if !d.hedge {
-                d.flight.push(format!("attempt {}: started", d.attempt));
-            }
-            self.emit(
-                EventKind::AttemptStart,
-                d.index,
-                &job.id,
-                Some(d.attempt),
-                vec![("hedge", Field::Bool(d.hedge))],
-            );
+            let rec = self.recorder(&job.id, d.index, Some(d.attempt), &d.flight);
+            rec.record(Decision::AttemptStart { hedge: d.hedge });
             lane.begin(
                 "batch_job",
                 vec![
@@ -900,46 +856,14 @@ impl<'t> BatchEngine<'t> {
                 Err(panic_message) => Err(panic_message),
             };
             lane.rewind();
-            match &result {
-                Ok(_) => {
-                    if !d.hedge {
-                        d.flight.push(format!("attempt {}: succeeded", d.attempt));
-                    }
-                    self.emit(
-                        EventKind::AttemptEnd,
-                        d.index,
-                        &job.id,
-                        Some(d.attempt),
-                        vec![("ok", Field::Bool(true)), ("hedge", Field::Bool(d.hedge))],
-                    );
-                }
-                Err(message) => {
-                    if let Some(site) = faults::injected_site(message) {
-                        self.emit(
-                            EventKind::FaultInjected,
-                            d.index,
-                            &job.id,
-                            Some(d.attempt),
-                            vec![("site", Field::Str(site.to_string()))],
-                        );
-                    }
-                    if !d.hedge {
-                        d.flight
-                            .push(format!("attempt {}: failed: {message}", d.attempt));
-                    }
-                    self.emit(
-                        EventKind::AttemptEnd,
-                        d.index,
-                        &job.id,
-                        Some(d.attempt),
-                        vec![
-                            ("ok", Field::Bool(false)),
-                            ("hedge", Field::Bool(d.hedge)),
-                            ("error", Field::Str(message.clone())),
-                        ],
-                    );
-                }
+            let error = result.as_ref().err().map(String::as_str);
+            if let Some(site) = error.and_then(faults::injected_site) {
+                rec.record(Decision::FaultInjected { site });
             }
+            rec.record(Decision::AttemptEnd {
+                hedge: d.hedge,
+                error,
+            });
             let _ = tx.send(Event::Finished {
                 index: d.index,
                 attempt: d.attempt,
@@ -960,27 +884,20 @@ impl<'t> BatchEngine<'t> {
         states: &mut [JobState],
         records: &mut [Option<JobRecord<T>>],
         mut remaining: usize,
-        resumed: usize,
         journal: Option<JournalSink<'_, T>>,
         journal_error: &mut Option<String>,
-        lane: &mut crate::trace::Lane<'_>,
+        lane: &mut Lane<'_>,
     ) {
+        let total = records.len();
         let mut walls: Vec<Duration> = Vec::new();
-        let mut meter = Meter {
-            total: records.len(),
-            resumed,
-            retried: 0,
-            hedged: 0,
-            quarantined: 0,
-        };
         let mut last_progress = Instant::now();
-        self.emit_progress(&meter, remaining, &mut last_progress, true);
+        self.emit_progress(total, remaining, &mut last_progress, true);
         while remaining > 0 {
             let event = match rx.recv_timeout(self.tick) {
                 Ok(ev) => ev,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.scan_stragglers(jobs, queue, ready, states, &walls, &mut meter, lane);
-                    self.emit_progress(&meter, remaining, &mut last_progress, false);
+                    self.scan_stragglers(jobs, queue, ready, states, &walls, lane);
+                    self.emit_progress(total, remaining, &mut last_progress, false);
                     continue;
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -1001,6 +918,7 @@ impl<'t> BatchEngine<'t> {
                     if st.done {
                         continue; // a twin already decided this job
                     }
+                    let id = jobs[index].id.as_str();
                     match result {
                         Ok(payload) => {
                             st.done = true;
@@ -1013,7 +931,7 @@ impl<'t> BatchEngine<'t> {
                             self.telemetry
                                 .observe(Metric::JobWallNs, wall.as_nanos() as u64);
                             let rec = JobRecord {
-                                id: jobs[index].id.clone(),
+                                id: id.to_string(),
                                 status: JobStatus::Done,
                                 attempts: attempt,
                                 payload: Some(payload),
@@ -1022,14 +940,9 @@ impl<'t> BatchEngine<'t> {
                             };
                             self.journal_record(&rec, journal, journal_error);
                             records[index] = Some(rec);
-                            self.emit(
-                                EventKind::JobDone,
-                                index,
-                                &jobs[index].id,
-                                Some(attempt),
-                                vec![("attempts", Field::U64(u64::from(attempt)))],
-                            );
-                            self.emit_progress(&meter, remaining, &mut last_progress, false);
+                            self.recorder(id, index, Some(attempt), &st.flight)
+                                .record(Decision::Done { attempts: attempt });
+                            self.emit_progress(total, remaining, &mut last_progress, false);
                         }
                         Err(message) => {
                             if message == st.last_failure.as_deref().unwrap_or("") {
@@ -1046,79 +959,47 @@ impl<'t> BatchEngine<'t> {
                             if st.attempts_launched >= self.config.max_attempts || deterministic {
                                 st.done = true;
                                 remaining -= 1;
-                                meter.quarantined += 1;
-                                self.telemetry.add(Counter::JobsQuarantined, 1);
-                                lane.instant(
-                                    "job_quarantined",
-                                    vec![
-                                        ("job", ArgValue::from(jobs[index].id.as_str())),
-                                        (
-                                            "attempts",
-                                            ArgValue::from(u64::from(st.attempts_launched)),
-                                        ),
-                                    ],
-                                );
-                                let wall =
-                                    st.first_started.map(|s| s.elapsed()).unwrap_or_default();
-                                st.flight.push(format!(
-                                    "quarantined after {} attempt(s)",
-                                    st.attempts_launched
-                                ));
-                                self.emit(
-                                    EventKind::JobQuarantined,
-                                    index,
-                                    &jobs[index].id,
-                                    Some(st.attempts_launched),
-                                    vec![
-                                        ("attempts", Field::U64(u64::from(st.attempts_launched))),
-                                        ("error", Field::Str(message.clone())),
-                                    ],
-                                );
+                                let attempts = st.attempts_launched;
+                                self.recorder(id, index, Some(attempts), &st.flight)
+                                    .record_on(
+                                        lane,
+                                        Decision::Quarantined {
+                                            attempts,
+                                            error: &message,
+                                        },
+                                    );
                                 let rec = JobRecord {
-                                    id: jobs[index].id.clone(),
+                                    id: id.to_string(),
                                     status: JobStatus::Quarantined,
-                                    attempts: st.attempts_launched,
+                                    attempts,
                                     payload: None,
                                     incident: Some(Incident {
                                         kind: IncidentKind::Quarantined,
-                                        name: jobs[index].id.clone(),
+                                        name: id.to_string(),
                                         message,
                                         rung: 0,
                                         flight: st.flight.dump(),
                                     }),
-                                    wall,
+                                    wall: st.first_started.map(|s| s.elapsed()).unwrap_or_default(),
                                 };
                                 self.journal_record(&rec, journal, journal_error);
                                 records[index] = Some(rec);
-                                self.emit_progress(&meter, remaining, &mut last_progress, false);
+                                self.emit_progress(total, remaining, &mut last_progress, false);
                             } else {
                                 let next = st.attempts_launched + 1;
                                 st.attempts_launched = next;
                                 st.active = 1;
                                 st.hedged = false;
                                 st.started = None;
-                                meter.retried += 1;
-                                self.telemetry.add(Counter::JobsRetried, 1);
-                                lane.instant(
-                                    "job_retry",
-                                    vec![
-                                        ("job", ArgValue::from(jobs[index].id.as_str())),
-                                        ("attempt", ArgValue::from(u64::from(next))),
-                                    ],
-                                );
                                 let cancel = CancelToken::new();
                                 st.cancels = vec![cancel.clone()];
-                                let backoff = self.config.backoff.delay(&jobs[index].id, next - 1);
-                                st.flight.push(format!(
-                                    "retry: attempt {next} scheduled (backoff {} ms)",
-                                    backoff.as_millis()
-                                ));
-                                self.emit(
-                                    EventKind::JobRetry,
-                                    index,
-                                    &jobs[index].id,
-                                    Some(next),
-                                    vec![("backoff_ms", Field::U64(backoff.as_millis() as u64))],
+                                let backoff = self.config.backoff.delay(id, next - 1);
+                                self.recorder(id, index, Some(next), &st.flight).record_on(
+                                    lane,
+                                    Decision::Retry {
+                                        next,
+                                        backoff_ms: backoff.as_millis() as u64,
+                                    },
                                 );
                                 let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
                                 q.items.push_back(Dispatch {
@@ -1136,12 +1017,11 @@ impl<'t> BatchEngine<'t> {
                 }
             }
         }
-        self.emit_progress(&meter, remaining, &mut last_progress, true);
+        self.emit_progress(total, remaining, &mut last_progress, true);
     }
 
     /// Hedge any job running past `max(p99, min_age)` once enough jobs
     /// have completed.
-    #[allow(clippy::too_many_arguments)]
     fn scan_stragglers<'a, T>(
         &self,
         jobs: &[BatchJob<'a, T>],
@@ -1149,8 +1029,7 @@ impl<'t> BatchEngine<'t> {
         ready: &Condvar,
         states: &mut [JobState],
         walls: &[Duration],
-        meter: &mut Meter,
-        lane: &mut crate::trace::Lane<'_>,
+        lane: &mut Lane<'_>,
     ) {
         let Some(hedge) = &self.config.hedge else {
             return;
@@ -1169,24 +1048,8 @@ impl<'t> BatchEngine<'t> {
             }
             st.hedged = true;
             st.active += 1;
-            meter.hedged += 1;
-            self.telemetry.add(Counter::JobsHedged, 1);
-            lane.instant(
-                "job_hedged",
-                vec![
-                    ("job", ArgValue::from(jobs[i].id.as_str())),
-                    ("attempt", ArgValue::from(u64::from(st.attempts_launched))),
-                ],
-            );
-            // Bus only: hedge launches are schedule-dependent, so they
-            // never enter the deterministic flight ring.
-            self.emit(
-                EventKind::JobHedged,
-                i,
-                &jobs[i].id,
-                Some(st.attempts_launched),
-                Vec::new(),
-            );
+            self.recorder(&jobs[i].id, i, Some(st.attempts_launched), &st.flight)
+                .record_on(lane, Decision::Hedged);
             let cancel = CancelToken::new();
             st.cancels.push(cancel.clone());
             let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -1468,7 +1331,8 @@ mod tests {
         {
             let journal = Journal::create(&path, &ids).unwrap();
             let outcome = engine.run(&jobs, Some((&journal, String::clone)), BTreeMap::new());
-            assert_eq!(outcome.executed, 3);
+            assert_eq!(telemetry.get(Counter::JobsTotal), 3);
+            assert_eq!(telemetry.get(Counter::JobsResumed), 0, "all three executed");
             assert!(outcome.journal_error.is_none());
         }
 
@@ -1486,8 +1350,6 @@ mod tests {
             })
             .collect();
         let outcome = engine2.run(&poisoned, Some((&journal2, String::clone)), restored);
-        assert_eq!(outcome.resumed, 3);
-        assert_eq!(outcome.executed, 0);
         assert!(outcome
             .records
             .iter()

@@ -12,10 +12,11 @@
 //! merge reports from different checkers and per-checker counts are stable.
 
 use crate::detector::DetectorConfig;
+use crate::events::{Decision, Recorder};
 use crate::report::{BugKind, BugReport};
 use crate::resilience::{catch_isolated, Incident, IncidentKind};
 use crate::session::AnalysisSession;
-use crate::telemetry::{Counter, Stage};
+use crate::telemetry::Stage;
 use std::collections::HashSet;
 
 /// One registered detector.
@@ -296,6 +297,10 @@ impl Registry {
         config: &DetectorConfig,
         selection: &Selection,
     ) -> Vec<RunOutput> {
+        let dedup = Recorder {
+            telemetry: Some(session.telemetry()),
+            ..Recorder::default()
+        };
         let mut seen = HashSet::new();
         let mut out = Vec::new();
         for checker in self.checkers() {
@@ -337,10 +342,11 @@ impl Registry {
             reports.retain(|r| {
                 let fresh = seen.insert(r.dedup_key());
                 if !fresh {
-                    session.telemetry().add(Counter::DuplicatesDropped, 1);
-                    lane.instant(
-                        "dedup_dropped",
-                        vec![("kind", crate::trace::ArgValue::from(r.kind.label()))],
+                    dedup.record_on(
+                        &mut lane,
+                        Decision::DedupDropped {
+                            kind: r.kind.label(),
+                        },
                     );
                 }
                 fresh

@@ -23,6 +23,7 @@
 
 use crate::constraints::{ChannelSolver, Query, SolverStrategy, Verdict};
 use crate::disentangle::{influences, pset};
+use crate::events::{Decision, Recorder};
 use crate::faults;
 use crate::paths::{Enumerator, Event, Limits, Path};
 use crate::primitives::{OpKind, PrimId, Primitives};
@@ -278,6 +279,10 @@ impl<'m> AnalysisSession<'m> {
         // Incidents are recorded here, not in the workers, so their order
         // (channel order) is independent of `jobs`.
         let mut merge_lane = self.tracer().lane(0, "main");
+        let merge = Recorder {
+            telemetry: Some(&self.telemetry),
+            ..Recorder::default()
+        };
         let mut seen: HashSet<GroupKey> = HashSet::new();
         let mut reports: Vec<BugReport> = Vec::new();
         for (found, incident) in per_channel {
@@ -288,10 +293,11 @@ impl<'m> AnalysisSession<'m> {
                 if seen.insert(key) {
                     reports.push(report);
                 } else {
-                    self.telemetry.add(Counter::DuplicatesDropped, 1);
-                    merge_lane.instant(
-                        "dedup_dropped",
-                        vec![("kind", ArgValue::from(report.kind.label()))],
+                    merge.record_on(
+                        &mut merge_lane,
+                        Decision::DedupDropped {
+                            kind: report.kind.label(),
+                        },
                     );
                 }
             }
@@ -334,7 +340,6 @@ impl<'m> AnalysisSession<'m> {
                 // The panic left the lane mid-span; close every open span
                 // so the trace stays well-formed.
                 lane.rewind();
-                self.telemetry.add(Counter::IncompleteChannels, 1);
                 let incident = Incident {
                     kind: IncidentKind::Channel,
                     name: chan_name.clone(),
@@ -345,27 +350,20 @@ impl<'m> AnalysisSession<'m> {
                 (Vec::new(), Some(incident))
             }
         };
+        let rec = config
+            .obs
+            .recorder(&self.telemetry, chan.0 as u64, &chan_name);
+        rec.record(Decision::ChannelAnalyzed {
+            findings: found.len() as u64,
+        });
         if let Some(incident) = &incident {
-            lane.instant(
-                "incident",
-                vec![
-                    ("kind", ArgValue::from(incident.kind.label())),
-                    ("name", ArgValue::from(incident.name.as_str())),
-                ],
+            rec.record_on(
+                lane,
+                Decision::ChannelIncident {
+                    kind: incident.kind.label(),
+                    message: &incident.message,
+                },
             );
-        }
-        if config.obs.enabled() {
-            config
-                .obs
-                .channel_analyzed(chan.0 as u64, &chan_name, found.len() as u64);
-            if let Some(incident) = &incident {
-                config.obs.incident(
-                    chan.0 as u64,
-                    &chan_name,
-                    incident.kind.label(),
-                    &incident.message,
-                );
-            }
         }
         self.telemetry
             .observe(Metric::ChannelDetectNs, started.elapsed().as_nanos() as u64);
@@ -505,10 +503,12 @@ impl<'m> AnalysisSession<'m> {
                 );
             }
         }
-        self.telemetry.add(Counter::IncompleteChannels, 1);
         config
             .obs
-            .budget_exhausted(chan.0 as u64, chan_name, LADDER_RUNGS - 1);
+            .recorder(&self.telemetry, chan.0 as u64, chan_name)
+            .record(Decision::BudgetExhausted {
+                rung: LADDER_RUNGS - 1,
+            });
         let incident = Incident {
             kind: IncidentKind::Channel,
             name: chan_name.to_string(),
@@ -575,21 +575,23 @@ impl<'m> AnalysisSession<'m> {
         lane.end();
         let paths_enumerated = enumerator.paths_enumerated();
         let branches_pruned = enumerator.branches_pruned();
+        let rec = config
+            .obs
+            .recorder(&self.telemetry, chan.0 as u64, chan_name);
         self.telemetry
             .add(Counter::PathsEnumerated, paths_enumerated);
-        self.telemetry.add(Counter::BranchesPruned, branches_pruned);
+        rec.record_on(
+            lane,
+            Decision::BranchesPruned {
+                count: branches_pruned,
+            },
+        );
         self.telemetry
             .add(Counter::CombosBuilt, combos.len() as u64);
         self.telemetry
             .observe(Metric::PathsPerChannel, paths_enumerated);
         self.telemetry
             .observe(Metric::CombosPerChannel, combos.len() as u64);
-        if branches_pruned > 0 {
-            lane.instant(
-                "branch_pruned",
-                vec![("count", ArgValue::U64(branches_pruned))],
-            );
-        }
         let mut exhausted = enumerator.exhausted();
         if budget.rations() && combos.len() >= config.max_combos {
             // Combination blowup under a rationing budget counts as
@@ -642,8 +644,7 @@ impl<'m> AnalysisSession<'m> {
                 match verdict {
                     Verdict::Blocking(witness) => {
                         local_seen.insert(key.clone());
-                        self.telemetry.add(Counter::ReportsEmitted, 1);
-                        lane.instant("report_emitted", vec![("chan", ArgValue::from(chan_name))]);
+                        rec.record_on(lane, Decision::ReportEmitted);
                         let (mut report, solver_verdict) = match &query {
                             Query::Group(group) => (
                                 self.make_report(chan, combo, group, witness, root),
@@ -961,9 +962,8 @@ impl<'m> AnalysisSession<'m> {
         let ops: Vec<OpRef> = group
             .iter()
             .filter_map(|m| {
-                let g = &combo.gos[m.goroutine];
-                let func_name = self.module.func(g.root_func).name.to_string();
-                match &g.path.events[m.event] {
+                let func_name = |loc: Loc| self.module.func(loc.func).name.to_string();
+                match &combo.gos[m.goroutine].path.events[m.event] {
                     Event::Op(op) => Some(OpRef {
                         loc: op.loc,
                         span: op.span,
@@ -978,13 +978,13 @@ impl<'m> AnalysisSession<'m> {
                             },
                             self.prims.all[op.prim.0].name
                         ),
-                        func_name,
+                        func_name: func_name(op.loc),
                     }),
                     Event::Select { loc, span, .. } => Some(OpRef {
                         loc: *loc,
                         span: *span,
                         what: "select with no runnable case".to_string(),
-                        func_name,
+                        func_name: func_name(*loc),
                     }),
                     _ => None,
                 }

@@ -1,11 +1,21 @@
-//! Structured, correlated event bus — the `--events-out` layer.
+//! Run decisions and where they are observed: the structured, correlated
+//! event bus (the `--events-out` layer), the flight recorder, and the one
+//! mapping from a decision to its observations.
 //!
 //! Every consequential run-level decision — attempt starts and ends, fault
 //! injections, retries, hedges, quarantines, budget exhaustions, per-channel
-//! incidents — is emitted as one JSON object on an append-only JSONL stream.
-//! Each event carries correlation IDs (run id, module, job id, attempt,
-//! channel), so a single `grep` over the stream reconstructs any job's full
-//! lifecycle.
+//! incidents, sweep leases and releases, serve requests and cache and
+//! session outcomes — is a [`Decision`] recorded by one call,
+//! [`Recorder::record`]. That call bumps the decision's counter, emits its
+//! bus event, writes its trace instant on the caller's lane and pushes its
+//! flight line, each only on a sink the caller attached and without
+//! building anything for the others. Counters are the only tallies: the
+//! batch and sweep headers, `run_end` and the progress line read them back.
+//!
+//! On the bus each decision is one JSON object on an append-only JSONL
+//! stream. Each event carries correlation IDs (run id, module, job id,
+//! attempt, channel), so a single `grep` over the stream reconstructs any
+//! job's full lifecycle.
 //!
 //! Determinism contract: the rendered stream is byte-identical across
 //! `--jobs 1` and `--jobs N` once timestamps are normalized. Two mechanisms
@@ -26,11 +36,15 @@
 //! (hedge launches) are still emitted — operators want them — but tests
 //! disable hedging (`--no-hedge`) when asserting byte equality.
 //!
-//! The [`FlightRecorder`] lives here too: a bounded ring of human-readable
-//! lifecycle lines kept per job, whose dump is attached to `Quarantined`
-//! incidents as a postmortem (the "flight recorder" of a crashed job).
+//! The [`FlightRecorder`] is a bounded ring of human-readable lifecycle
+//! lines kept per job, whose dump is attached to `Quarantined` incidents as
+//! a postmortem (the "flight recorder" of a crashed job). Decisions that
+//! depend on scheduling (a hedge and its twin's attempts) never reach it,
+//! so the dump is byte-identical from run to run.
 
 use crate::codec::escape_json;
+use crate::telemetry::{observation_enum, Counter, Telemetry};
+use crate::trace::{ArgValue, Lane};
 use golite_ir::fnv::{fnv, OFFSET};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -65,74 +79,48 @@ pub fn derive_run_id(inputs: &[String], zero_time: bool) -> String {
     format!("r{h:016x}")
 }
 
-/// Event taxonomy. Every variant renders under a stable snake_case name;
-/// the class controls canonical ordering (run_start first, run_end last).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum EventKind {
-    RunStart,
-    JobResumed,
-    AttemptStart,
-    FaultInjected,
-    BudgetExhausted,
-    ChannelAnalyzed,
-    IncidentRecorded,
-    AttemptEnd,
-    JobRetry,
-    JobHedged,
-    JobDone,
-    JobQuarantined,
-    WorkerSpawned,
-    WorkerLost,
-    JobLeased,
-    LeaseExpired,
-    JobReleased,
-    DuplicateDecision,
-    RequestReceived,
-    RequestShed,
-    RequestDone,
-    RequestFailed,
-    CacheHit,
-    CacheEvicted,
-    SessionReuse,
-    SessionEvict,
-    RunEnd,
+/// An [`EventKind`]'s row: its wire name.
+#[derive(Clone, Copy)]
+struct EventSpec {
+    name: &'static str,
+}
+
+observation_enum! {
+    /// Event taxonomy. Every variant renders under a stable snake_case name;
+    /// the class controls canonical ordering (run_start first, run_end last).
+    #[allow(missing_docs)]
+    pub enum EventKind: EventSpec {
+        RunStart { name: "run_start" },
+        JobResumed { name: "job_resumed" },
+        AttemptStart { name: "attempt_start" },
+        FaultInjected { name: "fault_injected" },
+        BudgetExhausted { name: "budget_exhausted" },
+        ChannelAnalyzed { name: "channel_analyzed" },
+        IncidentRecorded { name: "incident" },
+        AttemptEnd { name: "attempt_end" },
+        JobRetry { name: "job_retry" },
+        JobHedged { name: "job_hedged" },
+        JobDone { name: "job_done" },
+        JobQuarantined { name: "job_quarantined" },
+        WorkerSpawned { name: "worker_spawned" },
+        WorkerLost { name: "worker_lost" },
+        JobLeased { name: "job_leased" },
+        LeaseExpired { name: "lease_expired" },
+        JobReleased { name: "job_released" },
+        DuplicateDecision { name: "duplicate_decision" },
+        RequestReceived { name: "request_received" },
+        RequestShed { name: "request_shed" },
+        RequestDone { name: "request_done" },
+        RequestFailed { name: "request_failed" },
+        CacheHit { name: "cache_hit" },
+        CacheEvicted { name: "cache_evicted" },
+        SessionReuse { name: "session_reuse" },
+        SessionEvict { name: "session_evict" },
+        RunEnd { name: "run_end" },
+    }
 }
 
 impl EventKind {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::RunStart => "run_start",
-            EventKind::JobResumed => "job_resumed",
-            EventKind::AttemptStart => "attempt_start",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::BudgetExhausted => "budget_exhausted",
-            EventKind::ChannelAnalyzed => "channel_analyzed",
-            EventKind::IncidentRecorded => "incident",
-            EventKind::AttemptEnd => "attempt_end",
-            EventKind::JobRetry => "job_retry",
-            EventKind::JobHedged => "job_hedged",
-            EventKind::JobDone => "job_done",
-            EventKind::JobQuarantined => "job_quarantined",
-            EventKind::WorkerSpawned => "worker_spawned",
-            EventKind::WorkerLost => "worker_lost",
-            EventKind::JobLeased => "job_leased",
-            EventKind::LeaseExpired => "lease_expired",
-            EventKind::JobReleased => "job_released",
-            EventKind::DuplicateDecision => "duplicate_decision",
-            EventKind::RequestReceived => "request_received",
-            EventKind::RequestShed => "request_shed",
-            EventKind::RequestDone => "request_done",
-            EventKind::RequestFailed => "request_failed",
-            EventKind::CacheHit => "cache_hit",
-            EventKind::CacheEvicted => "cache_evicted",
-            EventKind::SessionReuse => "session_reuse",
-            EventKind::SessionEvict => "session_evict",
-            EventKind::RunEnd => "run_end",
-        }
-    }
-
     fn class(self) -> u8 {
         match self {
             EventKind::RunStart => 0,
@@ -218,6 +206,20 @@ impl EventBus {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(Stored { event, ts_ns });
+    }
+
+    /// Appends a run-frame event (`run_start`, `run_end`): group 0, no
+    /// job, attempt or channel, so canonical ordering brackets the stream
+    /// with it.
+    pub fn emit_run(&self, kind: EventKind, fields: Vec<(&'static str, Field)>) {
+        self.emit(Event {
+            kind,
+            group: 0,
+            job: None,
+            attempt: None,
+            channel: None,
+            fields,
+        });
     }
 
     /// Number of events buffered so far.
@@ -343,9 +345,9 @@ impl FlightRecorder {
 }
 
 /// The observability context threaded into the analysis layers. Default
-/// is fully inert (every probe is a single `Option` check); the batch
-/// engine and CLI fill in whichever sinks the run enabled, plus the
-/// correlation ids the analysis cannot know by itself.
+/// is fully inert (every [`Recorder`] sink is `None`); the batch engine
+/// and CLI fill in whichever sinks the run enabled, plus the correlation
+/// ids the analysis cannot know by itself.
 #[derive(Clone, Default)]
 pub struct ObsScope {
     /// Event sink, when `--events-out` armed one.
@@ -373,72 +375,407 @@ impl std::fmt::Debug for ObsScope {
 }
 
 impl ObsScope {
-    /// True when any sink is attached; callers may skip formatting work
-    /// entirely when false.
-    pub fn enabled(&self) -> bool {
-        self.bus.is_some() || self.flight.is_some()
-    }
-
-    fn emit(
-        &self,
-        kind: EventKind,
-        fallback_group: u64,
-        channel: &str,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        if let Some(bus) = &self.bus {
-            bus.emit(Event {
-                kind,
-                group: self.group.unwrap_or(fallback_group),
-                job: self.job.clone(),
-                attempt: self.attempt,
-                channel: Some(channel.to_string()),
-                fields,
-            });
+    /// The recorder of one channel's decisions: this scope's sinks and
+    /// correlation ids, `telemetry` for counters, and `channel` (the
+    /// `index`-th channel, which orders its events outside a job).
+    pub(crate) fn recorder<'a>(
+        &'a self,
+        telemetry: &'a Telemetry,
+        index: u64,
+        channel: &'a str,
+    ) -> Recorder<'a> {
+        Recorder {
+            telemetry: Some(telemetry),
+            bus: self.bus.as_deref(),
+            flight: self.flight.as_ref(),
+            group: self.group.unwrap_or(index),
+            job: self.job.as_deref(),
+            attempt: self.attempt,
+            channel: Some(channel),
         }
     }
+}
 
-    /// One channel finished analysis with `findings` reports.
-    pub fn channel_analyzed(&self, index: u64, channel: &str, findings: u64) {
-        self.emit(
-            EventKind::ChannelAnalyzed,
-            index,
-            channel,
-            vec![("findings", Field::U64(findings))],
-        );
+/// One run decision of the batch engine, the sweep coordinator, the serve
+/// daemon or the detector. [`Recorder::record`] maps it to every
+/// observation it has: its counter, its bus event, its trace instant and
+/// its flight line. Each variant's doc names what its fields carry.
+#[derive(Clone, Copy, Debug)]
+#[allow(missing_docs)]
+pub enum Decision<'a> {
+    /// Batch: the job was restored from the journal, where it took
+    /// `attempts` attempts.
+    Resumed { attempts: u32 },
+    /// Batch: an attempt started; `hedge` marks the twin of a straggler.
+    AttemptStart { hedge: bool },
+    /// Batch: an attempt ended, with the failure message as `error` when
+    /// it failed.
+    AttemptEnd { hedge: bool, error: Option<&'a str> },
+    /// Batch: the fault layer fired at `site` during the attempt.
+    FaultInjected { site: &'a str },
+    /// Batch: a failed job was queued again as attempt `next`, to run
+    /// after `backoff_ms`.
+    Retry { next: u32, backoff_ms: u64 },
+    /// Batch: a straggling attempt got a hedge twin.
+    Hedged,
+    /// Batch: the job was given up on after `attempts` attempts, the last
+    /// failing with `error`.
+    Quarantined { attempts: u32, error: &'a str },
+    /// Batch: the job succeeded on attempt `attempts`.
+    Done { attempts: u32 },
+    /// Sweep: the coordinator spawned worker process `worker`.
+    WorkerSpawned { worker: &'a str },
+    /// Sweep: the coordinator declared worker `worker` dead.
+    WorkerLost { worker: &'a str },
+    /// Sweep: `worker` died holding the job's lease of `generation`; the
+    /// job's release follows.
+    LeaseHolderLost { worker: &'a str, generation: u64 },
+    /// Sweep: the coordinator saw `worker` lease the job at `generation`.
+    Leased { worker: &'a str, generation: u64 },
+    /// Sweep: `worker`'s lease of `generation` passed its deadline
+    /// un-renewed.
+    LeaseExpired { worker: &'a str, generation: u64 },
+    /// Sweep: the job went back to the queue for the `releases`-th time.
+    Released { releases: u64 },
+    /// Sweep: the coordinator gave up on the job after `releases`
+    /// releases, saying `error`.
+    CoordinatorQuarantined { releases: u64, error: &'a str },
+    /// Sweep: `workers` workers decided the job, `agreed` or not; one
+    /// record was kept.
+    DuplicateDecision { workers: u64, agreed: bool },
+    /// Serve: a request line arrived, carrying `op` when it parsed (an
+    /// unparseable line is counted but has no `request_received` event).
+    RequestReceived { op: Option<&'a str> },
+    /// Serve: admission control shed the request at the queue bound with
+    /// `outstanding` requests in flight, or (`None`) while draining.
+    RequestShed { outstanding: Option<u64> },
+    /// Serve: the request was answered.
+    RequestDone,
+    /// Serve: the request was answered with an incident saying `message`.
+    RequestFailed { message: &'a str },
+    /// Serve: the response came from the cache under `key`.
+    CacheHit { key: &'a str },
+    /// Serve: caching the response evicted `evicted` entries.
+    CacheEvicted { evicted: u64 },
+    /// Serve: persisting the response to the cache index failed with
+    /// `message`.
+    CacheIncident { message: &'a str },
+    /// Serve: a check ran on the warm store, `reused` a prior session of
+    /// its module or not, replaying `replayed` channels and analyzing
+    /// `reanalyzed` afresh.
+    SessionUse {
+        reused: bool,
+        replayed: u64,
+        reanalyzed: u64,
+    },
+    /// Serve: a check evicted `evicted` warm sessions; `fault` marks an
+    /// injected session loss.
+    SessionEvict { evicted: u64, fault: bool },
+    /// Detector: the channel finished with `findings` reports.
+    ChannelAnalyzed { findings: u64 },
+    /// Detector: the channel exhausted its budget at ladder rung `rung`.
+    BudgetExhausted { rung: u32 },
+    /// Detector: the channel gave up (a contained panic or an exhausted
+    /// budget) with an incident of `kind` saying `message`.
+    ChannelIncident { kind: &'a str, message: &'a str },
+    /// Detector: a solver verdict became a report on the channel.
+    ReportEmitted,
+    /// Detector: path enumeration pruned `count` infeasible branches.
+    BranchesPruned { count: u64 },
+    /// Detector: a report of `kind` duplicated an earlier one.
+    DedupDropped { kind: &'a str },
+}
+
+impl Decision<'_> {
+    /// Whether the decision depends on thread scheduling (a hedge and its
+    /// twin's attempts). Such decisions never reach the flight ring, whose
+    /// dump must be byte-identical from run to run.
+    fn depends_on_schedule(self) -> bool {
+        matches!(
+            self,
+            Decision::Hedged
+                | Decision::AttemptStart { hedge: true }
+                | Decision::AttemptEnd { hedge: true, .. }
+        )
+    }
+}
+
+/// Where a decision's observations go: the sinks a caller attached and
+/// the correlation ids its bus event carries. A sink left `None` costs one
+/// branch; nothing is formatted for it.
+#[derive(Clone, Copy, Default)]
+pub struct Recorder<'a> {
+    /// Counter sink.
+    pub telemetry: Option<&'a Telemetry>,
+    /// Event sink (`--events-out`).
+    pub bus: Option<&'a EventBus>,
+    /// The job's flight recorder.
+    pub flight: Option<&'a FlightRecorder>,
+    /// Canonical ordering group of the event.
+    pub group: u64,
+    /// The job, request or module the decision concerns.
+    pub job: Option<&'a str>,
+    /// The attempt the decision concerns.
+    pub attempt: Option<u32>,
+    /// The channel the decision concerns.
+    pub channel: Option<&'a str>,
+}
+
+impl Recorder<'_> {
+    /// Records `decision` on every attached sink.
+    pub fn record(&self, decision: Decision<'_>) {
+        self.observe(None, decision);
     }
 
-    /// A channel's analysis budget ran dry at ladder rung `rung`.
-    pub fn budget_exhausted(&self, index: u64, channel: &str, rung: u32) {
-        self.emit(
-            EventKind::BudgetExhausted,
-            index,
-            channel,
-            vec![("rung", Field::U64(u64::from(rung)))],
-        );
-        if let Some(flight) = &self.flight {
-            flight.push(format!(
-                "channel `{channel}`: budget exhausted at rung {rung}"
-            ));
-        }
+    /// [`Recorder::record`], writing the decision's trace instant, if it
+    /// has one, on `lane`.
+    pub(crate) fn record_on(&self, lane: &mut Lane<'_>, decision: Decision<'_>) {
+        self.observe(Some(lane), decision);
     }
 
-    /// An incident (contained panic, exhausted budget) was recorded for a
-    /// channel.
-    pub fn incident(&self, index: u64, channel: &str, kind_label: &str, message: &str) {
-        self.emit(
-            EventKind::IncidentRecorded,
-            index,
-            channel,
-            vec![
-                ("kind", Field::Str(kind_label.to_string())),
-                ("message", Field::Str(message.to_string())),
-            ],
-        );
-        if let Some(flight) = &self.flight {
-            flight.push(format!(
-                "channel `{channel}`: incident ({kind_label}): {message}"
-            ));
+    /// The one mapping from a decision to its observations.
+    fn observe(&self, mut lane: Option<&mut Lane<'_>>, decision: Decision<'_>) {
+        use Decision as D;
+        use Field::{Bool, Str, U64};
+        let count = |counter: Counter, n: u64| {
+            if let Some(telemetry) = self.telemetry {
+                telemetry.add(counter, n);
+            }
+        };
+        let mut instant = |name: &'static str, args: &dyn Fn() -> Vec<(&'static str, ArgValue)>| {
+            if let Some(lane) = lane.as_deref_mut().filter(|lane| lane.full()) {
+                lane.instant(name, args());
+            }
+        };
+        let flight = self.flight.filter(|_| !decision.depends_on_schedule());
+        let flight = |line: &dyn Fn() -> String| {
+            if let Some(flight) = flight {
+                flight.push(line());
+            }
+        };
+        let event = |kind: EventKind, fields: &dyn Fn() -> Vec<(&'static str, Field)>| {
+            if let Some(bus) = self.bus {
+                bus.emit(Event {
+                    kind,
+                    group: self.group,
+                    job: self.job.map(str::to_string),
+                    attempt: self.attempt,
+                    channel: self.channel.map(str::to_string),
+                    fields: fields(),
+                });
+            }
+        };
+        let job = || ArgValue::from(self.job.unwrap_or_default());
+        let attempt = self.attempt.unwrap_or_default();
+        let channel = self.channel.unwrap_or_default();
+        match decision {
+            D::Resumed { attempts } => {
+                count(Counter::JobsResumed, 1);
+                instant("job_resumed", &|| vec![("job", job())]);
+                event(EventKind::JobResumed, &|| {
+                    vec![("attempts", U64(attempts.into()))]
+                });
+            }
+            D::AttemptStart { hedge } => {
+                flight(&|| format!("attempt {attempt}: started"));
+                event(EventKind::AttemptStart, &|| vec![("hedge", Bool(hedge))]);
+            }
+            D::AttemptEnd { hedge, error } => {
+                flight(&|| match error {
+                    None => format!("attempt {attempt}: succeeded"),
+                    Some(error) => format!("attempt {attempt}: failed: {error}"),
+                });
+                event(EventKind::AttemptEnd, &|| {
+                    let mut fields = vec![("ok", Bool(error.is_none())), ("hedge", Bool(hedge))];
+                    fields.extend(error.map(|error| ("error", Str(error.into()))));
+                    fields
+                });
+            }
+            D::FaultInjected { site } => {
+                event(EventKind::FaultInjected, &|| {
+                    vec![("site", Str(site.into()))]
+                });
+            }
+            D::Retry { next, backoff_ms } => {
+                count(Counter::JobsRetried, 1);
+                instant("job_retry", &|| {
+                    vec![("job", job()), ("attempt", next.into())]
+                });
+                flight(&|| format!("retry: attempt {next} scheduled (backoff {backoff_ms} ms)"));
+                event(EventKind::JobRetry, &|| {
+                    vec![("backoff_ms", U64(backoff_ms))]
+                });
+            }
+            D::Hedged => {
+                count(Counter::JobsHedged, 1);
+                instant("job_hedged", &|| {
+                    vec![("job", job()), ("attempt", attempt.into())]
+                });
+                event(EventKind::JobHedged, &Vec::new);
+            }
+            D::Quarantined { attempts, error } => {
+                count(Counter::JobsQuarantined, 1);
+                instant("job_quarantined", &|| {
+                    vec![("job", job()), ("attempts", attempts.into())]
+                });
+                flight(&|| format!("quarantined after {attempts} attempt(s)"));
+                event(EventKind::JobQuarantined, &|| {
+                    vec![
+                        ("attempts", U64(attempts.into())),
+                        ("error", Str(error.into())),
+                    ]
+                });
+            }
+            D::Done { attempts } => {
+                event(EventKind::JobDone, &|| {
+                    vec![("attempts", U64(attempts.into()))]
+                });
+            }
+            D::WorkerSpawned { worker } => {
+                count(Counter::WorkersSpawned, 1);
+                event(EventKind::WorkerSpawned, &|| {
+                    vec![("worker", Str(worker.into()))]
+                });
+            }
+            D::WorkerLost { worker } => {
+                count(Counter::WorkersLost, 1);
+                event(EventKind::WorkerLost, &|| {
+                    vec![("worker", Str(worker.into()))]
+                });
+            }
+            D::LeaseHolderLost { worker, generation } => flight(&|| {
+                format!("worker {worker} lost while holding lease (generation {generation})")
+            }),
+            D::Leased { worker, generation } => {
+                flight(&|| format!("leased by {worker} (generation {generation})"));
+                event(EventKind::JobLeased, &|| {
+                    vec![
+                        ("worker", Str(worker.into())),
+                        ("generation", U64(generation)),
+                    ]
+                });
+            }
+            D::LeaseExpired { worker, generation } => {
+                count(Counter::LeasesExpired, 1);
+                flight(&|| format!("lease expired (owner {worker}, generation {generation})"));
+                event(EventKind::LeaseExpired, &|| {
+                    vec![
+                        ("worker", Str(worker.into())),
+                        ("generation", U64(generation)),
+                    ]
+                });
+            }
+            D::Released { releases } => {
+                count(Counter::JobsReleases, 1);
+                flight(&|| format!("released back to the queue (release #{releases})"));
+                event(EventKind::JobReleased, &|| {
+                    vec![("releases", U64(releases))]
+                });
+            }
+            D::CoordinatorQuarantined { releases, error } => {
+                flight(&|| format!("quarantined by coordinator: {error}"));
+                event(EventKind::JobQuarantined, &|| {
+                    vec![("releases", U64(releases)), ("error", Str(error.into()))]
+                });
+            }
+            D::DuplicateDecision { workers, agreed } => {
+                event(EventKind::DuplicateDecision, &|| {
+                    vec![("workers", U64(workers)), ("agreed", Bool(agreed))]
+                });
+            }
+            D::RequestReceived { op } => {
+                count(Counter::RequestsTotal, 1);
+                if let Some(op) = op {
+                    event(EventKind::RequestReceived, &|| vec![("op", Str(op.into()))]);
+                }
+            }
+            D::RequestShed { outstanding } => {
+                count(Counter::RequestsShed, 1);
+                event(EventKind::RequestShed, &|| match outstanding {
+                    Some(n) => vec![("outstanding", U64(n))],
+                    None => vec![("draining", Bool(true))],
+                });
+            }
+            D::RequestDone => event(EventKind::RequestDone, &Vec::new),
+            D::RequestFailed { message } => {
+                count(Counter::RequestsFailed, 1);
+                event(EventKind::RequestFailed, &|| {
+                    vec![("message", Str(message.into()))]
+                });
+            }
+            D::CacheHit { key } => {
+                count(Counter::CacheHits, 1);
+                event(EventKind::CacheHit, &|| vec![("key", Str(key.into()))]);
+            }
+            D::CacheEvicted { evicted } => {
+                count(Counter::CacheEvictions, evicted);
+                event(EventKind::CacheEvicted, &|| vec![("evicted", U64(evicted))]);
+            }
+            D::CacheIncident { message } => {
+                event(EventKind::IncidentRecorded, &|| {
+                    vec![
+                        ("kind", Str("cache".into())),
+                        ("message", Str(message.into())),
+                    ]
+                });
+            }
+            D::SessionUse {
+                reused,
+                replayed,
+                reanalyzed,
+            } => {
+                count(Counter::SessionsReused, u64::from(reused));
+                count(Counter::ChannelsReplayed, replayed);
+                count(Counter::ChannelsReanalyzed, reanalyzed);
+                if reused {
+                    event(EventKind::SessionReuse, &|| {
+                        vec![("replayed", U64(replayed)), ("reanalyzed", U64(reanalyzed))]
+                    });
+                }
+            }
+            D::SessionEvict { evicted, fault } => {
+                count(Counter::SessionEvictions, evicted);
+                if evicted > 0 || fault {
+                    event(EventKind::SessionEvict, &|| {
+                        vec![("evicted", U64(evicted)), ("fault", Bool(fault))]
+                    });
+                }
+            }
+            D::ChannelAnalyzed { findings } => {
+                event(EventKind::ChannelAnalyzed, &|| {
+                    vec![("findings", U64(findings))]
+                });
+            }
+            D::BudgetExhausted { rung } => {
+                flight(&|| format!("channel `{channel}`: budget exhausted at rung {rung}"));
+                event(EventKind::BudgetExhausted, &|| {
+                    vec![("rung", U64(rung.into()))]
+                });
+            }
+            D::ChannelIncident { kind, message } => {
+                count(Counter::IncompleteChannels, 1);
+                instant("incident", &|| {
+                    vec![("kind", kind.into()), ("name", channel.into())]
+                });
+                flight(&|| format!("channel `{channel}`: incident ({kind}): {message}"));
+                event(EventKind::IncidentRecorded, &|| {
+                    vec![("kind", Str(kind.into())), ("message", Str(message.into()))]
+                });
+            }
+            D::ReportEmitted => {
+                count(Counter::ReportsEmitted, 1);
+                instant("report_emitted", &|| vec![("chan", channel.into())]);
+            }
+            D::BranchesPruned { count: pruned } => {
+                count(Counter::BranchesPruned, pruned);
+                if pruned > 0 {
+                    instant("branch_pruned", &|| vec![("count", pruned.into())]);
+                }
+            }
+            D::DedupDropped { kind } => {
+                count(Counter::DuplicatesDropped, 1);
+                instant("dedup_dropped", &|| vec![("kind", kind.into())]);
+            }
         }
     }
 }
@@ -534,13 +871,20 @@ mod tests {
     }
 
     #[test]
-    fn inert_scope_emits_nothing() {
+    fn inert_scope_records_nothing() {
         let scope = ObsScope::default();
-        assert!(!scope.enabled());
-        // No sinks: these must be cheap no-ops.
-        scope.channel_analyzed(0, "ch", 1);
-        scope.budget_exhausted(0, "ch", 2);
-        scope.incident(0, "ch", "channel", "boom");
+        let telemetry = Telemetry::new();
+        // No bus and no flight: only the counter moves.
+        let rec = scope.recorder(&telemetry, 0, "ch");
+        rec.record(Decision::ChannelAnalyzed { findings: 1 });
+        rec.record(Decision::BudgetExhausted { rung: 2 });
+        rec.record(Decision::ChannelIncident {
+            kind: "channel",
+            message: "boom",
+        });
+        assert_eq!(telemetry.get(Counter::IncompleteChannels), 1);
+        // No sink at all: a no-op.
+        Recorder::default().record(Decision::Hedged);
     }
 
     #[test]
@@ -554,8 +898,13 @@ mod tests {
             group: Some(7),
             attempt: Some(2),
         };
-        scope.channel_analyzed(3, "ch", 0);
-        scope.incident(3, "ch", "channel", "injected fault: panic");
+        let telemetry = Telemetry::new();
+        let rec = scope.recorder(&telemetry, 3, "ch");
+        rec.record(Decision::ChannelAnalyzed { findings: 0 });
+        rec.record(Decision::ChannelIncident {
+            kind: "channel",
+            message: "injected fault: panic",
+        });
         let jsonl = bus.render_jsonl();
         assert!(jsonl.contains("\"event\":\"channel_analyzed\""));
         assert!(jsonl.contains("\"job\":\"job-7\""));
@@ -565,5 +914,79 @@ mod tests {
         let dump = flight.dump();
         assert_eq!(dump.len(), 1);
         assert!(dump[0].contains("incident (channel)"));
+    }
+
+    #[test]
+    fn one_call_reaches_every_attached_sink() {
+        let bus = EventBus::new("r2".into(), true);
+        let flight = FlightRecorder::new();
+        let telemetry = Telemetry::new();
+        let tracer = crate::trace::Tracer::new(crate::trace::TraceLevel::Full);
+        let rec = Recorder {
+            telemetry: Some(&telemetry),
+            bus: Some(&bus),
+            flight: Some(&flight),
+            group: 4,
+            job: Some("m.go"),
+            attempt: Some(2),
+            channel: None,
+        };
+        {
+            let mut lane = tracer.lane(0, "main");
+            rec.record_on(
+                &mut lane,
+                Decision::Quarantined {
+                    attempts: 2,
+                    error: "boom",
+                },
+            );
+        }
+        assert_eq!(telemetry.get(Counter::JobsQuarantined), 1);
+        assert_eq!(
+            bus.render_jsonl(),
+            "{\"ts_ns\":0,\"seq\":0,\"event\":\"job_quarantined\",\"run\":\"r2\",\
+             \"job\":\"m.go\",\"job_index\":4,\"attempt\":2,\"attempts\":2,\
+             \"error\":\"boom\"}\n"
+        );
+        assert_eq!(flight.dump(), ["quarantined after 2 attempt(s)"]);
+        let trace = tracer.snapshot();
+        let instant = &trace.events.last().expect("one instant").1;
+        assert_eq!(instant.name, "job_quarantined");
+        assert_eq!(
+            instant.args,
+            [
+                ("job", ArgValue::from("m.go")),
+                ("attempts", ArgValue::U64(2))
+            ]
+        );
+    }
+
+    #[test]
+    fn hedge_decisions_never_reach_the_flight_ring() {
+        let flight = FlightRecorder::new();
+        let telemetry = Telemetry::new();
+        let rec = Recorder {
+            telemetry: Some(&telemetry),
+            flight: Some(&flight),
+            attempt: Some(1),
+            ..Recorder::default()
+        };
+        rec.record(Decision::AttemptStart { hedge: true });
+        rec.record(Decision::Hedged);
+        rec.record(Decision::AttemptEnd {
+            hedge: true,
+            error: Some("cancelled"),
+        });
+        assert!(flight.dump().is_empty());
+        assert_eq!(telemetry.get(Counter::JobsHedged), 1);
+        rec.record(Decision::AttemptStart { hedge: false });
+        rec.record(Decision::AttemptEnd {
+            hedge: false,
+            error: None,
+        });
+        assert_eq!(
+            flight.dump(),
+            ["attempt 1: started", "attempt 1: succeeded"]
+        );
     }
 }

@@ -48,73 +48,6 @@ pub fn metric_family(m: Metric) -> String {
     }
 }
 
-/// One-line HELP text for a counter family.
-pub fn counter_help(c: Counter) -> &'static str {
-    match c {
-        Counter::ChannelsAnalyzed => "Channels examined by the BMOC driver.",
-        Counter::PsetsComputed => "Psets computed (one per disentangled channel).",
-        Counter::PsetPrimsTotal => "Total primitives across all computed Psets.",
-        Counter::PathsEnumerated => "Execution paths enumerated.",
-        Counter::BranchesPruned => "Branches pruned as infeasible during path enumeration.",
-        Counter::CombosBuilt => "Path combinations built.",
-        Counter::GroupsChecked => "Suspicious groups submitted to the solver.",
-        Counter::SolverQueries => "Solver queries issued.",
-        Counter::SolverSteps => "Total solver propagation/decision steps.",
-        Counter::SolverDecisions => "Total solver decisions.",
-        Counter::SolverConflicts => "Total solver conflicts.",
-        Counter::SolverEncodingsReused => {
-            "Queries answered by reusing an already-built combination encoding."
-        }
-        Counter::LearnedClausesKept => {
-            "Learned clauses retained from earlier queries of the same combination."
-        }
-        Counter::ReportsEmitted => "Bug reports emitted (before cross-checker dedup).",
-        Counter::DuplicatesDropped => "Reports dropped by cross-checker deduplication.",
-        Counter::IncompleteChannels => {
-            "Channels whose analysis gave up after exhausting the degradation ladder."
-        }
-        Counter::JobsTotal => "Jobs submitted to the batch engine (restored + executed).",
-        Counter::JobsRetried => "Batch job attempts re-dispatched after a contained failure.",
-        Counter::JobsHedged => "Batch jobs that got a hedge twin after straggling past the p99.",
-        Counter::JobsQuarantined => "Batch jobs set aside after exhausting their retry budget.",
-        Counter::JobsResumed => "Batch jobs restored from a checkpoint journal instead of re-run.",
-        Counter::AliasQueriesSolved => "Points-to component solves performed by the alias engine.",
-        Counter::AliasFunctionsSkipped => {
-            "Functions whose points-to constraints were never solved (demand mode)."
-        }
-        Counter::ChannelEncodingsShared => {
-            "Channel verdicts answered from a structurally identical channel's cache."
-        }
-        Counter::JobsReleases => {
-            "Sweep jobs released back to the queue after lease expiry or worker death."
-        }
-        Counter::LeasesExpired => "Sweep leases whose deadline passed before renewal.",
-        Counter::WorkersSpawned => "Worker processes spawned by the sweep coordinator.",
-        Counter::WorkersLost => "Worker processes the sweep coordinator declared dead.",
-        Counter::RequestsTotal => "Requests received by the serve daemon.",
-        Counter::RequestsShed => "Requests shed by serve admission control (queue full).",
-        Counter::RequestsFailed => "Requests answered with an incident response.",
-        Counter::CacheHits => "Requests answered from the serve response cache.",
-        Counter::CacheEvictions => "Serve cache entries evicted past capacity.",
-        Counter::SessionsReused => "Check requests answered with help from a warm session.",
-        Counter::ChannelsReanalyzed => "Channels re-analyzed on a warm check (diff-reachable).",
-        Counter::ChannelsReplayed => "Channel verdicts replayed from a warm session.",
-        Counter::SessionEvictions => "Warm sessions evicted (LRU, fault, or incomparable shape).",
-    }
-}
-
-/// One-line HELP text for a histogram family.
-pub fn metric_help(m: Metric) -> &'static str {
-    match m {
-        Metric::ChannelDetectNs => "Per-channel BMOC detection latency in seconds.",
-        Metric::SolverQueryNs => "Per-query solver time in seconds.",
-        Metric::PathsPerChannel => "Paths enumerated per channel.",
-        Metric::CombosPerChannel => "Path combinations built per channel.",
-        Metric::JobWallNs => "Per-job wall-clock time in the batch engine, in seconds.",
-        Metric::ModuleWallNs => "End-to-end wall-clock per checked module, in seconds.",
-    }
-}
-
 /// Exact nanoseconds → seconds with nine decimals (no float rounding).
 fn fmt_seconds(ns: u64) -> String {
     format!("{}.{:09}", ns / 1_000_000_000, ns % 1_000_000_000)
@@ -139,7 +72,7 @@ pub fn render_prometheus(stats: &Stats, zero_time: bool) -> String {
 
     for (c, v) in &stats.counters {
         let family = counter_family(*c);
-        out.push_str(&format!("# HELP {family} {}\n", counter_help(*c)));
+        out.push_str(&format!("# HELP {family} {}\n", c.help()));
         out.push_str(&format!("# TYPE {family} counter\n"));
         out.push_str(&format!("{family} {v}\n"));
     }
@@ -169,7 +102,7 @@ pub fn render_prometheus(stats: &Stats, zero_time: bool) -> String {
                 v.to_string()
             }
         };
-        out.push_str(&format!("# HELP {family} {}\n", metric_help(*m)));
+        out.push_str(&format!("# HELP {family} {}\n", m.help()));
         out.push_str(&format!("# TYPE {family} summary\n"));
         for (q, p) in [("0.5", 50), ("0.9", 90), ("0.99", 99)] {
             out.push_str(&format!(

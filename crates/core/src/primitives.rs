@@ -10,7 +10,7 @@
 
 use crate::alias_ext::chan_sites_of;
 use golite::Span;
-use golite_ir::alias::{AbstractObject, Analysis};
+use golite_ir::alias::Analysis;
 use golite_ir::ir::*;
 use std::collections::{HashMap, HashSet};
 
@@ -83,12 +83,6 @@ impl OpKind {
     pub fn can_block(&self) -> bool {
         matches!(self, OpKind::Send | OpKind::Recv)
     }
-
-    /// Whether this operation can unblock a peer (sends satisfy receives,
-    /// receives free buffer slots/mutexes, closes wake all receivers).
-    pub fn can_unblock(&self) -> bool {
-        true
-    }
 }
 
 /// A static synchronization operation on a known primitive.
@@ -160,23 +154,6 @@ impl Primitives {
     /// Algorithm 1).
     pub fn channels(&self) -> impl Iterator<Item = &Primitive> {
         self.all.iter().filter(|p| p.is_chan())
-    }
-
-    /// Resolves the primitive ids an operand may denote.
-    pub fn prims_of_operand(&self, analysis: &Analysis, func: FuncId, op: &Operand) -> Vec<PrimId> {
-        let mut out = Vec::new();
-        for obj in analysis.operand_points_to(func, op) {
-            let site = match obj {
-                AbstractObject::Chan(loc) | AbstractObject::Mutex(loc) => loc,
-                _ => continue,
-            };
-            if let Some(&id) = self.site_to_prim.get(&site) {
-                out.push(id);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 

@@ -1,12 +1,15 @@
 //! Live progress snapshots for `gcatch batch --progress` and
 //! `gcatch sweep --progress`.
 //!
-//! The batch supervisor (or sweep coordinator) periodically freezes its
-//! bookkeeping into a [`ProgressSnapshot`] and hands it to a caller-supplied
-//! callback; the CLI renders it as a single carriage-return-refreshed TTY
-//! status line. The snapshot is derived entirely from state the supervisor
-//! already tracks — job counts plus the `job_wall_ns` histogram — so
-//! enabling progress changes no analysis behavior and no report bytes.
+//! The batch supervisor (or sweep coordinator) periodically builds a
+//! [`ProgressSnapshot`] from its run's counters and hands it to a
+//! caller-supplied callback; the CLI renders it as a single
+//! carriage-return-refreshed TTY status line. The snapshot is
+//! derived entirely from the [`Stats`] the run already records — counters
+//! plus the `job_wall_ns` histogram — so enabling progress changes no
+//! analysis behavior and no report bytes.
+
+use crate::telemetry::{Counter, Metric, Stats};
 
 /// A point-in-time view of a batch run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -52,6 +55,39 @@ fn fmt_eta(ms: u64) -> String {
 }
 
 impl ProgressSnapshot {
+    /// The snapshot of a batch (or, with `sweep`, a sweep) run with `done`
+    /// of `total` jobs decided by `workers` workers. Every other figure
+    /// comes from the run's counters in `stats`, and the percentiles and
+    /// ETA from its `job_wall_ns` histogram.
+    pub(crate) fn from_stats(
+        sweep: bool,
+        stats: &Stats,
+        total: usize,
+        done: usize,
+        workers: usize,
+    ) -> ProgressSnapshot {
+        let hist = stats.hist(Metric::JobWallNs);
+        let remaining = total - done;
+        let eta_ms = (hist.count > 0 && remaining > 0).then(|| {
+            let per_job_ms = hist.mean() as f64 / 1e6;
+            (per_job_ms * remaining as f64 / workers.max(1) as f64) as u64
+        });
+        ProgressSnapshot {
+            sweep,
+            total,
+            done,
+            resumed: stats.counter(Counter::JobsResumed) as usize,
+            retried: stats.counter(Counter::JobsRetried),
+            hedged: stats.counter(Counter::JobsHedged),
+            quarantined: stats.counter(Counter::JobsQuarantined),
+            released: stats.counter(Counter::JobsReleases),
+            workers_lost: stats.counter(Counter::WorkersLost),
+            p50_ms: hist.percentile(50) as f64 / 1e6,
+            p99_ms: hist.percentile(99) as f64 / 1e6,
+            eta_ms,
+        }
+    }
+
     /// Renders the one-line TTY status, e.g.
     /// `batch 5/8 done · 1 retried · 1 quarantined · p50 12 ms · p99 80 ms · eta 3s`.
     /// Zero-valued optional segments are omitted to keep the line short.
@@ -141,6 +177,31 @@ mod tests {
             snap.render_line(),
             "sweep 4/6 done · 2 released · 1 workers lost"
         );
+    }
+
+    #[test]
+    fn snapshot_reads_its_figures_from_the_run_counters() {
+        use crate::telemetry::Telemetry;
+        let t = Telemetry::new();
+        t.add(Counter::JobsResumed, 1);
+        t.add(Counter::JobsRetried, 2);
+        t.add(Counter::JobsQuarantined, 1);
+        t.add(Counter::JobsReleases, 3);
+        t.add(Counter::WorkersLost, 1);
+        t.observe(Metric::JobWallNs, 10_000_000);
+        t.observe(Metric::JobWallNs, 30_000_000);
+        let snap = ProgressSnapshot::from_stats(false, &t.snapshot(), 8, 4, 2);
+        assert_eq!(
+            (snap.resumed, snap.retried, snap.hedged, snap.quarantined),
+            (1, 2, 0, 1)
+        );
+        assert_eq!((snap.released, snap.workers_lost), (3, 1));
+        // Mean job wall 20 ms, four jobs left, two workers.
+        assert_eq!(snap.eta_ms, Some(40));
+        assert!(snap.p50_ms > 0.0 && snap.p99_ms >= snap.p50_ms);
+        let done = ProgressSnapshot::from_stats(true, &t.snapshot(), 8, 8, 2);
+        assert_eq!(done.eta_ms, None);
+        assert!(done.render_line().starts_with("sweep 8/8 done"));
     }
 
     #[test]

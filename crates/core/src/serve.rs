@@ -51,7 +51,7 @@
 
 use crate::codec::{escape_json, flat_object, unquote, Value};
 use crate::durable::{self, Log};
-use crate::events::{Event, EventBus, EventKind, Field};
+use crate::events::{Decision, EventBus, Recorder};
 use crate::faults::{self, FaultPlan, SITE_SERVE_ACCEPT, SITE_SERVE_CACHE, SITE_SERVE_REQUEST};
 use crate::resilience::{catch_isolated, Budget, Incident, IncidentKind};
 use crate::signals;
@@ -673,16 +673,14 @@ impl<'a> Server<'a> {
         self.cond.notify_all();
     }
 
-    fn emit(&self, kind: EventKind, arrival: u64, id: &str, fields: Vec<(&'static str, Field)>) {
-        if let Some(bus) = &self.bus {
-            bus.emit(Event {
-                kind,
-                group: arrival,
-                job: Some(id.to_string()),
-                attempt: None,
-                channel: None,
-                fields,
-            });
+    /// The recorder of one request's decisions, ordered by its arrival.
+    fn recorder<'r>(&'r self, arrival: u64, id: &'r str) -> Recorder<'r> {
+        Recorder {
+            telemetry: Some(self.telemetry),
+            bus: self.bus.as_deref(),
+            group: arrival,
+            job: Some(id),
+            ..Recorder::default()
         }
     }
 
@@ -718,29 +716,22 @@ impl<'a> Server<'a> {
     /// straight to `reply`, work requests are enqueued (their response is
     /// sent by a pool worker under the same `seq`).
     fn handle_line(&self, line: &str, seq: u64, reply: &Sender<Reply>) {
-        self.telemetry.add(Counter::RequestsTotal, 1);
         let arrival = self.arrivals.fetch_add(1, Ordering::Relaxed);
         let req = match parse_request(line) {
             Ok(req) => req,
             Err(msg) => {
-                self.telemetry.add(Counter::RequestsFailed, 1);
-                self.emit(
-                    EventKind::RequestFailed,
-                    arrival,
-                    "",
-                    vec![("message", Field::Str(msg.clone()))],
-                );
+                let rec = self.recorder(arrival, "");
+                rec.record(Decision::RequestReceived { op: None });
+                rec.record(Decision::RequestFailed { message: &msg });
                 let incident = request_incident("", format!("bad request: {msg}"));
                 let _ = reply.send((seq, incident_response("", "invalid", None, &incident)));
                 return;
             }
         };
-        self.emit(
-            EventKind::RequestReceived,
-            arrival,
-            &req.id,
-            vec![("op", Field::Str(req.op.name().to_string()))],
-        );
+        self.recorder(arrival, &req.id)
+            .record(Decision::RequestReceived {
+                op: Some(req.op.name()),
+            });
         match req.op {
             Op::Status => {
                 let _ = reply.send((
@@ -753,7 +744,8 @@ impl<'a> Server<'a> {
                     seq,
                     ok_response(&req.id, "shutdown", None, "{\"draining\":true}"),
                 ));
-                self.emit(EventKind::RequestDone, arrival, &req.id, Vec::new());
+                self.recorder(arrival, &req.id)
+                    .record(Decision::RequestDone);
                 self.begin_drain();
             }
             Op::Work(op) => self.handle_work(req, op, arrival, seq, reply),
@@ -770,15 +762,10 @@ impl<'a> Server<'a> {
     ) {
         let module = req.module.clone().unwrap_or_default();
         let op_name = op.name();
+        let rec = self.recorder(arrival, &req.id);
         if self.draining() {
             // Late arrival during drain: shed, with an honest hint.
-            self.telemetry.add(Counter::RequestsShed, 1);
-            self.emit(
-                EventKind::RequestShed,
-                arrival,
-                &req.id,
-                vec![("draining", Field::Bool(true))],
-            );
+            rec.record(Decision::RequestShed { outstanding: None });
             let _ = reply.send((
                 seq,
                 overloaded_response(&req.id, op_name, Some(&module), 0, 0),
@@ -788,13 +775,9 @@ impl<'a> Server<'a> {
         let source = match std::fs::read_to_string(&module) {
             Ok(s) => s,
             Err(e) => {
-                self.telemetry.add(Counter::RequestsFailed, 1);
-                self.emit(
-                    EventKind::RequestFailed,
-                    arrival,
-                    &req.id,
-                    vec![("message", Field::Str(format!("cannot read module: {e}")))],
-                );
+                rec.record(Decision::RequestFailed {
+                    message: &format!("cannot read module: {e}"),
+                });
                 let incident = request_incident(&req.id, format!("cannot read `{module}`: {e}"));
                 let _ = reply.send((
                     seq,
@@ -805,13 +788,7 @@ impl<'a> Server<'a> {
         };
         let key = cache_key(op, &source, self.effective_timeout_ms(req.timeout_ms));
         if let Some(result) = lock(&self.cache).get(&key).map(str::to_string) {
-            self.telemetry.add(Counter::CacheHits, 1);
-            self.emit(
-                EventKind::CacheHit,
-                arrival,
-                &req.id,
-                vec![("key", Field::Str(key))],
-            );
+            rec.record(Decision::CacheHit { key: &key });
             let _ = reply.send((seq, ok_response(&req.id, op_name, Some(&module), &result)));
             return;
         }
@@ -819,13 +796,9 @@ impl<'a> Server<'a> {
         let outstanding = q.items.len() + q.executing;
         if q.closed || outstanding >= self.config.workers + self.config.max_queue {
             drop(q);
-            self.telemetry.add(Counter::RequestsShed, 1);
-            self.emit(
-                EventKind::RequestShed,
-                arrival,
-                &req.id,
-                vec![("outstanding", Field::U64(outstanding as u64))],
-            );
+            rec.record(Decision::RequestShed {
+                outstanding: Some(outstanding as u64),
+            });
             // A deterministic function of the load the client just saw.
             let retry_ms = 50 * (outstanding as u64 + 1);
             let _ = reply.send((
@@ -880,6 +853,7 @@ impl<'a> Server<'a> {
             .map(Duration::from_millis)
             .or(self.config.request_timeout);
         let budget = Budget::new(timeout, None);
+        let rec = self.recorder(work.arrival, &work.id);
         let body = || {
             let result = catch_isolated(|| {
                 faults::maybe_delay(SITE_SERVE_REQUEST, "delay");
@@ -914,29 +888,16 @@ impl<'a> Server<'a> {
                                      (cache degrades to memory-only): {e}"
                                 );
                             }
-                            self.emit(
-                                EventKind::IncidentRecorded,
-                                work.arrival,
-                                &work.id,
-                                vec![
-                                    ("kind", Field::Str("cache".to_string())),
-                                    (
-                                        "message",
-                                        Field::Str(format!("cache index append failed: {e}")),
-                                    ),
-                                ],
-                            );
+                            rec.record(Decision::CacheIncident {
+                                message: &format!("cache index append failed: {e}"),
+                            });
                             0
                         }
                     };
                     if evicted > 0 {
-                        self.telemetry.add(Counter::CacheEvictions, evicted as u64);
-                        self.emit(
-                            EventKind::CacheEvicted,
-                            work.arrival,
-                            &work.id,
-                            vec![("evicted", Field::U64(evicted as u64))],
-                        );
+                        rec.record(Decision::CacheEvicted {
+                            evicted: evicted as u64,
+                        });
                     }
                     Ok(raw)
                 }
@@ -950,17 +911,11 @@ impl<'a> Server<'a> {
         };
         match outcome {
             Ok(raw) => {
-                self.emit(EventKind::RequestDone, work.arrival, &work.id, Vec::new());
+                rec.record(Decision::RequestDone);
                 ok_response(&work.id, work.op.name(), Some(&work.module), &raw)
             }
             Err(message) => {
-                self.telemetry.add(Counter::RequestsFailed, 1);
-                self.emit(
-                    EventKind::RequestFailed,
-                    work.arrival,
-                    &work.id,
-                    vec![("message", Field::Str(message.clone()))],
-                );
+                rec.record(Decision::RequestFailed { message: &message });
                 let incident = request_incident(&work.id, message);
                 incident_response(&work.id, work.op.name(), Some(&work.module), &incident)
             }
@@ -991,14 +946,9 @@ impl<'a> Server<'a> {
             catch_isolated(|| faults::maybe_panic(SITE_SERVE_ACCEPT, "accept"))
         });
         let message = caught.err()?;
-        self.telemetry.add(Counter::RequestsFailed, 1);
         let arrival = self.arrivals.fetch_add(1, Ordering::Relaxed);
-        self.emit(
-            EventKind::RequestFailed,
-            arrival,
-            conn_id,
-            vec![("message", Field::Str(message.clone()))],
-        );
+        self.recorder(arrival, conn_id)
+            .record(Decision::RequestFailed { message: &message });
         let incident = request_incident(conn_id, message);
         Some(incident_response(conn_id, "accept", None, &incident))
     }

@@ -44,7 +44,7 @@
 use crate::batch::{job_set_header, JobRecord, JobStatus, Journal};
 use crate::codec::{self, escape_json, unquote};
 use crate::durable::{self, fsync_dir, write_atomic};
-use crate::events::{Event, EventBus, EventKind, Field, FlightRecorder};
+use crate::events::{Decision, EventBus, FlightRecorder, Recorder};
 use crate::progress::ProgressSnapshot;
 use crate::resilience::{Incident, IncidentKind};
 use crate::telemetry::{Counter, Telemetry};
@@ -569,15 +569,9 @@ impl Default for SweepConfig {
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// The merged record set (manifest order) plus duplicate incidents.
+    /// Spawned and lost workers, expired leases and releases are in the
+    /// coordinator's counters.
     pub merge: MergeOutcome,
-    /// Worker processes spawned (initial fleet + replacements).
-    pub workers_spawned: u64,
-    /// Worker processes declared dead.
-    pub workers_lost: u64,
-    /// Leases whose deadline passed un-renewed.
-    pub leases_expired: u64,
-    /// Job releases (lease expiry + worker death combined).
-    pub jobs_releases: u64,
     /// True when the sweep was wound down early by SIGINT/SIGTERM: the
     /// shutdown marker was written, workers drained after their current
     /// job, every decided job was merged, and the jobs that never got a
@@ -646,22 +640,23 @@ impl<'t> Coordinator<'t> {
         self
     }
 
-    fn emit(
-        &self,
-        kind: EventKind,
-        group: u64,
-        job: Option<&str>,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        if let Some(bus) = self.bus {
-            bus.emit(Event {
-                kind,
-                group,
-                job: job.map(|j| j.to_string()),
-                attempt: None,
-                channel: None,
-                fields,
-            });
+    /// The recorder of fleet-level decisions (worker spawns and losses).
+    fn fleet(&self) -> Recorder<'_> {
+        Recorder {
+            telemetry: Some(self.telemetry),
+            bus: self.bus,
+            ..Recorder::default()
+        }
+    }
+
+    /// The recorder of one job's decisions, its coordinator-side flight
+    /// ring included.
+    fn job<'r>(&'r self, job: usize, flights: &'r [FlightRecorder]) -> Recorder<'r> {
+        Recorder {
+            flight: Some(&flights[job]),
+            group: job as u64,
+            job: Some(&self.ids[job]),
+            ..self.fleet()
         }
     }
 
@@ -685,10 +680,6 @@ impl<'t> Coordinator<'t> {
                 duplicates: Vec::new(),
                 missing: Vec::new(),
             },
-            workers_spawned: 0,
-            workers_lost: 0,
-            leases_expired: 0,
-            jobs_releases: 0,
             interrupted: false,
             coordinator_quarantined: 0,
         };
@@ -702,7 +693,7 @@ impl<'t> Coordinator<'t> {
         // up a re-leased job while its original owner is still working.
         let initial = self.config.workers.max(1);
         for _ in 0..initial {
-            self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker, &mut stats)?;
+            self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker)?;
         }
         self.emit_progress(n, &stats, &mut last_progress, true);
         crate::signals::install_shutdown_handler();
@@ -762,14 +753,7 @@ impl<'t> Coordinator<'t> {
             }
 
             for name in lost {
-                self.telemetry.add(Counter::WorkersLost, 1);
-                stats.workers_lost += 1;
-                self.emit(
-                    EventKind::WorkerLost,
-                    0,
-                    None,
-                    vec![("worker", Field::Str(name.clone()))],
-                );
+                self.fleet().record(Decision::WorkerLost { worker: &name });
                 // Free every lease the dead worker still held.
                 for job in 0..n {
                     if is_done(&self.layout, job) {
@@ -777,65 +761,45 @@ impl<'t> Coordinator<'t> {
                     }
                     if let Some(lease) = read_lease(&self.layout, job) {
                         if lease.worker == name {
-                            flights[job].push(format!(
-                                "worker {} lost while holding lease (generation {})",
-                                name, lease.generation
-                            ));
+                            self.job(job, &flights).record(Decision::LeaseHolderLost {
+                                worker: &name,
+                                generation: lease.generation,
+                            });
                             self.release_job(job, &flights, &coordinator_journal, &mut stats)?;
                         }
                     }
                 }
-                self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker, &mut stats)?;
+                self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker)?;
             }
 
             // Lease scan: announce new claims, expire stale deadlines.
             let now = now_ms();
-            for job in 0..n {
+            for (job, announced) in announced.iter_mut().enumerate() {
                 if is_done(&self.layout, job) {
                     continue;
                 }
                 let Some(lease) = read_lease(&self.layout, job) else {
                     continue;
                 };
-                if announced[job] < Some(lease.generation + 1) {
-                    announced[job] = Some(lease.generation + 1);
-                    flights[job].push(format!(
-                        "leased by {} (generation {})",
-                        lease.worker, lease.generation
-                    ));
-                    self.emit(
-                        EventKind::JobLeased,
-                        job as u64,
-                        Some(&self.ids[job]),
-                        vec![
-                            ("worker", Field::Str(lease.worker.clone())),
-                            ("generation", Field::U64(lease.generation)),
-                        ],
-                    );
+                if *announced < Some(lease.generation + 1) {
+                    *announced = Some(lease.generation + 1);
+                    self.job(job, &flights).record(Decision::Leased {
+                        worker: &lease.worker,
+                        generation: lease.generation,
+                    });
                 }
                 if lease.deadline_ms < now {
-                    self.telemetry.add(Counter::LeasesExpired, 1);
-                    stats.leases_expired += 1;
-                    flights[job].push(format!(
-                        "lease expired (owner {}, generation {})",
-                        lease.worker, lease.generation
-                    ));
-                    self.emit(
-                        EventKind::LeaseExpired,
-                        job as u64,
-                        Some(&self.ids[job]),
-                        vec![
-                            ("worker", Field::Str(lease.worker.clone())),
-                            ("generation", Field::U64(lease.generation)),
-                        ],
-                    );
+                    self.job(job, &flights).record(Decision::LeaseExpired {
+                        worker: &lease.worker,
+                        generation: lease.generation,
+                    });
                     self.release_job(job, &flights, &coordinator_journal, &mut stats)?;
                 }
             }
 
             // The fleet must never drain while jobs remain undecided.
             if fleet.is_empty() {
-                self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker, &mut stats)?;
+                self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker)?;
             }
 
             std::thread::sleep(self.config.poll);
@@ -886,15 +850,15 @@ impl<'t> Coordinator<'t> {
             ));
         }
         for dup in &stats.merge.duplicates {
-            self.emit(
-                EventKind::DuplicateDecision,
-                self.ids.iter().position(|id| *id == dup.job).unwrap_or(0) as u64,
-                Some(&dup.job),
-                vec![
-                    ("workers", Field::U64(dup.workers.len() as u64)),
-                    ("agreed", Field::Bool(dup.agreed)),
-                ],
-            );
+            let rec = Recorder {
+                group: self.ids.iter().position(|id| *id == dup.job).unwrap_or(0) as u64,
+                job: Some(&dup.job),
+                ..self.fleet()
+            };
+            rec.record(Decision::DuplicateDecision {
+                workers: dup.workers.len() as u64,
+                agreed: dup.agreed,
+            });
         }
         self.telemetry.add(Counter::JobsTotal, n as u64);
         let quarantined = stats
@@ -915,19 +879,12 @@ impl<'t> Coordinator<'t> {
         spawn: &mut impl FnMut(&str) -> std::io::Result<Child>,
         fleet: &mut Vec<WorkerProc>,
         next_worker: &mut usize,
-        stats: &mut SweepOutcome,
     ) -> Result<(), String> {
         let name = format!("w{}", *next_worker);
         *next_worker += 1;
         let child = spawn(&name).map_err(|e| format!("cannot spawn worker {name}: {e}"))?;
-        self.telemetry.add(Counter::WorkersSpawned, 1);
-        stats.workers_spawned += 1;
-        self.emit(
-            EventKind::WorkerSpawned,
-            0,
-            None,
-            vec![("worker", Field::Str(name.clone()))],
-        );
+        self.fleet()
+            .record(Decision::WorkerSpawned { worker: &name });
         fleet.push(WorkerProc {
             name,
             child,
@@ -951,22 +908,18 @@ impl<'t> Coordinator<'t> {
             .map_err(|e| format!("cannot remove lease for job {job}: {e}"))?;
         let count = bump_release_count(&self.layout, job)
             .map_err(|e| format!("cannot bump release count for job {job}: {e}"))?;
-        self.telemetry.add(Counter::JobsReleases, 1);
-        stats.jobs_releases += 1;
-        flights[job].push(format!("released back to the queue (release #{count})"));
-        self.emit(
-            EventKind::JobReleased,
-            job as u64,
-            Some(&self.ids[job]),
-            vec![("releases", Field::U64(count))],
-        );
+        let rec = self.job(job, flights);
+        rec.record(Decision::Released { releases: count });
         if count > self.config.max_releases && !is_done(&self.layout, job) {
             let message = format!(
                 "released {count} times (re-lease budget {}); giving up",
                 self.config.max_releases
             );
-            flights[job].push(format!("quarantined by coordinator: {message}"));
-            let rec = JobRecord {
+            rec.record(Decision::CoordinatorQuarantined {
+                releases: count,
+                error: &message,
+            });
+            let record = JobRecord {
                 id: self.ids[job].clone(),
                 status: JobStatus::Quarantined,
                 attempts: count as u32,
@@ -974,26 +927,17 @@ impl<'t> Coordinator<'t> {
                 incident: Some(Incident {
                     kind: IncidentKind::Quarantined,
                     name: self.ids[job].clone(),
-                    message: message.clone(),
+                    message,
                     rung: 0,
                     flight: flights[job].dump(),
                 }),
                 wall: Duration::ZERO,
             };
             coordinator_journal
-                .record(&rec, String::clone)
+                .record(&record, String::clone)
                 .map_err(|e| format!("cannot journal coordinator quarantine: {e}"))?;
             mark_done(&self.layout, job).map_err(|e| format!("cannot mark job {job} done: {e}"))?;
             stats.coordinator_quarantined += 1;
-            self.emit(
-                EventKind::JobQuarantined,
-                job as u64,
-                Some(&self.ids[job]),
-                vec![
-                    ("releases", Field::U64(count)),
-                    ("error", Field::Str(message)),
-                ],
-            );
         }
         Ok(())
     }
@@ -1008,13 +952,16 @@ impl<'t> Coordinator<'t> {
         *last = Instant::now();
         let done = (0..total).filter(|&j| is_done(&self.layout, j)).count();
         callback(&ProgressSnapshot {
-            sweep: true,
-            total,
-            done,
+            // Workers quarantine in their own processes; until the merge
+            // the coordinator knows only the jobs it gave up on itself.
             quarantined: stats.coordinator_quarantined,
-            released: stats.jobs_releases,
-            workers_lost: stats.workers_lost,
-            ..ProgressSnapshot::default()
+            ..ProgressSnapshot::from_stats(
+                true,
+                &self.telemetry.snapshot(),
+                total,
+                done,
+                self.config.workers,
+            )
         });
     }
 }

@@ -11,416 +11,287 @@ use crate::trace::{HistSnapshot, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Pipeline stages with an attributed wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Whole-module points-to / call-graph analysis + primitive discovery.
-    Analysis,
-    /// Scope computation and Pset construction (§3.2).
-    Disentangle,
-    /// Path enumeration and combination building (§3.3).
-    Paths,
-    /// Constraint encoding and solving (§3.4).
-    Constraints,
-    /// The five traditional checkers (§3.5).
-    Traditional,
-    /// GFix patch synthesis (§4); recorded by the fixing pipeline, not by
-    /// detection itself.
-    Fix,
+/// Declares an observation enum from one table: each row is a variant,
+/// its doc comment and its spec (wire name plus whatever else the enum
+/// renders), so adding a variant edits one row. Declaration order is the
+/// reporting order of `all()` and of every rendering.
+macro_rules! observation_enum {
+    (
+        $(#[$attr:meta])*
+        pub enum $enum:ident: $spec:ident {
+            $( $(#[doc = $doc:literal])* $variant:ident $row:tt, )*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $enum {
+            $( $(#[doc = $doc])* $variant, )*
+        }
+
+        impl $enum {
+            const COUNT: usize = [$(stringify!($variant)),*].len();
+            const SPECS: [$spec; $enum::COUNT] = [$($spec $row),*];
+
+            /// Every variant, in reporting order.
+            pub fn all() -> [$enum; $enum::COUNT] {
+                [$($enum::$variant),*]
+            }
+
+            fn spec(self) -> $spec {
+                $enum::SPECS[self as usize]
+            }
+
+            /// Stable snake_case wire name (JSON keys, `--stats` output,
+            /// event and metric names).
+            pub fn name(self) -> &'static str {
+                self.spec().name
+            }
+        }
+    };
+}
+pub(crate) use observation_enum;
+
+/// A [`Stage`]'s row: its wire name.
+#[derive(Clone, Copy)]
+struct StageSpec {
+    name: &'static str,
 }
 
-impl Stage {
-    const COUNT: usize = 6;
-
-    fn index(self) -> usize {
-        match self {
-            Stage::Analysis => 0,
-            Stage::Disentangle => 1,
-            Stage::Paths => 2,
-            Stage::Constraints => 3,
-            Stage::Traditional => 4,
-            Stage::Fix => 5,
-        }
-    }
-
-    /// Stable lowercase stage name (JSON keys, `--stats` output).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Analysis => "analysis",
-            Stage::Disentangle => "disentangle",
-            Stage::Paths => "paths",
-            Stage::Constraints => "constraints",
-            Stage::Traditional => "traditional",
-            Stage::Fix => "fix",
-        }
-    }
-
-    /// All stages in reporting order.
-    pub fn all() -> [Stage; Stage::COUNT] {
-        [
-            Stage::Analysis,
-            Stage::Disentangle,
-            Stage::Paths,
-            Stage::Constraints,
-            Stage::Traditional,
-            Stage::Fix,
-        ]
+observation_enum! {
+    /// Pipeline stages with an attributed wall-clock time.
+    pub enum Stage: StageSpec {
+        /// Whole-module points-to / call-graph analysis + primitive discovery.
+        Analysis { name: "analysis" },
+        /// Scope computation and Pset construction (§3.2).
+        Disentangle { name: "disentangle" },
+        /// Path enumeration and combination building (§3.3).
+        Paths { name: "paths" },
+        /// Constraint encoding and solving (§3.4).
+        Constraints { name: "constraints" },
+        /// The five traditional checkers (§3.5).
+        Traditional { name: "traditional" },
+        /// GFix patch synthesis (§4); recorded by the fixing pipeline, not by
+        /// detection itself.
+        Fix { name: "fix" },
     }
 }
 
-/// Monotonic event counters recorded during detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Channels examined by the BMOC driver.
-    ChannelsAnalyzed,
-    /// Psets computed (one per disentangled channel).
-    PsetsComputed,
-    /// Total primitives across all computed Psets.
-    PsetPrimsTotal,
-    /// Execution paths enumerated.
-    PathsEnumerated,
-    /// Branches pruned as infeasible during path enumeration.
-    BranchesPruned,
-    /// Path combinations built.
-    CombosBuilt,
-    /// Suspicious groups submitted to the solver.
-    GroupsChecked,
-    /// Solver queries issued.
-    SolverQueries,
-    /// Total solver propagation/decision steps.
-    SolverSteps,
-    /// Total solver decisions.
-    SolverDecisions,
-    /// Total solver conflicts.
-    SolverConflicts,
-    /// Queries answered by reusing an already-built combination encoding
-    /// (incremental strategy: one encoding per combination, one assumption
-    /// query per group).
-    SolverEncodingsReused,
-    /// Learned clauses retained from earlier queries of the same
-    /// combination at the moment a reusing query started.
-    LearnedClausesKept,
-    /// Bug reports emitted (before cross-checker dedup).
-    ReportsEmitted,
-    /// Reports dropped by cross-checker deduplication.
-    DuplicatesDropped,
-    /// Channels whose analysis gave up after exhausting every rung of
-    /// the degradation ladder (results for them are partial).
-    IncompleteChannels,
-    /// Jobs submitted to the batch engine (restored + executed).
-    JobsTotal,
-    /// Batch job attempts re-dispatched after a contained failure.
-    JobsRetried,
-    /// Batch jobs that got a hedge twin after straggling past the
-    /// completed-job p99.
-    JobsHedged,
-    /// Batch jobs set aside after exhausting their retry budget.
-    JobsQuarantined,
-    /// Batch jobs restored from a checkpoint journal instead of re-run.
-    JobsResumed,
-    /// Points-to component solves actually performed by the alias engine
-    /// (demand mode solves one per queried reference component; eager
-    /// mode reports a single whole-module solve).
-    AliasQueriesSolved,
-    /// Functions whose points-to constraints were never solved because no
-    /// checker asked about them (demand mode only).
-    AliasFunctionsSkipped,
-    /// Channel verdicts answered from a structurally identical channel's
-    /// cached encoding instead of fresh solver work.
-    ChannelEncodingsShared,
-    /// Sweep jobs released back to the queue after their lease expired or
-    /// their worker died (each release makes the job claimable again).
-    JobsReleases,
-    /// Sweep leases whose deadline passed before the owner renewed them.
-    LeasesExpired,
-    /// Worker processes spawned by the sweep coordinator (initial fleet
-    /// plus replacements).
-    WorkersSpawned,
-    /// Worker processes the coordinator declared dead (exited abnormally
-    /// or missed the heartbeat deadline and were killed).
-    WorkersLost,
-    /// Requests received by the serve daemon (every parsed request line,
-    /// control ops and shed requests included).
-    RequestsTotal,
-    /// Requests shed by admission control because the queue was at
-    /// `--max-queue` depth (answered with an `overloaded` response).
-    RequestsShed,
-    /// Requests answered with an incident response (contained panic,
-    /// expired deadline, executor error, or unparseable request line).
-    RequestsFailed,
-    /// Requests answered from the content-hashed response cache instead
-    /// of re-running the analysis.
-    CacheHits,
-    /// Cache entries evicted after the cache exceeded `--max-cache`
-    /// (oldest insertion first).
-    CacheEvictions,
-    /// Check requests answered with help from a warm per-module session
-    /// (at least the diff ran against cached artifacts; see
-    /// `channels_replayed` for how much work was actually skipped).
-    SessionsReused,
-    /// Channels re-analyzed from scratch on a warm check because the
-    /// module diff could reach them.
-    ChannelsReanalyzed,
-    /// Channels whose verdict, witnesses, and provenance were replayed
-    /// from a warm session instead of being re-analyzed.
-    ChannelsReplayed,
-    /// Warm sessions dropped: LRU pressure past `--max-sessions`, an
-    /// injected `serve.session` fault, or an incomparable module shape.
-    SessionEvictions,
+/// A [`Counter`]'s row: its wire name, the subsystem it is grouped under
+/// and its Prometheus HELP text.
+#[derive(Clone, Copy)]
+struct CounterSpec {
+    name: &'static str,
+    subsystem: &'static str,
+    help: &'static str,
+}
+
+observation_enum! {
+    /// Monotonic event counters recorded during detection.
+    pub enum Counter: CounterSpec {
+        /// Channels examined by the BMOC driver.
+        ChannelsAnalyzed { name: "channels_analyzed", subsystem: "detector",
+            help: "Channels examined by the BMOC driver." },
+        /// Psets computed (one per disentangled channel).
+        PsetsComputed { name: "psets_computed", subsystem: "detector",
+            help: "Psets computed (one per disentangled channel)." },
+        /// Total primitives across all computed Psets.
+        PsetPrimsTotal { name: "pset_prims_total", subsystem: "detector",
+            help: "Total primitives across all computed Psets." },
+        /// Execution paths enumerated.
+        PathsEnumerated { name: "paths_enumerated", subsystem: "detector",
+            help: "Execution paths enumerated." },
+        /// Branches pruned as infeasible during path enumeration.
+        BranchesPruned { name: "branches_pruned", subsystem: "detector",
+            help: "Branches pruned as infeasible during path enumeration." },
+        /// Path combinations built.
+        CombosBuilt { name: "combos_built", subsystem: "detector",
+            help: "Path combinations built." },
+        /// Suspicious groups submitted to the solver.
+        GroupsChecked { name: "groups_checked", subsystem: "detector",
+            help: "Suspicious groups submitted to the solver." },
+        /// Solver queries issued.
+        SolverQueries { name: "solver_queries", subsystem: "solver",
+            help: "Solver queries issued." },
+        /// Total solver propagation/decision steps.
+        SolverSteps { name: "solver_steps", subsystem: "solver",
+            help: "Total solver propagation/decision steps." },
+        /// Total solver decisions.
+        SolverDecisions { name: "solver_decisions", subsystem: "solver",
+            help: "Total solver decisions." },
+        /// Total solver conflicts.
+        SolverConflicts { name: "solver_conflicts", subsystem: "solver",
+            help: "Total solver conflicts." },
+        /// Queries answered by reusing an already-built combination encoding
+        /// (incremental strategy: one encoding per combination, one assumption
+        /// query per group).
+        SolverEncodingsReused { name: "solver_encodings_reused", subsystem: "solver",
+            help: "Queries answered by reusing an already-built combination encoding." },
+        /// Learned clauses retained from earlier queries of the same
+        /// combination at the moment a reusing query started.
+        LearnedClausesKept { name: "learned_clauses_kept", subsystem: "solver",
+            help: "Learned clauses retained from earlier queries of the same combination." },
+        /// Bug reports emitted (before cross-checker dedup).
+        ReportsEmitted { name: "reports_emitted", subsystem: "detector",
+            help: "Bug reports emitted (before cross-checker dedup)." },
+        /// Reports dropped by cross-checker deduplication.
+        DuplicatesDropped { name: "duplicates_dropped", subsystem: "detector",
+            help: "Reports dropped by cross-checker deduplication." },
+        /// Channels whose analysis gave up after exhausting every rung of
+        /// the degradation ladder (results for them are partial).
+        IncompleteChannels { name: "incomplete_channels", subsystem: "detector",
+            help: "Channels whose analysis gave up after exhausting the degradation ladder." },
+        /// Jobs submitted to the batch engine (restored + executed).
+        JobsTotal { name: "jobs_total", subsystem: "batch",
+            help: "Jobs submitted to the batch engine (restored + executed)." },
+        /// Batch job attempts re-dispatched after a contained failure.
+        JobsRetried { name: "jobs_retried", subsystem: "batch",
+            help: "Batch job attempts re-dispatched after a contained failure." },
+        /// Batch jobs that got a hedge twin after straggling past the
+        /// completed-job p99.
+        JobsHedged { name: "jobs_hedged", subsystem: "batch",
+            help: "Batch jobs that got a hedge twin after straggling past the p99." },
+        /// Batch jobs set aside after exhausting their retry budget.
+        JobsQuarantined { name: "jobs_quarantined", subsystem: "batch",
+            help: "Batch jobs set aside after exhausting their retry budget." },
+        /// Batch jobs restored from a checkpoint journal instead of re-run.
+        JobsResumed { name: "jobs_resumed", subsystem: "batch",
+            help: "Batch jobs restored from a checkpoint journal instead of re-run." },
+        /// Points-to component solves actually performed by the alias engine
+        /// (demand mode solves one per queried reference component; eager
+        /// mode reports a single whole-module solve).
+        AliasQueriesSolved { name: "alias_queries_solved", subsystem: "alias",
+            help: "Points-to component solves performed by the alias engine." },
+        /// Functions whose points-to constraints were never solved because no
+        /// checker asked about them (demand mode only).
+        AliasFunctionsSkipped { name: "alias_functions_skipped", subsystem: "alias",
+            help: "Functions whose points-to constraints were never solved (demand mode)." },
+        /// Channel verdicts answered from a structurally identical channel's
+        /// cached encoding instead of fresh solver work.
+        ChannelEncodingsShared { name: "channel_encodings_shared", subsystem: "solver",
+            help: "Channel verdicts answered from a structurally identical channel's cache." },
+        /// Sweep jobs released back to the queue after their lease expired or
+        /// their worker died (each release makes the job claimable again).
+        JobsReleases { name: "jobs_releases", subsystem: "sweep",
+            help: "Sweep jobs released back to the queue after lease expiry or worker death." },
+        /// Sweep leases whose deadline passed before the owner renewed them.
+        LeasesExpired { name: "leases_expired", subsystem: "sweep",
+            help: "Sweep leases whose deadline passed before renewal." },
+        /// Worker processes spawned by the sweep coordinator (initial fleet
+        /// plus replacements).
+        WorkersSpawned { name: "workers_spawned", subsystem: "sweep",
+            help: "Worker processes spawned by the sweep coordinator." },
+        /// Worker processes the coordinator declared dead (exited abnormally
+        /// or missed the heartbeat deadline and were killed).
+        WorkersLost { name: "workers_lost", subsystem: "sweep",
+            help: "Worker processes the sweep coordinator declared dead." },
+        /// Requests received by the serve daemon (every parsed request line,
+        /// control ops and shed requests included).
+        RequestsTotal { name: "requests_total", subsystem: "serve",
+            help: "Requests received by the serve daemon." },
+        /// Requests shed by admission control because the queue was at
+        /// `--max-queue` depth (answered with an `overloaded` response).
+        RequestsShed { name: "requests_shed", subsystem: "serve",
+            help: "Requests shed by serve admission control (queue full)." },
+        /// Requests answered with an incident response (contained panic,
+        /// expired deadline, executor error, or unparseable request line).
+        RequestsFailed { name: "requests_failed", subsystem: "serve",
+            help: "Requests answered with an incident response." },
+        /// Requests answered from the content-hashed response cache instead
+        /// of re-running the analysis.
+        CacheHits { name: "cache_hits", subsystem: "serve",
+            help: "Requests answered from the serve response cache." },
+        /// Cache entries evicted after the cache exceeded `--max-cache`
+        /// (oldest insertion first).
+        CacheEvictions { name: "cache_evictions", subsystem: "serve",
+            help: "Serve cache entries evicted past capacity." },
+        /// Check requests answered with help from a warm per-module session
+        /// (at least the diff ran against cached artifacts; see
+        /// `channels_replayed` for how much work was actually skipped).
+        SessionsReused { name: "sessions_reused", subsystem: "serve",
+            help: "Check requests answered with help from a warm session." },
+        /// Channels re-analyzed from scratch on a warm check because the
+        /// module diff could reach them.
+        ChannelsReanalyzed { name: "channels_reanalyzed", subsystem: "serve",
+            help: "Channels re-analyzed on a warm check (diff-reachable)." },
+        /// Channels whose verdict, witnesses, and provenance were replayed
+        /// from a warm session instead of being re-analyzed.
+        ChannelsReplayed { name: "channels_replayed", subsystem: "serve",
+            help: "Channel verdicts replayed from a warm session." },
+        /// Warm sessions dropped: LRU pressure past `--max-sessions`, an
+        /// injected `serve.session` fault, or an incomparable module shape.
+        SessionEvictions { name: "session_evictions", subsystem: "serve",
+            help: "Warm sessions evicted (LRU, fault, or incomparable shape)." },
+    }
 }
 
 impl Counter {
-    const COUNT: usize = 37;
-
-    fn index(self) -> usize {
-        match self {
-            Counter::ChannelsAnalyzed => 0,
-            Counter::PsetsComputed => 1,
-            Counter::PsetPrimsTotal => 2,
-            Counter::PathsEnumerated => 3,
-            Counter::BranchesPruned => 4,
-            Counter::CombosBuilt => 5,
-            Counter::GroupsChecked => 6,
-            Counter::SolverQueries => 7,
-            Counter::SolverSteps => 8,
-            Counter::SolverDecisions => 9,
-            Counter::SolverConflicts => 10,
-            Counter::SolverEncodingsReused => 11,
-            Counter::LearnedClausesKept => 12,
-            Counter::ReportsEmitted => 13,
-            Counter::DuplicatesDropped => 14,
-            Counter::IncompleteChannels => 15,
-            Counter::JobsTotal => 16,
-            Counter::JobsRetried => 17,
-            Counter::JobsHedged => 18,
-            Counter::JobsQuarantined => 19,
-            Counter::JobsResumed => 20,
-            Counter::AliasQueriesSolved => 21,
-            Counter::AliasFunctionsSkipped => 22,
-            Counter::ChannelEncodingsShared => 23,
-            Counter::JobsReleases => 24,
-            Counter::LeasesExpired => 25,
-            Counter::WorkersSpawned => 26,
-            Counter::WorkersLost => 27,
-            Counter::RequestsTotal => 28,
-            Counter::RequestsShed => 29,
-            Counter::RequestsFailed => 30,
-            Counter::CacheHits => 31,
-            Counter::CacheEvictions => 32,
-            Counter::SessionsReused => 33,
-            Counter::ChannelsReanalyzed => 34,
-            Counter::ChannelsReplayed => 35,
-            Counter::SessionEvictions => 36,
-        }
-    }
-
-    /// Stable snake_case counter name (JSON keys, `--stats` output).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::ChannelsAnalyzed => "channels_analyzed",
-            Counter::PsetsComputed => "psets_computed",
-            Counter::PsetPrimsTotal => "pset_prims_total",
-            Counter::PathsEnumerated => "paths_enumerated",
-            Counter::BranchesPruned => "branches_pruned",
-            Counter::CombosBuilt => "combos_built",
-            Counter::GroupsChecked => "groups_checked",
-            Counter::SolverQueries => "solver_queries",
-            Counter::SolverSteps => "solver_steps",
-            Counter::SolverDecisions => "solver_decisions",
-            Counter::SolverConflicts => "solver_conflicts",
-            Counter::SolverEncodingsReused => "solver_encodings_reused",
-            Counter::LearnedClausesKept => "learned_clauses_kept",
-            Counter::ReportsEmitted => "reports_emitted",
-            Counter::DuplicatesDropped => "duplicates_dropped",
-            Counter::IncompleteChannels => "incomplete_channels",
-            Counter::JobsTotal => "jobs_total",
-            Counter::JobsRetried => "jobs_retried",
-            Counter::JobsHedged => "jobs_hedged",
-            Counter::JobsQuarantined => "jobs_quarantined",
-            Counter::JobsResumed => "jobs_resumed",
-            Counter::AliasQueriesSolved => "alias_queries_solved",
-            Counter::AliasFunctionsSkipped => "alias_functions_skipped",
-            Counter::ChannelEncodingsShared => "channel_encodings_shared",
-            Counter::JobsReleases => "jobs_releases",
-            Counter::LeasesExpired => "leases_expired",
-            Counter::WorkersSpawned => "workers_spawned",
-            Counter::WorkersLost => "workers_lost",
-            Counter::RequestsTotal => "requests_total",
-            Counter::RequestsShed => "requests_shed",
-            Counter::RequestsFailed => "requests_failed",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheEvictions => "cache_evictions",
-            Counter::SessionsReused => "sessions_reused",
-            Counter::ChannelsReanalyzed => "channels_reanalyzed",
-            Counter::ChannelsReplayed => "channels_replayed",
-            Counter::SessionEvictions => "session_evictions",
-        }
-    }
-
     /// The subsystem a counter belongs to (grouping for `--stats` text
     /// and the Prometheus metric HELP lines). Every counter maps to
     /// exactly one of [`Counter::subsystems`].
     pub fn subsystem(self) -> &'static str {
-        match self {
-            Counter::AliasQueriesSolved | Counter::AliasFunctionsSkipped => "alias",
-            Counter::SolverQueries
-            | Counter::SolverSteps
-            | Counter::SolverDecisions
-            | Counter::SolverConflicts
-            | Counter::SolverEncodingsReused
-            | Counter::LearnedClausesKept
-            | Counter::ChannelEncodingsShared => "solver",
-            Counter::JobsTotal
-            | Counter::JobsRetried
-            | Counter::JobsHedged
-            | Counter::JobsQuarantined
-            | Counter::JobsResumed => "batch",
-            Counter::JobsReleases
-            | Counter::LeasesExpired
-            | Counter::WorkersSpawned
-            | Counter::WorkersLost => "sweep",
-            Counter::RequestsTotal
-            | Counter::RequestsShed
-            | Counter::RequestsFailed
-            | Counter::CacheHits
-            | Counter::CacheEvictions
-            | Counter::SessionsReused
-            | Counter::ChannelsReanalyzed
-            | Counter::ChannelsReplayed
-            | Counter::SessionEvictions => "serve",
-            Counter::ChannelsAnalyzed
-            | Counter::PsetsComputed
-            | Counter::PsetPrimsTotal
-            | Counter::PathsEnumerated
-            | Counter::BranchesPruned
-            | Counter::CombosBuilt
-            | Counter::GroupsChecked
-            | Counter::ReportsEmitted
-            | Counter::DuplicatesDropped
-            | Counter::IncompleteChannels => "detector",
-        }
+        self.spec().subsystem
+    }
+
+    /// One-line Prometheus HELP text of the counter's family.
+    pub fn help(self) -> &'static str {
+        self.spec().help
     }
 
     /// Subsystem display order for grouped `--stats` text.
     pub fn subsystems() -> [&'static str; 6] {
         ["alias", "solver", "batch", "sweep", "serve", "detector"]
     }
-
-    /// All counters in reporting order.
-    pub fn all() -> [Counter; Counter::COUNT] {
-        [
-            Counter::ChannelsAnalyzed,
-            Counter::PsetsComputed,
-            Counter::PsetPrimsTotal,
-            Counter::PathsEnumerated,
-            Counter::BranchesPruned,
-            Counter::CombosBuilt,
-            Counter::GroupsChecked,
-            Counter::SolverQueries,
-            Counter::SolverSteps,
-            Counter::SolverDecisions,
-            Counter::SolverConflicts,
-            Counter::SolverEncodingsReused,
-            Counter::LearnedClausesKept,
-            Counter::ReportsEmitted,
-            Counter::DuplicatesDropped,
-            Counter::IncompleteChannels,
-            Counter::JobsTotal,
-            Counter::JobsRetried,
-            Counter::JobsHedged,
-            Counter::JobsQuarantined,
-            Counter::JobsResumed,
-            Counter::AliasQueriesSolved,
-            Counter::AliasFunctionsSkipped,
-            Counter::ChannelEncodingsShared,
-            Counter::JobsReleases,
-            Counter::LeasesExpired,
-            Counter::WorkersSpawned,
-            Counter::WorkersLost,
-            Counter::RequestsTotal,
-            Counter::RequestsShed,
-            Counter::RequestsFailed,
-            Counter::CacheHits,
-            Counter::CacheEvictions,
-            Counter::SessionsReused,
-            Counter::ChannelsReanalyzed,
-            Counter::ChannelsReplayed,
-            Counter::SessionEvictions,
-        ]
-    }
 }
 
-/// Distributions recorded as log-bucketed [`Histogram`]s.
-///
-/// The two `*Ns` metrics are wall-clock samples in nanoseconds; the
-/// remaining metrics are plain counts whose distributions are deterministic
-/// (independent of `--jobs` and machine speed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// Per-channel BMOC detection latency (ns; one sample per channel).
-    ChannelDetectNs,
-    /// Per-query solver time (ns; one sample per `minismt` query).
-    SolverQueryNs,
-    /// Paths enumerated per channel.
-    PathsPerChannel,
-    /// Path combinations built per channel.
-    CombosPerChannel,
-    /// Per-job wall-clock time in the batch engine (ns; one sample per
-    /// completed job, hedges and retries included in the winner's time).
-    JobWallNs,
-    /// End-to-end wall-clock per checked module (ns; one sample per
-    /// module — analysis through report rendering).
-    ModuleWallNs,
+/// A [`Metric`]'s row: its wire name, its Prometheus HELP text and whether
+/// its samples are nanosecond durations.
+#[derive(Clone, Copy)]
+struct MetricSpec {
+    name: &'static str,
+    help: &'static str,
+    time: bool,
+}
+
+observation_enum! {
+    /// Distributions recorded as log-bucketed [`Histogram`]s.
+    ///
+    /// The four `*Ns` metrics are wall-clock samples in nanoseconds; the
+    /// remaining metrics are plain counts whose distributions are
+    /// deterministic (independent of `--jobs` and machine speed).
+    pub enum Metric: MetricSpec {
+        /// Per-channel BMOC detection latency (ns; one sample per channel).
+        ChannelDetectNs { name: "channel_detect_ns", time: true,
+            help: "Per-channel BMOC detection latency in seconds." },
+        /// Per-query solver time (ns; one sample per `minismt` query).
+        SolverQueryNs { name: "solver_query_ns", time: true,
+            help: "Per-query solver time in seconds." },
+        /// Paths enumerated per channel.
+        PathsPerChannel { name: "paths_per_channel", time: false,
+            help: "Paths enumerated per channel." },
+        /// Path combinations built per channel.
+        CombosPerChannel { name: "combos_per_channel", time: false,
+            help: "Path combinations built per channel." },
+        /// Per-job wall-clock time in the batch engine (ns; one sample per
+        /// completed job, hedges and retries included in the winner's time).
+        JobWallNs { name: "job_wall_ns", time: true,
+            help: "Per-job wall-clock time in the batch engine, in seconds." },
+        /// End-to-end wall-clock per checked module (ns; one sample per
+        /// module — analysis through report rendering).
+        ModuleWallNs { name: "module_wall_ns", time: true,
+            help: "End-to-end wall-clock per checked module, in seconds." },
+    }
 }
 
 impl Metric {
-    const COUNT: usize = 6;
-
-    fn index(self) -> usize {
-        match self {
-            Metric::ChannelDetectNs => 0,
-            Metric::SolverQueryNs => 1,
-            Metric::PathsPerChannel => 2,
-            Metric::CombosPerChannel => 3,
-            Metric::JobWallNs => 4,
-            Metric::ModuleWallNs => 5,
-        }
-    }
-
-    /// Stable snake_case metric name (JSON keys, `--stats` output).
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::ChannelDetectNs => "channel_detect_ns",
-            Metric::SolverQueryNs => "solver_query_ns",
-            Metric::PathsPerChannel => "paths_per_channel",
-            Metric::CombosPerChannel => "combos_per_channel",
-            Metric::JobWallNs => "job_wall_ns",
-            Metric::ModuleWallNs => "module_wall_ns",
-        }
+    /// One-line Prometheus HELP text of the metric's family.
+    pub fn help(self) -> &'static str {
+        self.spec().help
     }
 
     /// Whether samples are nanosecond durations (rendered as ms) rather
     /// than plain counts.
     pub fn is_time(self) -> bool {
-        matches!(
-            self,
-            Metric::ChannelDetectNs
-                | Metric::SolverQueryNs
-                | Metric::JobWallNs
-                | Metric::ModuleWallNs
-        )
-    }
-
-    /// All metrics in reporting order.
-    pub fn all() -> [Metric; Metric::COUNT] {
-        [
-            Metric::ChannelDetectNs,
-            Metric::SolverQueryNs,
-            Metric::PathsPerChannel,
-            Metric::CombosPerChannel,
-            Metric::JobWallNs,
-            Metric::ModuleWallNs,
-        ]
+        self.spec().time
     }
 }
 
@@ -452,17 +323,17 @@ impl Telemetry {
 
     /// Adds `n` to a counter.
     pub fn add(&self, counter: Counter, n: u64) {
-        self.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value of one counter.
     pub fn get(&self, counter: Counter) -> u64 {
-        self.counters[counter.index()].load(Ordering::Relaxed)
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
     /// Attributes `d` of wall-clock time to a stage.
     pub fn record(&self, stage: Stage, d: Duration) {
-        self.stage_ns[stage.index()].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.stage_ns[stage as usize].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Runs `f`, attributing its wall-clock time to `stage`.
@@ -478,17 +349,17 @@ impl Telemetry {
 
     /// Accumulated time of one stage.
     pub fn stage_time(&self, stage: Stage) -> Duration {
-        Duration::from_nanos(self.stage_ns[stage.index()].load(Ordering::Relaxed))
+        Duration::from_nanos(self.stage_ns[stage as usize].load(Ordering::Relaxed))
     }
 
     /// Records one sample into a metric's histogram.
     pub fn observe(&self, metric: Metric, v: u64) {
-        self.hists[metric.index()].record(v);
+        self.hists[metric as usize].record(v);
     }
 
     /// The live histogram behind one metric.
     pub fn hist(&self, metric: Metric) -> &Histogram {
-        &self.hists[metric.index()]
+        &self.hists[metric as usize]
     }
 
     /// Folds another solver run's effort counters in, and samples its
@@ -527,7 +398,7 @@ impl Telemetry {
         Stats {
             counters: Counter::all().map(|c| (c, self.get(c))),
             stages: Stage::all().map(|s| (s, self.stage_time(s))),
-            hists: Metric::all().map(|m| (m, self.hists[m.index()].snapshot())),
+            hists: Metric::all().map(|m| (m, self.hists[m as usize].snapshot())),
         }
     }
 }
@@ -560,11 +431,6 @@ impl Stats {
             .find(|(k, _)| *k == s)
             .map(|(_, v)| *v)
             .unwrap_or_default()
-    }
-
-    /// Total attributed time across all stages (detection and fixing).
-    pub fn total_time(&self) -> Duration {
-        self.stages.iter().map(|(_, d)| *d).sum()
     }
 
     /// Attributed detection time: every stage except [`Stage::Fix`].

@@ -117,6 +117,12 @@ impl From<u64> for ArgValue {
     }
 }
 
+impl From<u32> for ArgValue {
+    fn from(v: u32) -> ArgValue {
+        ArgValue::U64(u64::from(v))
+    }
+}
+
 impl From<usize> for ArgValue {
     fn from(v: usize) -> ArgValue {
         ArgValue::U64(v as u64)

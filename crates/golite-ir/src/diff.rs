@@ -28,8 +28,11 @@
 //! reports that move as the function's [`Shift`] instead of a change.
 //! Columns stay absolute because a shift only moves whole lines: text
 //! inserted in front of a function's code on one of its own lines moves
-//! columns, and reads as a change. Everything is hashed structurally
-//! through [`Fnv`]; no `Debug` string feeds a fingerprint.
+//! columns, and reads as a change. Everything goes through [`Fnv`]:
+//! names, types and spans field by field, but the instructions and
+//! terminators as the text [`dump_function_into`] writes, which is each
+//! one's `Debug` form. A structural hash of the CFG is ROADMAP direction
+//! 4.3; it would move every fingerprint the front-end goldens pin.
 
 use crate::fnv::Fnv;
 use crate::ir::{dump_function_into, FuncId, Function, Module};

@@ -78,14 +78,6 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// The register, if this operand is one.
-    pub fn as_var(&self) -> Option<Var> {
-        match self {
-            Operand::Var(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The constant integer, if this operand is one.
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -565,19 +557,9 @@ impl Function {
             .get(loc.idx as usize)
     }
 
-    /// The declared type of a register.
-    pub fn var_type(&self, v: Var) -> &Type {
-        &self.var_types[v.0 as usize]
-    }
-
     /// The name of a register.
     pub fn var_name(&self, v: Var) -> &'static str {
         self.var_names[v.0 as usize].as_str()
-    }
-
-    /// The name of a register as an interned symbol (no resolution cost).
-    pub fn var_symbol(&self, v: Var) -> Symbol {
-        self.var_names[v.0 as usize]
     }
 }
 
@@ -637,14 +619,6 @@ impl Module {
             .map(|id| &self.funcs[id.0 as usize])
     }
 
-    /// Looks up a declared (non-closure) function by interned name,
-    /// skipping the intern-table round trip.
-    pub fn func_by_symbol(&self, name: Symbol) -> Option<&Function> {
-        self.name_to_func
-            .get(&name)
-            .map(|id| &self.funcs[id.0 as usize])
-    }
-
     /// The function with the given id.
     pub fn func(&self, id: FuncId) -> &Function {
         &self.funcs[id.0 as usize]
@@ -653,11 +627,6 @@ impl Module {
     /// Looks up a struct declaration.
     pub fn struct_decl(&self, name: &str) -> Option<&golite::StructDecl> {
         self.structs.iter().find(|s| s.name == name)
-    }
-
-    /// Looks up a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<&Global> {
-        self.globals.iter().find(|g| g.name == name)
     }
 
     /// Total number of IR instructions (a coarse size metric used by the
@@ -688,13 +657,6 @@ pub fn dump_function_into(f: &Function, out: &mut String) {
         }
         let _ = writeln!(out, "   term: {:?}", block.term);
     }
-}
-
-/// Pretty-prints a function's CFG for debugging.
-pub fn dump_function(f: &Function) -> String {
-    let mut out = String::new();
-    dump_function_into(f, &mut out);
-    out
 }
 
 #[cfg(test)]

@@ -57,30 +57,35 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 const BYTES_PER_TOKEN: usize = 3;
 
 /// The value of a string literal token's text (quotes included): escapes
-/// resolved, every other byte taken as the char of the same number, which
-/// is how the lexer reads the literal.
+/// resolved, every other character kept as written.
 pub(crate) fn string_value(literal: &str) -> String {
-    let body = &literal.as_bytes()[1..literal.len() - 1];
+    let body = &literal[1..literal.len() - 1];
     let mut out = String::with_capacity(body.len());
-    let mut bytes = body.iter();
-    while let Some(&b) = bytes.next() {
-        out.push(if b == b'\\' {
-            match bytes.next() {
-                Some(b'n') => '\n',
-                Some(b't') => '\t',
-                Some(&other) => other as char,
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        out.push(if c == '\\' {
+            match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some(other) => other,
                 None => unreachable!("the lexer rejects a trailing backslash"),
             }
         } else {
-            b as char
+            c
         });
     }
     out
 }
 
 impl<'a> Lexer<'a> {
+    /// The byte at the cursor, or 0 past the end: a NUL byte inside the
+    /// source also reads 0, so end of input is [`Lexer::at_end`].
     fn peek(&self) -> u8 {
         *self.src.get(self.pos).unwrap_or(&0)
+    }
+
+    fn at_end(&self) -> bool {
+        self.pos >= self.src.len()
     }
 
     fn peek2(&self) -> u8 {
@@ -140,7 +145,7 @@ impl<'a> Lexer<'a> {
                         self.bump();
                     }
                     b'/' if self.peek2() == b'/' => {
-                        while self.peek() != b'\n' && self.peek() != 0 {
+                        while !self.at_end() && self.peek() != b'\n' {
                             self.bump();
                         }
                     }
@@ -149,7 +154,7 @@ impl<'a> Lexer<'a> {
                         self.bump();
                         self.bump();
                         loop {
-                            if self.peek() == 0 {
+                            if self.at_end() {
                                 return Err(self.error("unterminated block comment", start));
                             }
                             if self.peek() == b'*' && self.peek2() == b'/' {
@@ -166,7 +171,7 @@ impl<'a> Lexer<'a> {
 
             let start = self.here();
             let c = self.peek();
-            if c == 0 {
+            if self.at_end() {
                 self.maybe_insert_semicolon();
                 self.push(TokenKind::Eof, start);
                 return Ok(());
@@ -212,19 +217,24 @@ impl<'a> Lexer<'a> {
         self.bump(); // opening quote
         loop {
             match self.peek() {
-                0 | b'\n' => return Err(self.error("unterminated string literal", start)),
+                _ if self.at_end() => return Err(self.error("unterminated string literal", start)),
+                b'\n' => return Err(self.error("unterminated string literal", start)),
                 b'"' => {
                     self.bump();
                     break;
                 }
                 b'\\' => {
                     self.bump();
-                    match self.bump() {
-                        b'n' | b't' | b'\\' | b'"' => {}
-                        other => {
-                            return Err(
-                                self.error(format!("unknown escape `\\{}`", other as char), start)
-                            )
+                    match self.peek() {
+                        _ if self.at_end() => {
+                            return Err(self.error("unterminated string literal", start))
+                        }
+                        b'n' | b't' | b'\\' | b'"' => {
+                            self.bump();
+                        }
+                        _ => {
+                            let other = self.bump_char();
+                            return Err(self.error(format!("unknown escape `\\{other}`"), start));
                         }
                     }
                 }
@@ -237,8 +247,33 @@ impl<'a> Lexer<'a> {
         Ok(())
     }
 
+    /// Consumes the whole character at the cursor (the source is UTF-8)
+    /// and returns it as a message shows it: control characters, NUL
+    /// included, escaped.
+    fn bump_char(&mut self) -> String {
+        let rest = &self.src[self.pos..self.src.len().min(self.pos + 4)];
+        let valid = match std::str::from_utf8(rest) {
+            Ok(text) => text,
+            Err(e) => std::str::from_utf8(&rest[..e.valid_up_to()]).unwrap_or_default(),
+        };
+        let c = valid.chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
+        for _ in 0..c.len_utf8().max(1) {
+            self.bump();
+        }
+        if c.is_control() {
+            c.escape_debug().to_string()
+        } else {
+            c.to_string()
+        }
+    }
+
     fn symbol(&mut self, start: (u32, u32, u32)) -> Result<(), LexError> {
-        let c = self.bump();
+        let c = self.peek();
+        if !c.is_ascii() || c.is_ascii_control() {
+            let other = self.bump_char();
+            return Err(self.error(format!("unexpected character `{other}`"), start));
+        }
+        self.bump();
         let kind = match c {
             b'<' if self.peek() == b'-' => {
                 self.bump();

@@ -12,15 +12,15 @@
 
 use gcatch_suite::gcatch::codec::escape_json;
 use gcatch_suite::gcatch::durable::write_atomic;
-use gcatch_suite::gcatch::events::Field;
+use gcatch_suite::gcatch::events::{Decision, Field, Recorder};
 use gcatch_suite::gcatch::{
     derive_run_id, faults, obs_zero_time, read_manifest, render_explain, render_json_with,
     render_prometheus, render_stats_json, run_worker, serve_socket, serve_stdio, warm_check,
     write_manifest, AliasMode, BatchConfig, BatchEngine, BatchJob, Budget, Coordinator, Counter,
-    DetectorConfig, Diagnostic, Event, EventBus, EventKind, FaultPlan, GCatch, HedgePolicy,
-    Incident, IncidentKind, JobRecord, Journal, Metric, ObsScope, ProgressSnapshot, Selection,
-    ServeConfig, Stats, SweepConfig, SweepLayout, Telemetry, TraceLevel, TraceSnapshot, Tracer,
-    WarmSessions, WorkKind, WorkerConfig,
+    DetectorConfig, Diagnostic, EventBus, EventKind, FaultPlan, GCatch, HedgePolicy, Incident,
+    IncidentKind, JobRecord, Journal, Metric, ObsScope, ProgressSnapshot, Selection, ServeConfig,
+    Stats, SweepConfig, SweepLayout, Telemetry, TraceLevel, TraceSnapshot, Tracer, WarmSessions,
+    WorkKind, WorkerConfig,
 };
 use gcatch_suite::{gfix, sim};
 use std::collections::BTreeMap;
@@ -356,21 +356,6 @@ fn write_trace(path: &str, snapshot: &TraceSnapshot) -> Result<(), String> {
         .map_err(|e| format!("cannot write trace file {path}: {e}"))
 }
 
-/// An event of the run itself (group 0, no attempt or channel
-/// correlation), about `job` when it concerns one module. Run-level
-/// (`run_start`/`run_end`) events have no job, so canonical ordering
-/// brackets the stream with them.
-fn run_event(kind: EventKind, job: Option<&str>, fields: Vec<(&'static str, Field)>) -> Event {
-    Event {
-        kind,
-        group: 0,
-        job: job.map(str::to_string),
-        attempt: None,
-        channel: None,
-        fields,
-    }
-}
-
 /// All values of a repeatable flag, with comma-separated lists split up.
 fn flag_values(flags: &[Flag], name: &str) -> Vec<String> {
     flags
@@ -461,11 +446,10 @@ impl<'f> Sinks<'f> {
         if let Some(bus) = &bus {
             // Worker counts are deliberately absent: the stream must be
             // byte-identical across --jobs once timestamps are normalized.
-            bus.emit(run_event(
+            bus.emit_run(
                 EventKind::RunStart,
-                None,
                 vec![("modules", Field::U64(modules as u64))],
-            ));
+            );
         }
         Sinks {
             metrics_out: flag_value(flags, "metrics-out"),
@@ -524,7 +508,7 @@ impl<'f> Sinks<'f> {
             write_sink(path, &render_prometheus(stats, self.zero_time));
         }
         if let (Some(bus), Some(path)) = (&self.bus, self.events_out) {
-            bus.emit(run_event(EventKind::RunEnd, None, fields));
+            bus.emit_run(EventKind::RunEnd, fields);
             write_sink(path, &bus.render_jsonl());
         }
     }
@@ -1229,21 +1213,21 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
 
     let merged = Merged::new(&flags, &outcome.records, outcome.quarantined)?;
     let stats = telemetry.snapshot();
+    let modules = stats.counter(Counter::JobsTotal);
+    let resumed = stats.counter(Counter::JobsResumed);
     sinks.close(
         &stats,
         vec![
-            ("modules", Field::U64(outcome.records.len() as u64)),
-            ("executed", Field::U64(outcome.executed as u64)),
-            ("resumed", Field::U64(outcome.resumed as u64)),
+            ("modules", Field::U64(modules)),
+            ("executed", Field::U64(modules - resumed)),
+            ("resumed", Field::U64(resumed)),
             ("quarantined", Field::U64(outcome.quarantined as u64)),
             ("total_bugs", Field::U64(merged.total_bugs as u64)),
         ],
     );
     let header = format!(
-        "batch: {} module(s) — {} executed, {} resumed, {} quarantined",
-        outcome.records.len(),
-        outcome.executed,
-        outcome.resumed,
+        "batch: {modules} module(s) — {} executed, {resumed} resumed, {} quarantined",
+        modules - resumed,
         outcome.quarantined
     );
     Ok(merged.print(&flags, &header, &stats))
@@ -1449,24 +1433,24 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
     let quarantined = records.iter().filter(|r| r.payload.is_none()).count();
     let merged = Merged::new(&flags, records, quarantined)?;
     let stats = telemetry.snapshot();
+    let spawned = stats.counter(Counter::WorkersSpawned);
+    let lost = stats.counter(Counter::WorkersLost);
+    let releases = stats.counter(Counter::JobsReleases);
     sinks.close(
         &stats,
         vec![
             ("modules", Field::U64(records.len() as u64)),
             ("quarantined", Field::U64(quarantined as u64)),
             ("total_bugs", Field::U64(merged.total_bugs as u64)),
-            ("workers_spawned", Field::U64(outcome.workers_spawned)),
-            ("workers_lost", Field::U64(outcome.workers_lost)),
-            ("releases", Field::U64(outcome.jobs_releases)),
+            ("workers_spawned", Field::U64(spawned)),
+            ("workers_lost", Field::U64(lost)),
+            ("releases", Field::U64(releases)),
         ],
     );
     let header = format!(
-        "sweep: {} module(s) — {} workers spawned, {} lost, {} releases, {} quarantined",
+        "sweep: {} module(s) — {spawned} workers spawned, {lost} lost, {releases} releases, \
+         {quarantined} quarantined",
         records.len(),
-        outcome.workers_spawned,
-        outcome.workers_lost,
-        outcome.jobs_releases,
-        quarantined
     );
     let code = merged.print(&flags, &header, &stats);
     if outcome.interrupted {
@@ -1493,9 +1477,10 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
 /// different fingerprint is discarded wholesale on startup, because its
 /// cached responses would no longer match what this daemon computes. The
 /// leading version changes with the response text itself: `v2` labels the
-/// operations of non-blocking reports `op:` in `explain` text.
+/// operations of non-blocking reports `op:` in `explain` text, and `v3`
+/// names each blocking operation's own function, not its goroutine's root.
 fn serve_fingerprint(flags: &[Flag]) -> String {
-    let mut fp = String::from("v2");
+    let mut fp = String::from("v3");
     for (name, takes_value) in ANALYSIS_FLAGS {
         fp.push(';');
         fp.push_str(name);
@@ -1652,34 +1637,21 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         if op == WorkKind::Check && budget.deadline().is_none() {
             if let Some(store) = warm_store.as_deref() {
                 let outcome = warm_check(store, path, source, &base, AliasMode::default())?;
-                if outcome.reused {
-                    telemetry.add(Counter::SessionsReused, 1);
-                }
-                telemetry.add(Counter::ChannelsReplayed, outcome.replayed);
-                telemetry.add(Counter::ChannelsReanalyzed, outcome.reanalyzed);
-                telemetry.add(Counter::SessionEvictions, outcome.evicted);
-                if let Some(bus) = &sinks.bus {
-                    if outcome.reused {
-                        bus.emit(run_event(
-                            EventKind::SessionReuse,
-                            Some(path),
-                            vec![
-                                ("replayed", Field::U64(outcome.replayed)),
-                                ("reanalyzed", Field::U64(outcome.reanalyzed)),
-                            ],
-                        ));
-                    }
-                    if outcome.evicted > 0 || outcome.fault_evicted {
-                        bus.emit(run_event(
-                            EventKind::SessionEvict,
-                            Some(path),
-                            vec![
-                                ("evicted", Field::U64(outcome.evicted)),
-                                ("fault", Field::Bool(outcome.fault_evicted)),
-                            ],
-                        ));
-                    }
-                }
+                let rec = Recorder {
+                    telemetry: Some(&telemetry),
+                    bus: sinks.bus.as_deref(),
+                    job: Some(path),
+                    ..Recorder::default()
+                };
+                rec.record(Decision::SessionUse {
+                    reused: outcome.reused,
+                    replayed: outcome.replayed,
+                    reanalyzed: outcome.reanalyzed,
+                });
+                rec.record(Decision::SessionEvict {
+                    evicted: outcome.evicted,
+                    fault: outcome.fault_evicted,
+                });
                 return Ok(outcome.json);
             }
         }

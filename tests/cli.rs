@@ -55,6 +55,51 @@ fn check_reports_bugs_with_exit_1() {
     std::fs::remove_file(path).ok();
 }
 
+/// A goroutine whose root function (`relay`) calls the function that holds
+/// the blocking send (`worker`).
+const RELAY: &str = r#"
+package main
+
+func worker(ch chan int) {
+    ch <- 1
+}
+
+func relay(ch chan int) {
+    worker(ch)
+}
+
+func main() {
+    ch := make(chan int)
+    go relay(ch)
+}
+"#;
+
+#[test]
+fn blocked_ops_name_the_function_that_holds_them() {
+    let path = write_temp("check-relay", RELAY);
+    let text = gcatch()
+        .args(["check", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(text.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&text.stdout);
+    assert!(
+        stdout.contains("blocked: send on ch at 5:5 in worker\n"),
+        "stdout: {stdout}"
+    );
+    let json = gcatch()
+        .args(["check", "--json", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(json.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&json.stdout);
+    assert!(
+        stdout.contains(r#""ops":[{"what":"send on ch","func":"worker","span":"5:5"}]"#),
+        "stdout: {stdout}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn check_clean_program_exits_0() {
     let path = write_temp("check-clean", CLEAN);
@@ -108,6 +153,46 @@ fn fix_write_applies_the_patch() {
         Some(0),
         "{}",
         String::from_utf8_lossy(&out.stdout)
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn fix_write_keeps_non_ascii_string_literals() {
+    let path = write_temp(
+        "fix-utf8",
+        "package main\n\nfunc main() {\n\tdone := make(chan int)\n\tgo func() {\n\
+         \t\tfmt.Println(\"café\")\n\t\tdone <- 1\n\t}()\n}\n",
+    );
+    let out = gcatch()
+        .args(["fix", "--write", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let patched = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        patched.contains("done := make(chan int, 1)") && patched.contains("fmt.Println(\"café\")"),
+        "patched:\n{patched}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_nul_byte_is_an_error_not_the_end_of_the_source() {
+    let path = write_temp("nul", "func main() {}\0func broken() { x = }\n");
+    let out = gcatch()
+        .args(["check", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        !out.stderr.contains(&0),
+        "the message holds no raw NUL byte"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("parse error at 1:15: unexpected character `\\0`"),
+        "stderr: {stderr}"
     );
     std::fs::remove_file(path).ok();
 }

@@ -38,7 +38,8 @@ fn fingerprints(name: &str, source: &str) -> (u64, u64) {
 }
 
 /// Every golden input, by name: the examples, the 21 Table 1 replicas at
-/// two seeds, the 960-channel probe and the serve module.
+/// two seeds, the 960-channel probe, a string literal holding non-ASCII
+/// text and the serve module.
 fn inputs() -> Vec<(String, String)> {
     let mut out = Vec::new();
     for dir in ["examples", "examples/batch"] {
@@ -69,6 +70,11 @@ fn inputs() -> Vec<(String, String)> {
             leak_every: 60,
             ballast: 640,
         }),
+    ));
+    // Non-ASCII text in a string literal is decoded as UTF-8.
+    out.push((
+        "utf8".to_string(),
+        "package main\n\nfunc main() {\n\tfmt.Println(\"café\")\n}\n".to_string(),
     ));
     out.push((
         "serve".to_string(),
@@ -136,6 +142,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("gRPC@2026", 0xed79c4fe1893b5c8, 0xd422b996dcc29114),
     ("bbolt@2026", 0x8f2e614dd3bb8133, 0xa80e8a6db99460f1),
     ("probe", 0x6c9c856d95e8a1e4, 0x17745e3b0c69799e),
+    ("utf8", 0x6278d9bcc313dbae, 0xcb23a6a1b15d3c25),
     ("serve", 0xa584863ce1a1d53d, 0x008a9449c96979c6),
 ];
 
@@ -190,11 +197,12 @@ const ERRORS: &[(&str, &str, At)] = &[
     ("func f() {\n s := \"abc", "parse error at 2:7: unterminated string literal", (17, 21, 2, 7)),
     ("func f() {\n s := \"a\\qb\"\n}", "parse error at 2:7: unknown escape `\\q`", (17, 21, 2, 7)),
     ("func f() {\n a # b\n}", "parse error at 2:4: unexpected character `#`", (14, 15, 2, 4)),
-    ("func f() {\n é\n}", "parse error at 2:2: unexpected character `Ã`", (12, 13, 2, 2)),
+    ("func f() {\n é\n}", "parse error at 2:2: unexpected character `é`", (12, 14, 2, 2)),
+    ("func main() {}\0func broken() { x = }", "parse error at 1:15: unexpected character `\\0`", (14, 15, 1, 15)),
     ("type S struct x {\n}", "parse error at 1:15: expected `{`, found `x`", (14, 15, 1, 15)),
     ("type S struct 007 {\n}", "parse error at 1:15: expected `{`, found `7`", (14, 17, 1, 15)),
     ("type S struct \"a\\tb\\\"c\" {\n}", "parse error at 1:15: expected `{`, found `\"a\\tb\\\"c\"`", (14, 23, 1, 15)),
-    ("type S struct \"é\u{1}\" {\n}", "parse error at 1:15: expected `{`, found `\"Ã©\\u{1}\"`", (14, 19, 1, 15)),
+    ("type S struct \"é\u{1}\" {\n}", "parse error at 1:15: expected `{`, found `\"é\\u{1}\"`", (14, 19, 1, 15)),
     ("type S struct", "parse error at 1:14: expected `{`, found `<eof>`", (13, 13, 1, 14)),
     ("type S struct func", "parse error at 1:15: expected `{`, found `func`", (14, 18, 1, 15)),
     ("func f() int {\n return ((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((1))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))\n}", "parse error at 2:88: nesting too deep (more than 80 levels)", (102, 103, 2, 88)),
