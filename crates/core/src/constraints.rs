@@ -45,7 +45,8 @@ use crate::paths::{Event, PathOp};
 use crate::primitives::{OpKind, PrimId, Primitives};
 use crate::report::WitnessStep;
 use crate::resilience::Budget;
-use minismt::{Atom, BoolVar, IntVar, SolveResult, Solver, SolverMode, Term};
+use minismt::{Atom, BoolVar, IntVar, SolveResult, Solver, SolverMode, SolverStats, Term};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -104,14 +105,17 @@ impl SolverStrategy {
 pub struct GroupCheck {
     /// The verdict.
     pub verdict: Verdict,
-    /// Solver effort for provenance/telemetry; `None` when the query was
-    /// short-circuited before reaching the solver. For a `Blocking`
-    /// verdict under the incremental strategy these are the stats of the
-    /// canonical fresh re-solve, keeping provenance identical to the
-    /// fresh strategy.
-    pub stats: Option<minismt::SolverStats>,
+    /// Solver effort behind the verdict, for provenance and telemetry;
+    /// `None` when no solver decided it. Whenever the canonical solve runs
+    /// (every verdict but an incremental refutation), these are its
+    /// stats, so provenance is the same under every strategy.
+    pub stats: Option<SolverStats>,
     /// Whether the query reused a previously built combination encoding.
     pub reused: bool,
+    /// Whether a structurally identical query's stored [`Outcome`]
+    /// answered this one: no solver ran, so `stats` are provenance only
+    /// and count toward no solver counter.
+    pub shared: bool,
 }
 
 /// One question asked of a combination.
@@ -231,12 +235,48 @@ fn canon_key(
     key
 }
 
+/// A decided query's answer, as the canonical solve gave it. Queries with
+/// equal canonical keys issue the same solver calls there, so the outcome
+/// is a function of the key: any structurally identical query may take it
+/// as its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Outcome {
+    /// No witness interleaving exists.
+    Safe,
+    /// A witness interleaving exists.
+    Blocking {
+        /// The witness's kept events in execution order, as
+        /// `(goroutine, event)` indices into the combination. They name
+        /// no primitive, so they render over any combination with the
+        /// same key.
+        witness: Vec<(usize, usize)>,
+        /// The canonical solve's effort, which the report's provenance
+        /// carries.
+        stats: SolverStats,
+    },
+}
+
+impl Outcome {
+    /// The verdict this outcome gives on `combo`: a blocking witness
+    /// names `combo`'s own events.
+    fn verdict(&self, prims: &Primitives, combo: &Combo) -> Verdict {
+        match self {
+            Outcome::Safe => Verdict::Safe,
+            Outcome::Blocking { witness, .. } => Verdict::Blocking(
+                witness
+                    .iter()
+                    .map(|&(gi, ei)| describe_event(prims, combo, gi, ei))
+                    .collect(),
+            ),
+        }
+    }
+}
+
 /// Session-global cross-channel verdict cache: structurally identical
-/// queries (see `canon_key`) share one solved outcome. Only definitive
-/// verdicts are stored (`true` = blocking, `false` = safe); `Unknown` is
-/// never cached. A `Blocking` hit still re-derives its witness and
-/// provenance from the *actual* combination via the canonical fresh
-/// solve, so reports carry the right names and spans and stay
+/// queries (see `canon_key`) share one [`Outcome`]. Only decided outcomes
+/// are stored; `Unknown` is never cached. A `Blocking` hit renders the
+/// stored witness over its own combination and runs no solver, and its
+/// report carries the stored canonical stats, so reports are
 /// byte-identical with sharing off.
 ///
 /// Concurrent workers solve each key once, so the counters of a
@@ -259,19 +299,19 @@ struct CacheState {
 }
 
 /// One canonical key's entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Slot {
     /// A worker is solving the key.
     Claimed,
-    /// The key's definitive verdict (`true` = blocking).
-    Decided(bool),
+    /// The key's outcome.
+    Decided(Outcome),
 }
 
 /// What [`EncodingCache::lookup`] found.
 enum Lookup<'c> {
-    /// A definitive verdict (`true` = blocking), possibly after waiting
-    /// for the worker that solved it.
-    Hit(bool),
+    /// A decided outcome, possibly after waiting for the worker that
+    /// solved it.
+    Hit(Outcome),
     /// The key was free and is now the caller's to solve.
     Claimed(Claim<'c>),
     /// The claim the caller waited on was released without a verdict:
@@ -280,22 +320,22 @@ enum Lookup<'c> {
 }
 
 /// A worker's claim on a key it is solving. Dropping it settles the key:
-/// it stores [`Claim::verdict`] or, when that is `None` (an `Unknown`
+/// it stores [`Claim::outcome`] or, when that is `None` (an `Unknown`
 /// verdict, or a solve that unwound), releases the key, and it wakes every
 /// waiter either way.
 struct Claim<'c> {
     cache: &'c EncodingCache,
     key: CanonKey,
-    verdict: Option<bool>,
+    outcome: Option<Outcome>,
 }
 
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
         let mut state = self.cache.state();
         let key = std::mem::take(&mut self.key);
-        match self.verdict {
-            Some(blocking) => {
-                state.slots.insert(key, Slot::Decided(blocking));
+        match self.outcome.take() {
+            Some(outcome) => {
+                state.slots.insert(key, Slot::Decided(outcome));
             }
             None => {
                 state.slots.remove(&key);
@@ -317,14 +357,14 @@ impl EncodingCache {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks `key` up: a decided verdict is a hit, a free key is claimed
+    /// Looks `key` up: a decided outcome is a hit, a free key is claimed
     /// for the caller, and another worker's claim is waited out.
     fn lookup(&self, key: CanonKey) -> Lookup<'_> {
         let mut state = self.state();
         let mut waited = false;
         loop {
             match state.slots.get(&key) {
-                Some(&Slot::Decided(blocking)) => return Lookup::Hit(blocking),
+                Some(Slot::Decided(outcome)) => return Lookup::Hit(outcome.clone()),
                 Some(Slot::Claimed) => {
                     state.waiting += 1;
                     state = self.settled.wait(state).unwrap_or_else(|e| e.into_inner());
@@ -337,14 +377,14 @@ impl EncodingCache {
                     return Lookup::Claimed(Claim {
                         cache: self,
                         key,
-                        verdict: None,
+                        outcome: None,
                     });
                 }
             }
         }
     }
 
-    /// Number of distinct canonical encodings with a cached verdict.
+    /// Number of distinct canonical encodings with a cached outcome.
     pub fn len(&self) -> usize {
         self.state()
             .slots
@@ -353,35 +393,39 @@ impl EncodingCache {
             .count()
     }
 
-    /// Snapshots every cached verdict, sorted by key, for carrying solver
+    /// Snapshots every cached outcome, sorted by key, for carrying solver
     /// warmth across daemon requests. Keys are fully structural (names
-    /// renamed by first appearance, no positions), so a snapshot taken
-    /// against one module version is sound to replay against any other.
-    pub fn export(&self) -> Vec<(Vec<u64>, bool)> {
+    /// renamed by first appearance, no positions) and witnesses are event
+    /// indices, so a snapshot taken against one module version is sound
+    /// to replay against any other.
+    pub fn export(&self) -> Vec<(Vec<u64>, Outcome)> {
         let state = self.state();
-        let mut entries: Vec<(Vec<u64>, bool)> = state
+        let mut entries: Vec<(Vec<u64>, Outcome)> = state
             .slots
             .iter()
-            .filter_map(|(k, slot)| match *slot {
-                Slot::Decided(blocking) => Some((k.clone(), blocking)),
+            .filter_map(|(k, slot)| match slot {
+                Slot::Decided(outcome) => Some((k.clone(), outcome.clone())),
                 Slot::Claimed => None,
             })
             .collect();
-        entries.sort();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
     }
 
-    /// Seeds this cache with verdicts previously taken via
+    /// Seeds this cache with outcomes previously taken via
     /// [`EncodingCache::export`]. Existing entries win on collision (both
-    /// sides hold the same verdict for the same canonical key anyway).
-    pub fn import(&self, entries: &[(Vec<u64>, bool)]) {
+    /// sides hold the same outcome for the same canonical key anyway).
+    pub fn import(&self, entries: &[(Vec<u64>, Outcome)]) {
         let mut state = self.state();
-        for (k, v) in entries {
-            state.slots.entry(k.clone()).or_insert(Slot::Decided(*v));
+        for (k, outcome) in entries {
+            state
+                .slots
+                .entry(k.clone())
+                .or_insert_with(|| Slot::Decided(outcome.clone()));
         }
     }
 
-    /// Whether no verdict is cached.
+    /// Whether no outcome is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -424,7 +468,7 @@ pub struct ChannelSolver<'p> {
     /// reusing query starts.
     pub learned_kept: u64,
     /// Queries answered from a structurally identical channel's cached
-    /// verdict instead of fresh solver work.
+    /// outcome instead of fresh solver work.
     pub encodings_shared: u64,
 }
 
@@ -503,7 +547,9 @@ impl<'p> ChannelSolver<'p> {
         // skips a solve whose verdict is already known.
         let shareable = self.cache.is_some() && !budget.rations() && !faults::armed();
         if !shareable {
-            return self.check_uncached(combo, query, step_limit, budget);
+            return self
+                .check_uncached(combo, query, step_limit, budget)
+                .render(self.prims, combo);
         }
         let cache = self.cache.expect("checked above");
         let key = canon_key(
@@ -514,47 +560,30 @@ impl<'p> ChannelSolver<'p> {
             self.strategy.engine_mode(),
         );
         match cache.lookup(key) {
-            Lookup::Hit(false) => {
-                // A structurally identical query was safe; so is this one.
+            Lookup::Hit(outcome) => {
+                // A structurally identical query was decided; its outcome
+                // is this one's, and a blocking witness renders over this
+                // combination's own events.
                 self.encodings_shared += 1;
                 GroupCheck {
-                    verdict: Verdict::Safe,
-                    stats: None,
+                    verdict: outcome.verdict(self.prims, combo),
+                    stats: match outcome {
+                        Outcome::Blocking { stats, .. } => Some(stats),
+                        Outcome::Safe => None,
+                    },
                     reused: false,
-                }
-            }
-            Lookup::Hit(true) => {
-                // Blocking: the verdict is shared, but the witness and
-                // provenance must name *this* channel's events, so they
-                // are re-derived by the canonical fresh solve — the exact
-                // code path every strategy uses for a Blocking report,
-                // which keeps reports byte-identical with sharing off.
-                self.encodings_shared += 1;
-                let (verdict, stats) = solve_fresh(
-                    self.prims,
-                    self.strategy.engine_mode(),
-                    combo,
-                    query,
-                    step_limit,
-                    budget,
-                    None,
-                );
-                GroupCheck {
-                    verdict,
-                    stats,
-                    reused: false,
+                    shared: true,
                 }
             }
             Lookup::Claimed(mut claim) => {
-                let check = self.check_uncached(combo, query, step_limit, budget);
-                claim.verdict = match check.verdict {
-                    Verdict::Safe => Some(false),
-                    Verdict::Blocking(_) => Some(true),
-                    Verdict::Unknown => None, // indefinite: never cached
-                };
+                let solved = self.check_uncached(combo, query, step_limit, budget);
+                let check = solved.render(self.prims, combo);
+                claim.outcome = solved.outcome;
                 check
             }
-            Lookup::Released => self.check_uncached(combo, query, step_limit, budget),
+            Lookup::Released => self
+                .check_uncached(combo, query, step_limit, budget)
+                .render(self.prims, combo),
         }
     }
 
@@ -564,21 +593,13 @@ impl<'p> ChannelSolver<'p> {
         query: &Query,
         step_limit: u64,
         budget: &Budget,
-    ) -> GroupCheck {
+    ) -> Solved {
         if budget.expired() {
-            return GroupCheck {
-                verdict: Verdict::Unknown,
-                stats: None,
-                reused: false,
-            };
+            return Solved::UNKNOWN;
         }
         let granted = budget.draw(step_limit);
         if granted == 0 {
-            return GroupCheck {
-                verdict: Verdict::Unknown,
-                stats: None,
-                reused: false,
-            };
+            return Solved::UNKNOWN;
         }
         // One fault-injection draw per logical query, before any
         // short-circuit: the `solver.steps` site numbers queries per scope,
@@ -586,147 +607,126 @@ impl<'p> ChannelSolver<'p> {
         // the count and the order of draws are part of the reproducible
         // fault schedule.
         let fault = faults::solver_fault_threshold();
-
-        if self.strategy != SolverStrategy::Incremental {
-            let (verdict, stats) = solve_fresh(
-                self.prims,
-                self.strategy.engine_mode(),
-                combo,
-                query,
-                granted,
-                budget,
-                fault,
-            );
-            let spent = stats.map(|s| s.steps).unwrap_or(0);
-            budget.refund(granted.saturating_sub(spent));
-            return GroupCheck {
-                verdict,
-                stats,
+        let Some(kept) = kept_lengths(combo, query) else {
+            // A group member's goroutine never starts: no encoding is
+            // built and the solver is not run.
+            budget.refund(granted);
+            return Solved {
+                outcome: Some(Outcome::Safe),
+                stats: None,
                 reused: false,
             };
-        }
+        };
 
-        self.ensure_encoding(combo, query.blocking());
-        let assume = {
+        // The incremental strategy first tries to refute the query on the
+        // combination's shared encoding.
+        let mut spent = 0;
+        let mut reused = false;
+        if self.strategy == SolverStrategy::Incremental {
+            self.ensure_encoding(combo, query.blocking());
             let enc = self.enc.as_ref().expect("ensure_encoding built it");
             debug_assert_eq!(
                 enc.blocking,
                 query.blocking(),
                 "combo was opened for a different query kind"
             );
-            assumptions_for(enc, combo, query)
-        };
-        let Some(assume) = assume else {
-            // A group member's goroutine never starts; the solver is not run.
-            budget.refund(granted);
-            return GroupCheck {
-                verdict: Verdict::Safe,
-                stats: None,
-                reused: false,
-            };
-        };
-        self.combo_queries += 1;
-        let reused = self.combo_queries > 1;
-        if reused {
-            self.encodings_reused += 1;
-            let solver = self.solver.as_ref().expect("solver exists with encoding");
-            self.learned_kept += (solver.num_clauses() - self.base_clauses) as u64;
+            let assume = assumptions(enc, combo, query, &kept);
+            self.combo_queries += 1;
+            reused = self.combo_queries > 1;
+            let solver = self.solver.as_mut().expect("solver exists with encoding");
+            if reused {
+                self.encodings_reused += 1;
+                self.learned_kept += (solver.num_clauses() - self.base_clauses) as u64;
+            }
+            solver.set_step_limit(granted);
+            solver.set_deadline(budget.deadline());
+            solver.set_step_fault(fault);
+            let refuted = solver.solve_under(&assume.terms).is_unsat();
+            let stats = solver.stats();
+            if refuted {
+                budget.refund(granted.saturating_sub(stats.steps));
+                return Solved {
+                    outcome: Some(Outcome::Safe),
+                    stats: Some(stats),
+                    reused,
+                };
+            }
+            spent = stats.steps;
         }
-        let solver = self.solver.as_mut().expect("solver exists with encoding");
+        // Not refuted. Learned-clause retention makes an incremental model,
+        // its step count, and whether it finishes within the limit depend
+        // on query history, so the canonical solve decides: the verdict,
+        // witness and provenance of every query the incremental solve does
+        // not refute are the fresh strategy's.
+        let (outcome, stats) = self.solve_canonical(combo, query, &kept, granted, budget, fault);
+        budget.refund(granted.saturating_sub(spent + stats.steps));
+        Solved {
+            outcome,
+            stats: Some(stats),
+            reused,
+        }
+    }
+
+    /// The canonical solve: a fresh solver builds the query's encoding and
+    /// solves under its guards. Equal [`CanonKey`]s issue the same solver
+    /// calls here, so the outcome, witness indices and stats included, is
+    /// a function of the key.
+    fn solve_canonical(
+        &self,
+        combo: &Combo,
+        query: &Query,
+        kept: &[usize],
+        granted: u64,
+        budget: &Budget,
+        fault: Option<u64>,
+    ) -> (Option<Outcome>, SolverStats) {
+        let mut solver = Solver::with_mode(self.strategy.engine_mode());
         solver.set_step_limit(granted);
         solver.set_deadline(budget.deadline());
         solver.set_step_fault(fault);
+        let enc = build_encoding(&mut solver, self.prims, combo, query.blocking());
+        let assume = assumptions(&enc, combo, query, kept);
         let result = solver.solve_under(&assume.terms);
-        let inc_stats = solver.stats();
-        match result {
-            SolveResult::Unsat => {
-                budget.refund(granted.saturating_sub(inc_stats.steps));
-                GroupCheck {
-                    verdict: Verdict::Safe,
-                    stats: Some(inc_stats),
-                    reused,
-                }
-            }
-            SolveResult::Unknown => {
-                budget.refund(granted.saturating_sub(inc_stats.steps));
-                GroupCheck {
-                    verdict: Verdict::Unknown,
-                    stats: Some(inc_stats),
-                    reused,
-                }
-            }
-            SolveResult::Sat(inc_model) => {
-                // Canonical witness solve: learned-clause retention makes the
-                // incremental model and step counts depend on query history,
-                // so the witness and provenance of a Blocking verdict are
-                // re-derived from a fresh solver running the exact
-                // fresh-strategy code path. The verdict itself is
-                // history-independent (the search is complete), so Sat here
-                // is Sat there; only an exhausted re-solve budget can
-                // diverge, in which case the incremental model backs the
-                // witness.
-                let enc = self.enc.as_ref().expect("encoding checked above");
-                let (verdict, stats) = solve_fresh(
-                    self.prims,
-                    SolverMode::Watched,
-                    combo,
-                    query,
-                    granted,
-                    budget,
-                    fault,
-                );
-                let canon_steps = stats.map(|s| s.steps).unwrap_or(0);
-                budget.refund(granted.saturating_sub(inc_stats.steps + canon_steps));
-                match verdict {
-                    Verdict::Blocking(_) => GroupCheck {
-                        verdict,
-                        stats,
-                        reused,
-                    },
-                    _ => GroupCheck {
-                        verdict: Verdict::Blocking(witness_timeline(
-                            self.prims, combo, enc, &assume, &inc_model,
-                        )),
-                        stats: Some(inc_stats),
-                        reused,
-                    },
-                }
-            }
-        }
+        let stats = solver.stats();
+        let outcome = match result {
+            SolveResult::Sat(model) => Some(Outcome::Blocking {
+                witness: witness_order(&enc, &assume, &model),
+                stats,
+            }),
+            SolveResult::Unsat => Some(Outcome::Safe),
+            SolveResult::Unknown => None,
+        };
+        (outcome, stats)
     }
 }
 
-/// One fresh-solver query: builds the guarded encoding from scratch and
-/// solves under the query's guard assumptions. This is both the fresh
-/// strategy's query path and the incremental strategy's canonical witness
-/// path, which is what keeps the two strategies' reports byte-identical.
-fn solve_fresh(
-    prims: &Primitives,
-    mode: SolverMode,
-    combo: &Combo,
-    query: &Query,
-    granted: u64,
-    budget: &Budget,
-    fault: Option<u64>,
-) -> (Verdict, Option<minismt::SolverStats>) {
-    let mut solver = Solver::with_mode(mode);
-    solver.set_step_limit(granted);
-    solver.set_deadline(budget.deadline());
-    solver.set_step_fault(fault);
-    let enc = build_encoding(&mut solver, prims, combo, query.blocking());
-    let Some(assume) = assumptions_for(&enc, combo, query) else {
-        return (Verdict::Safe, None);
+/// One query's answer before its witness is rendered.
+struct Solved {
+    /// The answer; `None` when the solver gave up.
+    outcome: Option<Outcome>,
+    /// Effort of the solver run behind the answer; `None` when none ran.
+    stats: Option<SolverStats>,
+    reused: bool,
+}
+
+impl Solved {
+    const UNKNOWN: Solved = Solved {
+        outcome: None,
+        stats: None,
+        reused: false,
     };
-    let result = solver.solve_under(&assume.terms);
-    let stats = solver.stats();
-    let verdict = match result {
-        SolveResult::Sat(model) => {
-            Verdict::Blocking(witness_timeline(prims, combo, &enc, &assume, &model))
+
+    fn render(&self, prims: &Primitives, combo: &Combo) -> GroupCheck {
+        GroupCheck {
+            verdict: self
+                .outcome
+                .as_ref()
+                .map_or(Verdict::Unknown, |o| o.verdict(prims, combo)),
+            stats: self.stats,
+            reused: self.reused,
+            shared: false,
         }
-        SolveResult::Unsat => Verdict::Safe,
-        SolveResult::Unknown => Verdict::Unknown,
-    };
-    (verdict, Some(stats))
+    }
 }
 
 /// Lazily reifies the channel-state auxiliary variables of one encoding:
@@ -1081,48 +1081,51 @@ fn build_encoding(
     }
 }
 
-/// Computes the guard assignment for one query: which events are kept
-/// (truncation + spawn reachability for group queries, everything for
-/// pair queries) and which are blocking-group members. Returns `None`
+/// How many leading events of each goroutine a query keeps: a group
+/// query truncates each goroutine after its members and keeps only the
+/// goroutines whose spawn is kept; a pair query keeps everything. `None`
 /// when a group member's goroutine never starts (the query is trivially
 /// safe).
-fn assumptions_for(enc: &Encoding, combo: &Combo, query: &Query) -> Option<Assumptions> {
-    let kept_of: Vec<usize> = match query {
-        Query::Group(group) => {
-            // Truncation point per goroutine: events after a group member's
-            // event never execute.
-            let mut cutoff: Vec<usize> = combo.gos.iter().map(|g| g.path.events.len()).collect();
-            for m in group {
-                cutoff[m.goroutine] = cutoff[m.goroutine].min(m.event + 1);
-            }
-            // A goroutine is alive if it is the root or its spawn event is
-            // kept.
-            let mut alive = vec![false; combo.gos.len()];
-            alive[0] = true;
-            for (gi, g) in combo.gos.iter().enumerate().skip(1) {
-                if let Some((parent, ev)) = g.spawned_at {
-                    if alive[parent] && ev < cutoff[parent] {
-                        alive[gi] = true;
-                    }
-                }
-            }
-            if group.iter().any(|m| !alive[m.goroutine]) {
-                return None;
-            }
-            combo
-                .gos
-                .iter()
-                .enumerate()
-                .map(|(gi, _)| if alive[gi] { cutoff[gi] } else { 0 })
-                .collect()
-        }
-        Query::Pair { .. } => combo.gos.iter().map(|g| g.path.events.len()).collect(),
+fn kept_lengths(combo: &Combo, query: &Query) -> Option<Vec<usize>> {
+    let Query::Group(group) = query else {
+        return Some(combo.gos.iter().map(|g| g.path.events.len()).collect());
     };
+    // Truncation point per goroutine: events after a group member's event
+    // never execute.
+    let mut cutoff: Vec<usize> = combo.gos.iter().map(|g| g.path.events.len()).collect();
+    for m in group {
+        cutoff[m.goroutine] = cutoff[m.goroutine].min(m.event + 1);
+    }
+    // A goroutine is alive if it is the root or its spawn event is kept.
+    let mut alive = vec![false; combo.gos.len()];
+    alive[0] = true;
+    for (gi, g) in combo.gos.iter().enumerate().skip(1) {
+        if let Some((parent, ev)) = g.spawned_at {
+            if alive[parent] && ev < cutoff[parent] {
+                alive[gi] = true;
+            }
+        }
+    }
+    if group.iter().any(|m| !alive[m.goroutine]) {
+        return None;
+    }
+    Some(
+        cutoff
+            .into_iter()
+            .zip(alive)
+            .map(|(cut, alive)| if alive { cut } else { 0 })
+            .collect(),
+    )
+}
 
+/// Computes the guard assignment for one query from its
+/// [`kept_lengths`]: which events are kept and which are blocking-group
+/// members, plus a pair query's panic constraint.
+fn assumptions(enc: &Encoding, combo: &Combo, query: &Query, kept: &[usize]) -> Assumptions {
     let mut terms = Vec::with_capacity(enc.kept.len() + enc.blk.len() + 1);
     let mut kept_events = Vec::new();
     for (&(gi, ei), &k) in &enc.kept {
-        if ei < kept_of[gi] {
+        if ei < kept[gi] {
             terms.push(Term::var(k));
             kept_events.push((gi, ei));
         } else {
@@ -1160,27 +1163,35 @@ fn assumptions_for(enc: &Encoding, combo: &Combo, query: &Query) -> Option<Assum
             }));
         }
     }
-    Some(Assumptions { terms, kept_events })
+    Assumptions { terms, kept_events }
 }
 
-/// Produces the witness order for a satisfying model: kept events sorted
-/// by their order-variable values (ties by rendered description). Events of
-/// one goroutine are strictly ordered, so ties only join goroutines, whose
-/// `g{i}:` prefixes decide before any position does.
-fn witness_timeline(
-    prims: &Primitives,
-    combo: &Combo,
+/// Orders a satisfying model's kept events by their order-variable values:
+/// the witness, as `(goroutine, event)` indices. Events of one goroutine
+/// are strictly ordered, so ties only join goroutines; they break on the
+/// witness labels' `g{i}:` prefixes, compared as text (the order the
+/// rendered steps' text gives), so no primitive name can move a step.
+fn witness_order(
     enc: &Encoding,
     assume: &Assumptions,
     model: &minismt::Model,
-) -> Vec<WitnessStep> {
-    let mut timeline: Vec<(i64, WitnessStep)> = Vec::new();
-    for &(gi, ei) in &assume.kept_events {
-        let t = model.int_value(enc.order[&(gi, ei)]).unwrap_or(0);
-        timeline.push((t, describe_event(prims, combo, gi, ei)));
-    }
-    timeline.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp_rendered(&b.1)));
-    timeline.into_iter().map(|(_, step)| step).collect()
+) -> Vec<(usize, usize)> {
+    let mut timeline: Vec<(i64, (usize, usize))> = assume
+        .kept_events
+        .iter()
+        .map(|&ev| (model.int_value(enc.order[&ev]).unwrap_or(0), ev))
+        .collect();
+    timeline.sort_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| cmp_goroutine_labels(a.1 .0, b.1 .0))
+    });
+    timeline.into_iter().map(|(_, ev)| ev).collect()
+}
+
+/// Compares goroutines as their witness labels' `g{i}:` prefixes compare
+/// bytewise: `g10:` sorts before `g1:` because `'0'` sorts before `':'`.
+fn cmp_goroutine_labels(a: usize, b: usize) -> Ordering {
+    format!("g{a}:").cmp(&format!("g{b}:"))
 }
 
 fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> WitnessStep {
@@ -1500,6 +1511,21 @@ mod tests {
         assert!(matches!(g1.verdict, Verdict::Blocking(_)));
     }
 
+    /// A tie between two goroutines' events orders them as their rendered
+    /// witness steps order, whatever the rest of each label says.
+    #[test]
+    fn goroutine_ties_order_as_their_rendered_labels() {
+        for a in 0..25 {
+            for b in (0..25).filter(|&b| b != a) {
+                assert_eq!(
+                    cmp_goroutine_labels(a, b),
+                    format!("g{a}:send(zz)@9:9").cmp(&format!("g{b}:close(a)")),
+                    "g{a} vs g{b}"
+                );
+            }
+        }
+    }
+
     /// Blocks until `n` workers wait on a claim: the interleaving under
     /// test is forced, never left to timing.
     fn await_waiters(cache: &EncodingCache, n: usize) {
@@ -1526,7 +1552,7 @@ mod tests {
                     scope.spawn(|| {
                         start.wait();
                         match cache.lookup(key.clone()) {
-                            Lookup::Hit(blocking) => Some(blocking),
+                            Lookup::Hit(outcome) => Some(outcome),
                             Lookup::Claimed(_) | Lookup::Released => {
                                 solves.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                 None
@@ -1537,14 +1563,14 @@ mod tests {
                 .collect();
             start.wait();
             await_waiters(&cache, workers);
-            claim.verdict = Some(true);
+            claim.outcome = Some(Outcome::Safe);
             drop(claim);
             for handle in handles {
-                assert_eq!(handle.join().expect("worker"), Some(true));
+                assert_eq!(handle.join().expect("worker"), Some(Outcome::Safe));
             }
         });
         assert_eq!(solves.into_inner(), 1, "one solve for the key");
-        assert_eq!(cache.export(), vec![(key, true)]);
+        assert_eq!(cache.export(), vec![(key, Outcome::Safe)]);
     }
 
     /// A claim released without a verdict (an `Unknown`, or a claimant

@@ -627,7 +627,9 @@ impl<'m> AnalysisSession<'m> {
                     solver.check(combo, &query, config.solver_steps, budget)
                 });
                 let (verdict, solver_stats) = (check.verdict, check.stats);
-                if let Some(s) = solver_stats {
+                // A shared outcome's stats are the canonical solve's that
+                // decided it elsewhere: provenance, not a solver run.
+                if let Some(s) = solver_stats.filter(|_| !check.shared) {
                     self.telemetry.add_solver_stats(s);
                     lane.complete(
                         "dpll",

@@ -116,14 +116,14 @@ impl<'m> AnalysisSession<'m> {
     /// exported from an earlier session — the serve daemon carries solver
     /// warmth across requests this way. Sound across module versions:
     /// the canonical keys are fully structural (no names or positions),
-    /// and a `Blocking` hit still re-derives its witnesses from the
-    /// actual combination, so reports stay byte-identical.
-    pub fn seed_encodings(&self, entries: &[(Vec<u64>, bool)]) {
+    /// and a `Blocking` outcome's witness is event indices that render
+    /// over the actual combination, so reports stay byte-identical.
+    pub fn seed_encodings(&self, entries: &[(Vec<u64>, crate::constraints::Outcome)]) {
         self.encoding_cache.import(entries);
     }
 
     /// Exports the session's verdict cache for a later session to seed.
-    pub fn export_encodings(&self) -> Vec<(Vec<u64>, bool)> {
+    pub fn export_encodings(&self) -> Vec<(Vec<u64>, crate::constraints::Outcome)> {
         self.encoding_cache.export()
     }
 

@@ -159,9 +159,9 @@ pub struct WarmEntry {
     pub shape: ModuleShape,
     /// Per-channel outcomes keyed by creation site.
     pub(crate) records: HashMap<Loc, ChannelRecord>,
-    /// Cross-channel solver-verdict snapshot
+    /// Cross-channel solver-outcome snapshot
     /// ([`EncodingCache::export`](crate::constraints::EncodingCache::export)).
-    pub encodings: Vec<(Vec<u64>, bool)>,
+    pub encodings: Vec<(Vec<u64>, crate::constraints::Outcome)>,
 }
 
 impl fmt::Debug for WarmEntry {

@@ -129,7 +129,6 @@ struct ScopeMark {
     n_pbs: usize,
     n_empty: u32,
     n_atoms: usize,
-    n_intern: usize,
     learned: u64,
 }
 
@@ -307,7 +306,6 @@ impl Solver {
             n_pbs: self.engine.pbs.len(),
             n_empty: self.engine.empty_clauses,
             n_atoms: self.engine.atom_log.len(),
-            n_intern: self.engine.intern_log.len(),
             learned: self.engine.learned,
         });
     }
@@ -413,6 +411,22 @@ impl Lit {
     }
 }
 
+/// A composite term as the cons table keys it: its connective over what
+/// its operands already encode to. Operands are encoded before their
+/// parent, so two subterms share an entry exactly when their operands
+/// encode to the same literals, and no `Term` is hashed or copied.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Cons {
+    And(Vec<Lit>),
+    Or(Vec<Lit>),
+    /// `Σ coefᵢ·atomᵢ cmp k`, each atom as its variable.
+    Linear {
+        terms: Vec<(i64, u32)>,
+        cmp: Cmp,
+        k: i64,
+    },
+}
+
 #[derive(Debug, Clone, Copy)]
 enum VarKind {
     /// A free boolean (or Tseitin auxiliary) variable.
@@ -460,11 +474,11 @@ struct Engine {
     /// Insertion order of `atom_ids`, so `pop_scope` can evict exactly the
     /// atoms a scope introduced.
     atom_log: Vec<Atom>,
-    /// Structural-hash cons table: composite terms already Tseitin-encoded
-    /// map to their activation literal, so re-encoding an identical
-    /// subterm is a hash lookup instead of fresh clauses.
-    intern: HashMap<Term, Lit>,
-    intern_log: Vec<Term>,
+    /// Cons table: composite terms already Tseitin-encoded map to their
+    /// activation literal, so re-encoding an identical subterm is a lookup
+    /// instead of fresh clauses. Each literal's variable is created when
+    /// its entry is, which is how `pop_scope` finds a scope's entries.
+    intern: HashMap<Cons, Lit>,
     clauses: Vec<Vec<Lit>>,
     /// var -> clause indices containing it (Rescan engine only).
     occurs: Vec<Vec<u32>>,
@@ -518,7 +532,6 @@ impl Engine {
             atom_ids: HashMap::new(),
             atom_log: Vec::new(),
             intern: HashMap::new(),
-            intern_log: Vec::new(),
             clauses: Vec::new(),
             occurs: Vec::new(),
             watches: Vec::new(),
@@ -673,69 +686,65 @@ impl Engine {
     // -------------------------------------------------------- CNF encoding
 
     fn encode(&mut self, t: &Term) -> Lit {
-        match t {
-            Term::True => Lit::pos(self.true_var),
-            Term::False => Lit::pos(self.true_var).neg(),
-            Term::Atom(a) => Lit::pos(self.atom_var(a)),
-            Term::Not(inner) => self.encode(inner).neg(),
-            Term::And(_) | Term::Or(_) | Term::Linear { .. } => {
-                if let Some(&l) = self.intern.get(t) {
-                    return l;
-                }
-                let l = match t {
-                    Term::And(ts) => {
-                        let lits: Vec<Lit> = ts.iter().map(|t| self.encode(t)).collect();
-                        let v = Lit::pos(self.fresh_var(VarKind::Free));
-                        // v -> each lit
-                        for &l in &lits {
-                            self.add_clause(vec![v.neg(), l]);
-                        }
-                        // all lits -> v
-                        let mut clause: Vec<Lit> = lits.iter().map(|l| l.neg()).collect();
-                        clause.push(v);
-                        self.add_clause(clause);
-                        v
-                    }
-                    Term::Or(ts) => {
-                        let lits: Vec<Lit> = ts.iter().map(|t| self.encode(t)).collect();
-                        let v = Lit::pos(self.fresh_var(VarKind::Free));
-                        // v -> (l1 | ... | ln)
-                        let mut clause = vec![v.neg()];
-                        clause.extend(lits.iter().copied());
-                        self.add_clause(clause);
-                        // each lit -> v
-                        for &l in &lits {
-                            self.add_clause(vec![l.neg(), v]);
-                        }
-                        v
-                    }
-                    Term::Linear { terms, cmp, k } => self.encode_linear(terms, *cmp, *k),
-                    _ => unreachable!("only composite terms are interned"),
-                };
-                self.intern.insert(t.clone(), l);
-                self.intern_log.push(t.clone());
-                l
-            }
+        let key = match t {
+            Term::True => return Lit::pos(self.true_var),
+            Term::False => return Lit::pos(self.true_var).neg(),
+            Term::Atom(a) => return Lit::pos(self.atom_var(a)),
+            Term::Not(inner) => return self.encode(inner).neg(),
+            Term::And(ts) => Cons::And(ts.iter().map(|t| self.encode(t)).collect()),
+            Term::Or(ts) => Cons::Or(ts.iter().map(|t| self.encode(t)).collect()),
+            Term::Linear { terms, cmp, k } => Cons::Linear {
+                terms: terms.iter().map(|(c, a)| (*c, self.atom_var(a))).collect(),
+                cmp: *cmp,
+                k: *k,
+            },
+        };
+        if let Some(&l) = self.intern.get(&key) {
+            return l;
         }
+        let l = match &key {
+            Cons::And(lits) => {
+                let v = Lit::pos(self.fresh_var(VarKind::Free));
+                // v -> each lit
+                for &l in lits {
+                    self.add_clause(vec![v.neg(), l]);
+                }
+                // all lits -> v
+                let mut clause: Vec<Lit> = lits.iter().map(|l| l.neg()).collect();
+                clause.push(v);
+                self.add_clause(clause);
+                v
+            }
+            Cons::Or(lits) => {
+                let v = Lit::pos(self.fresh_var(VarKind::Free));
+                // v -> (l1 | ... | ln)
+                let mut clause = vec![v.neg()];
+                clause.extend(lits.iter().copied());
+                self.add_clause(clause);
+                // each lit -> v
+                for &l in lits {
+                    self.add_clause(vec![l.neg(), v]);
+                }
+                v
+            }
+            Cons::Linear { terms, cmp, k } => self.encode_linear(terms, *cmp, *k),
+        };
+        self.intern.insert(key, l);
+        l
     }
 
-    /// Reifies `Σ cᵢ·aᵢ cmp k` into an activation literal.
-    fn encode_linear(&mut self, terms: &[(i64, Atom)], cmp: Cmp, k: i64) -> Lit {
+    /// Reifies `Σ cᵢ·vᵢ cmp k` over atom variables into an activation
+    /// literal.
+    fn encode_linear(&mut self, terms: &[(i64, u32)], cmp: Cmp, k: i64) -> Lit {
+        let negated = || -> Vec<(i64, u32)> { terms.iter().map(|&(c, v)| (-c, v)).collect() };
         match cmp {
             Cmp::Le => self.encode_le(terms, k),
             Cmp::Lt => self.encode_le(terms, k - 1),
-            Cmp::Ge => {
-                let negated: Vec<(i64, Atom)> = terms.iter().map(|&(c, a)| (-c, a)).collect();
-                self.encode_le(&negated, -k)
-            }
-            Cmp::Gt => {
-                let negated: Vec<(i64, Atom)> = terms.iter().map(|&(c, a)| (-c, a)).collect();
-                self.encode_le(&negated, -k - 1)
-            }
+            Cmp::Ge => self.encode_le(&negated(), -k),
+            Cmp::Gt => self.encode_le(&negated(), -k - 1),
             Cmp::Eq => {
                 let le = self.encode_le(terms, k);
-                let negated: Vec<(i64, Atom)> = terms.iter().map(|&(c, a)| (-c, a)).collect();
-                let ge = self.encode_le(&negated, -k);
+                let ge = self.encode_le(&negated(), -k);
                 // v <-> le & ge
                 let v = Lit::pos(self.fresh_var(VarKind::Free));
                 self.add_clause(vec![v.neg(), le]);
@@ -749,10 +758,9 @@ impl Engine {
     /// Core reified `Σ cᵢ·aᵢ <= k` with arbitrary-sign coefficients.
     /// Normalized to positive coefficients over possibly negated literals:
     /// `-c·a == c·(¬a) - c`.
-    fn encode_le(&mut self, terms: &[(i64, Atom)], k: i64) -> Lit {
+    fn encode_le(&mut self, terms: &[(i64, u32)], k: i64) -> Lit {
         let mut norm: Vec<(i64, Lit)> = Vec::with_capacity(terms.len());
-        for &(c, ref a) in terms {
-            let v = self.atom_var(a);
+        for &(c, v) in terms {
             if c > 0 {
                 norm.push((c, Lit::pos(v)));
             } else if c < 0 {
@@ -1302,9 +1310,8 @@ impl Engine {
         for a in self.atom_log.split_off(m.n_atoms) {
             self.atom_ids.remove(&a);
         }
-        for t in self.intern_log.split_off(m.n_intern) {
-            self.intern.remove(&t);
-        }
+        let n_vars = m.n_vars as u32;
+        self.intern.retain(|_, l| l.var() < n_vars);
         self.kinds.truncate(m.n_vars);
         self.values.truncate(m.n_vars);
         self.trail_pos.truncate(m.n_vars);
@@ -1732,6 +1739,215 @@ mod tests {
         // interned encoding: only the top-level unit clause is new.
         s.assert(Term::implies(Term::var(p), Term::eq_int(a, b)));
         assert_eq!(s.num_clauses(), clauses_once + 1);
+    }
+
+    /// One query's observable effort: the verdict (`S`at, `U`nsat,
+    /// `?` unknown), `(steps, decisions, conflicts)`, the engine's clause
+    /// count afterwards, and the model's value of each order variable
+    /// (`i64::MIN` when the query has no model).
+    type Pin = (char, [u64; 3], usize, Vec<i64>);
+
+    fn pin(s: &mut Solver, assumptions: &[Term], ints: &[IntVar]) -> Pin {
+        let result = s.solve_under(assumptions);
+        let st = s.stats();
+        let (verdict, values) = match result {
+            SolveResult::Sat(m) => (
+                'S',
+                ints.iter()
+                    .map(|&v| m.int_value(v).unwrap_or(i64::MIN))
+                    .collect(),
+            ),
+            SolveResult::Unsat => ('U', Vec::new()),
+            SolveResult::Unknown => ('?', Vec::new()),
+        };
+        (
+            verdict,
+            [st.steps, st.decisions, st.conflicts],
+            s.num_clauses(),
+            values,
+        )
+    }
+
+    /// A GCatch-shaped formula: three order chains, guarded matches,
+    /// one-of and at-most-one choices over the guards, and a signed
+    /// counter.
+    fn matching_formula(s: &mut Solver) -> (Vec<IntVar>, Vec<BoolVar>) {
+        let o: Vec<_> = (0..6).map(|_| s.fresh_int()).collect();
+        let p: Vec<_> = (0..4).map(|_| s.fresh_bool()).collect();
+        s.assert(Term::lt(o[0], o[1]));
+        s.assert(Term::lt(o[1], o[2]));
+        s.assert(Term::lt(o[3], o[4]));
+        s.assert(Term::implies(Term::var(p[0]), Term::eq_int(o[1], o[4])));
+        s.assert(Term::implies(Term::var(p[1]), Term::eq_int(o[2], o[3])));
+        s.assert(Term::implies(Term::var(p[2]), Term::lt(o[5], o[0])));
+        s.assert(Term::implies(Term::var(p[3]), Term::lt(o[4], o[1])));
+        s.assert(Term::exactly_one(p[..3].iter().map(|&v| Atom::Bool(v))));
+        s.assert(Term::at_most_one([Atom::Bool(p[2]), Atom::Bool(p[3])]));
+        s.assert(Term::Linear {
+            terms: vec![
+                (1, Atom::Bool(p[0])),
+                (1, Atom::Bool(p[3])),
+                (-1, Atom::Bool(p[1])),
+            ],
+            cmp: Cmp::Ge,
+            k: 1,
+        });
+        s.assert(Term::or([
+            Term::var(p[3]),
+            Term::Atom(Atom::DiffLe {
+                x: o[5],
+                y: o[2],
+                c: 2,
+            }),
+        ]));
+        (o, p)
+    }
+
+    /// Three pigeons, two holes, each pigeon ordered after its hole's
+    /// previous occupant: unsatisfiable, reached through conflicts.
+    fn pigeonhole_formula(s: &mut Solver) -> Vec<IntVar> {
+        let o: Vec<_> = (0..3).map(|_| s.fresh_int()).collect();
+        let x: Vec<Vec<BoolVar>> = (0..3)
+            .map(|_| (0..2).map(|_| s.fresh_bool()).collect())
+            .collect();
+        for row in &x {
+            s.assert(Term::exactly_one(row.iter().map(|&v| Atom::Bool(v))));
+        }
+        for hole in 0..2 {
+            s.assert(Term::at_most_one(x.iter().map(|row| Atom::Bool(row[hole]))));
+            for i in 1..3 {
+                s.assert(Term::implies(
+                    Term::and([Term::var(x[i - 1][hole]), Term::var(x[i][hole])]),
+                    Term::lt(o[i - 1], o[i]),
+                ));
+            }
+        }
+        o
+    }
+
+    /// Exact effort, clause counts and model values of fixed formulas.
+    /// Variable numbering and clause order decide every step count and
+    /// witness the detector reports, so an encoding change that moves
+    /// either shows here first.
+    #[test]
+    fn pinned_effort_on_fixed_formulas() {
+        let mut s = Solver::new();
+        let (o, _) = matching_formula(&mut s);
+        assert_eq!(
+            pin(&mut s, &[], &o),
+            ('S', [26, 6, 2], 38, vec![-3, -2, 0, -3, -2, 0])
+        );
+
+        let mut s = Solver::new();
+        let o = pigeonhole_formula(&mut s);
+        assert_eq!(pin(&mut s, &[], &o), ('U', [36, 1, 2], 45, vec![]));
+
+        let mut s = Solver::with_mode(SolverMode::Rescan);
+        let (o, _) = matching_formula(&mut s);
+        assert_eq!(
+            pin(&mut s, &[], &o),
+            ('S', [26, 6, 2], 38, vec![-3, -2, 0, -3, -2, 0])
+        );
+    }
+
+    /// The same pins across nested scopes and assumption queries: what a
+    /// scope leaves behind (learned clauses, activities, potentials) and
+    /// what a pop discards both reach the numbers.
+    #[test]
+    fn pinned_effort_across_nested_scopes_and_assumptions() {
+        let mut s = Solver::new();
+        let (o, p) = matching_formula(&mut s);
+        let g: Vec<_> = (0..3).map(|_| s.fresh_bool()).collect();
+        s.assert(Term::implies(Term::var(g[0]), Term::lt(o[0], o[3])));
+        s.assert(Term::implies(Term::var(g[1]), Term::lt(o[3], o[5])));
+        s.assert(Term::implies(Term::var(g[2]), Term::lt(o[5], o[0])));
+        let mut got: Vec<Pin> = vec![pin(&mut s, &[Term::var(g[0])], &o)];
+        s.push();
+        s.assert(Term::implies(
+            Term::var(g[0]),
+            Term::and([Term::lt(o[1], o[5]), Term::lt(o[5], o[2])]),
+        ));
+        got.push(pin(
+            &mut s,
+            &[Term::var(g[0]), Term::var(g[1]), Term::var(g[2])],
+            &o,
+        ));
+        got.push(pin(
+            &mut s,
+            &[Term::var(g[0]), Term::not(Term::var(g[2]))],
+            &o,
+        ));
+        s.push();
+        s.assert(Term::exactly_one(g.iter().map(|&v| Atom::Bool(v))));
+        s.assert(Term::implies(Term::var(p[1]), Term::var(g[1])));
+        got.push(pin(&mut s, &[Term::var(g[1])], &o));
+        got.push(pin(&mut s, &[Term::var(g[0]), Term::var(g[1])], &o));
+        got.push(pin(&mut s, &[Term::lt(o[4], o[0])], &o));
+        s.pop();
+        got.push(pin(&mut s, &[Term::var(g[0]), Term::var(g[1])], &o));
+        s.pop();
+        got.push(pin(&mut s, &[], &o));
+        got.push(pin(&mut s, &[Term::var(g[2]), Term::var(p[2])], &o));
+        let want: Vec<Pin> = vec![
+            ('S', [32, 8, 2], 50, vec![-4, -2, 0, -3, -2, -3]),
+            ('U', [27, 0, 1], 58, vec![]),
+            ('S', [35, 5, 1], 59, vec![-6, -4, 0, -5, -4, -3]),
+            ('S', [45, 7, 2], 69, vec![-6, -5, 0, -6, -5, -5]),
+            ('U', [39, 0, 0], 69, vec![]),
+            ('U', [71, 10, 11], 79, vec![]),
+            ('S', [39, 2, 0], 59, vec![-15, -13, 0, -14, -13, -10]),
+            ('S', [32, 6, 0], 50, vec![-15, -13, 0, -15, -13, -15]),
+            ('U', [23, 0, 1], 51, vec![]),
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// The cons table is scoped like everything else: a subterm first
+    /// encoded inside a popped scope is encoded afresh when re-asserted
+    /// after the pop, while one encoded before the `push` stays shared.
+    #[test]
+    fn cons_table_forgets_only_what_a_popped_scope_encoded() {
+        let mut s = Solver::new();
+        let a = s.fresh_int();
+        let b = s.fresh_int();
+        let p = s.fresh_bool();
+        let q = s.fresh_bool();
+        let outer = || Term::implies(Term::var(p), Term::eq_int(a, b));
+        let inner = || {
+            Term::implies(
+                Term::var(q),
+                Term::and([
+                    Term::or([Term::lt(a, b), Term::var(p)]),
+                    Term::or([Term::le(b, a), Term::not(Term::var(p))]),
+                ]),
+            )
+        };
+        s.assert(outer());
+        let vars_before = s.engine.kinds.len();
+        let clauses_before = s.num_clauses();
+
+        s.push();
+        // Shared from the outer scope: only the top-level unit is new.
+        s.assert(outer());
+        assert_eq!(s.num_clauses(), clauses_before + 1);
+        assert_eq!(s.engine.kinds.len(), vars_before);
+        s.assert(inner());
+        let inner_vars = s.engine.kinds.len() - vars_before;
+        let inner_clauses = s.num_clauses() - clauses_before - 1;
+        assert!(inner_vars > 0 && inner_clauses > 1);
+        s.pop();
+        assert_eq!(s.engine.kinds.len(), vars_before);
+        assert_eq!(s.num_clauses(), clauses_before);
+
+        // Still shared after the pop.
+        s.assert(outer());
+        assert_eq!(s.num_clauses(), clauses_before + 1);
+        assert_eq!(s.engine.kinds.len(), vars_before);
+        // Forgotten with its scope: new variables and clauses again.
+        s.assert(inner());
+        assert_eq!(s.engine.kinds.len(), vars_before + inner_vars);
+        assert_eq!(s.num_clauses(), clauses_before + 1 + inner_clauses);
+        assert!(s.solve_under(&[Term::var(q)]).is_sat());
     }
 
     #[test]

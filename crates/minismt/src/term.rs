@@ -68,7 +68,7 @@ pub enum Cmp {
 }
 
 /// A formula.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Term {
     /// Constant true.
     True,

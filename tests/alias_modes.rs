@@ -4,7 +4,8 @@
 //! small relay programs, the Table 1 replicas, and an amplified synthetic
 //! suite, every combination of `AliasMode::{Eager, Demand}`, sharing
 //! on/off, and `jobs` 1|4 must produce byte-identical diagnostics and
-//! incident sets.
+//! incident sets. So must sharing and `jobs` under a step limit tight
+//! enough that some queries run out of steps.
 
 use bench::amplifier::{expected_leaks, generate, AmpConfig};
 use gcatch_suite::corpus::apps::{generate_all, GenConfig};
@@ -19,18 +20,22 @@ struct Cfg {
     alias: AliasMode,
     share: bool,
     jobs: usize,
+    /// The per-query step limit; `None` keeps the default.
+    steps: Option<u64>,
 }
 
 impl Cfg {
     fn name(&self) -> String {
         format!(
-            "alias={}/share={}/jobs={}",
+            "alias={}/share={}/jobs={}/steps={}",
             match self.alias {
                 AliasMode::Eager => "eager",
                 AliasMode::Demand => "demand",
             },
             self.share,
-            self.jobs
+            self.jobs,
+            self.steps
+                .map_or_else(|| "default".to_string(), |n| n.to_string())
         )
     }
 }
@@ -40,11 +45,14 @@ impl Cfg {
 fn run_module(source: &str, cfg: Cfg) -> (String, Vec<String>) {
     let module = golite_ir::lower_source(source).expect("module lowers");
     let gcatch = GCatch::with_options(&module, TraceLevel::Off, cfg.alias);
-    let config = DetectorConfig {
+    let mut config = DetectorConfig {
         share_encodings: cfg.share,
         jobs: cfg.jobs,
         ..DetectorConfig::default()
     };
+    if let Some(steps) = cfg.steps {
+        config.solver_steps = steps;
+    }
     let extended = Selection {
         only: vec!["send-on-closed".to_string()],
         skip: Vec::new(),
@@ -69,6 +77,7 @@ const BASELINE: Cfg = Cfg {
     alias: AliasMode::Eager,
     share: false,
     jobs: 1,
+    steps: None,
 };
 
 /// The axis points compared against [`BASELINE`].
@@ -77,41 +86,51 @@ const VARIANTS: [Cfg; 4] = [
         alias: AliasMode::Demand,
         share: false,
         jobs: 1,
+        steps: None,
     },
     Cfg {
         alias: AliasMode::Eager,
         share: true,
         jobs: 1,
+        steps: None,
     },
     Cfg {
         alias: AliasMode::Demand,
         share: true,
         jobs: 1,
+        steps: None,
     },
     Cfg {
         alias: AliasMode::Demand,
         share: true,
         jobs: 4,
+        steps: None,
     },
 ];
 
 fn assert_axes_agree(name: &str, source: &str) {
-    let (want, want_incidents) = run_module(source, BASELINE);
-    for cfg in VARIANTS {
-        let (got, got_incidents) = run_module(source, cfg);
+    assert_points_agree(name, source, BASELINE, &VARIANTS);
+}
+
+/// Asserts every configuration in `variants` renders `source` exactly as
+/// `baseline` does.
+fn assert_points_agree(name: &str, source: &str, baseline: Cfg, variants: &[Cfg]) {
+    let (want, want_incidents) = run_module(source, baseline);
+    for cfg in variants {
+        let (got, got_incidents) = run_module(source, *cfg);
         assert_eq!(
             want,
             got,
             "{name}: {} diagnostics diverge from {}",
             cfg.name(),
-            BASELINE.name()
+            baseline.name()
         );
         assert_eq!(
             want_incidents,
             got_incidents,
             "{name}: {} incidents diverge from {}",
             cfg.name(),
-            BASELINE.name()
+            baseline.name()
         );
     }
 }
@@ -268,6 +287,30 @@ fn table1_replicas_agree_across_alias_and_sharing() {
     assert_eq!(apps.len(), 21);
     for app in &apps {
         assert_axes_agree(app.name, &app.source);
+    }
+}
+
+/// The seed-2026 replicas (the benchmark corpus) under a step limit at
+/// which some queries run out of steps. A query's verdict and witness must
+/// still not depend on which structurally identical channel, or which
+/// worker, solved its key first, nor on what that channel's solver
+/// answered before.
+#[test]
+fn table1_replicas_agree_across_sharing_and_jobs_at_a_tight_step_limit() {
+    let apps = generate_all(&GenConfig {
+        seed: 2026,
+        filler_per_kloc: 0.05,
+    });
+    assert_eq!(apps.len(), 21);
+    let point = |share: bool, jobs: usize| Cfg {
+        alias: AliasMode::Demand,
+        share,
+        jobs,
+        steps: Some(160),
+    };
+    let variants = [point(true, 1), point(false, 4), point(true, 4)];
+    for app in &apps {
+        assert_points_agree(app.name, &app.source, point(false, 1), &variants);
     }
 }
 

@@ -3,19 +3,38 @@
 //! and a stream of random programs, `SolverStrategy::Incremental` and
 //! `SolverStrategy::Fresh` must produce byte-identical diagnostics and
 //! incident sets, and the legacy rescan engine must agree on which bugs
-//! exist (its witnesses may pick a different satisfying schedule).
+//! exist (its witnesses may pick a different satisfying schedule). The
+//! Table 1 replicas must also render identically under the two strategies
+//! at a step limit tight enough that some queries run out of steps.
 
+use gcatch_suite::corpus::apps::{generate_all, GenConfig};
 use gcatch_suite::gcatch::{render_json, DetectorConfig, GCatch, Selection, SolverStrategy};
 use prng::Prng;
 
 /// Rendered diagnostics + rendered incidents for one module under one
 /// strategy, across both the default registry and the §6 extension.
 fn run_module(source: &str, strategy: SolverStrategy, jobs: usize) -> (String, Vec<String>) {
+    run_module_at(
+        source,
+        strategy,
+        jobs,
+        DetectorConfig::default().solver_steps,
+    )
+}
+
+/// [`run_module`] at a per-query step limit of `steps`.
+fn run_module_at(
+    source: &str,
+    strategy: SolverStrategy,
+    jobs: usize,
+    steps: u64,
+) -> (String, Vec<String>) {
     let module = golite_ir::lower_source(source).expect("module lowers");
     let gcatch = GCatch::new(&module);
     let config = DetectorConfig {
         solver_strategy: strategy,
         jobs,
+        solver_steps: steps,
         ..DetectorConfig::default()
     };
     let extended = Selection {
@@ -162,6 +181,34 @@ fn fuzz_programs_agree_across_solver_modes() {
         let seed = pick.gen_range(0u64..10_000);
         let src = random_program(seed);
         assert_modes_agree(&format!("fuzz seed {seed}"), &src);
+    }
+}
+
+/// The seed-2026 replicas (the benchmark corpus) at a step limit where
+/// some queries run out of steps. An incremental solve that exhausts its
+/// steps, or finds a model shaped by the queries its solver answered
+/// before, must not decide a report: the fresh strategy's canonical solve
+/// does.
+#[test]
+fn table1_replicas_agree_across_solver_modes_at_a_tight_step_limit() {
+    let apps = generate_all(&GenConfig {
+        seed: 2026,
+        filler_per_kloc: 0.05,
+    });
+    assert_eq!(apps.len(), 21);
+    for app in &apps {
+        let fresh = run_module_at(&app.source, SolverStrategy::Fresh, 1, 160);
+        let incremental = run_module_at(&app.source, SolverStrategy::Incremental, 1, 160);
+        assert_eq!(
+            fresh.0, incremental.0,
+            "{}: incremental diagnostics diverge from fresh at 160 steps",
+            app.name
+        );
+        assert_eq!(
+            fresh.1, incremental.1,
+            "{}: incremental incidents diverge from fresh at 160 steps",
+            app.name
+        );
     }
 }
 
