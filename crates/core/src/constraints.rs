@@ -32,9 +32,9 @@
 //! the pair's order atom, one encoding serves every query of a
 //! combination: each query is a [`minismt::Solver::solve_under`] call whose
 //! assumptions fix them. [`ChannelSolver::check`] answers both kinds and
-//! manages that reuse (one persistent solver per channel, one
-//! [`minismt::Solver::push`] scope per combination); it also implements the
-//! fresh-per-query strategies used for differential testing.
+//! manages that reuse (one persistent solver per channel, reset for each
+//! combination); it also implements the fresh-per-query strategies used
+//! for differential testing.
 //!
 //! Mutexes were already rewritten into the channel view (`Lock` = send on a
 //! buffer-1 channel, `Unlock` = receive), so a single encoding covers both.
@@ -77,9 +77,9 @@ pub enum Verdict {
 /// How the detector discharges its solver queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverStrategy {
-    /// One persistent watched-literal solver per channel; each combination
-    /// is a push/pop scope and each group query an assumption query that
-    /// reuses the combination's encoding and learned clauses. The default.
+    /// One persistent watched-literal solver per channel, reset for each
+    /// combination; each group query is an assumption query that reuses
+    /// the combination's encoding and learned clauses. The default.
     #[default]
     Incremental,
     /// A fresh watched-literal solver and encoding per query. The
@@ -243,6 +243,9 @@ fn canon_key(
 pub enum Outcome {
     /// No witness interleaving exists.
     Safe,
+    /// The canonical solve ran out of steps: a function of the key too,
+    /// which holds the step limit.
+    Unknown,
     /// A witness interleaving exists.
     Blocking {
         /// The witness's kept events in execution order, as
@@ -262,6 +265,7 @@ impl Outcome {
     fn verdict(&self, prims: &Primitives, combo: &Combo) -> Verdict {
         match self {
             Outcome::Safe => Verdict::Safe,
+            Outcome::Unknown => Verdict::Unknown,
             Outcome::Blocking { witness, .. } => Verdict::Blocking(
                 witness
                     .iter()
@@ -273,17 +277,16 @@ impl Outcome {
 }
 
 /// Session-global cross-channel verdict cache: structurally identical
-/// queries (see `canon_key`) share one [`Outcome`]. Only decided outcomes
-/// are stored; `Unknown` is never cached. A `Blocking` hit renders the
-/// stored witness over its own combination and runs no solver, and its
-/// report carries the stored canonical stats, so reports are
+/// queries (see `canon_key`) share one [`Outcome`]. No hit runs a solver:
+/// a `Blocking` hit renders the stored witness over its own combination,
+/// and its report carries the stored canonical stats, so reports are
 /// byte-identical with sharing off.
 ///
 /// Concurrent workers solve each key once, so the counters of a
 /// `--jobs N` run equal a one-worker run's: a miss claims its key, and a
-/// worker that finds the key claimed waits for the claimant's verdict and
-/// shares it. An `Unknown` verdict, or a claimant that unwinds, releases
-/// the claim instead; the waiters then solve the key themselves.
+/// worker that finds it claimed waits for the claimant's outcome. A claim
+/// no canonical solve settled (an expired budget, an unwound claimant) is
+/// released instead, and its waiters solve the key themselves.
 #[derive(Debug, Default)]
 pub struct EncodingCache {
     state: Mutex<CacheState>,
@@ -320,9 +323,9 @@ enum Lookup<'c> {
 }
 
 /// A worker's claim on a key it is solving. Dropping it settles the key:
-/// it stores [`Claim::outcome`] or, when that is `None` (an `Unknown`
-/// verdict, or a solve that unwound), releases the key, and it wakes every
-/// waiter either way.
+/// it stores [`Claim::outcome`] or, when that is `None` (no canonical
+/// solve finished), releases the key, and it wakes every waiter either
+/// way.
 struct Claim<'c> {
     cache: &'c EncodingCache,
     key: CanonKey,
@@ -499,8 +502,8 @@ impl<'p> ChannelSolver<'p> {
         }
     }
 
-    /// Builds the combination's shared guarded encoding into a fresh
-    /// push scope of the persistent solver, once per combination.
+    /// Builds the combination's shared guarded encoding into the
+    /// persistent solver, reset first, once per combination.
     fn ensure_encoding(&mut self, combo: &Combo, blocking: bool) {
         if self.enc.is_some() {
             return;
@@ -508,23 +511,18 @@ impl<'p> ChannelSolver<'p> {
         let solver = self
             .solver
             .get_or_insert_with(|| Solver::with_mode(SolverMode::Watched));
-        solver.push();
+        solver.reset();
         let enc = build_encoding(solver, self.prims, combo, blocking);
         self.base_clauses = solver.num_clauses();
         self.combo_queries = 0;
         self.enc = Some(enc);
     }
 
-    /// Closes the current combination: discards the encoding scope its
-    /// first cache-missing query opened, if any (the persistent solver
-    /// survives for the next combination). Every query until the next
-    /// call belongs to one combination and asks one kind of question.
+    /// Closes the current combination and drops its encoding, if one was
+    /// built. Every query until the next call belongs to one combination
+    /// and asks one kind of question.
     pub fn end_combo(&mut self) {
-        if self.enc.take().is_some() {
-            if let Some(s) = self.solver.as_mut() {
-                s.pop();
-            }
-        }
+        self.enc = None;
     }
 
     /// Answers one query on the current combination under a cooperative
@@ -569,7 +567,7 @@ impl<'p> ChannelSolver<'p> {
                     verdict: outcome.verdict(self.prims, combo),
                     stats: match outcome {
                         Outcome::Blocking { stats, .. } => Some(stats),
-                        Outcome::Safe => None,
+                        Outcome::Safe | Outcome::Unknown => None,
                     },
                     reused: false,
                     shared: true,
@@ -661,7 +659,7 @@ impl<'p> ChannelSolver<'p> {
         let (outcome, stats) = self.solve_canonical(combo, query, &kept, granted, budget, fault);
         budget.refund(granted.saturating_sub(spent + stats.steps));
         Solved {
-            outcome,
+            outcome: Some(outcome),
             stats: Some(stats),
             reused,
         }
@@ -679,7 +677,7 @@ impl<'p> ChannelSolver<'p> {
         granted: u64,
         budget: &Budget,
         fault: Option<u64>,
-    ) -> (Option<Outcome>, SolverStats) {
+    ) -> (Outcome, SolverStats) {
         let mut solver = Solver::with_mode(self.strategy.engine_mode());
         solver.set_step_limit(granted);
         solver.set_deadline(budget.deadline());
@@ -689,12 +687,12 @@ impl<'p> ChannelSolver<'p> {
         let result = solver.solve_under(&assume.terms);
         let stats = solver.stats();
         let outcome = match result {
-            SolveResult::Sat(model) => Some(Outcome::Blocking {
+            SolveResult::Sat(model) => Outcome::Blocking {
                 witness: witness_order(&enc, &assume, &model),
                 stats,
-            }),
-            SolveResult::Unsat => Some(Outcome::Safe),
-            SolveResult::Unknown => None,
+            },
+            SolveResult::Unsat => Outcome::Safe,
+            SolveResult::Unknown => Outcome::Unknown,
         };
         (outcome, stats)
     }
@@ -702,7 +700,7 @@ impl<'p> ChannelSolver<'p> {
 
 /// One query's answer before its witness is rendered.
 struct Solved {
-    /// The answer; `None` when the solver gave up.
+    /// The answer; `None` when the budget expired before any solve.
     outcome: Option<Outcome>,
     /// Effort of the solver run behind the answer; `None` when none ran.
     stats: Option<SolverStats>,
@@ -827,7 +825,7 @@ impl StateVars<'_> {
     }
 }
 
-/// Builds the combination's guarded encoding into `solver`'s current scope,
+/// Builds the combination's guarded encoding into `solver`,
 /// for blocking-group queries or, with `blocking` false, for pair queries
 /// (see [`Query::blocking`]).
 fn build_encoding(
@@ -1526,6 +1524,39 @@ mod tests {
         }
     }
 
+    /// The canonical `Unknown` is stored like any outcome: a second
+    /// channel asking the same query under a step limit the canonical
+    /// solve cannot meet shares it, and no solver runs for it.
+    #[test]
+    fn a_canonical_unknown_is_shared() {
+        let (combo, prims) = combo_with(vec![], vec![op(PrimId(0), OpKind::Send, 9)]);
+        let query = Query::Group(vec![GroupMember {
+            goroutine: 1,
+            event: 0,
+        }]);
+        let cache = EncodingCache::new();
+        let ask = || {
+            ChannelSolver::with_cache(&prims, SolverStrategy::Incremental, Some(&cache)).check(
+                &combo,
+                &query,
+                1,
+                &Budget::default(),
+            )
+        };
+        let first = ask();
+        assert!(matches!(first.verdict, Verdict::Unknown));
+        assert!(
+            !first.shared && first.stats.is_some(),
+            "the first query solves"
+        );
+        let second = ask();
+        assert!(matches!(second.verdict, Verdict::Unknown));
+        assert!(second.shared, "the stored outcome answers the second query");
+        assert!(second.stats.is_none(), "no solver ran");
+        let stored: Vec<Outcome> = cache.export().into_iter().map(|(_, o)| o).collect();
+        assert_eq!(stored, vec![Outcome::Unknown]);
+    }
+
     /// Blocks until `n` workers wait on a claim: the interleaving under
     /// test is forced, never left to timing.
     fn await_waiters(cache: &EncodingCache, n: usize) {
@@ -1573,9 +1604,9 @@ mod tests {
         assert_eq!(cache.export(), vec![(key, Outcome::Safe)]);
     }
 
-    /// A claim released without a verdict (an `Unknown`, or a claimant
-    /// that unwound) wakes its waiter, which then solves the key itself;
-    /// the key stays uncached and free to claim.
+    /// A claim released without an outcome (no canonical solve finished,
+    /// or the claimant unwound) wakes its waiter, which then solves the
+    /// key itself; the key stays uncached and free to claim.
     #[test]
     fn a_released_claim_wakes_its_waiter() {
         let cache = EncodingCache::new();

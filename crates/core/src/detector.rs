@@ -604,8 +604,8 @@ impl<'m> AnalysisSession<'m> {
         let mut local_seen: HashSet<GroupKey> = HashSet::new();
         let mut found: Vec<(GroupKey, BugReport)> = Vec::new();
         // One solving context for the whole channel: under the incremental
-        // strategy the solver persists across combinations and each
-        // combination's encoding is built once, in a push/pop scope, then
+        // strategy one solver serves every combination, reset between
+        // them, and each combination's encoding is built once, then
         // shared by every query on it. The session's cross-channel cache
         // extends that reuse to structurally identical channels.
         let cache = config.share_encodings.then(|| self.encoding_cache());

@@ -50,6 +50,14 @@ impl DiffLogic {
         }
     }
 
+    /// Forgets every variable and constraint, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.pi.clear();
+        self.edges.clear();
+        self.out.clear();
+        self.trail.clear();
+    }
+
     /// Number of currently active constraints.
     pub fn active_len(&self) -> usize {
         self.trail.len()

@@ -19,6 +19,11 @@
 //! and an eager incremental difference-logic theory that maintains a
 //! feasible potential and learns negative-cycle conflict clauses.
 //!
+//! Solving is incremental in the one way GCatch needs:
+//! [`Solver::solve_under`] answers a query under assumption literals and
+//! keeps the clauses it learns for later queries on the same formula, and
+//! [`Solver::reset`] starts the next formula in the same allocations.
+//!
 //! # Examples
 //!
 //! Prove that a send on an unbuffered channel must synchronize with its

@@ -20,12 +20,12 @@
 //! fully deterministic: ties break toward the lowest variable index.
 //!
 //! The solver is **incremental**: assertions are encoded eagerly into a
-//! persistent engine, [`Solver::push`]/[`Solver::pop`] open and close
-//! assertion scopes, and [`Solver::solve_under`] answers queries under
-//! assumption literals without mutating the assertion stack. Conflict
-//! clauses learned by a query are retained for later queries in the same
-//! scope (they are consequences of the asserted formula and the theory,
-//! never of the assumptions, so retention is sound).
+//! persistent engine, and [`Solver::solve_under`] answers queries under
+//! assumption literals without touching the assertions. Conflict clauses
+//! learned by a query are retained for later queries (they are
+//! consequences of the asserted formula and the theory, never of the
+//! assumptions, so retention is sound) until [`Solver::reset`] forgets
+//! the formula, keeping the allocations for the next one.
 
 use crate::dl::DiffLogic;
 use crate::term::{Atom, BoolVar, Cmp, IntVar, Term};
@@ -116,22 +116,6 @@ pub enum SolverMode {
     Rescan,
 }
 
-/// Saved sizes for one [`Solver::push`] scope; [`Solver::pop`] truncates
-/// every growable structure back to these marks.
-#[derive(Debug, Clone, Copy)]
-struct ScopeMark {
-    n_bool: u32,
-    n_int: u32,
-    n_assertions: usize,
-    n_vars: usize,
-    n_clauses: usize,
-    n_units: usize,
-    n_pbs: usize,
-    n_empty: u32,
-    n_atoms: usize,
-    learned: u64,
-}
-
 /// A constraint-solving context: create variables, assert terms, solve.
 ///
 /// # Examples
@@ -156,7 +140,7 @@ struct ScopeMark {
 /// assert!(s2.solve().is_unsat());
 /// ```
 ///
-/// Incremental use — scopes and assumptions:
+/// Incremental use — assumptions, then a reset for the next formula:
 ///
 /// ```
 /// use minismt::{Solver, Term};
@@ -165,20 +149,20 @@ struct ScopeMark {
 /// let p = s.fresh_bool();
 /// let q = s.fresh_bool();
 /// s.assert(Term::or([Term::var(p), Term::var(q)]));
-/// s.push();
 /// s.assert(Term::not(Term::var(p)));
 /// assert!(s.solve_under(&[Term::not(Term::var(q))]).is_unsat());
 /// assert!(s.solve().is_sat()); // assumptions do not persist
-/// s.pop();
-/// assert!(s.solve_under(&[Term::not(Term::var(q))]).is_sat());
+///
+/// s.reset(); // forget the formula, keep the allocations
+/// let r = s.fresh_bool();
+/// assert_eq!(r, p); // variables are numbered afresh
+/// assert!(s.solve_under(&[Term::not(Term::var(r))]).is_sat());
 /// ```
 #[derive(Debug)]
 pub struct Solver {
     n_bool: u32,
     n_int: u32,
-    n_assertions: usize,
     engine: Engine,
-    scopes: Vec<ScopeMark>,
     step_limit: u64,
     deadline: Option<std::time::Instant>,
     fault_step: Option<u64>,
@@ -203,9 +187,7 @@ impl Solver {
         Solver {
             n_bool: 0,
             n_int: 0,
-            n_assertions: 0,
             engine: Engine::new(mode),
-            scopes: Vec::new(),
             step_limit: 5_000_000,
             deadline: None,
             fault_step: None,
@@ -250,86 +232,38 @@ impl Solver {
         self.deadline = deadline;
     }
 
-    /// Arms a test-only fault: the search panics once it has consumed
-    /// `after` steps, simulating pathological step exhaustion at the same
-    /// site where the real step limit is enforced. The panic message
-    /// carries the `injected fault:` marker so supervisors can classify
-    /// it as transient. Never armed in production paths; callers opt in
-    /// explicitly (see the fault-injection layer in `gcatch`).
-    pub fn inject_step_fault(&mut self, after: u64) {
-        self.fault_step = Some(after);
-    }
-
-    /// Arms or clears the test-only step fault (see
-    /// [`Solver::inject_step_fault`]); incremental callers re-arm per
-    /// query.
+    /// Arms (`Some(after)`) or clears a test-only fault: the search
+    /// panics once it has consumed `after` steps, simulating pathological
+    /// step exhaustion at the same site where the real step limit is
+    /// enforced. The panic message carries the `injected fault:` marker so
+    /// supervisors can classify it as transient. Never armed in production
+    /// paths; callers opt in explicitly (see the fault-injection layer in
+    /// `gcatch`), and incremental callers re-arm per query.
     pub fn set_step_fault(&mut self, after: Option<u64>) {
         self.fault_step = after;
     }
 
     /// Asserts that `t` must hold in any model. The term is encoded into
-    /// the persistent engine immediately; assertions are permanent until
-    /// the enclosing [`Solver::push`] scope is popped.
+    /// the persistent engine immediately and holds until [`Solver::reset`].
     pub fn assert(&mut self, t: Term) {
-        self.n_assertions += 1;
         self.engine.assert_term(&t);
     }
 
-    /// Number of asserted top-level terms in the current scope stack.
-    pub fn num_assertions(&self) -> usize {
-        self.n_assertions
-    }
-
     /// Total clauses in the engine (base, Tseitin, and learned). The delta
-    /// across queries within a scope counts retained learned clauses.
+    /// across queries on one formula counts retained learned clauses.
     pub fn num_clauses(&self) -> usize {
         self.engine.clauses.len()
     }
 
-    /// Conflict clauses learned (theory cycles and PB violations) and still
-    /// retained in the current scope stack.
-    pub fn num_learned(&self) -> u64 {
-        self.engine.learned
-    }
-
-    /// Opens an assertion scope: variables, assertions, and learned
-    /// clauses added after this call are discarded by the matching
-    /// [`Solver::pop`].
-    pub fn push(&mut self) {
-        self.scopes.push(ScopeMark {
-            n_bool: self.n_bool,
-            n_int: self.n_int,
-            n_assertions: self.n_assertions,
-            n_vars: self.engine.kinds.len(),
-            n_clauses: self.engine.clauses.len(),
-            n_units: self.engine.units.len(),
-            n_pbs: self.engine.pbs.len(),
-            n_empty: self.engine.empty_clauses,
-            n_atoms: self.engine.atom_log.len(),
-            learned: self.engine.learned,
-        });
-    }
-
-    /// Closes the innermost assertion scope, discarding everything added
-    /// since the matching [`Solver::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scope is open.
-    pub fn pop(&mut self) {
-        let m = self
-            .scopes
-            .pop()
-            .expect("Solver::pop without matching push");
-        self.n_bool = m.n_bool;
-        self.n_int = m.n_int;
-        self.n_assertions = m.n_assertions;
-        self.engine.pop_scope(&m);
-    }
-
-    /// Number of open assertion scopes.
-    pub fn scope_depth(&self) -> usize {
-        self.scopes.len()
+    /// Forgets every variable, assertion and learned clause, and the last
+    /// query's stats, but keeps the allocations: the solver then behaves
+    /// exactly like a new [`Solver::with_mode`] of its mode. The step
+    /// limit, deadline and step fault are settings, and stay as set.
+    pub fn reset(&mut self) {
+        self.n_bool = 0;
+        self.n_int = 0;
+        self.stats = SolverStats::default();
+        self.engine.reset();
     }
 
     /// Solves the conjunction of all asserted terms.
@@ -343,8 +277,8 @@ impl Solver {
     /// trail below every decision (so backtracking can never flip them)
     /// and are fully retracted afterwards. An [`SolveResult::Unsat`]
     /// answer means "unsatisfiable under these assumptions". Conflict
-    /// clauses learned during the query are kept for later queries in the
-    /// same scope.
+    /// clauses learned during the query are kept for later queries until
+    /// the next [`Solver::reset`].
     pub fn solve_under(&mut self, assumptions: &[Term]) -> SolveResult {
         let start = std::time::Instant::now();
         self.engine.limit = self.step_limit;
@@ -465,19 +399,15 @@ const ACTIVITY_DECAY: f64 = 0.95;
 /// them decisions and step counts — are unaffected.
 const ACTIVITY_RESCALE: f64 = 1e100;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Engine {
     mode: SolverMode,
     kinds: Vec<VarKind>,
     values: Vec<Option<bool>>,
     atom_ids: HashMap<Atom, u32>,
-    /// Insertion order of `atom_ids`, so `pop_scope` can evict exactly the
-    /// atoms a scope introduced.
-    atom_log: Vec<Atom>,
     /// Cons table: composite terms already Tseitin-encoded map to their
     /// activation literal, so re-encoding an identical subterm is a lookup
-    /// instead of fresh clauses. Each literal's variable is created when
-    /// its entry is, which is how `pop_scope` finds a scope's entries.
+    /// instead of fresh clauses.
     intern: HashMap<Cons, Lit>,
     clauses: Vec<Vec<Lit>>,
     /// var -> clause indices containing it (Rescan engine only).
@@ -514,8 +444,6 @@ struct Engine {
     next_deadline_check: u64,
     /// Test-only armed fault: panic once `steps` reaches this value.
     fault_step: Option<u64>,
-    /// Conflict clauses learned and retained in the current scope stack.
-    learned: u64,
     true_var: u32,
 }
 
@@ -527,38 +455,36 @@ impl Engine {
     fn new(mode: SolverMode) -> Engine {
         let mut e = Engine {
             mode,
-            kinds: Vec::new(),
-            values: Vec::new(),
-            atom_ids: HashMap::new(),
-            atom_log: Vec::new(),
-            intern: HashMap::new(),
-            clauses: Vec::new(),
-            occurs: Vec::new(),
-            watches: Vec::new(),
-            units: Vec::new(),
-            fresh_units: Vec::new(),
-            empty_clauses: 0,
-            pbs: Vec::new(),
-            pb_occurs: Vec::new(),
-            trail: Vec::new(),
-            trail_pos: Vec::new(),
-            queue: std::collections::VecDeque::new(),
-            activity: Vec::new(),
-            var_inc: 1.0,
-            dl: DiffLogic::new(),
-            steps: 0,
-            decisions: 0,
-            conflicts: 0,
-            limit: 5_000_000,
-            deadline: None,
-            next_deadline_check: 0,
-            fault_step: None,
-            learned: 0,
-            true_var: 0,
+            ..Engine::default()
         };
-        e.true_var = e.fresh_var(VarKind::Free);
-        e.add_clause(vec![Lit::pos(e.true_var)]);
+        e.reset();
         e
+    }
+
+    /// Empties the engine down to its initial state, the constant-true
+    /// variable and its unit clause, keeping every allocation. Search
+    /// counters and the budget are set per search, so they are left alone.
+    fn reset(&mut self) {
+        self.kinds.clear();
+        self.values.clear();
+        self.atom_ids.clear();
+        self.intern.clear();
+        self.clauses.clear();
+        self.occurs.clear();
+        self.watches.clear();
+        self.units.clear();
+        self.fresh_units.clear();
+        self.empty_clauses = 0;
+        self.pbs.clear();
+        self.pb_occurs.clear();
+        self.trail.clear();
+        self.trail_pos.clear();
+        self.queue.clear();
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.dl.clear();
+        self.true_var = self.fresh_var(VarKind::Free);
+        self.add_clause(vec![Lit::pos(self.true_var)]);
     }
 
     fn fresh_var(&mut self, kind: VarKind) -> u32 {
@@ -588,7 +514,6 @@ impl Engine {
         };
         let v = self.fresh_var(kind);
         self.atom_ids.insert(*atom, v);
-        self.atom_log.push(*atom);
         v
     }
 
@@ -629,9 +554,8 @@ impl Engine {
     /// Records a conflict clause: bumps the involved variables, orders the
     /// two deepest-assigned literals into the watch slots (so the watched
     /// invariant survives the chronological backtrack that follows), and
-    /// adds the clause permanently for the rest of the scope.
+    /// adds the clause permanently, until the next reset.
     fn learn_clause(&mut self, mut lits: Vec<Lit>) {
-        self.learned += 1;
         for &lit in &lits {
             self.bump(lit.var());
         }
@@ -1258,70 +1182,6 @@ impl Engine {
         }
     }
 
-    /// Discards everything a scope added: clauses (unhooking watches or
-    /// occurrence entries), PB constraints, atoms, interned terms, and
-    /// variables. The trail is already empty between queries; difference-
-    /// logic edges were retracted with it, and any stale potential values
-    /// remain feasible for the surviving (smaller) constraint set.
-    fn pop_scope(&mut self, m: &ScopeMark) {
-        self.reset_trail();
-        while self.clauses.len() > m.n_clauses {
-            let ci = (self.clauses.len() - 1) as u32;
-            let clause = self.clauses.pop().expect("len checked");
-            match self.mode {
-                SolverMode::Rescan => {
-                    // Occurrence lists are clause-index-ascending, so a
-                    // popped clause's entries sit at each list's tail.
-                    for l in &clause {
-                        let occ = &mut self.occurs[l.var() as usize];
-                        while occ.last() == Some(&ci) {
-                            occ.pop();
-                        }
-                    }
-                }
-                SolverMode::Watched => {
-                    if clause.len() >= 2 {
-                        for &w in &clause[0..2] {
-                            let ws = &mut self.watches[w.code()];
-                            if let Some(p) = ws.iter().position(|&c| c == ci) {
-                                ws.swap_remove(p);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.units.truncate(m.n_units);
-        self.empty_clauses = m.n_empty;
-        while self.pbs.len() > m.n_pbs {
-            let pi = (self.pbs.len() - 1) as u32;
-            let pb = self.pbs.pop().expect("len checked");
-            for (_, l) in &pb.terms {
-                let po = &mut self.pb_occurs[l.var() as usize];
-                while po.last() == Some(&pi) {
-                    po.pop();
-                }
-            }
-            let po = &mut self.pb_occurs[pb.act.var() as usize];
-            while po.last() == Some(&pi) {
-                po.pop();
-            }
-        }
-        for a in self.atom_log.split_off(m.n_atoms) {
-            self.atom_ids.remove(&a);
-        }
-        let n_vars = m.n_vars as u32;
-        self.intern.retain(|_, l| l.var() < n_vars);
-        self.kinds.truncate(m.n_vars);
-        self.values.truncate(m.n_vars);
-        self.trail_pos.truncate(m.n_vars);
-        self.activity.truncate(m.n_vars);
-        self.occurs.truncate(m.n_vars);
-        self.watches.truncate(2 * m.n_vars);
-        self.pb_occurs.truncate(m.n_vars);
-        self.learned = m.learned;
-    }
-
     fn extract_model(&self) -> Model {
         let mut model = Model::default();
         for (atom, &var) in &self.atom_ids {
@@ -1554,7 +1414,7 @@ mod tests {
     #[test]
     fn injected_step_fault_panics_with_marker() {
         let mut s = Solver::new();
-        s.inject_step_fault(0);
+        s.set_step_fault(Some(0));
         let vars: Vec<_> = (0..6).map(|_| s.fresh_bool()).collect();
         for chunk in vars.chunks(3) {
             s.assert(Term::exactly_one(chunk.iter().map(|&v| Atom::Bool(v))));
@@ -1594,43 +1454,6 @@ mod tests {
     // ----------------------------------------------- incremental interface
 
     #[test]
-    fn push_pop_restores_assertions_and_vars() {
-        let mut s = Solver::new();
-        let a = s.fresh_bool();
-        s.assert(Term::var(a));
-        s.push();
-        let b = s.fresh_bool();
-        s.assert(Term::not(Term::var(a)));
-        s.assert(Term::var(b));
-        assert_eq!(s.num_assertions(), 3);
-        assert!(s.solve().is_unsat());
-        s.pop();
-        assert_eq!(s.num_assertions(), 1);
-        assert!(s.solve().is_sat());
-        // The popped fresh_bool slot is reusable.
-        let b2 = s.fresh_bool();
-        assert_eq!(b, b2);
-    }
-
-    #[test]
-    fn nested_scopes_pop_in_order() {
-        let mut s = Solver::new();
-        let vars: Vec<_> = (0..3).map(|_| s.fresh_int()).collect();
-        s.assert(Term::lt(vars[0], vars[1]));
-        s.push();
-        s.assert(Term::lt(vars[1], vars[2]));
-        s.push();
-        s.assert(Term::lt(vars[2], vars[0]));
-        assert_eq!(s.scope_depth(), 2);
-        assert!(s.solve().is_unsat());
-        s.pop();
-        assert!(s.solve().is_sat());
-        s.pop();
-        assert_eq!(s.scope_depth(), 0);
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
     fn assumptions_do_not_persist() {
         let mut s = Solver::new();
         let a = s.fresh_bool();
@@ -1664,21 +1487,29 @@ mod tests {
     }
 
     #[test]
-    fn learned_clauses_are_retained_within_scope() {
+    fn learned_clauses_are_retained_until_reset() {
+        let chain = |s: &mut Solver| {
+            let vars: Vec<_> = (0..4).map(|_| s.fresh_int()).collect();
+            for w in vars.windows(2) {
+                s.assert(Term::lt(w[0], w[1]));
+            }
+            vars
+        };
         let mut s = Solver::new();
-        let vars: Vec<_> = (0..4).map(|_| s.fresh_int()).collect();
-        for w in vars.windows(2) {
-            s.assert(Term::lt(w[0], w[1]));
-        }
-        s.push();
-        s.assert(Term::lt(vars[3], vars[0]));
-        assert!(s.solve().is_unsat());
-        let learned_after_first = s.num_learned();
-        assert!(learned_after_first > 0, "cycle conflicts must learn");
-        // The second identical query reuses the retained cycle clauses.
-        assert!(s.solve().is_unsat());
-        s.pop();
-        assert_eq!(s.num_learned(), 0, "pop discards scope-learned clauses");
+        let vars = chain(&mut s);
+        let encoded = s.num_clauses();
+        let closing = [Term::lt(vars[3], vars[0])];
+        assert!(s.solve_under(&closing).is_unsat());
+        let learned = s.num_clauses() - encoded;
+        assert!(learned > 0, "cycle conflicts must learn");
+        // The second identical query is refuted by the retained cycle
+        // clause and learns nothing new.
+        assert!(s.solve_under(&closing).is_unsat());
+        assert_eq!(s.num_clauses(), encoded + learned);
+        s.reset();
+        assert_eq!(s.num_clauses(), 1, "only the constant-true unit is left");
+        chain(&mut s);
+        assert_eq!(s.num_clauses(), encoded, "no learned clause survives");
         assert!(s.solve().is_sat());
     }
 
@@ -1850,19 +1681,26 @@ mod tests {
         );
     }
 
-    /// The same pins across nested scopes and assumption queries: what a
-    /// scope leaves behind (learned clauses, activities, potentials) and
-    /// what a pop discards both reach the numbers.
-    #[test]
-    fn pinned_effort_across_nested_scopes_and_assumptions() {
-        let mut s = Solver::new();
-        let (o, p) = matching_formula(&mut s);
+    /// [`matching_formula`] plus three guarded order atoms for assumption
+    /// queries to switch on.
+    fn guarded_formula(s: &mut Solver) -> (Vec<IntVar>, Vec<BoolVar>, Vec<BoolVar>) {
+        let (o, p) = matching_formula(s);
         let g: Vec<_> = (0..3).map(|_| s.fresh_bool()).collect();
         s.assert(Term::implies(Term::var(g[0]), Term::lt(o[0], o[3])));
         s.assert(Term::implies(Term::var(g[1]), Term::lt(o[3], o[5])));
         s.assert(Term::implies(Term::var(g[2]), Term::lt(o[5], o[0])));
+        (o, p, g)
+    }
+
+    /// The same pins across assumption queries, assertions between them,
+    /// and a reset: what earlier queries leave behind (learned clauses,
+    /// activities, potentials) reaches the numbers until the reset, and
+    /// nothing after it.
+    #[test]
+    fn pinned_effort_across_assumptions_and_reset() {
+        let mut s = Solver::new();
+        let (o, p, g) = guarded_formula(&mut s);
         let mut got: Vec<Pin> = vec![pin(&mut s, &[Term::var(g[0])], &o)];
-        s.push();
         s.assert(Term::implies(
             Term::var(g[0]),
             Term::and([Term::lt(o[1], o[5]), Term::lt(o[5], o[2])]),
@@ -1877,17 +1715,21 @@ mod tests {
             &[Term::var(g[0]), Term::not(Term::var(g[2]))],
             &o,
         ));
-        s.push();
         s.assert(Term::exactly_one(g.iter().map(|&v| Atom::Bool(v))));
         s.assert(Term::implies(Term::var(p[1]), Term::var(g[1])));
         got.push(pin(&mut s, &[Term::var(g[1])], &o));
         got.push(pin(&mut s, &[Term::var(g[0]), Term::var(g[1])], &o));
         got.push(pin(&mut s, &[Term::lt(o[4], o[0])], &o));
-        s.pop();
-        got.push(pin(&mut s, &[Term::var(g[0]), Term::var(g[1])], &o));
-        s.pop();
-        got.push(pin(&mut s, &[], &o));
-        got.push(pin(&mut s, &[Term::var(g[2]), Term::var(p[2])], &o));
+        let after_reset = |s: &mut Solver| {
+            let (o, p, g) = guarded_formula(s);
+            vec![
+                pin(s, &[Term::var(g[0]), Term::var(g[1])], &o),
+                pin(s, &[], &o),
+                pin(s, &[Term::var(g[2]), Term::var(p[2])], &o),
+            ]
+        };
+        s.reset();
+        got.extend(after_reset(&mut s));
         let want: Vec<Pin> = vec![
             ('S', [32, 8, 2], 50, vec![-4, -2, 0, -3, -2, -3]),
             ('U', [27, 0, 1], 58, vec![]),
@@ -1895,59 +1737,90 @@ mod tests {
             ('S', [45, 7, 2], 69, vec![-6, -5, 0, -6, -5, -5]),
             ('U', [39, 0, 0], 69, vec![]),
             ('U', [71, 10, 11], 79, vec![]),
-            ('S', [39, 2, 0], 59, vec![-15, -13, 0, -14, -13, -10]),
-            ('S', [32, 6, 0], 50, vec![-15, -13, 0, -15, -13, -15]),
-            ('U', [23, 0, 1], 51, vec![]),
+            ('S', [34, 6, 2], 50, vec![-4, -2, 0, -3, -2, 0]),
+            ('S', [29, 9, 1], 51, vec![-4, -2, 0, -4, -2, -4]),
+            ('U', [22, 0, 1], 52, vec![]),
         ];
         assert_eq!(got, want);
+        // From the reset on, the numbers are a new solver's.
+        assert_eq!(got[6..], after_reset(&mut Solver::new()));
     }
 
-    /// The cons table is scoped like everything else: a subterm first
-    /// encoded inside a popped scope is encoded afresh when re-asserted
-    /// after the pop, while one encoded before the `push` stays shared.
+    /// A solver that has answered queries, so it holds learned clauses,
+    /// bumped activities and moved potentials, answers like a new one
+    /// once reset: same verdict, effort, clause count and model on the
+    /// formulas `pinned_effort_on_fixed_formulas` pins.
     #[test]
-    fn cons_table_forgets_only_what_a_popped_scope_encoded() {
-        let mut s = Solver::new();
-        let a = s.fresh_int();
-        let b = s.fresh_int();
-        let p = s.fresh_bool();
-        let q = s.fresh_bool();
-        let outer = || Term::implies(Term::var(p), Term::eq_int(a, b));
-        let inner = || {
-            Term::implies(
+    fn a_reset_solver_answers_like_a_new_one() {
+        for mode in [SolverMode::Watched, SolverMode::Rescan] {
+            let mut used = Solver::with_mode(mode);
+            let (o, p, g) = guarded_formula(&mut used);
+            let encoded = used.num_clauses();
+            pin(&mut used, &[Term::var(g[0]), Term::var(g[2])], &o);
+            pin(&mut used, &[Term::var(p[2]), Term::var(g[1])], &o);
+            pin(&mut used, &[Term::lt(o[4], o[0]), Term::var(g[0])], &o);
+            assert!(used.num_clauses() > encoded, "{mode:?}: nothing learned");
+            assert!(
+                (0..o.len()).any(|v| used.engine.dl.value(v) != 0),
+                "{mode:?}: potentials never moved"
+            );
+            if mode == SolverMode::Watched {
+                assert!(used.engine.var_inc > 1.0, "activities never decayed");
+            }
+
+            used.reset();
+            let mut new = Solver::with_mode(mode);
+            let (o, _) = matching_formula(&mut used);
+            assert_eq!(matching_formula(&mut new).0, o);
+            assert_eq!(pin(&mut used, &[], &o), pin(&mut new, &[], &o), "{mode:?}");
+
+            used.reset();
+            let mut new = Solver::with_mode(mode);
+            let o = pigeonhole_formula(&mut used);
+            assert_eq!(pigeonhole_formula(&mut new), o);
+            assert_eq!(pin(&mut used, &[], &o), pin(&mut new, &[], &o), "{mode:?}");
+        }
+    }
+
+    /// The cons table lives as long as the formula: a subterm asserted
+    /// twice is encoded once, and after a reset the same terms are encoded
+    /// afresh, into the same variables and clauses as the first time.
+    #[test]
+    fn cons_table_is_emptied_by_reset() {
+        let build = |s: &mut Solver| {
+            let a = s.fresh_int();
+            let b = s.fresh_int();
+            let p = s.fresh_bool();
+            let q = s.fresh_bool();
+            let outer = || Term::implies(Term::var(p), Term::eq_int(a, b));
+            s.assert(outer());
+            let (vars, clauses) = (s.engine.kinds.len(), s.num_clauses());
+            // Shared: only the top-level unit is new.
+            s.assert(outer());
+            assert_eq!(s.num_clauses(), clauses + 1);
+            assert_eq!(s.engine.kinds.len(), vars);
+            s.assert(Term::implies(
                 Term::var(q),
                 Term::and([
                     Term::or([Term::lt(a, b), Term::var(p)]),
                     Term::or([Term::le(b, a), Term::not(Term::var(p))]),
                 ]),
+            ));
+            assert!(s.engine.kinds.len() > vars && s.num_clauses() > clauses + 2);
+            (
+                q,
+                s.engine.kinds.len(),
+                s.num_clauses(),
+                s.engine.intern.len(),
             )
         };
-        s.assert(outer());
-        let vars_before = s.engine.kinds.len();
-        let clauses_before = s.num_clauses();
-
-        s.push();
-        // Shared from the outer scope: only the top-level unit is new.
-        s.assert(outer());
-        assert_eq!(s.num_clauses(), clauses_before + 1);
-        assert_eq!(s.engine.kinds.len(), vars_before);
-        s.assert(inner());
-        let inner_vars = s.engine.kinds.len() - vars_before;
-        let inner_clauses = s.num_clauses() - clauses_before - 1;
-        assert!(inner_vars > 0 && inner_clauses > 1);
-        s.pop();
-        assert_eq!(s.engine.kinds.len(), vars_before);
-        assert_eq!(s.num_clauses(), clauses_before);
-
-        // Still shared after the pop.
-        s.assert(outer());
-        assert_eq!(s.num_clauses(), clauses_before + 1);
-        assert_eq!(s.engine.kinds.len(), vars_before);
-        // Forgotten with its scope: new variables and clauses again.
-        s.assert(inner());
-        assert_eq!(s.engine.kinds.len(), vars_before + inner_vars);
-        assert_eq!(s.num_clauses(), clauses_before + 1 + inner_clauses);
-        assert!(s.solve_under(&[Term::var(q)]).is_sat());
+        let mut s = Solver::new();
+        let first = build(&mut s);
+        assert!(s.solve_under(&[Term::var(first.0)]).is_sat());
+        s.reset();
+        assert!(s.engine.intern.is_empty() && s.engine.atom_ids.is_empty());
+        assert_eq!(build(&mut s), first);
+        assert!(s.solve_under(&[Term::var(first.0)]).is_sat());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! implied edge set with Floyd–Warshall. Random terms come from a seeded
 //! generator (no external property-testing crate).
 
-use minismt::{Atom, BoolVar, Cmp, IntVar, SolveResult, Solver, Term};
+use minismt::{Atom, BoolVar, Cmp, IntVar, SolveResult, Solver, SolverMode, Term};
 use prng::Prng;
 
 const N_INT: u32 = 4;
@@ -236,6 +236,110 @@ fn conjunction_soundness() {
             let mut sb = Solver::new();
             sb.assert(b);
             assert!(sb.solve().is_sat(), "seed {seed}");
+        }
+    }
+}
+
+/// One query's observable answer: the verdict (`S`at, `U`nsat, `?`
+/// unknown), the model's value of every variable the generator draws, and
+/// `(steps, decisions, conflicts)`.
+type Answer = (char, Vec<Option<bool>>, Vec<Option<i64>>, [u64; 3]);
+
+fn answer(s: &mut Solver, assumptions: &[Term]) -> Answer {
+    let (verdict, bools, ints) = match s.solve_under(assumptions) {
+        SolveResult::Sat(m) => (
+            'S',
+            (0..N_BOOL).map(|v| m.bool_value(BoolVar(v))).collect(),
+            (0..N_INT).map(|v| m.int_value(IntVar(v))).collect(),
+        ),
+        SolveResult::Unsat => ('U', Vec::new(), Vec::new()),
+        SolveResult::Unknown => ('?', Vec::new(), Vec::new()),
+    };
+    let st = s.stats();
+    (verdict, bools, ints, [st.steps, st.decisions, st.conflicts])
+}
+
+/// An assumption as the detector writes them: an atom or its negation.
+fn gen_literal(rng: &mut Prng) -> Term {
+    let atom = Term::Atom(gen_atom(rng));
+    if rng.gen_bool(0.5) {
+        Term::not(atom)
+    } else {
+        atom
+    }
+}
+
+fn gen_assumptions(rng: &mut Prng) -> Vec<Term> {
+    (0..rng.gen_range(0..4usize))
+        .map(|_| gen_literal(rng))
+        .collect()
+}
+
+/// One solver reused through `reset` answers every random formula exactly
+/// as a new solver does, in both engines: same verdict, model and effort,
+/// whatever the previous formulas left behind.
+#[test]
+fn a_reset_solver_answers_like_a_new_one() {
+    for mode in [SolverMode::Watched, SolverMode::Rescan] {
+        let mut reused = Solver::with_mode(mode);
+        for seed in 0..4 * CASES {
+            let mut rng = Prng::seed_from_u64(seed ^ 0x5EED);
+            let t = gen_term(&mut rng, 3);
+            let assumptions = gen_assumptions(&mut rng);
+            reused.reset();
+            reused.assert(t.clone());
+            let mut new = Solver::with_mode(mode);
+            new.assert(t.clone());
+            assert_eq!(
+                answer(&mut reused, &assumptions),
+                answer(&mut new, &assumptions),
+                "{mode:?} seed {seed}: {t}"
+            );
+            // Leave more history behind for the next reset.
+            reused.solve_under(&gen_assumptions(&mut rng));
+        }
+    }
+}
+
+/// One solver answers a sequence of random assumption sets over one
+/// formula, keeping what each query learned, as the detector's
+/// per-channel solver does. Every answer agrees with brute force on the
+/// formula and the assumptions, and every model satisfies both: the
+/// soundness every incremental `Safe` verdict rests on.
+#[test]
+fn incremental_queries_agree_with_bruteforce() {
+    for seed in 0..2 * CASES {
+        let mut rng = Prng::seed_from_u64(seed ^ 0xA55E);
+        let t = gen_term(&mut rng, 3);
+        let mut s = Solver::new();
+        s.assert(t.clone());
+        for query in 0..4 {
+            let assumptions = gen_assumptions(&mut rng);
+            let conj = Term::And(
+                std::iter::once(t.clone())
+                    .chain(assumptions.clone())
+                    .collect(),
+            );
+            let expected = brute_force_sat(&conj);
+            match s.solve_under(&assumptions) {
+                SolveResult::Sat(model) => {
+                    assert!(
+                        expected,
+                        "seed {seed} query {query}: SAT, brute force UNSAT: {conj}"
+                    );
+                    assert!(
+                        model_satisfies(&conj, &model),
+                        "seed {seed} query {query}: model violates {conj}"
+                    );
+                }
+                SolveResult::Unsat => {
+                    assert!(
+                        !expected,
+                        "seed {seed} query {query}: UNSAT, brute force SAT: {conj}"
+                    );
+                }
+                SolveResult::Unknown => panic!("seed {seed}: budget exhausted on a tiny instance"),
+            }
         }
     }
 }

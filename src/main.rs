@@ -133,7 +133,7 @@ commands:
                         `gcatch sweep`; runnable by hand for debugging)
   serve (--socket PATH | --stdio) [--workers N] [--max-queue N]
         [--request-timeout-ms MS] [--cache-dir DIR] [--max-cache N]
-        [--inject-faults RATE] [--fault-seed N]
+        [--max-sessions N] [--inject-faults RATE] [--fault-seed N]
         [--metrics-out FILE] [--events-out FILE]
         [--channel-timeout MS] [--solver-steps N] [--step-pool N]
                         crash-only analysis daemon speaking a JSON-lines
@@ -153,26 +153,32 @@ commands:
                         index that drops torn entries on startup, so a
                         kill -9 mid-request plus restart replays
                         responses byte-identical to a cold single-shot
-                        `gcatch check --json`. SIGTERM/SIGINT drain
-                        gracefully (finish in flight, flush, exit 0)
+                        `gcatch check --json`. Up to --max-sessions
+                        modules (default 8, 0 = none) keep a warm
+                        session, so a re-checked module re-analyzes only
+                        the channels its edit can reach. SIGTERM/SIGINT
+                        drain gracefully (finish in flight, flush, exit 0)
   extended [--json] [--stats] [--explain] [--trace FILE] [--jobs N]
         [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         [--metrics-out FILE] [--events-out FILE] [--strict]
                         run the send-on-closed (panic) detector (paper §6)
 
-budgets (check / extended):
-  --timeout SECS        wall-clock deadline for the whole run
+budgets (check / extended / batch / sweep / serve):
+  --timeout SECS        wall-clock deadline for the whole run (not serve,
+                        whose requests have --request-timeout-ms)
   --channel-timeout MS  wall-clock deadline per analyzed channel
-  --solver-steps N      solver step limit per query (default 400000)
+  --solver-steps N      solver step limit per query (default 400000); a
+                        query that reaches it is dropped as unknown
   --step-pool N         global solver-step pool shared by all queries
-                        a channel that exhausts its budget is retried at
-                        degraded limits (reduced unroll, then a reduced
-                        Pset); if the last rung still exhausts it, the run
-                        keeps going and reports an incident for the channel
-  --strict              treat any incident (panic or exhausted budget) as
-                        fatal: exit 2 instead of 0/1
+                        a channel that exhausts a deadline or the step
+                        pool is retried at degraded limits (reduced
+                        unroll, then a reduced Pset); if the last rung
+                        still exhausts it, the run keeps going and reports
+                        an incident for the channel
+  --strict              (not serve) treat any incident (panic or exhausted
+                        budget) as fatal: exit 2 instead of 0/1
 
-observability (check / extended / batch):
+observability (check / extended / batch / sweep / serve):
   --metrics-out FILE    write every pipeline counter, stage timing, and
                         histogram as Prometheus text exposition under the
                         stable gcatch_* name schema (written atomically at
@@ -182,16 +188,16 @@ observability (check / extended / batch):
                         every event carries the run id plus the job,
                         attempt, and channel that produced it, so one
                         grep reconstructs any job's full lifecycle
-  --progress            (batch) render a live progress line on stderr:
-                        done/retried/hedged/quarantined counts, p50/p99
-                        job wall, and an ETA; auto-disabled when stderr
-                        is not a tty or under --json
+  --progress            (batch / sweep) render a live progress line on
+                        stderr: done/retried/hedged/quarantined counts,
+                        p50/p99 job wall, and an ETA; auto-disabled when
+                        stderr is not a tty or under --json
   --explain             (batch) print each quarantined job's flight
                         recorder: the last lifecycle lines (attempts,
                         faults, retries, incidents) before the job was
                         given up on
 
-fault injection (batch):
+fault injection (batch / sweep / serve):
   --inject-faults RATE  inject deterministic faults (panics, delays,
                         solver-step exhaustion) at named sites with the
                         given probability; decisions are a pure function
@@ -202,9 +208,10 @@ fault injection (batch):
 environment:
   GCATCH_TRACE_LEVEL    overrides the tracing level (off, spans, full);
                         without it, --trace records at full detail
-  GCATCH_FAULT_RATE     arm fault injection without CLI flags (batch);
-                        GCATCH_FAULT_SEED, GCATCH_FAULT_SITES, and
-                        GCATCH_FAULT_DELAY_MS refine the plan
+  GCATCH_FAULT_RATE     arm fault injection without CLI flags (batch /
+                        sweep / serve); GCATCH_FAULT_SEED,
+                        GCATCH_FAULT_SITES, and GCATCH_FAULT_DELAY_MS
+                        refine the plan
   GCATCH_OBS_ZERO_TIME  zero every --metrics-out/--events-out timestamp
                         and derive the run id deterministically (golden
                         files, byte-exact diffs)
@@ -357,15 +364,25 @@ fn write_trace(path: &str, snapshot: &TraceSnapshot) -> Result<(), String> {
 }
 
 /// All values of a repeatable flag, with comma-separated lists split up.
-fn flag_values(flags: &[Flag], name: &str) -> Vec<String> {
-    flags
-        .iter()
-        .filter(|(n, _)| n == name)
-        .filter_map(|(_, v)| v.as_deref())
-        .flat_map(|v| v.split(','))
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .collect()
+/// An occurrence that names nothing (`--only ''`, `--skip ,`) is a usage
+/// error, not a silent no-op.
+fn flag_values(flags: &[Flag], name: &str) -> Result<Vec<String>, String> {
+    let mut out = Vec::new();
+    for (_, value) in flags.iter().filter(|(n, _)| n == name) {
+        let value = value.as_deref().unwrap_or_default();
+        let before = out.len();
+        out.extend(
+            value
+                .split(',')
+                .map(str::trim)
+                .filter(|v| !v.is_empty())
+                .map(str::to_string),
+        );
+        if out.len() == before {
+            return Err(format!("--{name} {value:?} names nothing"));
+        }
+    }
+    Ok(out)
 }
 
 /// The value of a single-occurrence flag parsed as `T`, if present; a
@@ -399,6 +416,9 @@ fn analysis_config(flags: &[Flag], sharded: bool) -> Result<DetectorConfig, Stri
         ..DetectorConfig::default()
     };
     if let Some(steps) = parse_flag(flags, "solver-steps")? {
+        if steps == 0 {
+            return Err("--solver-steps must be at least 1".into());
+        }
         config.solver_steps = steps;
     }
     Ok(config)
@@ -662,8 +682,8 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
     );
     let (path, flags) = parse_common(rest, &spec)?;
     let selection = Selection {
-        only: flag_values(&flags, "only"),
-        skip: flag_values(&flags, "skip"),
+        only: flag_values(&flags, "only")?,
+        skip: flag_values(&flags, "skip")?,
     };
     run_diagnostics(&path, &flags, selection, "no concurrency bugs detected")
 }
@@ -1593,10 +1613,16 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     }
     let (plan, _fault_seed) = fault_plan(&flags)?;
     let base = analysis_config(&flags, false)?;
-    let workers: usize = parse_flag(&flags, "workers")?.unwrap_or(4).max(1);
+    let workers = match parse_flag(&flags, "workers")?.unwrap_or(4) {
+        0 => return Err("--workers must be at least 1".into()),
+        n => n,
+    };
     let max_queue = parse_flag(&flags, "max-queue")?.unwrap_or(64);
     let request_timeout = parse_flag(&flags, "request-timeout-ms")?.map(Duration::from_millis);
-    let cache_capacity: usize = parse_flag(&flags, "max-cache")?.unwrap_or(512).max(1);
+    let cache_capacity = match parse_flag(&flags, "max-cache")?.unwrap_or(512) {
+        0 => return Err("--max-cache must be at least 1".into()),
+        n => n,
+    };
     let max_sessions: usize = parse_flag(&flags, "max-sessions")?.unwrap_or(8);
     let cache_dir = flag_value(&flags, "cache-dir").map(std::path::PathBuf::from);
     let sinks = Sinks::open(&flags, &["serve".to_string()], 0);

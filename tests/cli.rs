@@ -652,6 +652,96 @@ fn bad_budget_flag_values_exit_2() {
     std::fs::remove_file(path).ok();
 }
 
+/// A value that would silently do nothing is a usage error naming its
+/// flag: a zero step limit (every query unknown, every bug missed), a zero
+/// serve pool or response cache (there is no off mode to map 0 to), and a
+/// checker selection that names no checker.
+#[test]
+fn flag_values_that_would_do_nothing_exit_2() {
+    let path = write_temp("no-op-values", BUGGY);
+    let p = path.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["check", "--solver-steps", "0", p], "--solver-steps"),
+        (vec!["check", "--only", "", p], "--only"),
+        (vec!["check", "--skip", ",", p], "--skip"),
+        (vec!["serve", "--stdio", "--workers", "0"], "--workers"),
+        (vec!["serve", "--stdio", "--max-cache", "0"], "--max-cache"),
+    ] {
+        let out = gcatch()
+            .args(&args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr for {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "args {args:?} ran: {:?}", out.stdout);
+    }
+    std::fs::remove_file(path).ok();
+}
+
+/// Every flag a command accepts, as its unknown-flag error lists them,
+/// appears in that command's entry of the usage text. `worker`'s
+/// `[exec flags as for sweep]` stands for the flags of sweep's entry.
+#[test]
+fn usage_lists_every_flag_each_command_accepts() {
+    let out = gcatch().arg("help").output().unwrap();
+    let usage = String::from_utf8(out.stdout).unwrap();
+    let commands = usage
+        .split("\n\n")
+        .find(|block| block.starts_with("commands:"))
+        .expect("a commands block");
+    // An entry starts at a two-space indent and runs to the next one.
+    let mut entries: Vec<(String, String)> = Vec::new();
+    for line in commands.lines().skip(1) {
+        if let Some(head) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+            let name = head.split_whitespace().next().unwrap().to_string();
+            entries.push((name, String::new()));
+        }
+        let entry = &mut entries.last_mut().expect("an entry").1;
+        entry.push_str(line);
+        entry.push('\n');
+    }
+    let entry_of = |command: &str| {
+        entries
+            .iter()
+            .find(|(name, _)| name == command)
+            .map(|(_, text)| text.as_str())
+            .unwrap_or_else(|| panic!("no usage entry for {command}"))
+    };
+    let mentions = |text: &str, flag: &str| {
+        text.match_indices(flag).any(|(at, _)| {
+            !text[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    };
+    assert!(entries.len() >= 8, "entries: {entries:?}");
+    for (command, text) in &entries {
+        let out = gcatch()
+            .args([command.as_str(), "--no-such-flag"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let known = match stderr.split_once("(known: ") {
+            Some((_, rest)) => rest.split(')').next().unwrap().to_string(),
+            None => {
+                assert!(stderr.contains("takes no flags"), "{command}: {stderr}");
+                String::new()
+            }
+        };
+        for flag in known.split(", ").filter(|f| !f.is_empty()) {
+            let listed = mentions(text, flag)
+                || (text.contains("[exec flags as for sweep]")
+                    && mentions(entry_of("sweep"), flag));
+            assert!(
+                listed,
+                "`{command}` accepts {flag}, but its usage entry omits it"
+            );
+        }
+    }
+}
+
 /// A checker that panics (the env-gated `panic-test` debug hook) must not
 /// abort the run: the other checkers still report, exactly one incident is
 /// printed, output is bit-identical across `--jobs`, and only `--strict`
