@@ -351,11 +351,6 @@ impl Drop for Claim<'_> {
 }
 
 impl EncodingCache {
-    /// An empty cache.
-    pub fn new() -> EncodingCache {
-        EncodingCache::default()
-    }
-
     fn state(&self) -> MutexGuard<'_, CacheState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -394,38 +389,6 @@ impl EncodingCache {
             .values()
             .filter(|slot| matches!(slot, Slot::Decided(_)))
             .count()
-    }
-
-    /// Snapshots every cached outcome, sorted by key, for carrying solver
-    /// warmth across daemon requests. Keys are fully structural (names
-    /// renamed by first appearance, no positions) and witnesses are event
-    /// indices, so a snapshot taken against one module version is sound
-    /// to replay against any other.
-    pub fn export(&self) -> Vec<(Vec<u64>, Outcome)> {
-        let state = self.state();
-        let mut entries: Vec<(Vec<u64>, Outcome)> = state
-            .slots
-            .iter()
-            .filter_map(|(k, slot)| match slot {
-                Slot::Decided(outcome) => Some((k.clone(), outcome.clone())),
-                Slot::Claimed => None,
-            })
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-
-    /// Seeds this cache with outcomes previously taken via
-    /// [`EncodingCache::export`]. Existing entries win on collision (both
-    /// sides hold the same outcome for the same canonical key anyway).
-    pub fn import(&self, entries: &[(Vec<u64>, Outcome)]) {
-        let mut state = self.state();
-        for (k, outcome) in entries {
-            state
-                .slots
-                .entry(k.clone())
-                .or_insert_with(|| Slot::Decided(outcome.clone()));
-        }
     }
 
     /// Whether no outcome is cached.
@@ -1534,7 +1497,7 @@ mod tests {
             goroutine: 1,
             event: 0,
         }]);
-        let cache = EncodingCache::new();
+        let cache = EncodingCache::default();
         let ask = || {
             ChannelSolver::with_cache(&prims, SolverStrategy::Incremental, Some(&cache)).check(
                 &combo,
@@ -1553,8 +1516,23 @@ mod tests {
         assert!(matches!(second.verdict, Verdict::Unknown));
         assert!(second.shared, "the stored outcome answers the second query");
         assert!(second.stats.is_none(), "no solver ran");
-        let stored: Vec<Outcome> = cache.export().into_iter().map(|(_, o)| o).collect();
+        let stored: Vec<Outcome> = decided(&cache).into_iter().map(|(_, o)| o).collect();
         assert_eq!(stored, vec![Outcome::Unknown]);
+    }
+
+    /// Every decided outcome in `cache`, sorted by key.
+    fn decided(cache: &EncodingCache) -> Vec<(CanonKey, Outcome)> {
+        let mut entries: Vec<(CanonKey, Outcome)> = cache
+            .state()
+            .slots
+            .iter()
+            .filter_map(|(key, slot)| match slot {
+                Slot::Decided(outcome) => Some((key.clone(), outcome.clone())),
+                Slot::Claimed => None,
+            })
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
     }
 
     /// Blocks until `n` workers wait on a claim: the interleaving under
@@ -1569,7 +1547,7 @@ mod tests {
     /// it, the rest wait and share its verdict.
     #[test]
     fn concurrent_misses_on_one_key_solve_it_once() {
-        let cache = EncodingCache::new();
+        let cache = EncodingCache::default();
         let key: CanonKey = vec![3, 1, 4];
         let Lookup::Claimed(mut claim) = cache.lookup(key.clone()) else {
             panic!("the first lookup claims the key")
@@ -1601,7 +1579,7 @@ mod tests {
             }
         });
         assert_eq!(solves.into_inner(), 1, "one solve for the key");
-        assert_eq!(cache.export(), vec![(key, Outcome::Safe)]);
+        assert_eq!(decided(&cache), vec![(key, Outcome::Safe)]);
     }
 
     /// A claim released without an outcome (no canonical solve finished,
@@ -1609,7 +1587,7 @@ mod tests {
     /// key itself; the key stays uncached and free to claim.
     #[test]
     fn a_released_claim_wakes_its_waiter() {
-        let cache = EncodingCache::new();
+        let cache = EncodingCache::default();
         let key: CanonKey = vec![2, 7];
         let Lookup::Claimed(claim) = cache.lookup(key.clone()) else {
             panic!("the first lookup claims the key")

@@ -24,8 +24,9 @@
 //! * [`traditional`] — the five classic checkers: double lock, missing
 //!   unlock, conflicting lock order, struct-field lockset races, and
 //!   `testing.Fatal` on child goroutines (§3.5);
-//! * [`checkers`] — the [`Checker`] trait and [`Registry`] unifying every
-//!   detector behind stable names with `--only`/`--skip` selection;
+//! * [`checkers`] — the static table of [`Checker`] rows and the
+//!   process-wide [`Registry`] unifying every detector behind stable names
+//!   with `--only`/`--skip` selection;
 //! * [`codec`] — the one JSON codec: string escaping and decoding, the
 //!   flat-object reader behind serve requests and sweep leases, and the
 //!   well-formedness validator;
@@ -151,11 +152,10 @@ pub use trace::{HistSnapshot, Histogram, TraceLevel, TraceSnapshot, Tracer};
 pub use warm::{warm_check, WarmOutcome, WarmSessions};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
-/// The complete GCatch system: one [`AnalysisSession`] plus the checker
-/// [`Registry`] behind one entry point.
+/// The complete GCatch system: one [`AnalysisSession`] run through the
+/// checker [`Registry`] behind one entry point.
 pub struct GCatch<'m> {
     session: AnalysisSession<'m>,
-    registry: Registry,
 }
 
 impl<'m> GCatch<'m> {
@@ -182,26 +182,12 @@ impl<'m> GCatch<'m> {
     ) -> GCatch<'m> {
         GCatch {
             session: AnalysisSession::with_options(module, level, alias_mode),
-            registry: Registry::standard(),
         }
     }
 
     /// Runs the BMOC detector only.
     pub fn detect_bmoc(&self, config: &DetectorConfig) -> Vec<BugReport> {
         self.session.detect_bmoc(config)
-    }
-
-    /// Runs the five traditional checkers only.
-    pub fn detect_traditional(&self) -> Vec<BugReport> {
-        self.session
-            .telemetry()
-            .time(telemetry::Stage::Traditional, || {
-                traditional::detect_traditional(
-                    self.session.module(),
-                    &self.session.analysis,
-                    &self.session.prims,
-                )
-            })
     }
 
     /// Runs every default-enabled checker (Figure 2's full GCatch box).
@@ -212,7 +198,7 @@ impl<'m> GCatch<'m> {
     /// Runs the registered checkers under a selection, keeping the reports
     /// grouped by checker.
     pub fn run(&self, config: &DetectorConfig, selection: &Selection) -> Vec<RunOutput> {
-        self.registry.run(&self.session, config, selection)
+        Registry::standard().run(&self.session, config, selection)
     }
 
     /// Runs the selected checkers and wraps every report as a
@@ -226,9 +212,9 @@ impl<'m> GCatch<'m> {
         &self.session
     }
 
-    /// The checker registry backing [`GCatch::run`].
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    /// The process-wide checker registry backing [`GCatch::run`].
+    pub fn registry(&self) -> Registry {
+        Registry::standard()
     }
 
     /// Snapshot of every counter and stage timing recorded so far.

@@ -56,6 +56,7 @@ use crate::faults::{self, FaultPlan, SITE_SERVE_ACCEPT, SITE_SERVE_CACHE, SITE_S
 use crate::resilience::{catch_isolated, Budget, Incident, IncidentKind};
 use crate::signals;
 use crate::telemetry::{Counter, Telemetry};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -126,10 +127,22 @@ pub struct Request {
 /// The work-request executor the CLI supplies: `(op, module path, module
 /// source, budget) -> raw JSON result value`. Runs inside
 /// [`catch_isolated`] on a pool thread; a panic becomes an incident
-/// response. The result must be a deterministic pure function of its
-/// inputs (plus the run configuration) — the cache depends on it.
+/// response. [`current_request`] names the request it runs for. The result
+/// must be a deterministic pure function of its inputs (plus the run
+/// configuration) — the cache depends on it.
 pub type ExecutorFn<'e> =
     dyn Fn(WorkKind, &str, &str, &Budget) -> Result<String, String> + Sync + 'e;
+
+thread_local! {
+    static REQUEST: RefCell<Option<(u64, String)>> = const { RefCell::new(None) };
+}
+
+/// The request an [`ExecutorFn`] call on this thread runs for: its
+/// arrival index, which groups its events, and its id. `None` outside
+/// such a call.
+pub fn current_request() -> Option<(u64, String)> {
+    REQUEST.with(|r| r.borrow().clone())
+}
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -855,11 +868,15 @@ impl<'a> Server<'a> {
         let budget = Budget::new(timeout, None);
         let rec = self.recorder(work.arrival, &work.id);
         let body = || {
+            // The request scope brackets the contained call, so a panic
+            // cannot leave it set.
+            REQUEST.with(|r| *r.borrow_mut() = Some((work.arrival, work.id.clone())));
             let result = catch_isolated(|| {
                 faults::maybe_delay(SITE_SERVE_REQUEST, "delay");
                 faults::maybe_panic(SITE_SERVE_REQUEST, "exec");
                 (self.executor)(work.op, &work.module, &work.source, &budget)
             });
+            REQUEST.with(|r| *r.borrow_mut() = None);
             // The deadline verdict outranks the payload: a partial result
             // from an expired budget must not be cached or returned as
             // authoritative (it would differ from a cold `gcatch check`).
@@ -1652,6 +1669,55 @@ mod tests {
         assert!(lines[2].contains(r#""requests_total":"#));
         assert_eq!(summary.requests, 3);
         assert_eq!(summary.failed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each executor call sees the request it runs for: its arrival index
+    /// and its id, also after an earlier call on the same thread panicked.
+    #[test]
+    fn the_executor_sees_its_own_request() {
+        crate::signals::reset_for_tests();
+        let dir = scratch("scope");
+        let good = module_file(&dir, "a.go", "package a\n");
+        let bad = module_file(&dir, "b.go", "package b // boom\n");
+        let executor = |_: WorkKind, _: &str, source: &str, _: &Budget| {
+            let (arrival, id) = current_request().expect("inside a request");
+            assert!(!source.contains("boom"), "boom");
+            Ok(format!("{{\"arrival\":{arrival},\"id\":\"{id}\"}}"))
+        };
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let lines = [
+            ("r1", "check", &good),
+            ("r2", "check", &bad),
+            ("r3", "explain", &good),
+        ]
+        .map(|(id, op, m)| format!(r#"{{"id":"{id}","op":"{op}","module":"{m}"}}"#));
+        let mut out: Vec<u8> = Vec::new();
+        let telemetry = Telemetry::new();
+        serve_lines(
+            &config,
+            &executor,
+            &telemetry,
+            None,
+            lines.into_iter(),
+            &mut out,
+        )
+        .unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(
+            lines[0].ends_with(r#""result":{"arrival":0,"id":"r1"}}"#),
+            "{out}"
+        );
+        assert!(lines[1].contains(r#""ok":false"#), "{out}");
+        assert!(
+            lines[2].ends_with(r#""result":{"arrival":2,"id":"r3"}}"#),
+            "{out}"
+        );
+        assert_eq!(current_request(), None, "no request outside a call");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

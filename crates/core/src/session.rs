@@ -14,8 +14,9 @@
 //!
 //! The BMOC detector is a method of the session
 //! ([`AnalysisSession::detect_bmoc`]); [`GCatch`](crate::GCatch) wraps a
-//! session together with the checker registry.
+//! session and runs it through the process-wide checker registry.
 
+use crate::constraints::EncodingCache;
 use crate::disentangle::{build_dependency_graph, compute_scope, DependencyGraph, Scope};
 use crate::primitives::{collect, Primitives};
 use crate::resilience::{Budget, Incident};
@@ -24,7 +25,7 @@ use crate::trace::{TraceLevel, TraceSnapshot, Tracer};
 use crate::traditional::LockSummary;
 use golite_ir::alias::{AliasMode, Analysis};
 use golite_ir::ir::Module;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Shared per-module analyses plus telemetry, built once per checked module.
 pub struct AnalysisSession<'m> {
@@ -53,7 +54,7 @@ pub struct AnalysisSession<'m> {
     budget: OnceLock<Budget>,
     /// Cross-channel verdict cache: structurally identical channel
     /// encodings share solver outcomes across every worker shard.
-    encoding_cache: crate::constraints::EncodingCache,
+    encoding_cache: Arc<EncodingCache>,
 }
 
 impl<'m> AnalysisSession<'m> {
@@ -77,6 +78,22 @@ impl<'m> AnalysisSession<'m> {
         module: &'m Module,
         level: TraceLevel,
         alias_mode: AliasMode,
+    ) -> AnalysisSession<'m> {
+        Self::with_encodings(module, level, alias_mode, Arc::default())
+    }
+
+    /// [`AnalysisSession::with_options`] over a verdict cache that outlives
+    /// the session: the serve daemon builds each warm check of a module
+    /// path over the cache its previous check filled. Sound across module
+    /// versions: the canonical keys are fully structural (no names or
+    /// positions), and a `Blocking` outcome's witness is event indices
+    /// that render over the actual combination, so reports stay
+    /// byte-identical.
+    pub(crate) fn with_encodings(
+        module: &'m Module,
+        level: TraceLevel,
+        alias_mode: AliasMode,
+        encoding_cache: Arc<EncodingCache>,
     ) -> AnalysisSession<'m> {
         let telemetry = Telemetry::new();
         let tracer = Tracer::new(level);
@@ -103,28 +120,13 @@ impl<'m> AnalysisSession<'m> {
             tracer,
             incidents: Mutex::new(Vec::new()),
             budget: OnceLock::new(),
-            encoding_cache: crate::constraints::EncodingCache::new(),
+            encoding_cache,
         }
     }
 
     /// The session's cross-channel verdict cache.
-    pub(crate) fn encoding_cache(&self) -> &crate::constraints::EncodingCache {
+    pub(crate) fn encoding_cache(&self) -> &EncodingCache {
         &self.encoding_cache
-    }
-
-    /// Seeds the session's cross-channel verdict cache with entries
-    /// exported from an earlier session — the serve daemon carries solver
-    /// warmth across requests this way. Sound across module versions:
-    /// the canonical keys are fully structural (no names or positions),
-    /// and a `Blocking` outcome's witness is event indices that render
-    /// over the actual combination, so reports stay byte-identical.
-    pub fn seed_encodings(&self, entries: &[(Vec<u64>, crate::constraints::Outcome)]) {
-        self.encoding_cache.import(entries);
-    }
-
-    /// Exports the session's verdict cache for a later session to seed.
-    pub fn export_encodings(&self) -> Vec<(Vec<u64>, crate::constraints::Outcome)> {
-        self.encoding_cache.export()
     }
 
     /// The module under analysis.

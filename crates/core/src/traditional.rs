@@ -44,39 +44,6 @@ pub(crate) fn lock_summary(
     explorer.summary()
 }
 
-/// Checker 4 entry point: struct-field lockset races, deduplicated.
-pub(crate) fn lockset_race_reports(
-    module: &Module,
-    analysis: &Analysis,
-    prims: &Primitives,
-) -> Vec<BugReport> {
-    dedup(lockset_race(module, analysis, prims))
-}
-
-/// Checker 5 entry point: `t.Fatal` in a child goroutine, deduplicated.
-pub(crate) fn fatal_in_child_reports(module: &Module, analysis: &Analysis) -> Vec<BugReport> {
-    dedup(fatal_in_child(module, analysis))
-}
-
-/// Runs all five traditional checkers.
-///
-/// Equivalent to concatenating the individual checkers in their registry
-/// order; kept as a single entry point for pre-registry callers.
-pub fn detect_traditional(
-    module: &Module,
-    analysis: &Analysis,
-    prims: &Primitives,
-) -> Vec<BugReport> {
-    let summary = lock_summary(module, analysis, prims);
-    let mut out = Vec::new();
-    out.extend(summary.double_locks);
-    out.extend(summary.missing_unlocks);
-    out.extend(summary.order_conflicts);
-    out.extend(lockset_race(module, analysis, prims));
-    out.extend(fatal_in_child(module, analysis));
-    dedup(out)
-}
-
 fn dedup(reports: Vec<BugReport>) -> Vec<BugReport> {
     let mut seen = HashSet::new();
     reports
@@ -356,11 +323,16 @@ impl<'a> LockExplorer<'a> {
 // ---------------------------------------------------------- lockset races
 
 /// Checker 4: struct-field accesses mostly protected by a mutex, with at
-/// least one unprotected access. The lockset is collected intra-procedurally
-/// and path-insensitively (meet = union of locks held on any path reaching
-/// the block), which reproduces the paper's calling-context false positives:
-/// an access protected by a caller-held lock looks unprotected here.
-fn lockset_race(module: &Module, analysis: &Analysis, prims: &Primitives) -> Vec<BugReport> {
+/// least one unprotected access, deduplicated. The lockset is collected
+/// intra-procedurally and path-insensitively (meet = union of locks held on
+/// any path reaching the block), which reproduces the paper's
+/// calling-context false positives: an access protected by a caller-held
+/// lock looks unprotected here.
+pub(crate) fn lockset_race(
+    module: &Module,
+    analysis: &Analysis,
+    prims: &Primitives,
+) -> Vec<BugReport> {
     // Access record: (struct site, field) → [(loc, span, lockset, is_write)].
     // `Symbol` orders by text, so the deterministic sort below matches the
     // old `(Loc, String)` key exactly.
@@ -497,7 +469,7 @@ fn lockset_race(module: &Module, analysis: &Analysis, prims: &Primitives) -> Vec
             }
         }
     }
-    out
+    dedup(out)
 }
 
 fn apply_block_locks(
@@ -534,8 +506,8 @@ fn apply_block_locks(
 // ------------------------------------------------------- Fatal in children
 
 /// Checker 5: `t.Fatal` (and friends) called on a goroutine other than the
-/// one running the test function.
-fn fatal_in_child(module: &Module, analysis: &Analysis) -> Vec<BugReport> {
+/// one running the test function, deduplicated.
+pub(crate) fn fatal_in_child(module: &Module, analysis: &Analysis) -> Vec<BugReport> {
     // Functions reachable from any `go` target.
     let mut child_funcs: HashSet<FuncId> = HashSet::new();
     for cs in analysis.call_sites() {
@@ -579,20 +551,28 @@ fn fatal_in_child(module: &Module, analysis: &Analysis) -> Vec<BugReport> {
             }
         }
     }
-    out
+    dedup(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::{flatten, Registry, Selection};
+    use crate::detector::DetectorConfig;
     use crate::primitives::collect;
+    use crate::session::AnalysisSession;
     use golite_ir::{analyze, lower_source};
 
+    /// Every traditional checker through the registry: the defaults with
+    /// `bmoc` skipped.
     fn detect(src: &str) -> Vec<BugReport> {
         let module = lower_source(src).expect("lowering");
-        let analysis = analyze(&module);
-        let prims = collect(&module, &analysis);
-        detect_traditional(&module, &analysis, &prims)
+        let session = AnalysisSession::new(&module);
+        let traditional = Selection {
+            only: Vec::new(),
+            skip: vec!["bmoc".to_string()],
+        };
+        flatten(Registry::standard().run(&session, &DetectorConfig::default(), &traditional))
     }
 
     fn kinds(reports: &[BugReport]) -> Vec<BugKind> {

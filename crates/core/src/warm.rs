@@ -7,8 +7,8 @@
 //! a [`WarmEntry`] for the module path: the diffable shape of the lowered
 //! IR ([`golite_ir::diff::ModuleShape`]), one [`ChannelRecord`] per
 //! analyzed channel (its disentangling metadata plus its full outcome —
-//! findings, witnesses, provenance, incident), and a snapshot of the
-//! session's cross-channel solver-verdict cache.
+//! findings, witnesses, provenance, incident), and the cross-channel
+//! solver-verdict cache every check of the path runs on.
 //!
 //! On the next `check` of the same path, [`warm_check`] diffs the new IR
 //! against the cached shape at function granularity
@@ -18,7 +18,7 @@
 //! re-analyzed only if its Pset/scope can reach a changed function (see
 //! `disentangle::influences`); every other channel's outcome is replayed
 //! from the warm entry, moved onto the new text, and the re-analyzed
-//! channels reuse the imported solver verdicts instead of rebuilding
+//! channels reuse the shared solver verdicts instead of rebuilding
 //! encodings.
 //!
 //! # Soundness / byte-identity
@@ -50,14 +50,16 @@
 //! entirely for non-`check` ops, deadline-bearing requests, and fault
 //! plans that can fire anywhere but the `serve.session` site.
 
+use crate::checkers::{Registry, Selection};
+use crate::constraints::EncodingCache;
 use crate::detector::{DetectorConfig, GroupKey};
-use crate::diagnostics::render_json_with;
+use crate::diagnostics::{render_json_with, Diagnostic};
 use crate::faults;
 use crate::primitives::{OpKind, PrimId, PrimKind, Primitive, Primitives};
 use crate::report::BugReport;
 use crate::resilience::Incident;
 use crate::trace::TraceLevel;
-use crate::{checkers::Selection, GCatch};
+use crate::{AnalysisSession, GCatch};
 use golite_ir::diff::{hash_span, module_diff, module_shape, ModuleDiff, ModuleShape};
 use golite_ir::fnv::Fnv;
 use golite_ir::ir::{FuncId, Loc, Module};
@@ -159,9 +161,9 @@ pub struct WarmEntry {
     pub shape: ModuleShape,
     /// Per-channel outcomes keyed by creation site.
     pub(crate) records: HashMap<Loc, ChannelRecord>,
-    /// Cross-channel solver-outcome snapshot
-    /// ([`EncodingCache::export`](crate::constraints::EncodingCache::export)).
-    pub encodings: Vec<(Vec<u64>, crate::constraints::Outcome)>,
+    /// The cross-channel verdict cache the entry's check ran on; the next
+    /// check of the path runs on it too.
+    pub encodings: Arc<EncodingCache>,
 }
 
 impl fmt::Debug for WarmEntry {
@@ -465,22 +467,22 @@ pub fn warm_check(
     };
     let reused = prior.is_some();
 
-    let gcatch = GCatch::with_options(&module, TraceLevel::Off, alias);
-    if let Some(entry) = &prior {
-        gcatch.session().seed_encodings(&entry.encodings);
-    }
+    let encodings = prior
+        .as_ref()
+        .map_or_else(Arc::default, |e| e.encodings.clone());
+    let session =
+        AnalysisSession::with_encodings(&module, TraceLevel::Off, alias, encodings.clone());
     let warm = Arc::new(WarmCheck::new(prior, diff));
     let mut config = base.clone();
     config.warm = Some(warm.clone());
-    let diagnostics = gcatch.diagnostics(&config, &Selection::default());
-    let incidents = gcatch.incidents();
-    let json = render_json_with(&diagnostics, None, &incidents);
+    let run = Registry::standard().run(&session, &config, &Selection::default());
+    let json = render_json_with(&Diagnostic::from_run(run), None, &session.incidents());
 
     let records = std::mem::take(&mut *warm.harvest.lock().unwrap_or_else(|e| e.into_inner()));
     let entry = WarmEntry {
         shape,
         records,
-        encodings: gcatch.session().export_encodings(),
+        encodings,
     };
     evicted += store.insert(path, entry);
 

@@ -79,6 +79,33 @@ fn checker_names_are_unique_and_findable() {
     assert!(registry.find("no-such-checker").is_none());
 }
 
+/// The registry order is the report order, pinned; the `panic-test` hook
+/// is registered only when `GCATCH_DEBUG_PANIC_CHECKER` is set, so without
+/// it `--only panic-test` is an unknown checker.
+#[test]
+fn registry_order_is_pinned_and_the_debug_hook_is_hidden() {
+    let registry = Registry::standard();
+    let mut expected = vec![
+        "bmoc",
+        "double-lock",
+        "missing-unlock",
+        "lock-order",
+        "struct-field-race",
+        "fatal-in-child",
+        "send-on-closed",
+    ];
+    let hook = std::env::var_os("GCATCH_DEBUG_PANIC_CHECKER").is_some();
+    if hook {
+        expected.push("panic-test");
+    }
+    assert_eq!(registry.names(), expected);
+    let only_hook = Selection {
+        only: vec!["panic-test".to_string()],
+        skip: Vec::new(),
+    };
+    assert_eq!(only_hook.validate(&registry).is_ok(), hook);
+}
+
 /// `--only X` runs exactly X; `--skip X` runs the defaults minus X; the
 /// send-on-closed extension is opt-in.
 #[test]

@@ -13,6 +13,7 @@
 use gcatch_suite::gcatch::codec::escape_json;
 use gcatch_suite::gcatch::durable::write_atomic;
 use gcatch_suite::gcatch::events::{Decision, Field, Recorder};
+use gcatch_suite::gcatch::serve::current_request;
 use gcatch_suite::gcatch::{
     derive_run_id, faults, obs_zero_time, read_manifest, render_explain, render_json_with,
     render_prometheus, render_stats_json, run_worker, serve_socket, serve_stdio, warm_check,
@@ -559,7 +560,7 @@ fn check_module<R>(
     let started = std::time::Instant::now();
     let module = gcatch_suite::ir::lower_source(source)?;
     let gcatch = GCatch::with_trace(&module, level);
-    selection.validate(gcatch.registry())?;
+    selection.validate(&gcatch.registry())?;
     let diagnostics = gcatch.diagnostics(config, selection);
     let incidents = gcatch.incidents();
     gcatch
@@ -1663,10 +1664,14 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         if op == WorkKind::Check && budget.deadline().is_none() {
             if let Some(store) = warm_store.as_deref() {
                 let outcome = warm_check(store, path, source, &base, AliasMode::default())?;
+                // Filed under the request, so its events group and filter
+                // with the rest of that request's.
+                let (group, id) = current_request().unwrap_or_default();
                 let rec = Recorder {
                     telemetry: Some(&telemetry),
                     bus: sinks.bus.as_deref(),
-                    job: Some(path),
+                    group,
+                    job: Some(&id),
                     ..Recorder::default()
                 };
                 rec.record(Decision::SessionUse {

@@ -9,7 +9,8 @@
 //!   and trace instants;
 //! * a `serve --stdio` session with a cache miss, a cache hit, a warm
 //!   session reuse, cache and session evictions and an unparseable line:
-//!   its zero-time sinks and its stdout transcript;
+//!   its zero-time sinks and its stdout transcript, with each session
+//!   event filed under the request that caused it;
 //! * a one-worker `sweep`: its merged report, stdout and final counters;
 //! * [`ProgressSnapshot::render_line`] for a batch and a sweep snapshot.
 //!
@@ -209,6 +210,17 @@ fn serve_session_streams_match_their_goldens() {
         assert!(
             events.contains(&format!("\"event\":\"{kind}\"")),
             "{kind}: {events}"
+        );
+    }
+    // Filtering the stream by request id finds each session event under
+    // the request that caused it.
+    for (id, kind) in [("reuse", "session_reuse"), ("other", "session_evict")] {
+        let (job, event) = (format!("\"job\":\"{id}\""), format!("\"event\":\"{kind}\""));
+        assert!(
+            events
+                .lines()
+                .any(|l| l.contains(&job) && l.contains(&event)),
+            "{kind} under request {id}: {events}"
         );
     }
     golden("serve_session.transcript.jsonl", &transcript);
