@@ -1,37 +1,35 @@
-//! A supervised, checkpointed batch engine over module-level jobs.
+//! A checkpointed batch engine over module-level jobs.
 //!
 //! The paper's evaluation (§5) is a long batch run over 21 applications —
-//! exactly the shape where one crash, one pathological module, or one
-//! straggling solver query can cost the whole run. This module supplies
-//! the fleet-style driver on top of the PR 3 resilience layer:
+//! exactly the shape where one crash or one pathological module can cost
+//! the whole run. This module runs such a batch on top of the
+//! resilience layer:
 //!
-//! * a **worker pool** over a shared work queue of [`BatchJob`]s, each
-//!   attempt executed under [`catch_isolated`] so a panic becomes a
-//!   classified failure, never a process abort;
+//! * a **worker pool**: each worker claims the next pending [`BatchJob`]
+//!   through an atomic index and runs that job's attempts in one loop,
+//!   each under [`catch_isolated`] so a panic becomes a classified
+//!   failure, never a process abort;
 //! * **retry with exponential backoff** and deterministic jitter
-//!   ([`BackoffPolicy`], seeded from the `prng` crate): transient
-//!   failures (including every [`faults`]-injected one) are re-dispatched
-//!   with a fresh attempt number; a job that keeps failing — twice with
-//!   the *same* non-injected message, or [`BatchConfig::max_attempts`]
-//!   times in total — is **quarantined** as an
+//!   ([`BackoffPolicy`], seeded from the `prng` crate): a transient
+//!   failure (including every [`faults`]-injected one) is retried with a
+//!   fresh attempt number; a job that keeps failing — twice with the
+//!   *same* non-injected message, or [`BatchConfig::max_attempts`] times
+//!   in total — is **quarantined** as an
 //!   [`Incident`]`{ kind: `[`IncidentKind::Quarantined`]` }` so the rest
 //!   of the batch still finishes;
-//! * **straggler hedging** ([`HedgePolicy`]): once enough jobs have
-//!   completed, a job running past the p99 of completed wall-clock times
-//!   gets a second dispatch of the same attempt; the first result wins
-//!   and the loser is cancelled through the [`CancelToken`] on its
-//!   [`JobCtx`] (cooperatively, via the budget it is attached to);
 //! * an **append-only checkpoint journal** ([`Journal`]): one fsynced
 //!   JSONL line per decided job on a [`durable`] log, so a killed run can
 //!   be resumed with the completed jobs restored instead of re-run. A
 //!   torn line (the kill arrived mid-write) or any other line that does
 //!   not parse is dropped, and the journal compacted without it.
 //!
-//! The engine itself is deterministic *in content*: job results land in
-//! submission order in [`BatchOutcome::records`] regardless of worker
-//! interleaving, so a report built from the records is bit-identical
-//! across worker counts, interruptions, and (injected-)fault schedules —
-//! the property the kill-and-resume tests pin down.
+//! The engine is deterministic *in content*: a job's attempts, retries
+//! and decision depend only on the job and the fault plan, and results
+//! land in submission order in [`BatchOutcome::records`] regardless of
+//! worker interleaving, so a report built from the records is
+//! bit-identical across worker counts, interruptions, and
+//! (injected-)fault schedules — the property the kill-and-resume tests
+//! pin down.
 
 use crate::codec::{escape_json, unquote};
 use crate::durable::{self, Log};
@@ -43,10 +41,10 @@ use crate::telemetry::{Counter, Metric, Telemetry};
 use crate::trace::{ArgValue, Lane, Tracer};
 use golite_ir::fnv;
 use prng::Prng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 // ------------------------------------------------------------------ jobs
@@ -56,12 +54,11 @@ use std::time::{Duration, Instant};
 pub struct JobCtx {
     /// The job's stable identifier (a module path in the CLI).
     pub job_id: String,
-    /// 1-based attempt number (hedge twins share the attempt number).
+    /// 1-based attempt number.
     pub attempt: u32,
-    /// Cancellation signal: set when a hedge twin already won. Attach it
-    /// to the attempt's [`Budget`](crate::Budget) (via
-    /// [`Budget::with_cancel`](crate::Budget::with_cancel)) so the losing
-    /// twin stops at its next cooperative budget check.
+    /// A fresh token per attempt that the engine never fires. It stays
+    /// only because the benchmark's traced corpus op (`perf/`) compiles
+    /// against it; attached to a budget it changes nothing.
     pub cancel: CancelToken,
     /// The job's submission index — the canonical event-ordering group
     /// for anything the job emits on an event bus.
@@ -75,8 +72,8 @@ pub struct JobCtx {
 
 /// One unit of batch work: a stable id plus the closure that produces a
 /// payload (or a failure message). The closure must be callable from any
-/// worker thread, and is re-invoked on retries and hedges — it should be
-/// a pure function of `(job, attempt)` for deterministic reports.
+/// worker thread, and is re-invoked on retries — it should be a pure
+/// function of `(job, attempt)` for deterministic reports.
 pub struct BatchJob<'a, T> {
     /// Stable identifier; must be unique within one batch.
     pub id: String,
@@ -136,8 +133,8 @@ pub struct JobRecord<T> {
     pub payload: Option<T>,
     /// The quarantine incident, for [`JobStatus::Quarantined`].
     pub incident: Option<Incident>,
-    /// Wall-clock from first dispatch start to decision (zero for
-    /// restored records).
+    /// Wall-clock from the first attempt's start to the decision (zero
+    /// for restored records).
     pub wall: Duration,
 }
 
@@ -201,25 +198,6 @@ impl BackoffPolicy {
     }
 }
 
-/// When to hedge a straggling job with a second dispatch.
-#[derive(Clone, Debug)]
-pub struct HedgePolicy {
-    /// Completed jobs required before p99 is considered meaningful.
-    pub min_completed: usize,
-    /// Floor on the straggler threshold, so tiny corpora with fast jobs
-    /// don't hedge everything.
-    pub min_age: Duration,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            min_completed: 5,
-            min_age: Duration::from_millis(50),
-        }
-    }
-}
-
 /// Batch engine configuration.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
@@ -229,8 +207,6 @@ pub struct BatchConfig {
     pub max_attempts: u32,
     /// Retry backoff policy.
     pub backoff: BackoffPolicy,
-    /// Straggler hedging; `None` disables hedging.
-    pub hedge: Option<HedgePolicy>,
     /// Fault-injection plan armed around every attempt; `None` (the
     /// default) leaves the fault layer completely inert.
     pub faults: Option<std::sync::Arc<FaultPlan>>,
@@ -242,7 +218,6 @@ impl Default for BatchConfig {
             workers: 4,
             max_attempts: 3,
             backoff: BackoffPolicy::default(),
-            hedge: Some(HedgePolicy::default()),
             faults: None,
         }
     }
@@ -497,84 +472,7 @@ fn parse_record_line(line: &str) -> Option<JobRecord<String>> {
 
 // ---------------------------------------------------------------- engine
 
-/// One queued execution of a job attempt.
-struct Dispatch {
-    index: usize,
-    attempt: u32,
-    hedge: bool,
-    /// Backoff to sleep (on the worker) before a retry attempt runs.
-    backoff: Option<Duration>,
-    cancel: CancelToken,
-    /// The job's shared flight recorder (same ring for every attempt).
-    flight: FlightRecorder,
-}
-
-/// Worker → supervisor events.
-enum Event<T> {
-    Started {
-        index: usize,
-        at: Instant,
-    },
-    Finished {
-        index: usize,
-        attempt: u32,
-        result: Result<T, String>,
-    },
-}
-
-/// The shared work queue.
-struct Queue {
-    items: VecDeque<Dispatch>,
-    shutdown: bool,
-}
-
-/// Supervisor-side per-job bookkeeping.
-struct JobState {
-    attempts_launched: u32,
-    /// Dispatches queued or running for the current attempt.
-    active: u32,
-    hedged: bool,
-    first_started: Option<Instant>,
-    started: Option<Instant>,
-    cancels: Vec<CancelToken>,
-    last_failure: Option<String>,
-    identical_failures: u32,
-    done: bool,
-    /// Lifecycle ring shared with every dispatch of this job; dumped into
-    /// the incident if the job is quarantined.
-    flight: FlightRecorder,
-}
-
-impl JobState {
-    fn new() -> JobState {
-        JobState {
-            attempts_launched: 1,
-            active: 1,
-            hedged: false,
-            first_started: None,
-            started: None,
-            cancels: Vec::new(),
-            last_failure: None,
-            identical_failures: 0,
-            done: false,
-            flight: FlightRecorder::new(),
-        }
-    }
-}
-
-/// Exact p99 (in the [`crate::trace::HistSnapshot::percentile`] sense:
-/// the sample at rank `ceil(0.99 n)`) of the completed wall times.
-fn p99(walls: &[Duration]) -> Duration {
-    if walls.is_empty() {
-        return Duration::ZERO;
-    }
-    let mut sorted = walls.to_vec();
-    sorted.sort_unstable();
-    let rank = (walls.len() * 99).div_ceil(100).clamp(1, walls.len());
-    sorted[rank - 1]
-}
-
-/// The supervised batch engine. See the [module docs](self).
+/// The batch engine. See the [module docs](self).
 pub struct BatchEngine<'t> {
     config: BatchConfig,
     telemetry: &'t Telemetry,
@@ -582,14 +480,21 @@ pub struct BatchEngine<'t> {
     /// How a worker waits out a backoff delay; tests install a recorder.
     #[allow(clippy::type_complexity)]
     sleeper: Box<dyn Fn(&str, u32, Duration) + Send + Sync + 't>,
-    /// Supervisor tick: how often the hedge scan runs while idle.
-    tick: Duration,
     /// Structured event sink (`--events-out`); `None` leaves it inert.
     events: Option<&'t EventBus>,
     /// Progress callback plus its minimum emission interval
     /// (`--progress`); `None` leaves it inert.
     #[allow(clippy::type_complexity)]
     progress: Option<(Box<dyn Fn(&ProgressSnapshot) + Send + Sync + 't>, Duration)>,
+}
+
+/// How far a run has got, shared by its workers for progress snapshots.
+struct Tally {
+    total: usize,
+    decided: AtomicUsize,
+    /// When the last snapshot went out; the lock also keeps two workers
+    /// from drawing at once.
+    last_emit: Mutex<Instant>,
 }
 
 impl<'t> BatchEngine<'t> {
@@ -601,7 +506,6 @@ impl<'t> BatchEngine<'t> {
             telemetry,
             tracer,
             sleeper: Box::new(|_job, _attempt, d| std::thread::sleep(d)),
-            tick: Duration::from_millis(5),
             events: None,
             progress: None,
         }
@@ -618,15 +522,16 @@ impl<'t> BatchEngine<'t> {
     }
 
     /// Attaches a structured event bus: every attempt start/end, fault
-    /// injection, retry, hedge, quarantine, and resume is emitted with
-    /// the job's id and submission index as correlation keys.
+    /// injection, retry, quarantine, and resume is emitted with the job's
+    /// id and submission index as correlation keys.
     pub fn with_events(mut self, events: &'t EventBus) -> Self {
         self.events = Some(events);
         self
     }
 
-    /// Attaches a live progress callback, invoked from the supervisor at
-    /// most once per `every` (plus once at start and once at the end).
+    /// Attaches a live progress callback, invoked at most once per
+    /// `every` as jobs are decided (plus once at start and once at the
+    /// end).
     pub fn with_progress(
         mut self,
         callback: impl Fn(&ProgressSnapshot) + Send + Sync + 't,
@@ -643,12 +548,12 @@ impl<'t> BatchEngine<'t> {
         job: &'r str,
         index: usize,
         attempt: Option<u32>,
-        flight: &'r FlightRecorder,
+        flight: Option<&'r FlightRecorder>,
     ) -> Recorder<'r> {
         Recorder {
             telemetry: Some(self.telemetry),
             bus: self.events,
-            flight: Some(flight),
+            flight,
             group: index as u64,
             job: Some(job),
             attempt,
@@ -656,13 +561,13 @@ impl<'t> BatchEngine<'t> {
         }
     }
 
-    /// Hands a progress snapshot of `total` jobs, `remaining` of them
-    /// undecided, to the callback, throttled to its configured interval
-    /// unless `force`d (start/end of the run).
-    fn emit_progress(&self, total: usize, remaining: usize, last: &mut Instant, force: bool) {
+    /// Hands a progress snapshot to the callback, throttled to its
+    /// configured interval unless `force`d (start/end of the run).
+    fn emit_progress(&self, tally: &Tally, force: bool) {
         let Some((callback, every)) = &self.progress else {
             return;
         };
+        let mut last = tally.last_emit.lock().unwrap_or_else(|e| e.into_inner());
         if !force && last.elapsed() < *every {
             return;
         }
@@ -670,8 +575,8 @@ impl<'t> BatchEngine<'t> {
         callback(&ProgressSnapshot::from_stats(
             false,
             &self.telemetry.snapshot(),
-            total,
-            total - remaining,
+            tally.total,
+            tally.decided.load(Ordering::Relaxed),
             self.config.workers,
         ));
     }
@@ -687,84 +592,67 @@ impl<'t> BatchEngine<'t> {
         mut restored: BTreeMap<String, JobRecord<T>>,
     ) -> BatchOutcome<T> {
         self.telemetry.add(Counter::JobsTotal, jobs.len() as u64);
-        let mut records: Vec<Option<JobRecord<T>>> = Vec::with_capacity(jobs.len());
-        let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
+        let mut lane = self.tracer.lane(0, "batch");
         let mut pending: Vec<usize> = Vec::new();
-        let mut sup_lane = self.tracer.lane(0, "batch-supervisor");
-        for (i, job) in jobs.iter().enumerate() {
-            let state = JobState::new();
-            if let Some(mut rec) = restored.remove(&job.id) {
-                if rec.status == JobStatus::Done {
-                    rec.status = JobStatus::Resumed;
+        let slots: Vec<Mutex<Option<JobRecord<T>>>> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let rec = restored.remove(&job.id).map(|mut rec| {
+                    if rec.status == JobStatus::Done {
+                        rec.status = JobStatus::Resumed;
+                    }
+                    self.recorder(&job.id, i, None, None).record_on(
+                        &mut lane,
+                        Decision::Resumed {
+                            attempts: rec.attempts,
+                        },
+                    );
+                    rec
+                });
+                if rec.is_none() {
+                    pending.push(i);
                 }
-                self.recorder(&job.id, i, None, &state.flight).record_on(
-                    &mut sup_lane,
-                    Decision::Resumed {
-                        attempts: rec.attempts,
-                    },
-                );
-                records.push(Some(rec));
-            } else {
-                pending.push(i);
-                records.push(None);
-            }
-            states.push(state);
-        }
-        let mut journal_error: Option<String> = None;
+                Mutex::new(rec)
+            })
+            .collect();
+        let journal_error: Mutex<Option<String>> = Mutex::new(None);
 
         if !pending.is_empty() {
-            let queue = Mutex::new(Queue {
-                items: VecDeque::new(),
-                shutdown: false,
-            });
-            let ready = Condvar::new();
-            {
-                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                for &i in &pending {
-                    let cancel = CancelToken::new();
-                    states[i].cancels.push(cancel.clone());
-                    q.items.push_back(Dispatch {
-                        index: i,
-                        attempt: 1,
-                        hedge: false,
-                        backoff: None,
-                        cancel,
-                        flight: states[i].flight.clone(),
-                    });
-                }
-            }
-            let (tx, rx) = mpsc::channel::<Event<T>>();
+            let tally = Tally {
+                total: jobs.len(),
+                decided: AtomicUsize::new(jobs.len() - pending.len()),
+                last_emit: Mutex::new(Instant::now()),
+            };
+            self.emit_progress(&tally, true);
+            let next = AtomicUsize::new(0);
             let workers = self.config.workers.max(1).min(pending.len());
             std::thread::scope(|scope| {
                 for w in 0..workers {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let ready = &ready;
-                    scope.spawn(move || self.worker_loop(w, jobs, queue, ready, tx));
+                    let (pending, next, slots) = (&pending, &next, &slots);
+                    let (tally, journal_error) = (&tally, &journal_error);
+                    scope.spawn(move || {
+                        let mut lane = self.tracer.lane(1 + w as u32, format!("batch-worker-{w}"));
+                        while let Some(&index) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let rec = self.decide(&jobs[index], index, &mut lane);
+                            self.journal_record(&rec, journal, journal_error);
+                            *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(rec);
+                            tally.decided.fetch_add(1, Ordering::Relaxed);
+                            self.emit_progress(tally, false);
+                        }
+                    });
                 }
-                drop(tx);
-                self.supervise(
-                    jobs,
-                    &queue,
-                    &ready,
-                    rx,
-                    &mut states,
-                    &mut records,
-                    pending.len(),
-                    journal,
-                    &mut journal_error,
-                    &mut sup_lane,
-                );
-                // Release the workers.
-                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                q.shutdown = true;
-                ready.notify_all();
             });
+            self.emit_progress(&tally, true);
         }
 
-        let records: Vec<JobRecord<T>> = records
+        let records: Vec<JobRecord<T>> = slots
             .into_iter()
-            .map(|r| r.expect("every job decided"))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .expect("every job decided")
+            })
             .collect();
         let quarantined = records
             .iter()
@@ -773,307 +661,145 @@ impl<'t> BatchEngine<'t> {
         BatchOutcome {
             records,
             quarantined,
-            journal_error,
+            journal_error: journal_error
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner()),
         }
     }
 
-    /// One worker: pop dispatches, run attempts under isolation (and
-    /// under the fault scope when a plan is armed), report events.
-    fn worker_loop<'a, T: Send>(
-        &self,
-        worker: usize,
-        jobs: &[BatchJob<'a, T>],
-        queue: &Mutex<Queue>,
-        ready: &Condvar,
-        tx: mpsc::Sender<Event<T>>,
-    ) {
-        let mut lane = self
-            .tracer
-            .lane(1 + worker as u32, format!("batch-worker-{worker}"));
+    /// Runs job `index`'s attempts until it is decided. A success is
+    /// done. A failure is retried after the backoff, unless it was the
+    /// last of [`BatchConfig::max_attempts`] or repeated the previous
+    /// failure's non-injected message, which quarantines the job.
+    fn decide<T>(&self, job: &BatchJob<'_, T>, index: usize, lane: &mut Lane<'_>) -> JobRecord<T> {
+        let id = job.id.as_str();
+        let flight = FlightRecorder::new();
+        let started = Instant::now();
+        let mut last_failure: Option<String> = None;
+        let mut identical_failures = 0;
+        let mut attempt = 1;
         loop {
-            let dispatch = {
-                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(d) = q.items.pop_front() {
-                        break Some(d);
-                    }
-                    if q.shutdown {
-                        break None;
-                    }
-                    q = ready.wait(q).unwrap_or_else(|e| e.into_inner());
+            let rec = self.recorder(id, index, Some(attempt), Some(&flight));
+            let message = match self.attempt(job, index, attempt, &flight, &rec, lane) {
+                Ok(payload) => {
+                    let wall = started.elapsed();
+                    self.telemetry
+                        .observe(Metric::JobWallNs, wall.as_nanos() as u64);
+                    rec.record(Decision::Done { attempts: attempt });
+                    return JobRecord {
+                        id: id.to_string(),
+                        status: JobStatus::Done,
+                        attempts: attempt,
+                        payload: Some(payload),
+                        incident: None,
+                        wall,
+                    };
                 }
+                Err(message) => message,
             };
-            let Some(d) = dispatch else { return };
-            if let Some(delay) = d.backoff {
-                (self.sleeper)(&jobs[d.index].id, d.attempt, delay);
+            identical_failures = if last_failure.as_ref() == Some(&message) {
+                identical_failures + 1
+            } else {
+                1
+            };
+            let deterministic = identical_failures >= 2 && !faults::is_injected(&message);
+            if attempt >= self.config.max_attempts || deterministic {
+                rec.record_on(
+                    lane,
+                    Decision::Quarantined {
+                        attempts: attempt,
+                        error: &message,
+                    },
+                );
+                return JobRecord {
+                    id: id.to_string(),
+                    status: JobStatus::Quarantined,
+                    attempts: attempt,
+                    payload: None,
+                    incident: Some(Incident {
+                        kind: IncidentKind::Quarantined,
+                        name: id.to_string(),
+                        message,
+                        rung: 0,
+                        flight: flight.dump(),
+                    }),
+                    wall: started.elapsed(),
+                };
             }
-            if d.cancel.is_cancelled() {
-                // The job was decided while this dispatch sat in queue.
-                let _ = tx.send(Event::Finished {
-                    index: d.index,
-                    attempt: d.attempt,
-                    result: Err("cancelled before start".to_string()),
-                });
-                continue;
-            }
-            let _ = tx.send(Event::Started {
-                index: d.index,
-                at: Instant::now(),
-            });
-            let job = &jobs[d.index];
-            let ctx = JobCtx {
-                job_id: job.id.clone(),
-                attempt: d.attempt,
-                cancel: d.cancel.clone(),
-                index: d.index,
-                flight: d.flight.clone(),
-            };
-            let rec = self.recorder(&job.id, d.index, Some(d.attempt), &d.flight);
-            rec.record(Decision::AttemptStart { hedge: d.hedge });
-            lane.begin(
-                "batch_job",
-                vec![
-                    ("job", ArgValue::from(job.id.as_str())),
-                    ("attempt", ArgValue::from(u64::from(d.attempt))),
-                    ("hedge", ArgValue::from(u64::from(d.hedge))),
-                ],
-            );
-            let attempt_result = match &self.config.faults {
-                Some(plan) => {
-                    let plan = plan.clone();
-                    catch_isolated(|| {
-                        faults::with_scope(plan, &job.id, d.attempt, || {
-                            faults::maybe_delay(faults::SITE_BATCH_DELAY, &job.id);
-                            faults::maybe_panic(faults::SITE_BATCH_JOB, &job.id);
-                            (job.work)(&ctx)
-                        })
-                    })
-                }
-                None => catch_isolated(|| (job.work)(&ctx)),
-            };
-            let result = match attempt_result {
-                Ok(r) => r,
-                Err(panic_message) => Err(panic_message),
-            };
-            lane.rewind();
-            let error = result.as_ref().err().map(String::as_str);
-            if let Some(site) = error.and_then(faults::injected_site) {
-                rec.record(Decision::FaultInjected { site });
-            }
-            rec.record(Decision::AttemptEnd {
-                hedge: d.hedge,
-                error,
-            });
-            let _ = tx.send(Event::Finished {
-                index: d.index,
-                attempt: d.attempt,
-                result,
-            });
+            let backoff = self.config.backoff.delay(id, attempt);
+            attempt += 1;
+            self.recorder(id, index, Some(attempt), Some(&flight))
+                .record_on(
+                    lane,
+                    Decision::Retry {
+                        next: attempt,
+                        backoff_ms: backoff.as_millis() as u64,
+                    },
+                );
+            (self.sleeper)(id, attempt, backoff);
+            last_failure = Some(message);
         }
     }
 
-    /// The supervisor: consume worker events, decide retries, hedges,
-    /// quarantines; journal every decision.
-    #[allow(clippy::too_many_arguments)]
-    fn supervise<'a, T: Send>(
+    /// Runs one attempt under isolation (and under the fault scope when a
+    /// plan is armed), recording its start, any injected fault and its
+    /// end through `rec`.
+    fn attempt<T>(
         &self,
-        jobs: &[BatchJob<'a, T>],
-        queue: &Mutex<Queue>,
-        ready: &Condvar,
-        rx: mpsc::Receiver<Event<T>>,
-        states: &mut [JobState],
-        records: &mut [Option<JobRecord<T>>],
-        mut remaining: usize,
-        journal: Option<JournalSink<'_, T>>,
-        journal_error: &mut Option<String>,
+        job: &BatchJob<'_, T>,
+        index: usize,
+        attempt: u32,
+        flight: &FlightRecorder,
+        rec: &Recorder<'_>,
         lane: &mut Lane<'_>,
-    ) {
-        let total = records.len();
-        let mut walls: Vec<Duration> = Vec::new();
-        let mut last_progress = Instant::now();
-        self.emit_progress(total, remaining, &mut last_progress, true);
-        while remaining > 0 {
-            let event = match rx.recv_timeout(self.tick) {
-                Ok(ev) => ev,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.scan_stragglers(jobs, queue, ready, states, &walls, lane);
-                    self.emit_progress(total, remaining, &mut last_progress, false);
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            match event {
-                Event::Started { index, at } => {
-                    let st = &mut states[index];
-                    st.first_started.get_or_insert(at);
-                    st.started.get_or_insert(at);
-                }
-                Event::Finished {
-                    index,
-                    attempt,
-                    result,
-                } => {
-                    let st = &mut states[index];
-                    st.active = st.active.saturating_sub(1);
-                    if st.done {
-                        continue; // a twin already decided this job
-                    }
-                    let id = jobs[index].id.as_str();
-                    match result {
-                        Ok(payload) => {
-                            st.done = true;
-                            remaining -= 1;
-                            for c in &st.cancels {
-                                c.cancel();
-                            }
-                            let wall = st.first_started.map(|s| s.elapsed()).unwrap_or_default();
-                            walls.push(wall);
-                            self.telemetry
-                                .observe(Metric::JobWallNs, wall.as_nanos() as u64);
-                            let rec = JobRecord {
-                                id: id.to_string(),
-                                status: JobStatus::Done,
-                                attempts: attempt,
-                                payload: Some(payload),
-                                incident: None,
-                                wall,
-                            };
-                            self.journal_record(&rec, journal, journal_error);
-                            records[index] = Some(rec);
-                            self.recorder(id, index, Some(attempt), &st.flight)
-                                .record(Decision::Done { attempts: attempt });
-                            self.emit_progress(total, remaining, &mut last_progress, false);
-                        }
-                        Err(message) => {
-                            if message == st.last_failure.as_deref().unwrap_or("") {
-                                st.identical_failures += 1;
-                            } else {
-                                st.identical_failures = 1;
-                                st.last_failure = Some(message.clone());
-                            }
-                            if st.active > 0 {
-                                continue; // a hedge twin is still in flight
-                            }
-                            let injected = faults::is_injected(&message);
-                            let deterministic = !injected && st.identical_failures >= 2;
-                            if st.attempts_launched >= self.config.max_attempts || deterministic {
-                                st.done = true;
-                                remaining -= 1;
-                                let attempts = st.attempts_launched;
-                                self.recorder(id, index, Some(attempts), &st.flight)
-                                    .record_on(
-                                        lane,
-                                        Decision::Quarantined {
-                                            attempts,
-                                            error: &message,
-                                        },
-                                    );
-                                let rec = JobRecord {
-                                    id: id.to_string(),
-                                    status: JobStatus::Quarantined,
-                                    attempts,
-                                    payload: None,
-                                    incident: Some(Incident {
-                                        kind: IncidentKind::Quarantined,
-                                        name: id.to_string(),
-                                        message,
-                                        rung: 0,
-                                        flight: st.flight.dump(),
-                                    }),
-                                    wall: st.first_started.map(|s| s.elapsed()).unwrap_or_default(),
-                                };
-                                self.journal_record(&rec, journal, journal_error);
-                                records[index] = Some(rec);
-                                self.emit_progress(total, remaining, &mut last_progress, false);
-                            } else {
-                                let next = st.attempts_launched + 1;
-                                st.attempts_launched = next;
-                                st.active = 1;
-                                st.hedged = false;
-                                st.started = None;
-                                let cancel = CancelToken::new();
-                                st.cancels = vec![cancel.clone()];
-                                let backoff = self.config.backoff.delay(id, next - 1);
-                                self.recorder(id, index, Some(next), &st.flight).record_on(
-                                    lane,
-                                    Decision::Retry {
-                                        next,
-                                        backoff_ms: backoff.as_millis() as u64,
-                                    },
-                                );
-                                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                                q.items.push_back(Dispatch {
-                                    index,
-                                    attempt: next,
-                                    hedge: false,
-                                    backoff: Some(backoff),
-                                    cancel,
-                                    flight: st.flight.clone(),
-                                });
-                                ready.notify_one();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.emit_progress(total, remaining, &mut last_progress, true);
-    }
-
-    /// Hedge any job running past `max(p99, min_age)` once enough jobs
-    /// have completed.
-    fn scan_stragglers<'a, T>(
-        &self,
-        jobs: &[BatchJob<'a, T>],
-        queue: &Mutex<Queue>,
-        ready: &Condvar,
-        states: &mut [JobState],
-        walls: &[Duration],
-        lane: &mut Lane<'_>,
-    ) {
-        let Some(hedge) = &self.config.hedge else {
-            return;
+    ) -> Result<T, String> {
+        let ctx = JobCtx {
+            job_id: job.id.clone(),
+            attempt,
+            cancel: CancelToken::new(),
+            index,
+            flight: flight.clone(),
         };
-        if walls.len() < hedge.min_completed {
-            return;
+        rec.record(Decision::AttemptStart);
+        lane.begin(
+            "batch_job",
+            vec![
+                ("job", ArgValue::from(job.id.as_str())),
+                ("attempt", ArgValue::from(u64::from(attempt))),
+            ],
+        );
+        let result = match &self.config.faults {
+            Some(plan) => catch_isolated(|| {
+                faults::with_scope(plan.clone(), &job.id, attempt, || {
+                    faults::maybe_delay(faults::SITE_BATCH_DELAY, &job.id);
+                    faults::maybe_panic(faults::SITE_BATCH_JOB, &job.id);
+                    (job.work)(&ctx)
+                })
+            }),
+            None => catch_isolated(|| (job.work)(&ctx)),
         }
-        let threshold = p99(walls).max(hedge.min_age);
-        for (i, st) in states.iter_mut().enumerate() {
-            if st.done || st.hedged || st.active != 1 {
-                continue;
-            }
-            let Some(started) = st.started else { continue };
-            if started.elapsed() <= threshold {
-                continue;
-            }
-            st.hedged = true;
-            st.active += 1;
-            self.recorder(&jobs[i].id, i, Some(st.attempts_launched), &st.flight)
-                .record_on(lane, Decision::Hedged);
-            let cancel = CancelToken::new();
-            st.cancels.push(cancel.clone());
-            let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.items.push_back(Dispatch {
-                index: i,
-                attempt: st.attempts_launched,
-                hedge: true,
-                backoff: None,
-                cancel,
-                flight: st.flight.clone(),
-            });
-            ready.notify_one();
+        .and_then(|result| result);
+        lane.rewind();
+        let error = result.as_ref().err().map(String::as_str);
+        if let Some(site) = error.and_then(faults::injected_site) {
+            rec.record(Decision::FaultInjected { site });
         }
+        rec.record(Decision::AttemptEnd { error });
+        result
     }
 
+    /// Appends `rec` to the journal, if one is given, until the first
+    /// write error; that error is kept for the outcome.
     fn journal_record<T>(
         &self,
         rec: &JobRecord<T>,
         journal: Option<JournalSink<'_, T>>,
-        journal_error: &mut Option<String>,
+        journal_error: &Mutex<Option<String>>,
     ) {
         let Some((journal, encode)) = journal else {
             return;
         };
+        let mut journal_error = journal_error.lock().unwrap_or_else(|e| e.into_inner());
         if journal_error.is_some() {
             return; // journaling already broke; don't spam errors
         }
@@ -1095,11 +821,6 @@ mod tests {
 
     fn engine_parts() -> (Telemetry, Tracer) {
         (Telemetry::new(), Tracer::new(TraceLevel::Off))
-    }
-
-    fn no_hedge(mut config: BatchConfig) -> BatchConfig {
-        config.hedge = None;
-        config
     }
 
     #[test]
@@ -1133,11 +854,11 @@ mod tests {
     #[test]
     fn failing_job_follows_the_exact_retry_schedule_then_succeeds() {
         let (telemetry, tracer) = engine_parts();
-        let config = no_hedge(BatchConfig {
+        let config = BatchConfig {
             workers: 1,
             max_attempts: 5,
             ..BatchConfig::default()
-        });
+        };
         let backoff = config.backoff.clone();
         let slept: Arc<Mutex<Vec<(String, u32, Duration)>>> = Arc::default();
         let slept_rec = slept.clone();
@@ -1179,11 +900,11 @@ mod tests {
     #[test]
     fn repeated_identical_failures_quarantine_early_with_structured_incident() {
         let (telemetry, tracer) = engine_parts();
-        let config = no_hedge(BatchConfig {
+        let config = BatchConfig {
             workers: 2,
             max_attempts: 9,
             ..BatchConfig::default()
-        });
+        };
         let engine = BatchEngine::new(config, &telemetry, &tracer).with_sleeper(|_, _, _| {});
         let jobs = vec![
             BatchJob::new("sick", |_: &JobCtx| -> Result<u32, String> {
@@ -1207,11 +928,11 @@ mod tests {
     #[test]
     fn varying_failures_quarantine_at_max_attempts() {
         let (telemetry, tracer) = engine_parts();
-        let config = no_hedge(BatchConfig {
+        let config = BatchConfig {
             workers: 1,
             max_attempts: 4,
             ..BatchConfig::default()
-        });
+        };
         let engine = BatchEngine::new(config, &telemetry, &tracer).with_sleeper(|_, _, _| {});
         let jobs = vec![BatchJob::new(
             "doomed",
@@ -1228,11 +949,11 @@ mod tests {
     #[test]
     fn injected_marker_panics_are_transient_even_when_identical() {
         let (telemetry, tracer) = engine_parts();
-        let config = no_hedge(BatchConfig {
+        let config = BatchConfig {
             workers: 1,
             max_attempts: 4,
             ..BatchConfig::default()
-        });
+        };
         let engine = BatchEngine::new(config, &telemetry, &tracer).with_sleeper(|_, _, _| {});
         let calls = AtomicUsize::new(0);
         let jobs = vec![BatchJob::new("glitchy", |_: &JobCtx| {
@@ -1250,57 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_gets_hedged_and_the_loser_is_cancelled() {
-        let (telemetry, tracer) = engine_parts();
-        let config = BatchConfig {
-            workers: 2,
-            max_attempts: 3,
-            hedge: Some(HedgePolicy {
-                min_completed: 3,
-                min_age: Duration::from_millis(20),
-            }),
-            ..BatchConfig::default()
-        };
-        let engine = BatchEngine::new(config, &telemetry, &tracer);
-        let straggler_runs = AtomicUsize::new(0);
-        let loser_saw_cancel = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let saw = loser_saw_cancel.clone();
-        let mut jobs: Vec<BatchJob<'_, u32>> = (0..4)
-            .map(|i| BatchJob::new(format!("fast-{i}"), |_: &JobCtx| Ok(0u32)))
-            .collect();
-        jobs.push(BatchJob::new("straggler", move |ctx: &JobCtx| {
-            if straggler_runs.fetch_add(1, Ordering::SeqCst) == 0 {
-                // First execution stalls until its hedge twin wins.
-                let start = Instant::now();
-                while !ctx.cancel.is_cancelled() {
-                    if start.elapsed() > Duration::from_secs(10) {
-                        return Err("never cancelled".to_string());
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                saw.store(true, Ordering::SeqCst);
-                Err("cancelled".to_string())
-            } else {
-                Ok(99)
-            }
-        }));
-        let outcome = engine.run(&jobs, None, BTreeMap::new());
-        let rec = outcome
-            .records
-            .iter()
-            .find(|r| r.id == "straggler")
-            .unwrap();
-        assert_eq!(rec.status, JobStatus::Done);
-        assert_eq!(rec.payload, Some(99));
-        assert_eq!(telemetry.get(Counter::JobsHedged), 1);
-        assert!(
-            loser_saw_cancel.load(Ordering::SeqCst),
-            "losing twin observed its CancelToken"
-        );
-        assert_eq!(telemetry.get(Counter::JobsQuarantined), 0);
-    }
-
-    #[test]
     fn journal_round_trips_and_resume_skips_completed_jobs() {
         let dir = std::env::temp_dir().join(format!(
             "gcatch-batch-journal-{}-{:?}",
@@ -1312,10 +982,10 @@ mod tests {
         let ids: Vec<String> = (0..3).map(|i| format!("mod-{i}")).collect();
         let (telemetry, tracer) = engine_parts();
         let engine = BatchEngine::new(
-            no_hedge(BatchConfig {
+            BatchConfig {
                 workers: 2,
                 ..BatchConfig::default()
-            }),
+            },
             &telemetry,
             &tracer,
         );
@@ -1520,11 +1190,11 @@ mod tests {
     #[test]
     fn batch_job_fault_site_drives_retry_then_success() {
         let (telemetry, tracer) = engine_parts();
-        let mut config = no_hedge(BatchConfig {
+        let mut config = BatchConfig {
             workers: 2,
             max_attempts: 6,
             ..BatchConfig::default()
-        });
+        };
         config.faults = Some(Arc::new(
             FaultPlan::new(0.5, 7)
                 .with_sites([faults::SITE_BATCH_JOB])
@@ -1542,11 +1212,11 @@ mod tests {
         assert_eq!(telemetry.get(Counter::JobsQuarantined), 0);
         // And the same seed reproduces the same attempt counts.
         let (telemetry2, tracer2) = engine_parts();
-        let mut config2 = no_hedge(BatchConfig {
+        let mut config2 = BatchConfig {
             workers: 2,
             max_attempts: 6,
             ..BatchConfig::default()
-        });
+        };
         config2.faults = Some(Arc::new(
             FaultPlan::new(0.5, 7)
                 .with_sites([faults::SITE_BATCH_JOB])
@@ -1557,13 +1227,5 @@ mod tests {
         let attempts =
             |o: &BatchOutcome<u32>| o.records.iter().map(|r| r.attempts).collect::<Vec<_>>();
         assert_eq!(attempts(&outcome), attempts(&outcome2));
-    }
-
-    #[test]
-    fn exact_p99_matches_rank_definition() {
-        assert_eq!(p99(&[]), Duration::ZERO);
-        let walls: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(p99(&walls), Duration::from_millis(99));
-        assert_eq!(p99(&walls[..10]), Duration::from_millis(10));
     }
 }

@@ -108,10 +108,11 @@ pub struct DetectorConfig {
     pub solver_step_pool: Option<u64>,
     /// External cancellation attached to the run [`Budget`]: when the
     /// token fires, every cooperative budget check reports expiry and the
-    /// run winds down with partial results. The batch engine uses this to
-    /// stop the losing twin of a hedged job. The token only aborts: until
-    /// it fires the run takes the same code paths, sharing and ladder
-    /// included, as one without a token.
+    /// run winds down with partial results. Nothing in the CLI fires one;
+    /// it stays as the library's abort path, which the detector tests
+    /// cover, and because the benchmark (`perf/`) compiles against it.
+    /// The token only aborts: until it fires the run takes the same code
+    /// paths, sharing and ladder included, as one without a token.
     pub cancel: Option<crate::resilience::CancelToken>,
     /// Cross-channel encoding reuse (the default): structurally identical
     /// channels share solver verdicts through the session's

@@ -3,7 +3,7 @@
 //! mapping from a decision to its observations.
 //!
 //! Every consequential run-level decision — attempt starts and ends, fault
-//! injections, retries, hedges, quarantines, budget exhaustions, per-channel
+//! injections, retries, quarantines, budget exhaustions, per-channel
 //! incidents, sweep leases and releases, serve requests and cache and
 //! session outcomes — is a [`Decision`] recorded by one call,
 //! [`Recorder::record`]. That call bumps the decision's counter, emits its
@@ -25,22 +25,18 @@
 //!    at render time by `(class, group, arrival)` where `class` places
 //!    `run_start` first and `run_end` last, and `group` is the job's
 //!    submission index (batch) or the channel's discovery index (check).
-//!    Within one group the arrival order is causally determined (a single
-//!    worker drives the job's attempts in sequence), so the stable sort
+//!    Within one group the arrival order is causally determined (one
+//!    worker runs all of a job's attempts in sequence), so the stable sort
 //!    yields one canonical interleaving regardless of worker count.
 //! 2. **Zeroable timestamps.** Under `GCATCH_OBS_ZERO_TIME=1` every
 //!    `ts_ns` renders as 0 and the run id becomes a pure function of the
 //!    job list, so golden files and cross-`--jobs` diffs are byte-exact.
 //!
-//! Timing-driven events that are *not* deterministic across schedules
-//! (hedge launches) are still emitted — operators want them — but tests
-//! disable hedging (`--no-hedge`) when asserting byte equality.
-//!
 //! The [`FlightRecorder`] is a bounded ring of human-readable lifecycle
 //! lines kept per job, whose dump is attached to `Quarantined` incidents as
-//! a postmortem (the "flight recorder" of a crashed job). Decisions that
-//! depend on scheduling (a hedge and its twin's attempts) never reach it,
-//! so the dump is byte-identical from run to run.
+//! a postmortem (the "flight recorder" of a crashed job). Every line it
+//! holds comes from the job's own attempts, so the dump is byte-identical
+//! from run to run.
 
 use crate::codec::escape_json;
 use crate::telemetry::{observation_enum, Counter, Telemetry};
@@ -99,7 +95,6 @@ observation_enum! {
         IncidentRecorded { name: "incident" },
         AttemptEnd { name: "attempt_end" },
         JobRetry { name: "job_retry" },
-        JobHedged { name: "job_hedged" },
         JobDone { name: "job_done" },
         JobQuarantined { name: "job_quarantined" },
         WorkerSpawned { name: "worker_spawned" },
@@ -193,8 +188,8 @@ impl EventBus {
     }
 
     /// Appends one event; the bus stamps arrival order and a timestamp.
-    /// A poisoned lock (an emitter panicked mid-push — contained by the
-    /// supervisor) degrades to appending past the poison rather than
+    /// A poisoned lock (an emitter panicked mid-push and the panic was
+    /// contained) degrades to appending past the poison rather than
     /// cascading the panic into every later emitter.
     pub fn emit(&self, event: Event) {
         let ts_ns = if self.zero_time {
@@ -306,8 +301,8 @@ struct Flight {
 }
 
 /// A bounded ring buffer of the last [`FLIGHT_CAPACITY`] lifecycle lines
-/// for one job, shared between the worker executing an attempt and the
-/// supervisor that decides its fate. When a job is quarantined the dump is
+/// for one job, shared between the engine deciding the job and the work
+/// closure running its attempt. When a job is quarantined the dump is
 /// attached to the `Quarantined` incident, turning "quarantined after 3
 /// attempts" into a readable postmortem. Cloning shares the same ring.
 #[derive(Clone, Debug, Default)]
@@ -406,18 +401,16 @@ pub enum Decision<'a> {
     /// Batch: the job was restored from the journal, where it took
     /// `attempts` attempts.
     Resumed { attempts: u32 },
-    /// Batch: an attempt started; `hedge` marks the twin of a straggler.
-    AttemptStart { hedge: bool },
+    /// Batch: an attempt started.
+    AttemptStart,
     /// Batch: an attempt ended, with the failure message as `error` when
     /// it failed.
-    AttemptEnd { hedge: bool, error: Option<&'a str> },
+    AttemptEnd { error: Option<&'a str> },
     /// Batch: the fault layer fired at `site` during the attempt.
     FaultInjected { site: &'a str },
-    /// Batch: a failed job was queued again as attempt `next`, to run
-    /// after `backoff_ms`.
+    /// Batch: a failed job will run again as attempt `next`, after
+    /// `backoff_ms`.
     Retry { next: u32, backoff_ms: u64 },
-    /// Batch: a straggling attempt got a hedge twin.
-    Hedged,
     /// Batch: the job was given up on after `attempts` attempts, the last
     /// failing with `error`.
     Quarantined { attempts: u32, error: &'a str },
@@ -486,20 +479,6 @@ pub enum Decision<'a> {
     DedupDropped { kind: &'a str },
 }
 
-impl Decision<'_> {
-    /// Whether the decision depends on thread scheduling (a hedge and its
-    /// twin's attempts). Such decisions never reach the flight ring, whose
-    /// dump must be byte-identical from run to run.
-    fn depends_on_schedule(self) -> bool {
-        matches!(
-            self,
-            Decision::Hedged
-                | Decision::AttemptStart { hedge: true }
-                | Decision::AttemptEnd { hedge: true, .. }
-        )
-    }
-}
-
 /// Where a decision's observations go: the sinks a caller attached and
 /// the correlation ids its bus event carries. A sink left `None` costs one
 /// branch; nothing is formatted for it.
@@ -547,9 +526,8 @@ impl Recorder<'_> {
                 lane.instant(name, args());
             }
         };
-        let flight = self.flight.filter(|_| !decision.depends_on_schedule());
         let flight = |line: &dyn Fn() -> String| {
-            if let Some(flight) = flight {
+            if let Some(flight) = self.flight {
                 flight.push(line());
             }
         };
@@ -576,17 +554,17 @@ impl Recorder<'_> {
                     vec![("attempts", U64(attempts.into()))]
                 });
             }
-            D::AttemptStart { hedge } => {
+            D::AttemptStart => {
                 flight(&|| format!("attempt {attempt}: started"));
-                event(EventKind::AttemptStart, &|| vec![("hedge", Bool(hedge))]);
+                event(EventKind::AttemptStart, &Vec::new);
             }
-            D::AttemptEnd { hedge, error } => {
+            D::AttemptEnd { error } => {
                 flight(&|| match error {
                     None => format!("attempt {attempt}: succeeded"),
                     Some(error) => format!("attempt {attempt}: failed: {error}"),
                 });
                 event(EventKind::AttemptEnd, &|| {
-                    let mut fields = vec![("ok", Bool(error.is_none())), ("hedge", Bool(hedge))];
+                    let mut fields = vec![("ok", Bool(error.is_none()))];
                     fields.extend(error.map(|error| ("error", Str(error.into()))));
                     fields
                 });
@@ -605,13 +583,6 @@ impl Recorder<'_> {
                 event(EventKind::JobRetry, &|| {
                     vec![("backoff_ms", U64(backoff_ms))]
                 });
-            }
-            D::Hedged => {
-                count(Counter::JobsHedged, 1);
-                instant("job_hedged", &|| {
-                    vec![("job", job()), ("attempt", attempt.into())]
-                });
-                event(EventKind::JobHedged, &Vec::new);
             }
             D::Quarantined { attempts, error } => {
                 count(Counter::JobsQuarantined, 1);
@@ -884,7 +855,7 @@ mod tests {
         });
         assert_eq!(telemetry.get(Counter::IncompleteChannels), 1);
         // No sink at all: a no-op.
-        Recorder::default().record(Decision::Hedged);
+        Recorder::default().record(Decision::AttemptStart);
     }
 
     #[test]
@@ -958,35 +929,6 @@ mod tests {
                 ("job", ArgValue::from("m.go")),
                 ("attempts", ArgValue::U64(2))
             ]
-        );
-    }
-
-    #[test]
-    fn hedge_decisions_never_reach_the_flight_ring() {
-        let flight = FlightRecorder::new();
-        let telemetry = Telemetry::new();
-        let rec = Recorder {
-            telemetry: Some(&telemetry),
-            flight: Some(&flight),
-            attempt: Some(1),
-            ..Recorder::default()
-        };
-        rec.record(Decision::AttemptStart { hedge: true });
-        rec.record(Decision::Hedged);
-        rec.record(Decision::AttemptEnd {
-            hedge: true,
-            error: Some("cancelled"),
-        });
-        assert!(flight.dump().is_empty());
-        assert_eq!(telemetry.get(Counter::JobsHedged), 1);
-        rec.record(Decision::AttemptStart { hedge: false });
-        rec.record(Decision::AttemptEnd {
-            hedge: false,
-            error: None,
-        });
-        assert_eq!(
-            flight.dump(),
-            ["attempt 1: started", "attempt 1: succeeded"]
         );
     }
 }

@@ -40,9 +40,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Panic at the start of a batch job attempt (supervisor-level fault).
+/// Panic at the start of a batch job attempt (engine-level fault).
 pub const SITE_BATCH_JOB: &str = "batch.job";
-/// Artificial delay at the start of a batch job attempt (drives hedging).
+/// Artificial delay at the start of a batch job attempt (report-neutral).
 pub const SITE_BATCH_DELAY: &str = "batch.delay";
 /// Panic inside one channel's BMOC detection pipeline.
 pub const SITE_DETECT_CHANNEL: &str = "detector.channel";
@@ -90,8 +90,8 @@ pub const ALL_SITES: [&str; 12] = [
     SITE_SERVE_SESSION,
 ];
 
-/// Prefix of every injected-fault panic message; supervisors use it to
-/// classify a failure as transient (retry) rather than deterministic.
+/// Prefix of every injected-fault panic message; the batch engine uses it
+/// to classify a failure as transient (retry) rather than deterministic.
 pub const INJECTED_PREFIX: &str = "injected fault:";
 
 /// Whether a failure message came from this module.

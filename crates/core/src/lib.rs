@@ -121,8 +121,8 @@ pub mod warm;
 pub mod worker;
 
 pub use batch::{
-    BackoffPolicy, BatchConfig, BatchEngine, BatchJob, BatchOutcome, HedgePolicy, JobCtx,
-    JobRecord, JobStatus, Journal,
+    BackoffPolicy, BatchConfig, BatchEngine, BatchJob, BatchOutcome, JobCtx, JobRecord, JobStatus,
+    Journal,
 };
 pub use checkers::{Checker, Registry, RunOutput, Selection};
 pub use constraints::{EncodingCache, SolverStrategy};

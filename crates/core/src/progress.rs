@@ -1,9 +1,9 @@
 //! Live progress snapshots for `gcatch batch --progress` and
 //! `gcatch sweep --progress`.
 //!
-//! The batch supervisor (or sweep coordinator) periodically builds a
-//! [`ProgressSnapshot`] from its run's counters and hands it to a
-//! caller-supplied callback; the CLI renders it as a single
+//! The batch engine (as it decides jobs) or the sweep coordinator
+//! periodically builds a [`ProgressSnapshot`] from its run's counters and
+//! hands it to a caller-supplied callback; the CLI renders it as a single
 //! carriage-return-refreshed TTY status line. The snapshot is
 //! derived entirely from the [`Stats`] the run already records — counters
 //! plus the `job_wall_ns` histogram — so enabling progress changes no
@@ -23,10 +23,8 @@ pub struct ProgressSnapshot {
     pub done: usize,
     /// Jobs restored from a checkpoint journal.
     pub resumed: usize,
-    /// Retry dispatches so far.
+    /// Retries so far.
     pub retried: u64,
-    /// Hedge twins launched so far.
-    pub hedged: u64,
     /// Jobs quarantined so far.
     pub quarantined: u64,
     /// Sweep jobs released back to the queue (lease expiry, worker death).
@@ -78,7 +76,6 @@ impl ProgressSnapshot {
             done,
             resumed: stats.counter(Counter::JobsResumed) as usize,
             retried: stats.counter(Counter::JobsRetried),
-            hedged: stats.counter(Counter::JobsHedged),
             quarantined: stats.counter(Counter::JobsQuarantined),
             released: stats.counter(Counter::JobsReleases),
             workers_lost: stats.counter(Counter::WorkersLost),
@@ -99,9 +96,6 @@ impl ProgressSnapshot {
         }
         if self.retried > 0 {
             line.push_str(&format!(" · {} retried", self.retried));
-        }
-        if self.hedged > 0 {
-            line.push_str(&format!(" · {} hedged", self.hedged));
         }
         if self.quarantined > 0 {
             line.push_str(&format!(" · {} quarantined", self.quarantined));
@@ -149,7 +143,6 @@ mod tests {
             done: 5,
             resumed: 1,
             retried: 2,
-            hedged: 1,
             quarantined: 1,
             p50_ms: 12.4,
             p99_ms: 80.2,
@@ -158,7 +151,7 @@ mod tests {
         };
         assert_eq!(
             snap.render_line(),
-            "batch 5/8 done · 1 resumed · 2 retried · 1 hedged · 1 quarantined \
+            "batch 5/8 done · 1 resumed · 2 retried · 1 quarantined \
              · p50 12 ms · p99 80 ms · eta 3s"
         );
     }
@@ -191,10 +184,7 @@ mod tests {
         t.observe(Metric::JobWallNs, 10_000_000);
         t.observe(Metric::JobWallNs, 30_000_000);
         let snap = ProgressSnapshot::from_stats(false, &t.snapshot(), 8, 4, 2);
-        assert_eq!(
-            (snap.resumed, snap.retried, snap.hedged, snap.quarantined),
-            (1, 2, 0, 1)
-        );
+        assert_eq!((snap.resumed, snap.retried, snap.quarantined), (1, 2, 1));
         assert_eq!((snap.released, snap.workers_lost), (3, 1));
         // Mean job wall 20 ms, four jobs left, two workers.
         assert_eq!(snap.eta_ms, Some(40));

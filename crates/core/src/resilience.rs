@@ -33,11 +33,12 @@ use crate::paths::Limits;
 
 /// A shared cooperative cancellation flag.
 ///
-/// The batch engine hands one token to every dispatched attempt; when a
-/// hedged twin wins the race, the loser's token is cancelled and its
-/// [`Budget`] starts reporting [`expired`](Budget::expired), so the
-/// loser winds down at the next cooperative check instead of burning a
-/// worker to completion. Clones share the flag.
+/// Attached to a [`Budget`] (via [`Budget::with_cancel`]), a cancelled
+/// token makes the budget report [`expired`](Budget::expired), so the
+/// run winds down at its next cooperative check. It is the library's
+/// abort path, kept for [`DetectorConfig::cancel`](crate::DetectorConfig)
+/// and the benchmark that compiles against it; the CLI never fires one.
+/// Clones share the flag.
 ///
 /// A token only aborts: it does not make a budget
 /// [ration](Budget::rations) work, so an uncancelled run takes the same

@@ -146,8 +146,9 @@ observation_enum! {
         /// Batch job attempts re-dispatched after a contained failure.
         JobsRetried { name: "jobs_retried", subsystem: "batch",
             help: "Batch job attempts re-dispatched after a contained failure." },
-        /// Batch jobs that got a hedge twin after straggling past the
-        /// completed-job p99.
+        /// Always 0: the batch engine no longer hedges stragglers. The row
+        /// stays only because the benchmark (`perf/`) compiles against it,
+        /// and its `.prom` line stays byte-identical.
         JobsHedged { name: "jobs_hedged", subsystem: "batch",
             help: "Batch jobs that got a hedge twin after straggling past the p99." },
         /// Batch jobs set aside after exhausting their retry budget.
@@ -272,7 +273,7 @@ observation_enum! {
         CombosPerChannel { name: "combos_per_channel", time: false,
             help: "Path combinations built per channel." },
         /// Per-job wall-clock time in the batch engine (ns; one sample per
-        /// completed job, hedges and retries included in the winner's time).
+        /// completed job, its retries and their backoff included).
         JobWallNs { name: "job_wall_ns", time: true,
             help: "Per-job wall-clock time in the batch engine, in seconds." },
         /// End-to-end wall-clock per checked module (ns; one sample per

@@ -302,7 +302,6 @@ mod tests {
         let batch = BatchConfig {
             workers: 2,
             max_attempts: 2,
-            hedge: None,
             ..BatchConfig::default()
         };
         let (results, incidents) = run_apps_supervised(&apps, &DetectorConfig::default(), batch);

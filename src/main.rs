@@ -18,10 +18,10 @@ use gcatch_suite::gcatch::{
     derive_run_id, faults, obs_zero_time, read_manifest, render_explain, render_json_with,
     render_prometheus, render_stats_json, run_worker, serve_socket, serve_stdio, warm_check,
     write_manifest, AliasMode, BatchConfig, BatchEngine, BatchJob, Budget, Coordinator, Counter,
-    DetectorConfig, Diagnostic, EventBus, EventKind, FaultPlan, GCatch, HedgePolicy, Incident,
-    IncidentKind, JobRecord, Journal, Metric, ObsScope, ProgressSnapshot, Selection, ServeConfig,
-    Stats, SweepConfig, SweepLayout, Telemetry, TraceLevel, TraceSnapshot, Tracer, WarmSessions,
-    WorkKind, WorkerConfig,
+    DetectorConfig, Diagnostic, EventBus, EventKind, FaultPlan, GCatch, Incident, IncidentKind,
+    JobRecord, Journal, Metric, ObsScope, ProgressSnapshot, Selection, ServeConfig, Stats,
+    SweepConfig, SweepLayout, Telemetry, TraceLevel, TraceSnapshot, Tracer, WarmSessions, WorkKind,
+    WorkerConfig,
 };
 use gcatch_suite::{gfix, sim};
 use std::collections::BTreeMap;
@@ -89,18 +89,17 @@ commands:
                         a patch, fix stops without a fixpoint and exits 2
   simulate [--seeds N] [--entry F]
                         explore schedules and report outcomes
-  batch [--jobs N] [--max-attempts N] [--backoff-ms MS] [--hedge-ms MS] [--no-hedge]
+  batch [--jobs N] [--max-attempts N] [--backoff-ms MS]
         [--inject-faults RATE] [--fault-seed N] [--journal FILE | --resume FILE]
         [--report FILE] [--json] [--stats] [--strict] [--explain] [--trace FILE]
         [--metrics-out FILE] [--events-out FILE] [--progress]
         [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         <file.go|dir>...
-                        check many modules under a supervised worker pool:
-                        failed modules retry with exponential backoff,
-                        persistent failures are quarantined after
-                        --max-attempts, and stragglers past the p99 job
-                        time are hedged with a second dispatch (first
-                        result wins). --journal appends each decided job
+                        check many modules on a pool of --jobs worker
+                        threads, each deciding one module at a time:
+                        a failed module retries with exponential backoff,
+                        and persistent failures are quarantined after
+                        --max-attempts. --journal appends each decided job
                         to a crash-safe JSONL checkpoint; --resume JOURNAL
                         skips the jobs it already decided. --inject-faults
                         arms the deterministic fault layer (see below).
@@ -124,7 +123,7 @@ commands:
                         heartbeat deadline, quarantines jobs released more
                         than --max-releases times, and finally merges all
                         journals into one report that is byte-identical to
-                        a single-process `gcatch batch --no-hedge` run over
+                        a single-process `gcatch batch` run over
                         the same modules. A job decided by two workers
                         keeps exactly one record (first durable decision
                         wins) and surfaces a duplicate-decision warning on
@@ -190,7 +189,7 @@ observability (check / extended / batch / sweep / serve):
                         attempt, and channel that produced it, so one
                         grep reconstructs any job's full lifecycle
   --progress            (batch / sweep) render a live progress line on
-                        stderr: done/retried/hedged/quarantined counts,
+                        stderr: done/retried/quarantined counts,
                         p50/p99 job wall, and an ETA; auto-disabled when
                         stderr is not a tty or under --json
   --explain             (batch) print each quarantined job's flight
@@ -1061,7 +1060,6 @@ fn batch_job(
         // quarantine postmortem, which must be byte-identical whether or
         // not --events-out was passed); the bus only when the run armed one.
         let config = DetectorConfig {
-            cancel: Some(ctx.cancel.clone()),
             obs: ObsScope {
                 bus: bus.clone(),
                 flight: Some(ctx.flight.clone()),
@@ -1088,12 +1086,6 @@ fn batch_job(
         {
             return Err(inc.message.clone());
         }
-        // A hedge twin that lost the race ran under a fired cancel token;
-        // its partial results must never win, so degrade them to a failed
-        // attempt.
-        if ctx.cancel.is_cancelled() {
-            return Err("cancelled mid-run".to_string());
-        }
         telemetry.absorb(&checked.stats);
         let mut payload = String::from("{\"module\":\"");
         escape_json(&path, &mut payload);
@@ -1113,12 +1105,10 @@ fn batch_job(
 /// The engine configuration batch jobs are decided under. Every
 /// record-shaping knob (attempt budget, backoff schedule, fault plan)
 /// comes from the same flags for `batch` and a sweep worker; only the
-/// topology differs. `batch` runs `--jobs` workers (0 = all cores) and
-/// hedges stragglers. A sweep worker runs one job at a time and never
-/// hedges, so each decision is a pure function of its module: this is
-/// what makes the merged sweep report byte-identical to
-/// `gcatch batch --no-hedge` regardless of fleet size, kills, or
-/// re-leases.
+/// topology differs: `batch` runs `--jobs` workers (0 = all cores), a
+/// sweep worker one. Either way each decision is a pure function of its
+/// module, which is what makes the merged sweep report byte-identical to
+/// `gcatch batch` regardless of fleet size, kills, or re-leases.
 fn engine_config(flags: &[Flag], sweep_worker: bool) -> Result<BatchConfig, String> {
     let (plan, fault_seed) = fault_plan(flags)?;
     let max_attempts = parse_flag(flags, "max-attempts")?.unwrap_or(3);
@@ -1128,7 +1118,6 @@ fn engine_config(flags: &[Flag], sweep_worker: bool) -> Result<BatchConfig, Stri
     let mut batch = BatchConfig {
         workers: 1,
         max_attempts,
-        hedge: None,
         faults: plan.map(Arc::new),
         ..BatchConfig::default()
     };
@@ -1142,16 +1131,6 @@ fn engine_config(flags: &[Flag], sweep_worker: bool) -> Result<BatchConfig, Stri
         batch.backoff.base = Duration::from_millis(ms);
     }
     batch.backoff.seed = fault_seed.unwrap_or(0);
-    // Parsed even under `--no-hedge`: a malformed value is a usage error
-    // whether or not it is used.
-    let hedge_ms: Option<u64> = parse_flag(flags, "hedge-ms")?;
-    if !sweep_worker && !has_flag(flags, "no-hedge") {
-        let mut hedge = HedgePolicy::default();
-        if let Some(ms) = hedge_ms {
-            hedge.min_age = Duration::from_millis(ms);
-        }
-        batch.hedge = Some(hedge);
-    }
     Ok(batch)
 }
 
@@ -1167,8 +1146,6 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
         ],
         &[
             ("jobs", true),
-            ("hedge-ms", true),
-            ("no-hedge", false),
             ("journal", true),
             ("resume", true),
             ("report", true),

@@ -309,6 +309,10 @@ fn unknown_flags_are_rejected_with_exit_2() {
         vec!["check", "--solver-mode", "fresh"],
         vec!["batch", "--alias-mode", "eager"],
         vec!["serve", "--no-share-encodings"],
+        // Batch decides each job in one loop; there is no second dispatch
+        // to tune or turn off.
+        vec!["batch", "--no-hedge"],
+        vec!["batch", "--hedge-ms", "5"],
     ] {
         let mut full = args.clone();
         let p = path.to_str().unwrap();
@@ -635,8 +639,6 @@ fn bad_budget_flag_values_exit_2() {
         vec!["extended", "--step-pool", "1.5"],
         // 2^32 fits a u64 but not the u32 attempt counter.
         vec!["batch", "--max-attempts", "4294967296"],
-        // Malformed even where hedging is off.
-        vec!["batch", "--no-hedge", "--hedge-ms", "banana"],
     ] {
         let mut full = args.clone();
         full.push(p);
@@ -1287,9 +1289,9 @@ func main() {
 
 #[test]
 fn batch_reports_match_check_byte_for_byte() {
-    // A batch job carries its hedge cancel token even when nothing
-    // cancels it; the token must not send the combo-capped channel down
-    // the degradation ladder or turn off verdict sharing.
+    // A batch job runs the module exactly as `check` does: the
+    // combo-capped channel must not go down the degradation ladder, and
+    // verdict sharing must stay on.
     let cap = write_temp("batch-combo-cap", COMBO_CAP);
     let mut examples: Vec<String> = std::fs::read_dir("examples/batch")
         .expect("examples/batch")

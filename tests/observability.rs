@@ -38,7 +38,7 @@ fn run_batch(corpus: &Path, extra: &[&str]) -> std::process::Output {
     let out = gcatch()
         .arg("batch")
         .arg(corpus)
-        .args(["--max-attempts", "2", "--no-hedge"])
+        .args(["--max-attempts", "2"])
         .args(extra)
         .env("GCATCH_OBS_ZERO_TIME", "1")
         .output()

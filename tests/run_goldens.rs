@@ -1,10 +1,10 @@
 //! Goldens for the run-level observation streams, byte for byte where the
 //! stream is deterministic:
 //!
-//! * a fault-injected `batch --no-hedge --jobs 1` over `examples/batch`
-//!   (retries and quarantines): its zero-time `--events-out` and
-//!   `--metrics-out`, its journal, its `--explain` flight dumps and the
-//!   trace instants of its supervisor lane (timestamps stripped);
+//! * a fault-injected `batch --jobs 1` over `examples/batch` (retries and
+//!   quarantines): its zero-time `--events-out` and `--metrics-out`, its
+//!   journal, its `--explain` flight dumps and the trace instants of its
+//!   worker lane (timestamps stripped);
 //! * a `check` whose channel exhausts the degradation ladder: its events
 //!   and trace instants;
 //! * a `serve --stdio` session with a cache miss, a cache hit, a warm
@@ -86,7 +86,7 @@ fn fault_injected_batch_streams_match_their_goldens() {
     let journal = dir.join("journal.jsonl");
     let trace = dir.join("trace.json");
     let out = gcatch()
-        .args(["batch", "examples/batch", "--no-hedge", "--jobs", "1"])
+        .args(["batch", "examples/batch", "--jobs", "1"])
         .args(["--max-attempts", "2", "--backoff-ms", "5"])
         .args(["--inject-faults", "0.3", "--fault-seed", "6", "--explain"])
         .arg("--events-out")
@@ -294,7 +294,6 @@ fn progress_lines_match_their_goldens() {
         done: 5,
         resumed: 1,
         retried: 3,
-        hedged: 1,
         quarantined: 2,
         p50_ms: 12.4,
         p99_ms: 80.6,

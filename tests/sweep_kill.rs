@@ -28,12 +28,10 @@ fn corpus() -> &'static str {
 }
 
 /// The single-process reference report every sweep must reproduce
-/// byte-for-byte. `--no-hedge` because sweep workers run hedge-free
-/// single-job engines (hedging is a thread-pool latency optimization; a
-/// lease queue re-leases stragglers instead).
+/// byte-for-byte, in the default configuration.
 fn batch_reference(inputs: &[&str], report: &Path) {
     let out = gcatch()
-        .args(["batch", "--no-hedge", "--report", report.to_str().unwrap()])
+        .args(["batch", "--report", report.to_str().unwrap()])
         .args(inputs)
         .output()
         .expect("gcatch batch runs");
