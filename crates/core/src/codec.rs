@@ -87,8 +87,8 @@ pub enum Value {
 }
 
 /// Reads one flat JSON object whose values are strings or non-negative
-/// integers — the shape of serve requests and sweep leases — and returns
-/// its fields in order. A repeated key is an error: the two values would
+/// integers — the shape of serve requests — and returns its fields in
+/// order. A repeated key is an error: the two values would
 /// otherwise silently resolve to whichever the caller reads last.
 pub fn flat_object(s: &str) -> Result<Vec<(String, Value)>, String> {
     let rest = s

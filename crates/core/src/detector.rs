@@ -68,6 +68,16 @@ pub struct GroupMember {
     pub event: usize,
 }
 
+/// Maximum path combinations examined per channel.
+const MAX_COMBOS: usize = 192;
+
+/// Maximum goroutines per combination.
+const MAX_GOROUTINES: usize = 5;
+
+/// Maximum suspicious-group size (the paper's bugs involve 1–2 blocked
+/// goroutines).
+const MAX_GROUP_SIZE: usize = 2;
+
 /// Detector configuration.
 #[derive(Debug, Clone)]
 pub struct DetectorConfig {
@@ -75,13 +85,6 @@ pub struct DetectorConfig {
     pub limits: Limits,
     /// Disentangling on (default) or off (ablation mode).
     pub disentangle: bool,
-    /// Maximum path combinations examined per channel.
-    pub max_combos: usize,
-    /// Maximum goroutines per combination.
-    pub max_goroutines: usize,
-    /// Maximum suspicious-group size (the paper's bugs involve 1–2 blocked
-    /// goroutines).
-    pub max_group_size: usize,
     /// Solver step budget per query.
     pub solver_steps: u64,
     /// How solver queries are discharged: one incremental solver per
@@ -139,9 +142,6 @@ impl Default for DetectorConfig {
         DetectorConfig {
             limits: Limits::default(),
             disentangle: true,
-            max_combos: 192,
-            max_goroutines: 5,
-            max_group_size: 2,
             solver_steps: 400_000,
             solver_strategy: SolverStrategy::default(),
             jobs: 0,
@@ -571,7 +571,7 @@ impl<'m> AnalysisSession<'m> {
         .with_budget(budget.clone());
         lane.begin("build_combos", vec![]);
         let combos = self.telemetry.time(Stage::Paths, || {
-            self.build_combos(&mut enumerator, root, config, lane)
+            self.build_combos(&mut enumerator, root, lane)
         });
         lane.end();
         let paths_enumerated = enumerator.paths_enumerated();
@@ -594,7 +594,7 @@ impl<'m> AnalysisSession<'m> {
         self.telemetry
             .observe(Metric::CombosPerChannel, combos.len() as u64);
         let mut exhausted = enumerator.exhausted();
-        if budget.rations() && combos.len() >= config.max_combos {
+        if budget.rations() && combos.len() >= MAX_COMBOS {
             // Combination blowup under a rationing budget counts as
             // incomplete: the ladder's tighter limits produce fewer,
             // shorter paths.
@@ -616,7 +616,7 @@ impl<'m> AnalysisSession<'m> {
                 exhausted = true;
                 break;
             }
-            for query in self.queries(pass, combo, chan, config.max_group_size) {
+            for query in self.queries(pass, combo, chan) {
                 let key = self.query_key(combo, &query);
                 if local_seen.contains(&key) {
                     continue;
@@ -702,7 +702,6 @@ impl<'m> AnalysisSession<'m> {
         &self,
         enumerator: &mut Enumerator<'_>,
         root: FuncId,
-        config: &DetectorConfig,
         lane: &mut Lane<'_>,
     ) -> Vec<Combo> {
         let mut out: Vec<Combo> = Vec::new();
@@ -717,12 +716,12 @@ impl<'m> AnalysisSession<'m> {
                 spawned_at: None,
                 root_func: root,
             }];
-            self.expand_goroutine(enumerator, partial, 0, config, &mut out);
-            if out.len() >= config.max_combos {
+            self.expand_goroutine(enumerator, partial, 0, &mut out);
+            if out.len() >= MAX_COMBOS {
                 break;
             }
         }
-        out.truncate(config.max_combos);
+        out.truncate(MAX_COMBOS);
         out
     }
 
@@ -732,10 +731,9 @@ impl<'m> AnalysisSession<'m> {
         enumerator: &mut Enumerator<'_>,
         partial: Vec<GoroutinePath>,
         gi: usize,
-        config: &DetectorConfig,
         out: &mut Vec<Combo>,
     ) {
-        if out.len() >= config.max_combos {
+        if out.len() >= MAX_COMBOS {
             return;
         }
         if gi == partial.len() {
@@ -752,10 +750,9 @@ impl<'m> AnalysisSession<'m> {
                 _ => None,
             })
             .collect();
-        self.choose_children(enumerator, partial, gi, &spawns, 0, config, out);
+        self.choose_children(enumerator, partial, gi, &spawns, 0, out);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn choose_children(
         &self,
         enumerator: &mut Enumerator<'_>,
@@ -763,20 +760,19 @@ impl<'m> AnalysisSession<'m> {
         gi: usize,
         spawns: &[(usize, FuncId)],
         si: usize,
-        config: &DetectorConfig,
         out: &mut Vec<Combo>,
     ) {
-        if out.len() >= config.max_combos {
+        if out.len() >= MAX_COMBOS {
             return;
         }
         if si == spawns.len() {
-            self.expand_goroutine(enumerator, partial, gi + 1, config, out);
+            self.expand_goroutine(enumerator, partial, gi + 1, out);
             return;
         }
         let (ev, target) = spawns[si];
-        if partial.len() >= config.max_goroutines {
+        if partial.len() >= MAX_GOROUTINES {
             // Goroutine budget exhausted: ignore further spawns.
-            self.choose_children(enumerator, partial, gi, spawns, si + 1, config, out);
+            self.choose_children(enumerator, partial, gi, spawns, si + 1, out);
             return;
         }
         for child_path in enumerator.paths_of(target) {
@@ -786,8 +782,8 @@ impl<'m> AnalysisSession<'m> {
                 spawned_at: Some((gi, ev)),
                 root_func: target,
             });
-            self.choose_children(enumerator, next, gi, spawns, si + 1, config, out);
-            if out.len() >= config.max_combos {
+            self.choose_children(enumerator, next, gi, spawns, si + 1, out);
+            if out.len() >= MAX_COMBOS {
                 return;
             }
         }
@@ -798,16 +794,10 @@ impl<'m> AnalysisSession<'m> {
     /// The queries `pass` asks of one combination: BMOC's suspicious
     /// groups, or every (send, close) pair on `chan` — sends in goroutine
     /// and event order, each with every close in that order.
-    fn queries(
-        &self,
-        pass: Pass,
-        combo: &Combo,
-        chan: PrimId,
-        max_group_size: usize,
-    ) -> Vec<Query> {
+    fn queries(&self, pass: Pass, combo: &Combo, chan: PrimId) -> Vec<Query> {
         if pass == Pass::Bmoc {
             return self
-                .suspicious_groups(combo, chan, max_group_size)
+                .suspicious_groups(combo, chan)
                 .into_iter()
                 .map(Query::Group)
                 .collect();
@@ -836,15 +826,10 @@ impl<'m> AnalysisSession<'m> {
         pairs
     }
 
-    /// Suspicious groups (Algorithm 1, line 15): up to `max_size` blocking
-    /// operations from distinct goroutines, at least one on channel `c`,
-    /// that cannot unblock each other.
-    fn suspicious_groups(
-        &self,
-        combo: &Combo,
-        c: PrimId,
-        max_size: usize,
-    ) -> Vec<Vec<GroupMember>> {
+    /// Suspicious groups (Algorithm 1, line 15): up to [`MAX_GROUP_SIZE`]
+    /// blocking operations from distinct goroutines, at least one on
+    /// channel `c`, that cannot unblock each other.
+    fn suspicious_groups(&self, combo: &Combo, c: PrimId) -> Vec<Vec<GroupMember>> {
         // Candidates per goroutine.
         let mut per_go: Vec<Vec<GroupMember>> = Vec::new();
         for (gi, g) in combo.gos.iter().enumerate() {
@@ -872,7 +857,7 @@ impl<'m> AnalysisSession<'m> {
             }
         }
         // Size 2 (distinct goroutines, non-complementary).
-        if max_size >= 2 {
+        if MAX_GROUP_SIZE >= 2 {
             for (gi, ci) in per_go.iter().enumerate() {
                 for cj in per_go.iter().skip(gi + 1) {
                     for &a in ci {

@@ -423,10 +423,10 @@ pub enum Decision<'a> {
     /// Sweep: `worker` died holding the job's lease of `generation`; the
     /// job's release follows.
     LeaseHolderLost { worker: &'a str, generation: u64 },
-    /// Sweep: the coordinator saw `worker` lease the job at `generation`.
+    /// Sweep: the coordinator leased the job to `worker` at `generation`.
     Leased { worker: &'a str, generation: u64 },
     /// Sweep: `worker`'s lease of `generation` passed its deadline
-    /// un-renewed.
+    /// without a hold.
     LeaseExpired { worker: &'a str, generation: u64 },
     /// Sweep: the job went back to the queue for the `releases`-th time.
     Released { releases: u64 },
@@ -522,7 +522,7 @@ impl Recorder<'_> {
             }
         };
         let mut instant = |name: &'static str, args: &dyn Fn() -> Vec<(&'static str, ArgValue)>| {
-            if let Some(lane) = lane.as_deref_mut().filter(|lane| lane.full()) {
+            if let Some(lane) = lane.as_deref_mut().filter(|lane| lane.enabled()) {
                 lane.instant(name, args());
             }
         };

@@ -15,8 +15,8 @@
 //! | `solver.steps`     | step-exhaustion panic inside the DPLL loop       |
 //! | `corpus.app`       | panic while running one corpus replica           |
 //! | `sweep.worker`     | a sweep worker process self-terminates mid-job   |
-//! | `sweep.heartbeat`  | a sweep worker stops writing heartbeats          |
-//! | `sweep.lease`      | a sweep worker stops renewing its job lease      |
+//! | `sweep.heartbeat`  | a sweep worker never sends heartbeats            |
+//! | `sweep.lease`      | a sweep worker never holds one assignment        |
 //! | `serve.accept`     | panic while setting up an accepted connection    |
 //! | `serve.request`    | panic or delay inside one daemon request         |
 //! | `serve.cache`      | a serve cache index entry is written corrupted   |
@@ -51,13 +51,13 @@ pub const SITE_SOLVER_STEPS: &str = "solver.steps";
 /// Panic while running one corpus replica through the census.
 pub const SITE_CORPUS_APP: &str = "corpus.app";
 /// A sweep worker process self-terminates (simulated crash) right after
-/// claiming a job, leaving an orphaned lease behind.
+/// it reads an assignment, leaving the job leased to a dead worker.
 pub const SITE_SWEEP_WORKER: &str = "sweep.worker";
-/// A sweep worker silently stops writing heartbeat files while it keeps
-/// working, so the coordinator must detect and kill it.
+/// A sweep worker never sends heartbeats while it keeps working, so the
+/// coordinator must detect and kill it.
 pub const SITE_SWEEP_HEARTBEAT: &str = "sweep.heartbeat";
-/// A sweep worker stops renewing the lease of its current job, letting
-/// the lease expire mid-run (drives the duplicate-decision path).
+/// A sweep worker never holds one assignment, letting it expire mid-run
+/// (drives the duplicate-decision path).
 pub const SITE_SWEEP_LEASE: &str = "sweep.lease";
 /// Panic while the serve daemon sets up an accepted connection; the
 /// daemon must survive and keep accepting.

@@ -28,8 +28,8 @@
 //!   process-wide [`Registry`] unifying every detector behind stable names
 //!   with `--only`/`--skip` selection;
 //! * [`codec`] — the one JSON codec: string escaping and decoding, the
-//!   flat-object reader behind serve requests and sweep leases, and the
-//!   well-formedness validator;
+//!   flat-object reader behind serve requests, and the well-formedness
+//!   validator;
 //! * [`diagnostics`] — structured [`Diagnostic`]s with stable IDs,
 //!   severities, and dependency-free JSON rendering;
 //! * [`durable`] — crash-safe files: fsync helpers, the atomic write, and
@@ -49,17 +49,18 @@
 //!   JSONL) and the per-job [`FlightRecorder`] attached to quarantine
 //!   incidents;
 //! * [`progress`] — live batch progress snapshots (`batch --progress`);
-//! * [`sweep`] — the multi-process sweep coordinator: lease-based on-disk
-//!   work queue, heartbeat supervision, dead-worker re-lease, and the
-//!   byte-deterministic journal merge (`gcatch sweep`);
+//! * [`sweep`] — the multi-process sweep coordinator: assignments,
+//!   heartbeats and holds over each worker's stdin and stdout, job state
+//!   in memory, dead-worker re-lease, and the byte-deterministic journal
+//!   merge (`gcatch sweep`);
 //! * [`serve`] — the crash-only analysis daemon (`gcatch serve`):
 //!   JSON-lines request protocol, bounded admission with deterministic
 //!   load shedding, per-request deadlines, and a persistent warm response
 //!   cache that self-heals after `kill -9`;
 //! * [`signals`] — SIGINT/SIGTERM as a pollable graceful-drain flag
 //!   shared by the daemon and the sweep coordinator;
-//! * [`worker`] — the sweep worker loop (`gcatch worker`): claim, execute,
-//!   journal, mark done, release.
+//! * [`worker`] — the sweep worker loop (`gcatch worker`): read an
+//!   assignment, execute, journal, report done.
 //!
 //! # Examples
 //!
@@ -150,7 +151,7 @@ pub use sweep::{
 pub use telemetry::{Counter, Metric, Stage, Stats, Telemetry};
 pub use trace::{HistSnapshot, Histogram, TraceLevel, TraceSnapshot, Tracer};
 pub use warm::{warm_check, WarmOutcome, WarmSessions};
-pub use worker::{run_worker, WorkerConfig, WorkerSummary};
+pub use worker::{run_worker, WorkerConfig};
 
 /// The complete GCatch system: one [`AnalysisSession`] run through the
 /// checker [`Registry`] behind one entry point.

@@ -1,77 +1,112 @@
-//! The multi-process sweep coordinator: a lease-based on-disk work queue,
-//! worker-fleet supervision, and the byte-deterministic journal merge.
+//! The multi-process sweep coordinator: worker-fleet supervision over each
+//! worker's pipes, and the byte-deterministic journal merge.
 //!
-//! `gcatch sweep --workers N` scales the PR 4 batch engine from "one
-//! machine's cores" to "a fleet of processes": the coordinator materializes
-//! the job list as an on-disk [manifest](write_manifest), spawns N
-//! `gcatch worker` child processes, and supervises them through plain
-//! files — no sockets, no shared memory, every transition crash-safe:
+//! `gcatch sweep --workers N` scales the batch engine from "one machine's
+//! cores" to "a fleet of processes": the coordinator writes the job list
+//! as an on-disk [manifest](write_manifest), spawns N `gcatch worker`
+//! child processes, and supervises them over their stdin and stdout. Job
+//! state — each job's assignment, its deadline and its release count —
+//! lives in the coordinator's memory; the sweep directory holds only the
+//! manifest and the worker journals.
 //!
-//! * **Leases** ([`try_claim`]): one file per job under `leases/`, created
-//!   with `O_EXCL` (`create_new`) so exactly one worker wins a claim. A
-//!   lease carries the owner id, a generation (the job's release count at
-//!   claim time), and a deadline; owners renew it via atomic
-//!   temp-file-plus-rename ([`renew_lease`]).
-//! * **Heartbeats**: each worker bumps a counter file under `heartbeats/`;
-//!   the coordinator kills and replaces any worker whose counter stalls
-//!   past the staleness deadline — a worker that is alive but silent is
-//!   indistinguishable from a hung one, so both are culled.
-//! * **Re-lease** ([`Coordinator`]): when a lease deadline passes or a
-//!   worker dies (including SIGKILL), the job's lease is removed and its
-//!   release counter bumped, making it claimable again. A job released
-//!   more than `max_releases` times is quarantined by the coordinator
-//!   itself, with the coordinator-side flight-recorder postmortem (the
-//!   full lease history) attached to the incident.
-//! * **Journals**: every worker appends decided jobs to its own PR 4
+//! * **Protocol** ([`Line`]): assignments go down a worker's stdin; beats,
+//!   holds and decisions come up its stdout. Closing a worker's stdin
+//!   means "finish your current job, then exit 0".
+//! * **Supervision** ([`Coordinator`]): an assignment not held within one
+//!   lease expires and the job is released. A worker with no `beat` for
+//!   four leases is killed — alive but silent is indistinguishable from
+//!   hung. A worker whose stdout ends before its stdin was closed is
+//!   lost: its assignment is released and a replacement spawned. A job
+//!   released more than `max_releases` times is quarantined by the
+//!   coordinator itself, with the job's lease history (its coordinator-side
+//!   flight recorder) attached to the incident as the postmortem.
+//! * **Journals**: every worker appends decided jobs to its own
 //!   fsync-per-line [`Journal`] (fingerprinted over the *full* job set),
 //!   so any prefix of any worker's work survives any crash.
-//! * **Merge** ([`merge_journals`]): after all jobs carry `done/` markers
-//!   the coordinator folds every journal into one record set in manifest
+//! * **Merge** ([`merge_journals`]): once every job is decided the
+//!   coordinator folds every journal into one record set in manifest
 //!   order. Because each decision is a pure function of its module (the
 //!   per-job engine runs with the same attempt budget, backoff seed, and
 //!   fault plan as single-process `gcatch batch`), the merged report is
 //!   **byte-identical** to a faultless single-process run. A job decided
-//!   by more than one worker (an expired lease re-leased while the
+//!   by more than one worker (an expired assignment re-issued while the
 //!   original owner kept working) keeps exactly one record — `Done`
 //!   preferred, then lowest worker name — and surfaces a
 //!   [`DuplicateDecision`] incident instead of corrupting the report.
-//!
-//! Directory-entry durability is part of the protocol: every create,
-//! rename, and remove under the sweep directory is followed by an fsync of
-//! the containing directory ([`fsync_dir`]), so a metadata-losing crash
-//! cannot orphan a decided job or resurrect a released lease.
 
 use crate::batch::{job_set_header, JobRecord, JobStatus, Journal};
-use crate::codec::{self, escape_json, unquote};
-use crate::durable::{self, fsync_dir, write_atomic};
+use crate::codec::{escape_json, unquote};
+use crate::durable::{self, fsync_dir};
 use crate::events::{Decision, EventBus, FlightRecorder, Recorder};
 use crate::progress::ProgressSnapshot;
 use crate::resilience::{Incident, IncidentKind};
 use crate::telemetry::{Counter, Telemetry};
-use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::process::Child;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, BufReader, Write as _};
+use std::path::PathBuf;
+use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Exit code a worker uses when the `sweep.worker` fault site fires and
 /// the process self-terminates mid-job (a simulated crash, distinguishable
 /// from real panics in CI logs).
 pub const WORKER_KILL_EXIT: i32 = 17;
 
-/// Milliseconds since the UNIX epoch (lease deadlines; all sweep
-/// processes run on one machine, so one clock serves them all).
-pub fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
+/// How long the coordinator waits for a worker line between deadline checks.
+const TICK: Duration = Duration::from_millis(15);
+
+/// How long a wound-down worker may take to finish its job before it is
+/// killed.
+const GRACE: Duration = Duration::from_secs(5);
+
+// -------------------------------------------------------------- protocol
+
+/// One line of the sweep protocol; [`Line::parse`] reads what `Display`
+/// writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Line {
+    /// Coordinator → worker, `run <job> <generation>`: run the job, whose
+    /// release count so far is the generation.
+    Run(usize, u64),
+    /// Worker → coordinator, `beat`: the worker is alive.
+    Beat,
+    /// Worker → coordinator, `hold <job>`: the job still runs here.
+    Hold(usize),
+    /// Worker → coordinator, `done <job>`: the job's decision is journaled.
+    Done(usize),
+}
+
+impl Line {
+    /// Parses one line (without its newline); anything else is `None`.
+    pub fn parse(text: &str) -> Option<Line> {
+        let words: Vec<&str> = text.split(' ').collect();
+        Some(match words[..] {
+            ["run", job, generation] => Line::Run(job.parse().ok()?, generation.parse().ok()?),
+            ["beat"] => Line::Beat,
+            ["hold", job] => Line::Hold(job.parse().ok()?),
+            ["done", job] => Line::Done(job.parse().ok()?),
+            _ => return None,
+        })
+    }
+}
+
+impl std::fmt::Display for Line {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Line::Run(job, generation) => write!(f, "run {job} {generation}"),
+            Line::Beat => f.write_str("beat"),
+            Line::Hold(job) => write!(f, "hold {job}"),
+            Line::Done(job) => write!(f, "done {job}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------- layout
 
-/// The on-disk layout of one sweep: fixed subdirectories under a root
-/// that coordinator and workers share.
+/// The on-disk layout of one sweep: the manifest and the journals
+/// directory under a root that coordinator and workers share.
 #[derive(Clone, Debug)]
 pub struct SweepLayout {
     root: PathBuf,
@@ -84,34 +119,9 @@ impl SweepLayout {
         SweepLayout { root: root.into() }
     }
 
-    /// The sweep root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The job-list manifest file.
     pub fn manifest_path(&self) -> PathBuf {
         self.root.join("manifest")
-    }
-
-    /// Directory of per-job lease files.
-    pub fn leases_dir(&self) -> PathBuf {
-        self.root.join("leases")
-    }
-
-    /// The lease file of one job (by manifest index).
-    pub fn lease_path(&self, job: usize) -> PathBuf {
-        self.leases_dir().join(format!("{job}.lease"))
-    }
-
-    /// Directory of per-worker heartbeat counter files.
-    pub fn heartbeats_dir(&self) -> PathBuf {
-        self.root.join("heartbeats")
-    }
-
-    /// One worker's heartbeat file.
-    pub fn heartbeat_path(&self, worker: &str) -> PathBuf {
-        self.heartbeats_dir().join(format!("{worker}.hb"))
     }
 
     /// Directory of per-worker decision journals.
@@ -124,54 +134,9 @@ impl SweepLayout {
         self.journals_dir().join(format!("{worker}.jsonl"))
     }
 
-    /// Directory of per-job done markers.
-    pub fn done_dir(&self) -> PathBuf {
-        self.root.join("done")
-    }
-
-    /// One job's done marker.
-    pub fn done_path(&self, job: usize) -> PathBuf {
-        self.done_dir().join(job.to_string())
-    }
-
-    /// Directory of per-job release counters.
-    pub fn releases_dir(&self) -> PathBuf {
-        self.root.join("releases")
-    }
-
-    /// One job's release-counter file.
-    pub fn release_path(&self, job: usize) -> PathBuf {
-        self.releases_dir().join(job.to_string())
-    }
-
-    /// Directory of per-worker pid files.
-    pub fn pids_dir(&self) -> PathBuf {
-        self.root.join("pids")
-    }
-
-    /// One worker's pid file.
-    pub fn pid_path(&self, worker: &str) -> PathBuf {
-        self.pids_dir().join(format!("{worker}.pid"))
-    }
-
-    /// The shutdown marker: its existence tells workers to drain and exit.
-    pub fn shutdown_path(&self) -> PathBuf {
-        self.root.join("shutdown")
-    }
-
-    /// Creates the whole directory tree and makes it durable.
+    /// Creates the root and its journals directory, durably.
     pub fn init(&self) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.root)?;
-        for dir in [
-            self.leases_dir(),
-            self.heartbeats_dir(),
-            self.journals_dir(),
-            self.done_dir(),
-            self.releases_dir(),
-            self.pids_dir(),
-        ] {
-            std::fs::create_dir_all(&dir)?;
-        }
+        std::fs::create_dir_all(self.journals_dir())?;
         fsync_dir(&self.root)?;
         durable::fsync_parent(&self.root)
     }
@@ -233,175 +198,6 @@ pub fn read_manifest(layout: &SweepLayout) -> Result<Vec<String>, String> {
     Ok(ids)
 }
 
-// ---------------------------------------------------------------- leases
-
-/// The parsed contents of one lease file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Lease {
-    /// The leased job's manifest index.
-    pub job: usize,
-    /// The owning worker's id.
-    pub worker: String,
-    /// The job's release count at claim time. Re-leases bump it, so fault
-    /// decisions keyed on the generation decorrelate across re-runs.
-    pub generation: u64,
-    /// Epoch-milliseconds deadline; the coordinator releases the job once
-    /// this passes un-renewed.
-    pub deadline_ms: u64,
-}
-
-impl Lease {
-    fn render(&self) -> String {
-        let mut out = format!("{{\"job\":{},\"worker\":\"", self.job);
-        escape_json(&self.worker, &mut out);
-        out.push_str(&format!(
-            "\",\"generation\":{},\"deadline_ms\":{}}}\n",
-            self.generation, self.deadline_ms
-        ));
-        out
-    }
-
-    fn parse(text: &str) -> Option<Lease> {
-        let (mut job, mut worker, mut generation, mut deadline_ms) = (None, None, None, None);
-        for (key, value) in codec::flat_object(text).ok()? {
-            match (key.as_str(), value) {
-                ("job", codec::Value::Num(n)) => job = usize::try_from(n).ok(),
-                ("worker", codec::Value::Str(w)) => worker = Some(w),
-                ("generation", codec::Value::Num(n)) => generation = Some(n),
-                ("deadline_ms", codec::Value::Num(n)) => deadline_ms = Some(n),
-                _ => return None,
-            }
-        }
-        Some(Lease {
-            job: job?,
-            worker: worker?,
-            generation: generation?,
-            deadline_ms: deadline_ms?,
-        })
-    }
-}
-
-/// Attempts to claim a job by creating its lease file with `create_new`
-/// (`O_EXCL`) — the filesystem arbitrates, so exactly one claimant wins.
-/// Returns `false` when the lease already exists.
-pub fn try_claim(
-    layout: &SweepLayout,
-    job: usize,
-    worker: &str,
-    generation: u64,
-    ttl: Duration,
-) -> std::io::Result<bool> {
-    let lease = Lease {
-        job,
-        worker: worker.to_string(),
-        generation,
-        deadline_ms: now_ms() + ttl.as_millis() as u64,
-    };
-    let mut file = match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(layout.lease_path(job))
-    {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    file.write_all(lease.render().as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    fsync_dir(&layout.leases_dir())?;
-    Ok(true)
-}
-
-/// Reads a job's current lease, if any (unparseable contents read as
-/// `None` — a torn write is treated like no lease and expires naturally).
-pub fn read_lease(layout: &SweepLayout, job: usize) -> Option<Lease> {
-    let text = std::fs::read_to_string(layout.lease_path(job)).ok()?;
-    Lease::parse(&text)
-}
-
-/// Pushes a lease's deadline forward, but only while `worker` still owns
-/// it at the same generation (an expired-and-re-leased job must not be
-/// resurrected by its previous owner). Returns whether the lease was
-/// renewed.
-pub fn renew_lease(
-    layout: &SweepLayout,
-    job: usize,
-    worker: &str,
-    generation: u64,
-    ttl: Duration,
-) -> std::io::Result<bool> {
-    match read_lease(layout, job) {
-        Some(cur) if cur.worker == worker && cur.generation == generation => {
-            let renewed = Lease {
-                deadline_ms: now_ms() + ttl.as_millis() as u64,
-                ..cur
-            };
-            write_atomic(&layout.lease_path(job), |w| {
-                w.write_all(renewed.render().as_bytes())
-            })?;
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
-}
-
-/// Removes a job's lease file (idempotent) and makes the removal durable.
-pub fn remove_lease(layout: &SweepLayout, job: usize) -> std::io::Result<()> {
-    match std::fs::remove_file(layout.lease_path(job)) {
-        Ok(()) => fsync_dir(&layout.leases_dir()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-/// A job's release count: how many times its lease was revoked and the
-/// job made claimable again. Doubles as the generation of the next claim.
-pub fn release_count(layout: &SweepLayout, job: usize) -> u64 {
-    std::fs::read_to_string(layout.release_path(job))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// Increments a job's release counter durably and returns the new count.
-pub fn bump_release_count(layout: &SweepLayout, job: usize) -> std::io::Result<u64> {
-    let next = release_count(layout, job) + 1;
-    write_atomic(&layout.release_path(job), |w| writeln!(w, "{next}"))?;
-    Ok(next)
-}
-
-// --------------------------------------------------------------- markers
-
-/// Durably marks a job decided (idempotent: a concurrent duplicate
-/// decision racing to the same marker is fine — the merge deduplicates).
-pub fn mark_done(layout: &SweepLayout, job: usize) -> std::io::Result<()> {
-    match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(layout.done_path(job))
-    {
-        Ok(_) => fsync_dir(&layout.done_dir()),
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Whether a job carries a done marker.
-pub fn is_done(layout: &SweepLayout, job: usize) -> bool {
-    layout.done_path(job).exists()
-}
-
-/// Writes the shutdown marker; workers drain and exit once they see it.
-pub fn request_shutdown(layout: &SweepLayout) -> std::io::Result<()> {
-    write_atomic(&layout.shutdown_path(), |w| w.write_all(b"shutdown\n"))
-}
-
-/// Whether the shutdown marker exists.
-pub fn shutdown_requested(layout: &SweepLayout) -> bool {
-    layout.shutdown_path().exists()
-}
-
 // ----------------------------------------------------------------- merge
 
 /// One job that was decided by more than one worker.
@@ -448,8 +244,9 @@ pub struct MergeOutcome {
     pub records: Vec<JobRecord<String>>,
     /// Jobs decided by more than one worker (exactly one record kept).
     pub duplicates: Vec<DuplicateDecision>,
-    /// Jobs with no journaled decision anywhere (a supervision bug —
-    /// the coordinator only merges once every job carries a done marker).
+    /// Jobs with no journaled decision anywhere (a supervision bug,
+    /// unless the sweep was interrupted: the coordinator only merges once
+    /// every job is decided).
     pub missing: Vec<String>,
 }
 
@@ -540,29 +337,12 @@ pub fn merge_journals(layout: &SweepLayout, ids: &[String]) -> Result<MergeOutco
 pub struct SweepConfig {
     /// Worker processes to keep alive (clamped to at least 1).
     pub workers: usize,
-    /// Lease time-to-live; owners renew at a fraction of this, and the
-    /// coordinator releases jobs whose lease deadline passes un-renewed.
+    /// Lease time-to-live: an assignment its worker does not hold again
+    /// within one lease is released, and a worker with no `beat` for four
+    /// leases is killed and replaced.
     pub lease: Duration,
     /// Releases a job may survive before the coordinator quarantines it.
     pub max_releases: u64,
-    /// Coordinator supervision tick.
-    pub poll: Duration,
-    /// Heartbeat staleness: a worker whose counter has not changed for
-    /// this long is killed and replaced.
-    pub stale_after: Duration,
-}
-
-impl Default for SweepConfig {
-    fn default() -> SweepConfig {
-        let lease = Duration::from_millis(1_000);
-        SweepConfig {
-            workers: 4,
-            lease,
-            max_releases: 3,
-            poll: Duration::from_millis(15),
-            stale_after: lease * 4,
-        }
-    }
 }
 
 /// Everything a finished sweep produced.
@@ -572,28 +352,17 @@ pub struct SweepOutcome {
     /// Spawned and lost workers, expired leases and releases are in the
     /// coordinator's counters.
     pub merge: MergeOutcome,
-    /// True when the sweep was wound down early by SIGINT/SIGTERM: the
-    /// shutdown marker was written, workers drained after their current
-    /// job, every decided job was merged, and the jobs that never got a
-    /// decision are listed in `merge.missing` (a later sweep over the same
-    /// directory picks them up).
+    /// True when the sweep was wound down early by SIGINT/SIGTERM: every
+    /// worker's stdin was closed, the workers finished their current job,
+    /// every decided job was merged, and the jobs that never got a
+    /// decision are listed in `merge.missing`. Nothing resumes them: a new
+    /// sweep needs a fresh directory and runs every module again.
     pub interrupted: bool,
-    /// Jobs quarantined by the coordinator after exhausting the re-lease
-    /// budget (already included in the merged records).
-    pub coordinator_quarantined: u64,
 }
 
-/// One supervised worker process.
-struct WorkerProc {
-    name: String,
-    child: Child,
-    hb_value: Option<u64>,
-    hb_changed: Instant,
-}
-
-/// The sweep coordinator. Spawning is delegated to a caller closure so
-/// the CLI decides the exact command line; everything else — supervision,
-/// re-leasing, quarantining, merging — lives here.
+/// The sweep coordinator. Building a worker's command line is delegated
+/// to a caller closure so the CLI decides it; everything else — the pipes,
+/// supervision, re-leasing, quarantining, merging — lives here.
 pub struct Coordinator<'t> {
     layout: SweepLayout,
     ids: Vec<String>,
@@ -649,318 +418,364 @@ impl<'t> Coordinator<'t> {
         }
     }
 
-    /// The recorder of one job's decisions, its coordinator-side flight
-    /// ring included.
-    fn job<'r>(&'r self, job: usize, flights: &'r [FlightRecorder]) -> Recorder<'r> {
-        Recorder {
-            flight: Some(&flights[job]),
-            group: job as u64,
-            job: Some(&self.ids[job]),
-            ..self.fleet()
-        }
-    }
-
-    /// Runs the sweep to completion: spawns the fleet via `spawn`,
-    /// supervises it until every job carries a done marker, then merges
-    /// the journals.
-    pub fn run(
-        &self,
-        mut spawn: impl FnMut(&str) -> std::io::Result<Child>,
-    ) -> Result<SweepOutcome, String> {
+    /// Runs the sweep to completion: spawns the fleet from the commands
+    /// `worker` builds (the coordinator pipes their stdin and stdout),
+    /// supervises it until every job is decided, winds it down, then
+    /// merges the journals.
+    pub fn run(&self, worker: impl FnMut(&str) -> Command) -> Result<SweepOutcome, String> {
         let n = self.ids.len();
-        let coordinator_journal =
-            Journal::create(&self.layout.journal_path("coordinator"), &self.ids)
-                .map_err(|e| format!("cannot create coordinator journal: {e}"))?;
-        let flights: Vec<FlightRecorder> = (0..n).map(|_| FlightRecorder::new()).collect();
-        let mut fleet: Vec<WorkerProc> = Vec::new();
-        let mut next_worker = 0usize;
-        let mut stats = SweepOutcome {
-            merge: MergeOutcome {
-                records: Vec::new(),
-                duplicates: Vec::new(),
-                missing: Vec::new(),
-            },
-            interrupted: false,
-            coordinator_quarantined: 0,
+        let (tx, rx) = mpsc::channel();
+        let mut run = Run {
+            coordinator: self,
+            worker,
+            journal: Journal::create(&self.layout.journal_path("coordinator"), &self.ids)
+                .map_err(|e| format!("cannot create coordinator journal: {e}"))?,
+            flights: (0..n).map(|_| FlightRecorder::new()).collect(),
+            releases: vec![0; n],
+            pending: (0..n).collect(),
+            leases: BTreeMap::new(),
+            quarantined: 0,
+            fleet: BTreeMap::new(),
+            next_worker: 0,
+            tx,
+            last_progress: Instant::now(),
         };
-        // Highest lease generation already announced per job, so each
-        // claim is reported once.
-        let mut announced: Vec<Option<u64>> = vec![None; n];
-        let mut last_progress = Instant::now() - self.config.poll;
-
-        // The full fleet spawns even when it outnumbers the jobs: surplus
-        // workers idle-poll, and that idle capacity is exactly what picks
-        // up a re-leased job while its original owner is still working.
-        let initial = self.config.workers.max(1);
-        for _ in 0..initial {
-            self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker)?;
-        }
-        self.emit_progress(n, &stats, &mut last_progress, true);
         crate::signals::install_shutdown_handler();
-
-        loop {
-            // Ctrl-C / SIGTERM: stop supervising (no more respawns or
-            // re-leases), hand the fleet the shutdown marker below, and
-            // merge whatever was decided.
-            if crate::signals::shutdown_signaled() {
-                stats.interrupted = true;
-                break;
-            }
-            let done = (0..n).filter(|&j| is_done(&self.layout, j)).count();
-            self.emit_progress(n, &stats, &mut last_progress, false);
-            if done == n {
-                break;
-            }
-
-            // Reap exited workers. A clean exit means the worker saw all
-            // jobs decided (or drained); anything else is a loss.
-            let mut lost: Vec<String> = Vec::new();
-            fleet.retain_mut(|w| match w.child.try_wait() {
-                Ok(Some(status)) if status.success() => false,
-                Ok(Some(_)) => {
-                    lost.push(w.name.clone());
-                    false
-                }
-                Ok(None) => true,
-                Err(_) => {
-                    lost.push(w.name.clone());
-                    false
-                }
-            });
-
-            // Cull silent workers: a stalled heartbeat counter past the
-            // staleness deadline gets the process killed (it may still be
-            // running — SIGKILL it so its leases can be re-issued safely).
-            let mut idx = 0;
-            while idx < fleet.len() {
-                let w = &mut fleet[idx];
-                let hb = std::fs::read_to_string(self.layout.heartbeat_path(&w.name))
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u64>().ok());
-                if hb.is_some() && hb != w.hb_value {
-                    w.hb_value = hb;
-                    w.hb_changed = Instant::now();
-                    idx += 1;
-                } else if w.hb_changed.elapsed() > self.config.stale_after {
-                    let _ = w.child.kill();
-                    let _ = w.child.wait();
-                    let mut w = fleet.remove(idx);
-                    let _ = w.child.wait();
-                    lost.push(w.name);
-                } else {
-                    idx += 1;
-                }
-            }
-
-            for name in lost {
-                self.fleet().record(Decision::WorkerLost { worker: &name });
-                // Free every lease the dead worker still held.
-                for job in 0..n {
-                    if is_done(&self.layout, job) {
-                        continue;
-                    }
-                    if let Some(lease) = read_lease(&self.layout, job) {
-                        if lease.worker == name {
-                            self.job(job, &flights).record(Decision::LeaseHolderLost {
-                                worker: &name,
-                                generation: lease.generation,
-                            });
-                            self.release_job(job, &flights, &coordinator_journal, &mut stats)?;
-                        }
-                    }
-                }
-                self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker)?;
-            }
-
-            // Lease scan: announce new claims, expire stale deadlines.
-            let now = now_ms();
-            for (job, announced) in announced.iter_mut().enumerate() {
-                if is_done(&self.layout, job) {
-                    continue;
-                }
-                let Some(lease) = read_lease(&self.layout, job) else {
-                    continue;
-                };
-                if *announced < Some(lease.generation + 1) {
-                    *announced = Some(lease.generation + 1);
-                    self.job(job, &flights).record(Decision::Leased {
-                        worker: &lease.worker,
-                        generation: lease.generation,
-                    });
-                }
-                if lease.deadline_ms < now {
-                    self.job(job, &flights).record(Decision::LeaseExpired {
-                        worker: &lease.worker,
-                        generation: lease.generation,
-                    });
-                    self.release_job(job, &flights, &coordinator_journal, &mut stats)?;
-                }
-            }
-
-            // The fleet must never drain while jobs remain undecided.
-            if fleet.is_empty() {
-                self.spawn_worker(&mut spawn, &mut fleet, &mut next_worker)?;
-            }
-
-            std::thread::sleep(self.config.poll);
+        let result = run.supervise(&rx);
+        // Wind down whatever happened: a closed stdin asks each worker to
+        // finish its current job and exit; a worker still running after
+        // the grace period is killed.
+        for proc in run.fleet.values_mut() {
+            proc.stdin = None;
         }
-
-        let _ = request_shutdown(&self.layout);
-        let grace = Instant::now();
-        for w in &mut fleet {
-            // Workers exit on their own once every job is done; give them
-            // a moment, then insist.
-            loop {
-                match w.child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if grace.elapsed() > Duration::from_secs(5) => {
-                        let _ = w.child.kill();
-                        let _ = w.child.wait();
-                        break;
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                    Err(_) => break,
-                }
+        let grace = Instant::now() + GRACE;
+        for (_, mut proc) in std::mem::take(&mut run.fleet) {
+            while matches!(proc.child.try_wait(), Ok(None)) && Instant::now() < grace {
+                std::thread::sleep(Duration::from_millis(5));
             }
+            proc.reap();
         }
+        let interrupted = result?;
 
-        if stats.interrupted {
-            // Every worker is reaped by now; their pid files and any lease
-            // they still held are stale. Remove both so nothing points at
-            // dead processes and a later sweep over this directory starts
-            // from a clean queue.
-            if let Ok(entries) = std::fs::read_dir(self.layout.pids_dir()) {
-                for entry in entries.flatten() {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-                let _ = fsync_dir(&self.layout.pids_dir());
-            }
-            for job in 0..n {
-                if !is_done(&self.layout, job) && read_lease(&self.layout, job).is_some() {
-                    let _ = remove_lease(&self.layout, job);
-                }
-            }
-        }
-
-        stats.merge = merge_journals(&self.layout, &self.ids)?;
-        if !stats.merge.missing.is_empty() && !stats.interrupted {
+        let merge = merge_journals(&self.layout, &self.ids)?;
+        if !merge.missing.is_empty() && !interrupted {
             return Err(format!(
                 "sweep finished with undecided jobs: {}",
-                stats.merge.missing.join(", ")
+                merge.missing.join(", ")
             ));
         }
-        for dup in &stats.merge.duplicates {
-            let rec = Recorder {
-                group: self.ids.iter().position(|id| *id == dup.job).unwrap_or(0) as u64,
-                job: Some(&dup.job),
-                ..self.fleet()
-            };
-            rec.record(Decision::DuplicateDecision {
-                workers: dup.workers.len() as u64,
-                agreed: dup.agreed,
-            });
+        for dup in &merge.duplicates {
+            let job = self.ids.iter().position(|id| *id == dup.job);
+            run.job(job.expect("a manifest job"))
+                .record(Decision::DuplicateDecision {
+                    workers: dup.workers.len() as u64,
+                    agreed: dup.agreed,
+                });
         }
         self.telemetry.add(Counter::JobsTotal, n as u64);
-        let quarantined = stats
-            .merge
+        let quarantined = merge
             .records
             .iter()
             .filter(|r| r.status == JobStatus::Quarantined)
-            .count() as u64;
-        if quarantined > 0 {
-            self.telemetry.add(Counter::JobsQuarantined, quarantined);
+            .count();
+        self.telemetry
+            .add(Counter::JobsQuarantined, quarantined as u64);
+        run.emit_progress(true);
+        Ok(SweepOutcome { merge, interrupted })
+    }
+}
+
+/// One supervised worker process.
+struct WorkerProc {
+    name: String,
+    child: Child,
+    /// Where its assignments go; `None` once closed.
+    stdin: Option<ChildStdin>,
+    /// The job it runs, from its `run` line until its `done`.
+    running: Option<usize>,
+    last_beat: Instant,
+    /// Forwards its stdout; ends at the end of it.
+    reader: JoinHandle<()>,
+}
+
+impl WorkerProc {
+    /// Kills the worker unless it exited, reaps it and joins its reader.
+    fn reap(mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = self.reader.join();
+    }
+}
+
+/// A job's current assignment. Its generation is the job's release count.
+struct Lease {
+    worker: usize,
+    deadline: Instant,
+}
+
+/// A worker's number and one line from it, or `None` at its stdout's end.
+type WorkerLine = (usize, Option<String>);
+
+/// The state of one [`Coordinator::run`]. Each undecided job is either
+/// pending or leased; a job in neither is decided.
+struct Run<'c, 't, F> {
+    coordinator: &'c Coordinator<'t>,
+    worker: F,
+    /// The coordinator's own journal, for the jobs it quarantines.
+    journal: Journal,
+    flights: Vec<FlightRecorder>,
+    releases: Vec<u64>,
+    pending: BTreeSet<usize>,
+    leases: BTreeMap<usize, Lease>,
+    /// How many jobs the coordinator quarantined.
+    quarantined: u64,
+    fleet: BTreeMap<usize, WorkerProc>,
+    next_worker: usize,
+    tx: mpsc::Sender<WorkerLine>,
+    last_progress: Instant,
+}
+
+impl<F: FnMut(&str) -> Command> Run<'_, '_, F> {
+    /// Supervises the fleet until every job is decided or a signal
+    /// interrupts the sweep; returns whether one did.
+    fn supervise(&mut self, rx: &mpsc::Receiver<WorkerLine>) -> Result<bool, String> {
+        // The full fleet spawns even when it outnumbers the jobs: surplus
+        // workers idle, and that idle capacity is exactly what picks up a
+        // released job while its original owner is still working.
+        for _ in 0..self.coordinator.config.workers.max(1) {
+            self.spawn()?;
         }
-        self.emit_progress(n, &stats, &mut last_progress, true);
-        Ok(stats)
+        self.emit_progress(true);
+        let silence = self.coordinator.config.lease * 4;
+        loop {
+            if self.pending.is_empty() && self.leases.is_empty() {
+                return Ok(false);
+            }
+            self.assign();
+            self.emit_progress(false);
+            // Wait for a worker line. A signal winds the sweep down before
+            // any line is acted on (a Ctrl-C reaches the workers too, and
+            // their deaths are no losses to replace); otherwise every
+            // queued line is taken before any deadline is judged.
+            let mut next = rx.recv_timeout(TICK).ok();
+            if crate::signals::shutdown_signaled() {
+                return Ok(true);
+            }
+            while let Some((worker, line)) = next {
+                self.on_line(worker, line)?;
+                next = rx.try_recv().ok();
+            }
+            let now = Instant::now();
+            let expired: Vec<usize> = self
+                .leases
+                .iter()
+                .filter(|(_, l)| l.deadline < now)
+                .map(|(&job, _)| job)
+                .collect();
+            for job in expired {
+                let name = &self.fleet[&self.leases[&job].worker].name;
+                self.job(job).record(Decision::LeaseExpired {
+                    worker: name,
+                    generation: self.releases[job],
+                });
+                self.release(job)?;
+            }
+            let silent: Vec<usize> = self
+                .fleet
+                .iter()
+                .filter(|(_, w)| w.last_beat.elapsed() > silence)
+                .map(|(&w, _)| w)
+                .collect();
+            for worker in silent {
+                self.lose(worker)?;
+            }
+        }
     }
 
-    fn spawn_worker(
-        &self,
-        spawn: &mut impl FnMut(&str) -> std::io::Result<Child>,
-        fleet: &mut Vec<WorkerProc>,
-        next_worker: &mut usize,
-    ) -> Result<(), String> {
-        let name = format!("w{}", *next_worker);
-        *next_worker += 1;
-        let child = spawn(&name).map_err(|e| format!("cannot spawn worker {name}: {e}"))?;
-        self.fleet()
-            .record(Decision::WorkerSpawned { worker: &name });
-        fleet.push(WorkerProc {
-            name,
-            child,
-            hb_value: None,
-            hb_changed: Instant::now(),
-        });
-        Ok(())
+    /// The recorder of one job's decisions, with its flight ring.
+    fn job(&self, job: usize) -> Recorder<'_> {
+        Recorder {
+            flight: Some(&self.flights[job]),
+            group: job as u64,
+            job: Some(&self.coordinator.ids[job]),
+            ..self.coordinator.fleet()
+        }
     }
 
-    /// Revokes a job's lease and makes it claimable again; a job past the
-    /// re-lease budget is quarantined by the coordinator instead, with the
-    /// coordinator-side lease history as the postmortem.
-    fn release_job(
-        &self,
-        job: usize,
-        flights: &[FlightRecorder],
-        coordinator_journal: &Journal,
-        stats: &mut SweepOutcome,
-    ) -> Result<(), String> {
-        remove_lease(&self.layout, job)
-            .map_err(|e| format!("cannot remove lease for job {job}: {e}"))?;
-        let count = bump_release_count(&self.layout, job)
-            .map_err(|e| format!("cannot bump release count for job {job}: {e}"))?;
-        let rec = self.job(job, flights);
-        rec.record(Decision::Released { releases: count });
-        if count > self.config.max_releases && !is_done(&self.layout, job) {
-            let message = format!(
-                "released {count} times (re-lease budget {}); giving up",
-                self.config.max_releases
-            );
-            rec.record(Decision::CoordinatorQuarantined {
-                releases: count,
-                error: &message,
-            });
-            let record = JobRecord {
-                id: self.ids[job].clone(),
-                status: JobStatus::Quarantined,
-                attempts: count as u32,
-                payload: None,
-                incident: Some(Incident {
-                    kind: IncidentKind::Quarantined,
-                    name: self.ids[job].clone(),
-                    message,
-                    rung: 0,
-                    flight: flights[job].dump(),
-                }),
-                wall: Duration::ZERO,
+    /// Hands pending jobs, in manifest order, to idle workers.
+    fn assign(&mut self) {
+        let idle: Vec<usize> = self
+            .fleet
+            .iter()
+            .filter(|(_, w)| w.running.is_none())
+            .map(|(&w, _)| w)
+            .collect();
+        for worker in idle {
+            let Some(job) = self.pending.pop_first() else {
+                return;
             };
-            coordinator_journal
-                .record(&record, String::clone)
-                .map_err(|e| format!("cannot journal coordinator quarantine: {e}"))?;
-            mark_done(&self.layout, job).map_err(|e| format!("cannot mark job {job} done: {e}"))?;
-            stats.coordinator_quarantined += 1;
+            let generation = self.releases[job];
+            self.job(job).record(Decision::Leased {
+                worker: &self.fleet[&worker].name,
+                generation,
+            });
+            let proc = self.fleet.get_mut(&worker).expect("an idle worker");
+            // A worker that died since is found by its reader thread.
+            if let Some(stdin) = &mut proc.stdin {
+                let _ = writeln!(stdin, "{}", Line::Run(job, generation));
+            }
+            proc.running = Some(job);
+            let deadline = Instant::now() + self.coordinator.config.lease;
+            self.leases.insert(job, Lease { worker, deadline });
+        }
+    }
+
+    /// Acts on one line from `worker`, or on the end of its stdout.
+    fn on_line(&mut self, worker: usize, line: Option<String>) -> Result<(), String> {
+        let Some(proc) = self.fleet.get_mut(&worker) else {
+            // A worker this run already lost.
+            return Ok(());
+        };
+        let Some(line) = line else {
+            return self.lose(worker);
+        };
+        match Line::parse(&line) {
+            Some(Line::Beat) => proc.last_beat = Instant::now(),
+            Some(Line::Hold(job)) => {
+                if let Some(lease) = self.leases.get_mut(&job).filter(|l| l.worker == worker) {
+                    lease.deadline = Instant::now() + self.coordinator.config.lease;
+                }
+            }
+            Some(Line::Done(job)) => {
+                proc.running = None;
+                // The job is decided. A second decision of it is left to the
+                // merge, which keeps one record and reports the duplicate.
+                self.leases.remove(&job);
+                self.pending.remove(&job);
+            }
+            _ => {}
         }
         Ok(())
     }
 
-    fn emit_progress(&self, total: usize, stats: &SweepOutcome, last: &mut Instant, force: bool) {
-        let Some((callback, every)) = &self.progress else {
+    /// Declares `worker` lost: kills and reaps it, releases its
+    /// assignment and spawns a replacement.
+    fn lose(&mut self, worker: usize) -> Result<(), String> {
+        let proc = self.fleet.remove(&worker).expect("a live worker");
+        let (name, running) = (proc.name.clone(), proc.running);
+        proc.reap();
+        self.coordinator
+            .fleet()
+            .record(Decision::WorkerLost { worker: &name });
+        let held = running.filter(|job| self.leases.get(job).is_some_and(|l| l.worker == worker));
+        if let Some(job) = held {
+            self.job(job).record(Decision::LeaseHolderLost {
+                worker: &name,
+                generation: self.releases[job],
+            });
+            self.release(job)?;
+        }
+        self.spawn()
+    }
+
+    fn spawn(&mut self) -> Result<(), String> {
+        let number = self.next_worker;
+        self.next_worker += 1;
+        let name = format!("w{number}");
+        let mut child = (self.worker)(&name)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("cannot spawn worker {name}: {e}"))?;
+        let stdout = child.stdout.take().expect("stdout is piped");
+        let tx = self.tx.clone();
+        let reader = std::thread::spawn(move || {
+            for line in BufReader::new(stdout).split(b'\n') {
+                let Ok(line) = line else { break };
+                let line = String::from_utf8_lossy(&line).into_owned();
+                if tx.send((number, Some(line))).is_err() {
+                    return;
+                }
+            }
+            let _ = tx.send((number, None));
+        });
+        self.coordinator
+            .fleet()
+            .record(Decision::WorkerSpawned { worker: &name });
+        self.fleet.insert(
+            number,
+            WorkerProc {
+                name,
+                stdin: child.stdin.take(),
+                child,
+                running: None,
+                last_beat: Instant::now(),
+                reader,
+            },
+        );
+        Ok(())
+    }
+
+    /// Takes a job's assignment back and makes it pending again; a job
+    /// past the re-lease budget is quarantined by the coordinator instead,
+    /// with the coordinator-side lease history as the postmortem.
+    fn release(&mut self, job: usize) -> Result<(), String> {
+        self.leases.remove(&job);
+        self.releases[job] += 1;
+        let count = self.releases[job];
+        let max = self.coordinator.config.max_releases;
+        let rec = self.job(job);
+        rec.record(Decision::Released { releases: count });
+        if count <= max {
+            self.pending.insert(job);
+            return Ok(());
+        }
+        let message = format!("released {count} times (re-lease budget {max}); giving up");
+        rec.record(Decision::CoordinatorQuarantined {
+            releases: count,
+            error: &message,
+        });
+        let id = &self.coordinator.ids[job];
+        let record = JobRecord {
+            id: id.clone(),
+            status: JobStatus::Quarantined,
+            attempts: count as u32,
+            payload: None,
+            incident: Some(Incident {
+                kind: IncidentKind::Quarantined,
+                name: id.clone(),
+                message,
+                rung: 0,
+                flight: self.flights[job].dump(),
+            }),
+            wall: Duration::ZERO,
+        };
+        self.journal
+            .record(&record, String::clone)
+            .map_err(|e| format!("cannot journal coordinator quarantine: {e}"))?;
+        self.quarantined += 1;
+        Ok(())
+    }
+
+    fn emit_progress(&mut self, force: bool) {
+        let Some((callback, every)) = &self.coordinator.progress else {
             return;
         };
-        if !force && last.elapsed() < *every {
+        if !force && self.last_progress.elapsed() < *every {
             return;
         }
-        *last = Instant::now();
-        let done = (0..total).filter(|&j| is_done(&self.layout, j)).count();
+        self.last_progress = Instant::now();
+        let total = self.coordinator.ids.len();
         callback(&ProgressSnapshot {
             // Workers quarantine in their own processes; until the merge
             // the coordinator knows only the jobs it gave up on itself.
-            quarantined: stats.coordinator_quarantined,
+            quarantined: self.quarantined,
             ..ProgressSnapshot::from_stats(
                 true,
-                &self.telemetry.snapshot(),
+                &self.coordinator.telemetry.snapshot(),
                 total,
-                done,
-                self.config.workers,
+                total - self.pending.len() - self.leases.len(),
+                self.coordinator.config.workers,
             )
         });
     }
@@ -969,7 +784,6 @@ impl<'t> Coordinator<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn scratch(name: &str) -> SweepLayout {
         let root = std::env::temp_dir().join(format!(
@@ -984,7 +798,7 @@ mod tests {
     }
 
     fn cleanup(layout: &SweepLayout) {
-        std::fs::remove_dir_all(layout.root()).ok();
+        std::fs::remove_dir_all(layout.manifest_path().parent().unwrap()).ok();
     }
 
     #[test]
@@ -1034,58 +848,6 @@ mod tests {
         std::fs::write(layout.manifest_path(), truncated).unwrap();
         let err = read_manifest(&layout).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
-        cleanup(&layout);
-    }
-
-    #[test]
-    fn claims_are_mutually_exclusive_until_released() {
-        let layout = scratch("claims");
-        let ttl = Duration::from_secs(60);
-        assert!(try_claim(&layout, 0, "w0", 0, ttl).unwrap());
-        assert!(!try_claim(&layout, 0, "w1", 0, ttl).unwrap(), "O_EXCL lost");
-        let lease = read_lease(&layout, 0).unwrap();
-        assert_eq!(lease.worker, "w0");
-        assert_eq!(lease.generation, 0);
-        assert!(lease.deadline_ms > now_ms());
-
-        remove_lease(&layout, 0).unwrap();
-        let gen = bump_release_count(&layout, 0).unwrap();
-        assert_eq!(gen, 1);
-        assert!(try_claim(&layout, 0, "w1", gen, ttl).unwrap());
-        assert_eq!(read_lease(&layout, 0).unwrap().worker, "w1");
-        cleanup(&layout);
-    }
-
-    #[test]
-    fn renew_only_works_for_the_current_owner_and_generation() {
-        let layout = scratch("renew");
-        let ttl = Duration::from_millis(100);
-        assert!(try_claim(&layout, 3, "w0", 0, ttl).unwrap());
-        let before = read_lease(&layout, 3).unwrap().deadline_ms;
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(renew_lease(&layout, 3, "w0", 0, ttl).unwrap());
-        assert!(read_lease(&layout, 3).unwrap().deadline_ms >= before);
-        // A stranger, or the owner at a stale generation, cannot renew.
-        assert!(!renew_lease(&layout, 3, "w1", 0, ttl).unwrap());
-        assert!(!renew_lease(&layout, 3, "w0", 1, ttl).unwrap());
-        // After release + re-claim, the old owner cannot resurrect it.
-        remove_lease(&layout, 3).unwrap();
-        bump_release_count(&layout, 3).unwrap();
-        assert!(try_claim(&layout, 3, "w1", 1, ttl).unwrap());
-        assert!(!renew_lease(&layout, 3, "w0", 0, ttl).unwrap());
-        cleanup(&layout);
-    }
-
-    #[test]
-    fn done_markers_and_shutdown_are_idempotent() {
-        let layout = scratch("markers");
-        assert!(!is_done(&layout, 2));
-        mark_done(&layout, 2).unwrap();
-        mark_done(&layout, 2).unwrap();
-        assert!(is_done(&layout, 2));
-        assert!(!shutdown_requested(&layout));
-        request_shutdown(&layout).unwrap();
-        assert!(shutdown_requested(&layout));
         cleanup(&layout);
     }
 
@@ -1211,30 +973,15 @@ mod tests {
     }
 
     #[test]
-    fn lease_render_parse_round_trips() {
-        let lease = Lease {
-            job: 42,
-            worker: "w\"7\"".to_string(),
-            generation: 3,
-            deadline_ms: 1_723_000_000_123,
-        };
-        assert_eq!(Lease::parse(&lease.render()).unwrap(), lease);
-        assert!(Lease::parse("garbage").is_none());
-        assert!(Lease::parse("{\"job\":1,\"worker\":\"w0\"").is_none());
-        // As the previous lease code wrote it, byte for byte.
-        let old = "{\"job\":4,\"worker\":\"w-\\\"7\\\"\",\"generation\":2,\"deadline_ms\":1760000000000}\n";
-        let lease = Lease {
-            job: 4,
-            worker: "w-\"7\"".to_string(),
-            generation: 2,
-            deadline_ms: 1_760_000_000_000,
-        };
-        assert_eq!(Lease::parse(old), Some(lease.clone()));
-        assert_eq!(lease.render(), old);
-        // A repeated field is malformed, whichever value comes last.
-        assert!(Lease::parse(
-            "{\"job\":4,\"worker\":\"w0\",\"worker\":\"w1\",\"generation\":2,\"deadline_ms\":1}"
-        )
-        .is_none());
+    fn protocol_lines_round_trip() {
+        for line in [Line::Run(7, 2), Line::Beat, Line::Hold(0), Line::Done(41)] {
+            assert_eq!(Line::parse(&line.to_string()), Some(line));
+        }
+        assert_eq!(Line::Done(3).to_string(), "done 3");
+        for garbage in [
+            "", "beat 1", "done", "done x", "hold -1", "run 1", "done 3 4", "DONE 3",
+        ] {
+            assert_eq!(Line::parse(garbage), None, "{garbage:?}");
+        }
     }
 }

@@ -171,10 +171,11 @@ observation_enum! {
         ChannelEncodingsShared { name: "channel_encodings_shared", subsystem: "solver",
             help: "Channel verdicts answered from a structurally identical channel's cache." },
         /// Sweep jobs released back to the queue after their lease expired or
-        /// their worker died (each release makes the job claimable again).
+        /// their worker died (each release makes the job pending again).
         JobsReleases { name: "jobs_releases", subsystem: "sweep",
             help: "Sweep jobs released back to the queue after lease expiry or worker death." },
-        /// Sweep leases whose deadline passed before the owner renewed them.
+        /// Sweep leases whose deadline passed before the owner held them
+        /// again.
         LeasesExpired { name: "leases_expired", subsystem: "sweep",
             help: "Sweep leases whose deadline passed before renewal." },
         /// Worker processes spawned by the sweep coordinator (initial fleet

@@ -46,30 +46,12 @@ pub enum TraceLevel {
     /// Record nothing (the default; near-zero overhead).
     #[default]
     Off,
-    /// Record hierarchical spans only.
-    Spans,
     /// Record spans plus point events (branch pruned, report emitted,
     /// dedup dropped).
     Full,
 }
 
 impl TraceLevel {
-    /// Parses a level name as accepted by `GCATCH_TRACE_LEVEL`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the accepted names.
-    pub fn parse(s: &str) -> Result<TraceLevel, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Ok(TraceLevel::Off),
-            "spans" | "1" => Ok(TraceLevel::Spans),
-            "full" | "2" => Ok(TraceLevel::Full),
-            other => Err(format!(
-                "bad trace level `{other}` (accepted: off, spans, full)"
-            )),
-        }
-    }
-
     /// Whether any recording happens at this level.
     pub fn enabled(self) -> bool {
         self != TraceLevel::Off
@@ -213,14 +195,9 @@ impl Tracer {
         self.level
     }
 
-    /// Whether spans are recorded at all.
+    /// Whether spans and point events are recorded at all.
     pub fn enabled(&self) -> bool {
         self.level.enabled()
-    }
-
-    /// Whether point events are recorded too.
-    pub fn full(&self) -> bool {
-        self.level == TraceLevel::Full
     }
 
     /// Opens a lane: a thread-confined event buffer tagged with a Chrome
@@ -297,14 +274,9 @@ pub struct Lane<'t> {
 }
 
 impl Lane<'_> {
-    /// Whether this lane records spans.
+    /// Whether this lane records spans and point events.
     pub fn enabled(&self) -> bool {
         self.tracer.enabled()
-    }
-
-    /// Whether this lane records point events too.
-    pub fn full(&self) -> bool {
-        self.tracer.full()
     }
 
     fn push(&mut self, phase: Phase, name: Cow<'static, str>, args: Vec<(&'static str, ArgValue)>) {
@@ -384,13 +356,13 @@ impl Lane<'_> {
         }
     }
 
-    /// Records a point event ([`TraceLevel::Full`] only).
+    /// Records a point event.
     pub fn instant(
         &mut self,
         name: impl Into<Cow<'static, str>>,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if self.full() {
+        if self.enabled() {
             self.push(Phase::Instant, name.into(), args);
         }
     }
@@ -735,7 +707,7 @@ mod tests {
 
     #[test]
     fn rewind_rebalances_open_spans() {
-        let t = Tracer::new(TraceLevel::Spans);
+        let t = Tracer::new(TraceLevel::Full);
         {
             let mut lane = t.lane(0, "main");
             lane.begin("a", vec![]);
@@ -758,17 +730,6 @@ mod tests {
             .count();
         assert_eq!(begins, 2);
         assert_eq!(ends, 2);
-    }
-
-    #[test]
-    fn spans_level_drops_instants() {
-        let t = Tracer::new(TraceLevel::Spans);
-        {
-            let mut lane = t.lane(0, "main");
-            lane.span("solve", vec![], |l| l.instant("branch_pruned", vec![]));
-        }
-        let snap = t.snapshot();
-        assert!(snap.events.iter().all(|(_, e)| e.phase != Phase::Instant));
     }
 
     #[test]
@@ -798,7 +759,7 @@ mod tests {
     #[test]
     fn zeroed_projection_is_deterministic() {
         let mk = || {
-            let t = Tracer::new(TraceLevel::Spans);
+            let t = Tracer::new(TraceLevel::Full);
             {
                 let mut lane = t.lane(0, "main");
                 lane.span("analysis", vec![], |_| ());
@@ -806,15 +767,6 @@ mod tests {
             t.snapshot().zeroed().render_chrome()
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn trace_level_parsing() {
-        assert_eq!(TraceLevel::parse("off"), Ok(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse("SPANS"), Ok(TraceLevel::Spans));
-        assert_eq!(TraceLevel::parse(" full "), Ok(TraceLevel::Full));
-        assert_eq!(TraceLevel::parse("2"), Ok(TraceLevel::Full));
-        assert!(TraceLevel::parse("verbose").is_err());
     }
 
     #[test]

@@ -113,24 +113,31 @@ commands:
         [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         <file.go|dir>...
                         check many modules across a fleet of --workers N
-                        worker *processes* coordinated through an on-disk
-                        lease queue under --dir (a fresh temp directory by
-                        default). Each worker claims one job at a time via
-                        an O_EXCL lease file, heartbeats while it works,
-                        and journals every decision to its own crash-safe
-                        JSONL journal; the coordinator re-leases jobs from
-                        workers that die (even SIGKILLed) or miss the
-                        heartbeat deadline, quarantines jobs released more
-                        than --max-releases times, and finally merges all
-                        journals into one report that is byte-identical to
-                        a single-process `gcatch batch` run over
-                        the same modules. A job decided by two workers
-                        keeps exactly one record (first durable decision
-                        wins) and surfaces a duplicate-decision warning on
-                        stderr without changing the report bytes
+                        worker *processes*, each driven over its stdin and
+                        stdout: the coordinator hands an idle worker one
+                        job at a time and keeps every job's assignment,
+                        deadline and release count in memory, so --dir (a
+                        fresh temp directory by default) holds only the
+                        manifest and each worker's crash-safe JSONL
+                        journal. Workers heartbeat, and hold their job
+                        while it runs; the coordinator re-leases jobs from
+                        workers that die (even SIGKILLed), miss the
+                        heartbeat deadline or stop holding their job,
+                        quarantines jobs released more than --max-releases
+                        times, and finally merges all journals into one
+                        report that is byte-identical to a single-process
+                        `gcatch batch` run over the same modules. A job
+                        decided by two workers keeps exactly one record
+                        and surfaces a duplicate-decision warning on
+                        stderr without changing the report bytes.
+                        SIGINT/SIGTERM reports the decided jobs, lists the
+                        undecided ones on stderr and exits 130; nothing
+                        resumes a sweep (a new one needs a fresh --dir)
   worker --dir DIR --id W [--lease-ms MS] [exec flags as for sweep]
-                        internal: one sweep worker process (spawned by
-                        `gcatch sweep`; runnable by hand for debugging)
+                        internal: one sweep worker process, spawned by
+                        `gcatch sweep`: it runs each `run JOB GEN` line
+                        read on stdin and answers `beat`, `hold JOB` and
+                        `done JOB` on stdout until stdin ends
   serve (--socket PATH | --stdio) [--workers N] [--max-queue N]
         [--request-timeout-ms MS] [--cache-dir DIR] [--max-cache N]
         [--max-sessions N] [--inject-faults RATE] [--fault-seed N]
@@ -182,8 +189,8 @@ observability (check / extended / batch / sweep / serve):
   --metrics-out FILE    write every pipeline counter, stage timing, and
                         histogram as Prometheus text exposition under the
                         stable gcatch_* name schema (written atomically at
-                        the end of the run; batch also republishes the
-                        file every ~200 ms while running)
+                        the end of the run; batch and serve also republish
+                        the file every ~200 ms while running)
   --events-out FILE     write the structured run event stream as JSONL;
                         every event carries the run id plus the job,
                         attempt, and channel that produced it, so one
@@ -206,8 +213,6 @@ fault injection (batch / sweep / serve):
   --fault-seed N        seed for the fault schedule (default 0)
 
 environment:
-  GCATCH_TRACE_LEVEL    overrides the tracing level (off, spans, full);
-                        without it, --trace records at full detail
   GCATCH_FAULT_RATE     arm fault injection without CLI flags (batch /
                         sweep / serve); GCATCH_FAULT_SEED,
                         GCATCH_FAULT_SITES, and GCATCH_FAULT_DELAY_MS
@@ -217,13 +222,14 @@ environment:
                         files, byte-exact diffs)
 
 fault injection (sweep adds three process-level sites):
-  sweep.worker          a worker self-terminates right after claiming a
-                        job (exit code 17); the coordinator re-leases
-  sweep.heartbeat       a worker never writes heartbeats; the coordinator
-                        kills and replaces it after the staleness deadline
-  sweep.lease           a worker stops renewing one claim's lease; the
-                        lease expires mid-job and the job is re-leased
-                        while the original owner keeps working (the
+  sweep.worker          a worker self-terminates right after it reads an
+                        assignment (exit code 17); the coordinator
+                        re-leases the job
+  sweep.heartbeat       a worker never sends heartbeats; the coordinator
+                        kills and replaces it after four leases
+  sweep.lease           a worker never holds one assignment; it expires
+                        mid-job and the job is re-leased while the
+                        original owner keeps working (the
                         duplicate-decision path)
 
 exit status: 0 = clean, 1 = bugs found, 2 = usage or input error;
@@ -343,17 +349,13 @@ fn flag_value<'a>(flags: &'a [Flag], name: &str) -> Option<&'a str> {
         .and_then(|(_, v)| v.as_deref())
 }
 
-/// Resolves the tracing level: `GCATCH_TRACE_LEVEL` overrides everything;
-/// otherwise `--trace FILE` implies full detail and its absence disables
-/// tracing entirely (zero overhead on the hot path).
-fn trace_level(trace_path: Option<&str>) -> Result<TraceLevel, String> {
-    match std::env::var("GCATCH_TRACE_LEVEL") {
-        Ok(v) => TraceLevel::parse(&v).map_err(|e| format!("bad GCATCH_TRACE_LEVEL: {e}")),
-        Err(_) => Ok(if trace_path.is_some() {
-            TraceLevel::Full
-        } else {
-            TraceLevel::Off
-        }),
+/// The tracing level: `--trace FILE` records at full detail, and its
+/// absence disables tracing entirely (zero overhead on the hot path).
+fn trace_level(trace_path: Option<&str>) -> TraceLevel {
+    if trace_path.is_some() {
+        TraceLevel::Full
+    } else {
+        TraceLevel::Off
     }
 }
 
@@ -583,7 +585,7 @@ fn run_diagnostics(
     empty_message: &str,
 ) -> Result<ExitCode, String> {
     let sinks = Sinks::open(flags, &[path.to_string()], 1);
-    let level = trace_level(flag_value(flags, "trace"))?;
+    let level = trace_level(flag_value(flags, "trace"));
     let mut config = analysis_config(flags, true)?;
     config.obs = ObsScope {
         bus: sinks.bus.clone(),
@@ -718,7 +720,7 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
     let write = has_flag(&flags, "write");
     let explain = has_flag(&flags, "explain");
     let trace_path = flag_value(&flags, "trace");
-    let level = trace_level(trace_path)?;
+    let level = trace_level(trace_path);
     let original = read_source(&path)?;
 
     let fixed = gfix::fixpoint(&original, &DetectorConfig::default(), level)?;
@@ -1157,7 +1159,7 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     let (inputs, flags) = parse_multi(rest, &spec)?;
     let modules = expand_modules(&inputs)?;
     let trace_path = flag_value(&flags, "trace");
-    let level = trace_level(trace_path)?;
+    let level = trace_level(trace_path);
     let sinks = Sinks::open(&flags, &modules, modules.len());
     let batch = engine_config(&flags, false)?;
     let base = analysis_config(&flags, false)?;
@@ -1280,18 +1282,20 @@ fn forward_exec_flags(flags: &[Flag]) -> Vec<String> {
     out
 }
 
-/// How long a sweep lease runs before it must be renewed (`--lease-ms`,
-/// default 1 s, at least 20 ms). The coordinator passes its value to
-/// every worker it spawns.
+/// How long a sweep assignment lasts unless its worker holds it again
+/// (`--lease-ms`, default 1 s, at least 20 ms). The coordinator passes
+/// its value to every worker it spawns, which beats and holds every
+/// quarter of it.
 fn lease(flags: &[Flag]) -> Result<Duration, String> {
     Ok(Duration::from_millis(
         parse_flag(flags, "lease-ms")?.unwrap_or(1_000).max(20),
     ))
 }
 
-/// One sweep worker process (spawned by `gcatch sweep`): claims jobs from
-/// the on-disk lease queue and runs each through a single-job batch
-/// engine that journals the decided record to this worker's own journal.
+/// One sweep worker process (spawned by `gcatch sweep`): runs the jobs
+/// its coordinator assigns on stdin, each through a single-job batch
+/// engine that journals the decided record to this worker's own journal,
+/// and reports on stdout.
 fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
     let spec = spec(
         &[&exec_flags()],
@@ -1316,18 +1320,24 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
     let config = WorkerConfig {
         id,
         lease,
-        poll: Duration::from_millis(10),
         plan: batch.faults.clone(),
     };
-    run_worker(&layout, &ids, &config, |_, module| {
-        let job = batch_job(module.to_string(), base.clone(), &telemetry, None);
-        let engine = BatchEngine::new(batch.clone(), &telemetry, &tracer);
-        let outcome = engine.run(&[job], Some((&journal, String::clone)), BTreeMap::new());
-        match outcome.journal_error {
-            Some(err) => Err(format!("journal write failed: {err}")),
-            None => Ok(()),
-        }
-    })?;
+    let stdout = std::sync::Mutex::new(std::io::stdout());
+    run_worker(
+        &ids,
+        std::io::stdin().lock(),
+        &stdout,
+        &config,
+        |_, module| {
+            let job = batch_job(module.to_string(), base.clone(), &telemetry, None);
+            let engine = BatchEngine::new(batch.clone(), &telemetry, &tracer);
+            let outcome = engine.run(&[job], Some((&journal, String::clone)), BTreeMap::new());
+            match outcome.journal_error {
+                Some(err) => Err(format!("journal write failed: {err}")),
+                None => Ok(()),
+            }
+        },
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1383,8 +1393,6 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
         workers,
         lease,
         max_releases,
-        poll: Duration::from_millis(15),
-        stale_after: lease * 4,
     };
     let mut coordinator = Coordinator::new(layout.clone(), modules.clone(), config, &telemetry);
     if let Some(bus) = &sinks.bus {
@@ -1399,7 +1407,8 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
         std::env::current_exe().map_err(|e| format!("cannot locate the gcatch executable: {e}"))?;
     let forwarded = forward_exec_flags(&flags);
     let outcome = coordinator.run(|name| {
-        std::process::Command::new(&exe)
+        let mut worker = std::process::Command::new(&exe);
+        worker
             .arg("worker")
             .arg("--dir")
             .arg(&root)
@@ -1407,10 +1416,8 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
             .arg(name)
             .arg("--lease-ms")
             .arg(lease.as_millis().to_string())
-            .args(&forwarded)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::inherit())
-            .spawn()
+            .args(&forwarded);
+        worker
     })?;
     if progress.is_some() {
         eprint!("\r\x1b[K");
@@ -1452,11 +1459,17 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
     );
     let code = merged.print(&flags, &header, &stats);
     if outcome.interrupted {
+        // Nothing resumes an interrupted sweep, so name what it left.
+        let missing = &outcome.merge.missing;
         eprintln!(
-            "gcatch: sweep interrupted — {} decided job(s) merged, {} undecided",
+            "gcatch: sweep interrupted — {} decided job(s) merged, {} undecided{}",
             records.len(),
-            outcome.merge.missing.len()
+            missing.len(),
+            if missing.is_empty() { "" } else { ":" }
         );
+        for id in missing {
+            eprintln!("  {id}");
+        }
     }
     if ephemeral {
         let _ = std::fs::remove_dir_all(&root);

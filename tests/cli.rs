@@ -543,37 +543,6 @@ fn check_trace_writes_chrome_trace_events() {
 }
 
 #[test]
-fn trace_level_env_override_is_validated() {
-    let path = write_temp("check-trace-env", CLEAN);
-    let trace = std::env::temp_dir().join(format!("gcatch-cli-lvl-{}.json", std::process::id()));
-    // A bad level is a usage error...
-    let out = gcatch()
-        .args(["check", "--trace", trace.to_str().unwrap()])
-        .arg(path.to_str().unwrap())
-        .env("GCATCH_TRACE_LEVEL", "verbose")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("GCATCH_TRACE_LEVEL"), "stderr: {stderr}");
-    // ...and `off` suppresses recording even with --trace present.
-    let out = gcatch()
-        .args(["check", "--trace", trace.to_str().unwrap()])
-        .arg(path.to_str().unwrap())
-        .env("GCATCH_TRACE_LEVEL", "off")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let text = std::fs::read_to_string(&trace).expect("trace file written");
-    assert!(
-        !text.contains("\"name\":\"session\""),
-        "off level must record nothing: {text}"
-    );
-    std::fs::remove_file(path).ok();
-    std::fs::remove_file(trace).ok();
-}
-
-#[test]
 fn check_explain_prints_provenance() {
     let path = write_temp("check-explain", BUGGY);
     let out = gcatch()
@@ -1238,7 +1207,7 @@ fn fix_prints_exactly_the_changed_lines() {
     std::fs::remove_file(path).ok();
 }
 
-/// One channel `ch` whose combinations hit `max_combos` (192) exactly: a
+/// One channel `ch` whose combinations hit `MAX_COMBOS` (192) exactly: a
 /// goroutine sends in both arms of four `if/else`s, and `main` receives
 /// in one `if/else` and in three `if`s.
 const COMBO_CAP: &str = r#"

@@ -68,11 +68,6 @@ fn sweep_event_stream_carries_worker_lifecycle() {
             events.to_str().unwrap(),
         ])
         .env("GCATCH_OBS_ZERO_TIME", "1")
-        // Report-neutral delays keep each lease alive across coordinator
-        // polls, so the stream reliably observes a claim in flight.
-        .env("GCATCH_FAULT_RATE", "1.0")
-        .env("GCATCH_FAULT_SITES", "batch.delay")
-        .env("GCATCH_FAULT_DELAY_MS", "120")
         .output()
         .expect("gcatch sweep runs");
     assert!(

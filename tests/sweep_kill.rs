@@ -42,6 +42,50 @@ fn batch_reference(inputs: &[&str], report: &Path) {
     );
 }
 
+/// The pids of the live children of process `pid` (the sweep's worker
+/// fleet), from `/proc/<pid>/task/*/children`.
+fn children(pid: u32) -> Vec<u32> {
+    let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+        return Vec::new();
+    };
+    tasks
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("children")).ok())
+        .flat_map(|list| {
+            list.split_whitespace()
+                .filter_map(|p| p.parse().ok())
+                .collect::<Vec<u32>>()
+        })
+        .collect()
+}
+
+/// Waits until the sweep `pid` running in `sweep_dir` has started `n`
+/// workers (each worker creates its journal before it reads its first
+/// assignment), then returns the sweep's child pids.
+fn started_workers(pid: u32, sweep_dir: &Path, n: usize) -> Vec<u32> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "workers never started");
+        let started = (0..n).all(|w| sweep_dir.join(format!("journals/w{w}.jsonl")).exists());
+        let pids = children(pid);
+        if started && !pids.is_empty() {
+            return pids;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The entries of a sweep directory, sorted.
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("sweep dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 fn read_counter(metrics: &Path, name: &str) -> u64 {
     let text = std::fs::read_to_string(metrics).expect("metrics file");
     text.lines()
@@ -88,33 +132,19 @@ fn sigkilled_worker_jobs_are_released_and_the_report_is_unchanged() {
         .spawn()
         .expect("sweep starts");
 
-    // Find a live worker pid from the sweep's pids/ directory and kill
-    // it dead — no signal handler can run, exactly like an OOM kill.
-    let pids_dir = sweep_dir.join("pids");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut killed = false;
-    while Instant::now() < deadline && !killed {
-        if let Ok(entries) = std::fs::read_dir(&pids_dir) {
-            for entry in entries.flatten() {
-                if let Ok(pid) = std::fs::read_to_string(entry.path())
-                    .unwrap_or_default()
-                    .trim()
-                    .parse::<u32>()
-                {
-                    let out = Command::new("kill")
-                        .args(["-9", &pid.to_string()])
-                        .output()
-                        .expect("kill runs");
-                    if out.status.success() {
-                        killed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(killed, "never found a live worker to SIGKILL");
+    // Once both initial workers are up — the coordinator hands each its
+    // first job as soon as the fleet is spawned, and every job sleeps
+    // 300 ms — SIGKILL one of the sweep's children mid-job: no signal
+    // handler can run, exactly like an OOM kill.
+    let victim = started_workers(child.id(), &sweep_dir, 2)[0];
+    let out = Command::new("kill")
+        .args(["-9", &victim.to_string()])
+        .output()
+        .expect("kill runs");
+    assert!(
+        out.status.success(),
+        "worker {victim} was not alive to SIGKILL"
+    );
 
     let status = child.wait().expect("sweep finishes");
     assert_eq!(status.code(), Some(1), "corpus has bugs: sweep exits 1");
@@ -138,6 +168,7 @@ fn sigkilled_worker_jobs_are_released_and_the_report_is_unchanged() {
         read_counter(&metrics, "gcatch_workers_spawned_total") >= 3,
         "a replacement worker must be spawned"
     );
+    assert_eq!(entries(&sweep_dir), ["journals", "manifest"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -351,9 +382,10 @@ fn sweep_usage_errors_exit_2() {
 }
 
 /// SIGTERM drill: interrupt a live sweep coordinator mid-run. The
-/// coordinator must write the shutdown marker, let workers finish their
-/// current job, merge every decided job into the report, clean up pids/
-/// and stale leases, and exit 130 — leaving no orphan workers behind.
+/// coordinator must close its workers' stdin, let them finish their
+/// current job, merge every decided job into the report, name the
+/// undecided ones, and exit 130 — leaving no orphan workers behind and
+/// nothing in its directory but the manifest and the journals.
 #[test]
 fn sigterm_interrupts_the_sweep_cleanly_with_partial_results() {
     let dir = scratch("term");
@@ -379,24 +411,9 @@ fn sigterm_interrupts_the_sweep_cleanly_with_partial_results() {
         .spawn()
         .expect("sweep starts");
 
-    // Wait for the fleet to exist (a worker pid file appears), then
-    // SIGTERM the coordinator.
-    let pids_dir = sweep_dir.join("pids");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        assert!(Instant::now() < deadline, "workers never spawned");
-        let live = std::fs::read_dir(&pids_dir).map(|d| d.count()).unwrap_or(0);
-        if live > 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let worker_pids: Vec<String> = std::fs::read_dir(&pids_dir)
-        .unwrap()
-        .flatten()
-        .filter_map(|e| std::fs::read_to_string(e.path()).ok())
-        .map(|p| p.trim().to_string())
-        .collect();
+    // Wait for the fleet to be running its first jobs, then SIGTERM the
+    // coordinator.
+    let worker_pids = started_workers(child.id(), &sweep_dir, 2);
     let out = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .output()
@@ -416,12 +433,42 @@ fn sigterm_interrupts_the_sweep_cleanly_with_partial_results() {
         Some(130),
         "interrupted sweep exits 130 (stderr: {stderr})"
     );
-    assert!(stderr.contains("sweep interrupted"), "{stderr}");
+
+    // The decided jobs are merged into the report; the undecided ones are
+    // named on stderr, one per line after the summary.
+    let summary = stderr
+        .lines()
+        .position(|l| l.contains("sweep interrupted"))
+        .unwrap_or_else(|| panic!("no interrupt summary: {stderr}"));
+    let counts: Vec<usize> = stderr
+        .lines()
+        .nth(summary)
+        .unwrap()
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|n| n.parse().ok())
+        .collect();
+    let &[decided, undecided] = counts.as_slice() else {
+        panic!("summary carries two counts: {stderr}");
+    };
+    assert!(decided >= 1, "the jobs in flight finish: {stderr}");
+    assert_eq!(decided + undecided, 6, "{stderr}");
+    let report = std::fs::read_to_string(&report).expect("report written");
+    assert_eq!(report.matches("{\"module\":").count(), decided, "{report}");
+    let listed: Vec<&str> = stderr.lines().skip(summary + 1).collect();
+    assert_eq!(listed.len(), undecided, "{stderr}");
+    for line in listed {
+        let module = line.trim();
+        assert!(module.starts_with("examples/batch/"), "{stderr}");
+        assert!(
+            !report.contains(module),
+            "{module} is decided and undecided"
+        );
+    }
 
     // No orphans: every worker the coordinator had spawned is gone.
     for pid in &worker_pids {
         let gone = Command::new("kill")
-            .args(["-0", pid])
+            .args(["-0", &pid.to_string()])
             .output()
             .expect("kill -0 runs");
         assert!(
@@ -429,17 +476,6 @@ fn sigterm_interrupts_the_sweep_cleanly_with_partial_results() {
             "worker {pid} still alive after coordinator exit"
         );
     }
-    // No stale state: pids/ is empty and no undecided job holds a lease.
-    let pids_left = std::fs::read_dir(&pids_dir).map(|d| d.count()).unwrap_or(0);
-    assert_eq!(pids_left, 0, "pids/ must be cleaned up");
-    let leases_left = std::fs::read_dir(sweep_dir.join("leases"))
-        .map(|d| d.count())
-        .unwrap_or(0);
-    assert_eq!(leases_left, 0, "stale leases must be removed");
-    // The shutdown marker persists so late-waking workers also stop.
-    assert!(
-        sweep_dir.join("shutdown").exists(),
-        "shutdown marker must be written"
-    );
+    assert_eq!(entries(&sweep_dir), ["journals", "manifest"]);
     std::fs::remove_dir_all(&dir).ok();
 }
